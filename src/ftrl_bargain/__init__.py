@@ -22,14 +22,12 @@ from .games import (
     worker_vertex_plan,
 )
 from .geometry import (
-    SolverFailure,
     StructuralError,
     Treeplex,
     TreeplexProjector,
     behavioral_from_plan,
     project_simplex,
     project_simplex_exact,
-    project_treeplex,
 )
 from .learner import LearnerConfig, MonitorSuite, Trajectory, detect_convergence, ftrl_step, run_dynamics
 from .analysis import (

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import analysis, games, geometry, learner, metagame
+from . import analysis, games, learner, metagame
 from .games import FIRM, WORKER, ActionGrid, TwoRoundGame, UltimatumGame
 from .learner import LearnerConfig, MonitorSuite
 
@@ -552,15 +552,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except geometry.SolverFailure as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -196,12 +196,9 @@ def build_treeplex(game: TwoRoundGame, agent: Agent) -> Treeplex:
     if grid.D <= 2:
         raise ValueError(f"two-round game needs D > 2, got D={grid.D}")
     n = grid.size
-    acts = grid.actions
 
     if agent == FIRM:
         n_seq = 1 + n + 2 * n * n
-        labels = ["root"]
-        labels += [f"offer:{acts[a]:g}" for a in range(n)]
         infosets = [(0, tuple(firm_offer_index(grid, a) for a in range(n)))]
         for a in range(n):
             for b in range(n):
@@ -211,22 +208,16 @@ def build_treeplex(game: TwoRoundGame, agent: Agent) -> Treeplex:
                         (firm_accept_index(grid, a, b), firm_reject_index(grid, a, b)),
                     )
                 )
-                labels.append(f"offer:{acts[a]:g}>accept:{acts[b]:g}")
-                labels.append(f"offer:{acts[a]:g}>reject:{acts[b]:g}")
-        return Treeplex(n_seq, 0, tuple(infosets), tuple(labels))
+        return Treeplex(n_seq, 0, tuple(infosets))
 
     n_seq = 1 + n + n * n
-    labels = ["root"]
-    labels += [f"accept:{acts[a]:g}" for a in range(n)]
-    for a in range(n):
-        labels += [f"reject:{acts[a]:g}>counter:{acts[b]:g}" for b in range(n)]
     infosets = []
     for a in range(n):
         children = (worker_accept_index(grid, a),) + tuple(
             worker_counter_index(grid, a, b) for b in range(n)
         )
         infosets.append((0, children))
-    return Treeplex(n_seq, 0, tuple(infosets), tuple(labels))
+    return Treeplex(n_seq, 0, tuple(infosets))
 
 
 def two_round_feedback(agent: Agent, opponent_plan: np.ndarray, game: TwoRoundGame) -> np.ndarray:

@@ -1,27 +1,27 @@
 """Euclidean projections onto the probability simplex and sequence-form polytopes.
 
 The simplex path uses the exact sort-and-threshold rule (float and rational
-flavors); the treeplex path is a small dense primal active-set solver whose
-per-working-set subproblem is an equality-constrained least-squares solve.
+flavors).  The treeplex path is closed form for the two shapes the two-round
+game has: a product of simplices under the root (worker), and one simplex of
+offers with a binary choice per (offer, counter) pair below it (firm).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "StructuralError",
-    "SolverFailure",
     "Treeplex",
     "BehavioralCell",
     "SimplexCertificate",
     "project_simplex",
     "project_simplex_exact",
-    "project_treeplex",
     "TreeplexProjector",
     "behavioral_from_plan",
     "validate_plan",
@@ -30,20 +30,12 @@ __all__ = [
 
 # Tolerances shared across the package.
 PLAN_FLOW_TOL = 1e-9        # realization-constraint residual accepted on plans
-PLAN_NEG_TOL = 1e-12        # negative dust clamped after the active-set solve
+PLAN_NEG_TOL = 1e-12        # negative dust accepted on plans
 UNREACHABLE_TOL = 1e-12     # parent mass below this marks an infoset unreachable
 
 
 class StructuralError(ValueError):
     """Shape or indexing mismatch between a vector and its polytope/grid."""
-
-
-class SolverFailure(RuntimeError):
-    """Active-set iteration cap exceeded; carries the last KKT residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -57,7 +49,6 @@ class Treeplex:
     n_sequences: int
     root: int
     infosets: tuple[tuple[int, tuple[int, ...]], ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.validate()
@@ -86,13 +77,9 @@ class Treeplex:
             for c in children:
                 depth[c] = depth[parent] + 1
 
-    @property
-    def n_constraints(self) -> int:
-        return 1 + len(self.infosets)
-
     def constraints(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (E, e) with E @ r == e for every valid realization plan."""
-        m = self.n_constraints
+        m = 1 + len(self.infosets)
         E = np.zeros((m, self.n_sequences))
         e = np.zeros(m)
         E[0, self.root] = 1.0
@@ -110,21 +97,39 @@ class Treeplex:
             r[list(children)] = r[parent] / len(children)
         return r
 
+    @cached_property
+    def _levels(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per parent depth, deepest first: (children, starts, sizes, parents).
+
+        Infosets keep their reversed list order, so values added onto a shared
+        parent sum in the order of an infoset-by-infoset backward walk.
+        """
+        depth = {self.root: 0}
+        for parent, children in self.infosets:
+            for c in children:
+                depth[c] = depth[parent] + 1
+        levels = []
+        for d in sorted({depth[parent] for parent, _ in self.infosets}, reverse=True):
+            isets = [(p, ch) for p, ch in reversed(self.infosets) if depth[p] == d]
+            sizes = np.array([len(ch) for _, ch in isets])
+            levels.append((np.concatenate([ch for _, ch in isets]), np.cumsum(sizes) - sizes,
+                           sizes, np.array([p for p, _ in isets])))
+        return tuple(levels)
+
     def normalize_backward(self, u: np.ndarray) -> np.ndarray:
         """Shift ``u`` by a row-space translation so every infoset tops out at 0.
 
         Walks infosets deepest-first, moving each infoset's best-child value
-        onto its parent sequence (a backward-induction pass).  Projections are
-        invariant under such translations, but the shifted vector keeps the
-        numerically active entries at unit scale however large the raw
-        cumulative utilities grow.
+        onto its parent sequence (a backward-induction pass), one depth level
+        at a time.  Projections are invariant under such translations, but the
+        shifted vector keeps the numerically active entries at unit scale
+        however large the raw cumulative utilities grow.
         """
         out = np.array(u, dtype=float)
-        for parent, children in reversed(self.infosets):
-            ch = list(children)
-            top = float(out[ch].max())
-            out[ch] -= top
-            out[parent] += top
+        for children, starts, sizes, parents in self._levels:
+            top = np.maximum.reduceat(out[children], starts)
+            out[children] -= np.repeat(top, sizes)
+            np.add.at(out, parents, top)
         out[self.root] = 0.0
         return out
 
@@ -236,120 +241,76 @@ def validate_plan(r: np.ndarray, t: Treeplex, tol: float = PLAN_FLOW_TOL) -> boo
 
 
 class TreeplexProjector:
-    """Primal active-set projector onto one treeplex.
+    """Exact Euclidean projection onto a treeplex of one of two shapes.
 
-    Subproblems fix a working set of sequences at zero and solve the
-    equality-constrained least-squares projection in closed form; the solve
-    operator is cached per working set, which makes the per-step cost of a
-    converged learning run a couple of mat-vecs.
+    * Every infoset hangs off the root, all with the same number of children
+      (the worker's treeplex, or a plain simplex): one simplex projection per
+      infoset, in one batch.
+    * One root infoset whose children each carry the same number m of binary
+      infosets (the firm's treeplex: offers, then accept/reject per counter).
+      Offer mass s splits over pair (p, q) as y = clip((s + p - q)/2, 0, s),
+      at marginal cost s - max(p, q) - (s - |p - q|)_+ / 2.  So offer a's
+      marginal cost g_a(s) is increasing, concave and piecewise linear (slope
+      1 + m - j/2 past its j-th breakpoint), its inverse s_a(lam) floored at
+      0 is convex, and the multiplier of sum(s_a) == 1 follows exactly from
+      evaluating sum(s_a) at every breakpoint and interpolating linearly.
+
+    Any other shape raises :class:`StructuralError` here, although
+    :class:`Treeplex` itself accepts it.
     """
-
-    MAX_CACHE = 512
 
     def __init__(self, t: Treeplex):
         self.treeplex = t
-        self.E, self.e = t.constraints()
         self.n = t.n_sequences
-        self.m = self.E.shape[0]
-        self._start = t.uniform_plan()
-        self._cache: dict[frozenset, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        top = [children for parent, children in t.infosets if parent == t.root]
+        below = [(parent, children) for parent, children in t.infosets if parent != t.root]
+        if not below and len({len(children) for children in top}) == 1:
+            self._blocks = np.array(top)
+            return
+        self._blocks = None
+        offers = top[0] if len(top) == 1 else ()
+        rows = [[children for parent, children in below if parent == a] for a in offers]
+        if (not rows or len({len(r) for r in rows}) != 1 or sum(map(len, rows)) != len(below)
+                or any(len(ch) != 2 for _, ch in below)):
+            raise StructuralError("treeplex shape not supported by the projector")
+        self._offers = np.array(offers)
+        self._accept, self._reject = np.moveaxis(np.array(rows), -1, 0)
+        n, m = self._accept.shape
+        self._slope = 1.0 + m - 0.5 * np.arange(m + 1)
+        self._rate_steps = np.tile(np.diff(1.0 / self._slope, prepend=0.0), n)
 
-    def _solver(self, working: frozenset):
-        hit = self._cache.get(working)
-        if hit is not None:
-            return hit
-        free = np.array(sorted(set(range(self.n)) - working), dtype=int)
-        A = self.E[:, free]
-        P = np.linalg.pinv(A @ A.T, rcond=1e-12)
-        if len(self._cache) >= self.MAX_CACHE:
-            self._cache.clear()
-        self._cache[working] = (free, A, P)
-        return free, A, P
-
-    def _subproblem(self, v: np.ndarray, working: frozenset):
-        """argmin ||x - v|| s.t. Ex = e, x[working] = 0; returns (x, nu)."""
-        free, A, P = self._solver(working)
-        nu = P @ (self.e - A @ v[free])
-        x = np.zeros(self.n)
-        x[free] = v[free] + A.T @ nu
-        return x, nu, free
-
-    FEAS_TOL = 1e-9     # free entries above -FEAS_TOL count as feasible, then clamp
-    MU_TOL = 1e-9       # working-set multipliers above -MU_TOL certify optimality
-
-    def project(self, v, working: Optional[frozenset] = None, return_working: bool = False):
-        """Active-set projection.
-
-        A clip-and-grow presolve clamps every negative free entry until the
-        equality-constrained solution is feasible; the exact phase then drops
-        one most-negative multiplier at a time, re-clamping along blocking
-        segments.  Dropping a single negative multiplier provably moves the
-        dropped coordinate strictly positive, so the loop cannot cycle.
-        """
+    def project(self, v) -> np.ndarray:
+        """Nearest realization plan to ``v``; the root entry of ``v`` is ignored."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise StructuralError("projection input length does not match treeplex")
         if not np.all(np.isfinite(v)):
             raise ValueError("projection input must be finite (no NaN/inf)")
+        x = np.zeros(self.n)
+        x[self.treeplex.root] = 1.0
+        if self._blocks is not None:
+            x[self._blocks] = project_simplex_batch(v[self._blocks])
+            return x
 
-        root = self.treeplex.root
-        W = frozenset() if working is None else frozenset(working) - {root}
-        residual = np.inf
-        max_iter = 10 * self.n
-
-        # presolve: clamp negatives wholesale until the subproblem is feasible
-        x_new = nu = free = None
-        for _ in range(self.n + 1):
-            x_new, nu, free = self._subproblem(v, W)
-            residual = float(np.abs(self.E @ x_new - self.e).max())
-            if residual > 1e-8:
-                if W:  # warm set inconsistent with this input; restart cold
-                    W = frozenset()
-                    continue
-                raise SolverFailure("treeplex subproblem inconsistent", residual)
-            neg = free[x_new[free] < -self.FEAS_TOL]
-            if neg.size == 0:
-                break
-            W = W | {int(i) for i in neg if i != root}
-        else:
-            raise SolverFailure("presolve failed to reach feasibility", residual)
-
-        x_cur = np.maximum(x_new, 0.0)
-        for _ in range(max_iter):
-            widx = np.array(sorted(W), dtype=int)
-            if widx.size == 0:
-                out = x_cur
-                return (out, W) if return_working else out
-            mu = -v[widx] - self.E[:, widx].T @ nu
-            worst = int(np.argmin(mu))
-            if mu[worst] >= -self.MU_TOL:
-                out = x_cur
-                return (out, W) if return_working else out
-            W = W - {int(widx[worst])}
-            # walk toward the relaxed optimum, clamping blockers, until the
-            # subproblem for the current working set is feasible
-            for _ in range(self.n + 1):
-                x_new, nu, free = self._subproblem(v, W)
-                residual = float(np.abs(self.E @ x_new - self.e).max())
-                if residual > 1e-8:
-                    raise SolverFailure("treeplex subproblem inconsistent", residual)
-                if free.size == 0 or float(x_new[free].min()) >= -self.FEAS_TOL:
-                    x_cur = np.maximum(x_new, 0.0)
-                    break
-                d = x_new - x_cur
-                shrink = d < -self.FEAS_TOL
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    steps = np.where(shrink, np.maximum(x_cur, 0.0) / np.maximum(-d, 1e-300), np.inf)
-                alpha = min(max(float(steps.min()), 0.0), 1.0)
-                x_cur = x_cur + alpha * d
-                hit = np.nonzero(steps <= alpha * (1 + 1e-12) + 1e-15)[0]
-                x_cur[hit] = 0.0
-                W = W | {int(i) for i in hit if i != root}
-            else:
-                raise SolverFailure("blocking walk failed to terminate", residual)
-        raise SolverFailure("active-set iteration cap exceeded", residual)
-
-
-def project_treeplex(v, t: Treeplex) -> np.ndarray:
-    """One-shot treeplex projection; see :class:`TreeplexProjector`."""
-    return TreeplexProjector(t).project(v)
+        p, q = v[self._accept], v[self._reject]
+        # breakpoints t (ascending per offer, led by s = 0) and g_a at each
+        t = np.zeros((p.shape[0], p.shape[1] + 1))
+        t[:, 1:] = np.sort(np.abs(p - q), axis=1)
+        g0 = -v[self._offers] - np.maximum(p, q).sum(axis=1)
+        g = g0[:, None] + self._slope * t + 0.5 * np.cumsum(t, axis=1)
+        # S at the sorted breakpoints; its slope in lam grows by the change of
+        # 1/slope as lam passes each breakpoint of each offer
+        order = np.argsort(g, axis=None, kind="stable")
+        lam = g.ravel()[order]
+        rate = np.cumsum(self._rate_steps[order])
+        total = np.zeros(lam.size)
+        total[1:] = np.cumsum(rate[:-1] * (lam[1:] - lam[:-1]))
+        k = int(np.searchsorted(total, 1.0, side="right")) - 1
+        lam_star = lam[k] + (1.0 - total[k]) / rate[k]
+        # s_a is convex, so it is the largest of its affine pieces
+        s = np.maximum((t + (lam_star - g) / self._slope).max(axis=1), 0.0)[:, None]
+        y = np.minimum(np.maximum((s + p - q) / 2.0, 0.0), s)
+        x[self._offers] = s[:, 0]
+        x[self._accept] = y
+        x[self._reject] = s - y
+        return x

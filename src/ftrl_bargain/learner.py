@@ -112,16 +112,11 @@ class Trajectory:
     """History and endpoint of one run; ``converged_at`` unset means the cap hit."""
 
     converged_at: Optional[int]
-    final_delta: float
     steps: int
     final_f: np.ndarray
     final_w: np.ndarray
-    prev_f: np.ndarray
-    prev_w: np.ndarray
     cum_util_f: np.ndarray
     cum_util_w: np.ndarray
-    realized_f: float
-    realized_w: float
     history: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
     regret_f: Optional[list[float]] = None
     regret_w: Optional[list[float]] = None
@@ -150,8 +145,7 @@ def _certified_stop(cfg: LearnerConfig, x_f, x_w) -> bool:
     return analysis.certify_epsilon_ne(profile, cfg.game).eps <= cfg.stop_eps
 
 
-def ftrl_step(agent: str, cum_util: np.ndarray, cfg: LearnerConfig,
-              projector: Optional[geometry.TreeplexProjector] = None) -> np.ndarray:
+def ftrl_step(agent: str, cum_util: np.ndarray, cfg: LearnerConfig) -> np.ndarray:
     """One update: project reference + eta * cum_util onto the agent's polytope."""
     cum_util = np.asarray(cum_util, dtype=float)
     if not np.all(np.isfinite(cum_util)):
@@ -159,8 +153,7 @@ def ftrl_step(agent: str, cum_util: np.ndarray, cfg: LearnerConfig,
     if isinstance(cfg.game, UltimatumGame):
         v = cfg.reference_vector(agent) + cfg.eta * cum_util
         return _project_simplex(v)
-    if projector is None:
-        projector = geometry.TreeplexProjector(games.build_treeplex(cfg.game, agent))
+    projector = geometry.TreeplexProjector(games.build_treeplex(cfg.game, agent))
     return projector.project(cfg.eta * cum_util)
 
 
@@ -254,10 +247,15 @@ def run_dynamics(
 
     Non-convergence is reported through an unset ``converged_at``, never an
     exception.  Identical inputs produce bitwise-identical trajectories.
+    Monitors watch float one-shot runs only; passing them to any other run
+    raises ``ValueError``.
     """
+    float_ultimatum = cfg.arithmetic == "float" and isinstance(cfg.game, UltimatumGame)
+    if monitors is not None and not float_ultimatum:
+        raise ValueError("monitors apply to float one-shot runs only")
     if cfg.arithmetic == "exact":
         return _run_ultimatum_exact(cfg, init_f, init_w, keep_history)
-    if isinstance(cfg.game, UltimatumGame):
+    if float_ultimatum:
         return _run_ultimatum_float(cfg, init_f, init_w, keep_history, monitors)
     return _run_two_round(cfg, init_f, init_w, keep_history)
 
@@ -275,20 +273,19 @@ def _run_ultimatum_float(cfg, init_f, init_w, keep_history, monitors) -> Traject
     U_f = np.zeros(grid.size)
     U_w = np.zeros(grid.size)
     off_f = off_w = 0.0
-    realized = {FIRM: 0.0, WORKER: 0.0}
+    realized_f = realized_w = 0.0
     history = [(x_f.copy(), x_w.copy())] if keep_history else None
     regret_f: list[float] = []
     regret_w: list[float] = []
 
     converged_at = None
-    delta = 0.0
-    prev_f, prev_w = x_f.copy(), x_w.copy()
     t = 1
     for t in range(2, cfg.steps_cap + 1):
         fb_f = games.ultimatum_feedback(FIRM, x_w, grid)
         fb_w = games.ultimatum_feedback(WORKER, x_f, grid)
-        realized[FIRM] += float(x_f @ fb_f)
-        realized[WORKER] += float(x_w @ fb_w)
+        if keep_history:
+            realized_f += float(x_f @ fb_f)
+            realized_w += float(x_w @ fb_w)
         U_f += fb_f
         U_w += fb_w
         shift_f = float(U_f.max())
@@ -306,13 +303,12 @@ def _run_ultimatum_float(cfg, init_f, init_w, keep_history, monitors) -> Traject
             monitors.observe_projection(WORKER, t, v_w, new_w)
             monitors.observe_step(t, x_f, x_w, new_f, new_w)
         if keep_history:
-            regret_f.append(off_f - realized[FIRM])
-            regret_w.append(off_w - realized[WORKER])
+            regret_f.append(off_f - realized_f)
+            regret_w.append(off_w - realized_w)
         delta = max(
             float(np.abs(new_f - x_f).max()),
             float(np.abs(new_w - x_w).max()),
         )
-        prev_f, prev_w = x_f, x_w
         x_f, x_w = new_f, new_w
         if keep_history:
             history.append((x_f.copy(), x_w.copy()))
@@ -322,16 +318,11 @@ def _run_ultimatum_float(cfg, init_f, init_w, keep_history, monitors) -> Traject
 
     return Trajectory(
         converged_at=converged_at,
-        final_delta=float(delta),
         steps=t,
         final_f=x_f,
         final_w=x_w,
-        prev_f=prev_f,
-        prev_w=prev_w,
         cum_util_f=U_f + off_f,
         cum_util_w=U_w + off_w,
-        realized_f=realized[FIRM],
-        realized_w=realized[WORKER],
         history=history,
         regret_f=regret_f if keep_history else None,
         regret_w=regret_w if keep_history else None,
@@ -351,31 +342,28 @@ def _run_ultimatum_exact(cfg, init_f, init_w, keep_history) -> Trajectory:
     zero = Fraction(0)
     U_f = [zero] * grid.size
     U_w = [zero] * grid.size
+    off_f = off_w = zero
     threshold = Fraction(cfg.threshold)
-    realized_f = realized_w = zero
 
     history = [(list(x_f), list(x_w))] if keep_history else None
     converged_at = None
-    delta = None
-    prev_f, prev_w = list(x_f), list(x_w)
     t = 1
     for t in range(2, cfg.steps_cap + 1):
         fb_f = games.ultimatum_feedback_exact(FIRM, x_w, grid)
         fb_w = games.ultimatum_feedback_exact(WORKER, x_f, grid)
-        realized_f += sum(a * b for a, b in zip(x_f, fb_f))
-        realized_w += sum(a * b for a, b in zip(x_w, fb_w))
         U_f = [u + f for u, f in zip(U_f, fb_f)]
         U_w = [u + f for u, f in zip(U_w, fb_w)]
         mf, mw = max(U_f), max(U_w)
         U_f = [u - mf for u in U_f]
         U_w = [u - mw for u in U_w]
+        off_f += mf
+        off_w += mw
         new_f = geometry.project_simplex_exact([r + eta * u for r, u in zip(ref_f, U_f)])
         new_w = geometry.project_simplex_exact([r + eta * u for r, u in zip(ref_w, U_w)])
         delta = max(
             max(abs(b - a) for a, b in zip(x_f, new_f)),
             max(abs(b - a) for a, b in zip(x_w, new_w)),
         )
-        prev_f, prev_w = x_f, x_w
         x_f, x_w = new_f, new_w
         if keep_history:
             history.append((list(x_f), list(x_w)))
@@ -385,16 +373,11 @@ def _run_ultimatum_exact(cfg, init_f, init_w, keep_history) -> Trajectory:
 
     return Trajectory(
         converged_at=converged_at,
-        final_delta=float(delta) if delta is not None else 0.0,
         steps=t,
         final_f=x_f,
         final_w=x_w,
-        prev_f=prev_f,
-        prev_w=prev_w,
-        cum_util_f=U_f,
-        cum_util_w=U_w,
-        realized_f=float(realized_f),
-        realized_w=float(realized_w),
+        cum_util_f=[u + off_f for u in U_f],
+        cum_util_w=[u + off_w for u in U_w],
         history=history,
     )
 
@@ -415,20 +398,13 @@ def _run_two_round(cfg, init_f, init_w, keep_history) -> Trajectory:
     U_f = np.zeros(tp_f.n_sequences)
     U_w = np.zeros(tp_w.n_sequences)
     off_f = off_w = 0.0
-    realized_f = realized_w = 0.0
     history = [(r_f.copy(), r_w.copy())] if keep_history else None
-    working_f: frozenset = frozenset()
-    working_w: frozenset = frozenset()
 
     converged_at = None
-    delta = 0.0
-    prev_f, prev_w = r_f.copy(), r_w.copy()
     t = 1
     for t in range(2, cfg.steps_cap + 1):
         fb_f = games.two_round_feedback(FIRM, r_w, game)
         fb_w = games.two_round_feedback(WORKER, r_f, game)
-        realized_f += float(r_f @ fb_f)
-        realized_w += float(r_w @ fb_w)
         U_f += fb_f
         U_w += fb_w
         shift_f, shift_w = float(U_f.max()), float(U_w.max())
@@ -438,13 +414,12 @@ def _run_two_round(cfg, init_f, init_w, keep_history) -> Trajectory:
         off_w += shift_w
         v_f = eta * tp_f.normalize_backward(U_f)
         v_w = eta * tp_w.normalize_backward(U_w)
-        new_f, working_f = proj_f.project(v_f, working=working_f, return_working=True)
-        new_w, working_w = proj_w.project(v_w, working=working_w, return_working=True)
+        new_f = proj_f.project(v_f)
+        new_w = proj_w.project(v_w)
         delta = max(
             float(np.abs(new_f - r_f).max()),
             float(np.abs(new_w - r_w).max()),
         )
-        prev_f, prev_w = r_f, r_w
         r_f, r_w = new_f, new_w
         if keep_history:
             history.append((r_f.copy(), r_w.copy()))
@@ -454,15 +429,10 @@ def _run_two_round(cfg, init_f, init_w, keep_history) -> Trajectory:
 
     return Trajectory(
         converged_at=converged_at,
-        final_delta=float(delta),
         steps=t,
         final_f=r_f,
         final_w=r_w,
-        prev_f=prev_f,
-        prev_w=prev_w,
         cum_util_f=U_f + off_f,
         cum_util_w=U_w + off_w,
-        realized_f=realized_f,
-        realized_w=realized_w,
         history=history,
     )

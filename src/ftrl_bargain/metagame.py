@@ -194,7 +194,6 @@ def _sweep_ultimatum_batched(cfg: LearnerConfig, firm_axis, worker_axis) -> list
     U_f = np.zeros((ncells, n))
     U_w = np.zeros((ncells, n))
     converged_at = np.zeros(ncells, dtype=np.int64)
-    final_delta = np.zeros(ncells)
     active = np.arange(ncells)
 
     for t in range(2, cfg.steps_cap + 1):
@@ -220,7 +219,6 @@ def _sweep_ultimatum_batched(cfg: LearnerConfig, firm_axis, worker_axis) -> list
         )
         X_f[active] = new_f
         X_w[active] = new_w
-        final_delta[active] = delta
         done = delta <= cfg.threshold
         if cfg.stop_eps is not None and np.any(done):
             for pos in np.nonzero(done)[0]:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's fast paths: feedback by double loops
 over the payoff function, projections by lattice search or long-run
-first-order iterations, sequence counts by a recursive tree walk, and the
+first-order iterations, treeplex best responses and backward passes by
+infoset-by-infoset loops, sequence counts by a recursive tree walk, and the
 recurrence by direct rational iteration.
 """
 
@@ -69,6 +70,26 @@ def dual_ascent_projection(v: np.ndarray, E: np.ndarray, e: np.ndarray,
         x = np.maximum(v - E.T @ lam, 0.0)
         lam += step * (E @ x - e)
     return np.maximum(v - E.T @ lam, 0.0)
+
+
+def treeplex_best_response_value(c: np.ndarray, t) -> float:
+    """max <c, z> over realization plans z of treeplex ``t``, by backward induction."""
+    val = np.array(c, dtype=float)
+    for parent, children in reversed(t.infosets):
+        val[parent] += max(val[list(children)])
+    return float(val[t.root])
+
+
+def normalize_backward_loop(u: np.ndarray, t) -> np.ndarray:
+    """Infoset-by-infoset reference for ``Treeplex.normalize_backward``."""
+    out = np.array(u, dtype=float)
+    for parent, children in reversed(t.infosets):
+        ch = list(children)
+        top = float(out[ch].max())
+        out[ch] -= top
+        out[parent] += top
+    out[t.root] = 0.0
+    return out
 
 
 def count_sequences_tree_walk(D: int) -> tuple[int, int]:

@@ -12,7 +12,6 @@ from ftrl_bargain.geometry import (
     project_simplex,
     project_simplex_batch,
     project_simplex_exact,
-    project_treeplex,
     validate_plan,
 )
 
@@ -125,6 +124,12 @@ def small_treeplex():
     return Treeplex(n_sequences=4, root=0, infosets=((0, (1, 2, 3)),))
 
 
+def mixed_depth_treeplex():
+    """Infosets of several sizes and depths, two of them sharing each parent."""
+    return Treeplex(n_sequences=11, root=0, infosets=(
+        (0, (1, 2)), (0, (3, 4)), (2, (5, 6)), (2, (7, 8)), (4, (9, 10))))
+
+
 class TestTreeplex:
     def test_validation_rejects_orphan(self):
         with pytest.raises(StructuralError):
@@ -160,6 +165,14 @@ class TestTreeplex:
             a = proj.project(u)
             b = proj.project(tp.normalize_backward(u))
             np.testing.assert_allclose(a, b, atol=1e-9)
+
+    @pytest.mark.parametrize("D", [3, 5])
+    def test_normalize_backward_matches_loop(self, rng, D):
+        game = TwoRoundGame(ActionGrid(D), 0.9)
+        for tp in (build_treeplex(game, FIRM), build_treeplex(game, WORKER), mixed_depth_treeplex()):
+            for scale in (1.0, 1e3):
+                u = rng.normal(size=tp.n_sequences) * scale
+                assert np.array_equal(tp.normalize_backward(u), oracles.normalize_backward_loop(u, tp))
 
 
 class TestTreeplexProjection:
@@ -204,26 +217,36 @@ class TestTreeplexProjection:
         obj_oracle = ((oracle - v) ** 2).sum()
         assert obj_ours <= obj_oracle + 1e-9
 
-    def test_warm_start_matches_cold(self, rng):
-        game = TwoRoundGame(ActionGrid(5), 0.9)
-        tp = build_treeplex(game, WORKER)
+    @pytest.mark.parametrize("agent,D", [(a, d) for d in (3, 5, 8) for a in (FIRM, WORKER)]
+                             + [("simplex", None)])
+    def test_variational_optimality(self, rng, agent, D):
+        # x = proj(v) iff <v - x, z - x> <= 0 for every plan z
+        tp = small_treeplex() if D is None else build_treeplex(TwoRoundGame(ActionGrid(D), 0.9), agent)
         proj = TreeplexProjector(tp)
-        v1 = rng.normal(size=tp.n_sequences)
-        _, working = proj.project(v1, return_working=True)
-        v2 = v1 + 0.01 * rng.normal(size=tp.n_sequences)
-        warm = proj.project(v2, working=working)
-        cold = TreeplexProjector(tp).project(v2)
-        np.testing.assert_allclose(warm, cold, atol=1e-9)
+        for scale in (0.1, 1.0, 3.0, 30.0):
+            for rounded in (False, True):  # rounding makes ties and zero breakpoints
+                for _ in range(20):
+                    v = rng.normal(size=tp.n_sequences) * scale
+                    v = np.round(v) if rounded else v
+                    x = proj.project(v)
+                    assert validate_plan(x, tp, tol=1e-12)
+                    c = v - x
+                    assert oracles.treeplex_best_response_value(c, tp) <= float(c @ x) + 1e-9
+
+    @pytest.mark.parametrize("tp", [
+        mixed_depth_treeplex(),
+        Treeplex(n_sequences=6, root=0, infosets=((0, (1, 2)), (2, (3, 4, 5)))),
+        Treeplex(n_sequences=6, root=0, infosets=((0, (1, 2)), (0, (3, 4, 5)))),
+        Treeplex(n_sequences=6, root=0, infosets=((0, (1,)), (1, (2, 3)), (2, (4, 5)))),
+    ])
+    def test_unsupported_shape_rejected(self, tp):
+        with pytest.raises(StructuralError):
+            TreeplexProjector(tp)
 
     def test_nan_rejected(self):
         tp = small_treeplex()
         with pytest.raises(ValueError):
             TreeplexProjector(tp).project(np.array([0.0, np.nan, 0.0, 0.0]))
-
-    def test_one_shot_helper(self, rng):
-        tp = small_treeplex()
-        v = rng.normal(size=4)
-        np.testing.assert_allclose(project_treeplex(v, tp), TreeplexProjector(tp).project(v), atol=1e-12)
 
 
 class TestBehavioral:

@@ -204,6 +204,22 @@ class TestExactMode:
         np.testing.assert_allclose([float(v) for v in te.final_f], tf.final_f, atol=1e-12)
         np.testing.assert_allclose([float(v) for v in te.final_w], tf.final_w, atol=1e-12)
 
+    def test_cum_util_matches_float(self):
+        # both paths report the true cumulative utility, running offset included
+        cfg_f = g1_config(d=5, eta=0.5, max_steps=30, stop_eps=None)
+        cfg_e = g1_config(d=5, eta=Fraction(1, 2), max_steps=30, stop_eps=None, arithmetic="exact")
+        tf = run_dynamics(cfg_f, uniform_strategy(cfg_f.grid), pure_strategy(cfg_f.grid, 0.6))
+        te = run_dynamics(cfg_e, [Fraction(1, 6)] * 6, [Fraction(int(k == 3)) for k in range(6)])
+        assert tf.steps == te.steps
+        np.testing.assert_allclose([float(u) for u in te.cum_util_f], tf.cum_util_f, rtol=0, atol=1e-9)
+        np.testing.assert_allclose([float(u) for u in te.cum_util_w], tf.cum_util_w, rtol=0, atol=1e-9)
+
+    def test_monitors_rejected(self):
+        cfg = g1_config(d=4, eta=Fraction(1, 2), arithmetic="exact")
+        init = [Fraction(1, 5)] * 5
+        with pytest.raises(ValueError, match="monitors"):
+            run_dynamics(cfg, init, init, monitors=MonitorSuite(cfg.grid))
+
     def test_exact_invariants(self):
         cfg = g1_config(d=4, eta=Fraction(3, 10), arithmetic="exact")
         init = [Fraction(1, 5)] * 5
@@ -247,6 +263,13 @@ class TestTwoRoundDynamics:
         assert a.converged_at == b.converged_at
         assert np.array_equal(a.final_f, b.final_f)
         assert np.array_equal(a.final_w, b.final_w)
+
+    def test_monitors_rejected(self):
+        game = TwoRoundGame(ActionGrid(3), 0.9)
+        cfg = LearnerConfig(game=game, eta=0.5)
+        with pytest.raises(ValueError, match="monitors"):
+            run_dynamics(cfg, firm_vertex_plan(game, 0.0, 0.0), worker_vertex_plan(game, 0.0, 0.0),
+                         monitors=MonitorSuite(game.grid))
 
     def test_invalid_plan_rejected(self):
         game = TwoRoundGame(ActionGrid(5), 0.9)

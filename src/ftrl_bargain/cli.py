@@ -70,7 +70,7 @@ class ExperimentConfig:
     sweep_firm: Optional[str] = None
     sweep_worker: Optional[str] = None
     output_dir: str = "."
-    parallelism: Optional[int] = None
+    parallelism: int = 1             # worker processes of a float sweep
     seed: int = 42
 
     def to_learner_config(self) -> LearnerConfig:
@@ -140,7 +140,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             sweep_firm=get("sweep_firm"),
             sweep_worker=get("sweep_worker"),
             output_dir=get("output_dir", "."),
-            parallelism=int(raw["parallelism"]) if "parallelism" in raw else None,
+            parallelism=int(get("parallelism", "1")),
             seed=int(get("seed", "42")),
         )
     except (ValueError, ZeroDivisionError) as exc:

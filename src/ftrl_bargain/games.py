@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Literal, Sequence, Union
 
 import numpy as np
@@ -56,9 +57,12 @@ class ActionGrid:
     def size(self) -> int:
         return self.D + 1
 
-    @property
+    @cached_property
     def actions(self) -> np.ndarray:
-        return np.arange(self.D + 1) / self.D
+        """The grid values, computed once per grid and read-only."""
+        out = np.arange(self.D + 1) / self.D
+        out.flags.writeable = False
+        return out
 
     def action_fractions(self) -> list[Fraction]:
         return [Fraction(k, self.D) for k in range(self.D + 1)]
@@ -119,16 +123,17 @@ def ultimatum_feedback(agent: Agent, opponent_strategy: np.ndarray, grid: Action
 
     Worker entry at threshold a: sum over offers p >= a of x_f(p) * p.
     Firm entry at offer a: (worker acceptance mass at or below a) * (1 - a).
+    A 2-D ``opponent_strategy`` gives one feedback row per mixture row.
     """
     _check_agent(agent)
     x = np.asarray(opponent_strategy, dtype=float)
-    if x.shape != (grid.size,):
+    if x.ndim not in (1, 2) or x.shape[-1] != grid.size:
         raise StructuralError("opponent strategy length does not match grid")
     x = np.where(x > NEGLIGIBLE_MASS, x, 0.0)
     actions = grid.actions
     if agent == WORKER:
-        return np.cumsum((x * actions)[::-1])[::-1]
-    return np.cumsum(x) * (1.0 - actions)
+        return (x * actions)[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    return x.cumsum(axis=-1) * (1.0 - actions)
 
 
 def ultimatum_feedback_exact(
@@ -226,34 +231,31 @@ def two_round_feedback(agent: Agent, opponent_plan: np.ndarray, game: TwoRoundGa
     Firm: (1-a) * r_w(accept a) at a first offer, delta * b * r_w(counter b
     after a) at a second-round accept, 0 at a second-round reject.  Worker:
     a * r_f(offer a) at an accept, delta * (1-b) * r_f(accept b after a) at a
-    counter.
+    counter.  A 2-D ``opponent_plan`` gives one feedback row per plan row.
     """
     _check_agent(agent)
     grid, delta = game.grid, game.delta
     n = grid.size
     acts = grid.actions
     r = np.asarray(opponent_plan, dtype=float)
+    opponent, expected = ("worker", 1 + n + n * n) if agent == FIRM else ("firm", 1 + n + 2 * n * n)
+    if r.ndim not in (1, 2) or r.shape[-1] != expected:
+        raise StructuralError(f"{opponent} plan length does not match game")
     r = np.where(r > NEGLIGIBLE_MASS, r, 0.0)
+    rows = r.shape[:-1]
 
     if agent == FIRM:
-        if r.shape != (1 + n + n * n,):
-            raise StructuralError("worker plan length does not match game")
-        out = np.zeros(1 + n + 2 * n * n)
-        accepts = r[1 : 1 + n]
-        counters = r[1 + n :].reshape(n, n)
-        out[1 : 1 + n] = (1.0 - acts) * accepts
-        second = np.zeros((n, n, 2))
-        second[:, :, 0] = delta * acts[None, :] * counters
-        out[1 + n :] = second.reshape(-1)
+        out = np.zeros(rows + (1 + n + 2 * n * n,))
+        out[..., 1 : 1 + n] = (1.0 - acts) * r[..., 1 : 1 + n]
+        counters = r[..., 1 + n :].reshape(rows + (n, n))
+        # second-round accepts sit at even offsets after the offers; rejects pay 0
+        out[..., 1 + n :: 2] = (delta * acts * counters).reshape(rows + (n * n,))
         return out
 
-    if r.shape != (1 + n + 2 * n * n,):
-        raise StructuralError("firm plan length does not match game")
-    out = np.zeros(1 + n + n * n)
-    offers = r[1 : 1 + n]
-    firm_second = r[1 + n :].reshape(n, n, 2)
-    out[1 : 1 + n] = acts * offers
-    out[1 + n :] = (delta * (1.0 - acts)[None, :] * firm_second[:, :, 0]).reshape(-1)
+    out = np.zeros(rows + (1 + n + n * n,))
+    out[..., 1 : 1 + n] = acts * r[..., 1 : 1 + n]
+    accepts = r[..., 1 + n :: 2].reshape(rows + (n, n))
+    out[..., 1 + n :] = (delta * (1.0 - acts) * accepts).reshape(rows + (n * n,))
     return out
 
 

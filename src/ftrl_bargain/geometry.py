@@ -123,15 +123,28 @@ class Treeplex:
         onto its parent sequence (a backward-induction pass), one depth level
         at a time.  Projections are invariant under such translations, but the
         shifted vector keeps the numerically active entries at unit scale
-        however large the raw cumulative utilities grow.
+        however large the raw cumulative utilities grow.  A 2-D ``u`` is
+        shifted row by row, each row exactly as on its own.
         """
         out = np.array(u, dtype=float)
-        for children, starts, sizes, parents in self._levels:
-            top = np.maximum.reduceat(out[children], starts)
-            out[children] -= np.repeat(top, sizes)
-            np.add.at(out, parents, top)
-        out[self.root] = 0.0
+        flat = out.reshape(-1)
+        for children, starts, sizes, parents in self._stacked_levels(flat.size // self.n_sequences):
+            top = np.maximum.reduceat(flat.take(children), starts)
+            flat[children] -= np.repeat(top, sizes)
+            np.add.at(flat, parents, top)
+        flat[self.root::self.n_sequences] = 0.0
         return out
+
+    def _stacked_levels(self, k: int):
+        """:attr:`_levels` with indices into a flattened stack of ``k`` rows."""
+        if k == 1:
+            return self._levels
+        offset = np.arange(k)[:, None]
+        return tuple(
+            ((children + self.n_sequences * offset).ravel(), (starts + children.size * offset).ravel(),
+             np.tile(sizes, k), (parents + self.n_sequences * offset).ravel())
+            for children, starts, sizes, parents in self._levels
+        )
 
 
 @dataclass(frozen=True)
@@ -155,38 +168,45 @@ def check_simplex(x: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.all(x >= -tol) and abs(float(x.sum()) - 1.0) <= max(tol, 1e-12))
 
 
+def _threshold_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort-and-threshold along the last axis: (projection, threshold per row)."""
+    rows = v.reshape(-1, v.shape[-1])
+    u = -rows
+    u.sort(axis=1)
+    u *= -1.0
+    css = u.cumsum(axis=1)
+    css -= 1.0
+    cond = u * np.arange(1.0, u.shape[1] + 1.0) > css
+    rho = u.shape[1] - 1 - cond[:, ::-1].argmax(axis=1)
+    theta = css.take(rho + np.arange(0, css.size, css.shape[1])) / (rho + 1.0)
+    x = rows - theta[:, None]
+    np.maximum(x, 0.0, out=x)
+    return x.reshape(v.shape), theta.reshape(v.shape[:-1])
+
+
 def project_simplex(v, return_certificate: bool = False):
     """Nearest point of ``v`` on the probability simplex (sort-and-threshold).
 
-    Ties between equal entries are broken by a stable sort on the index, so
-    runs are bit-reproducible.
+    A 2-D ``v`` is projected row by row.  The rule sorts values, not
+    indices, so ties cannot change the result: runs are bit-reproducible and
+    a row of a stack projects exactly as it does on its own.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise StructuralError("projection input must be a non-empty vector")
-    if not np.all(np.isfinite(v)):
+    if v.ndim not in (1, 2) or v.shape[-1] == 0:
+        raise StructuralError("projection input must be a non-empty vector or stack of vectors")
+    if not np.isfinite(v).all():
         raise ValueError("projection input must be finite (no NaN/inf)")
-    u = v[np.argsort(-v, kind="stable")]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, u.size + 1)
-    rho = int(np.nonzero(u * idx > css)[0][-1])
-    theta = css[rho] / (rho + 1.0)
-    x = np.maximum(v - theta, 0.0)
+    x, theta = _threshold_rows(v)
     if return_certificate:
+        if v.ndim != 1:
+            raise StructuralError("a certificate needs a single vector")
         return x, SimplexCertificate(theta=float(theta), support=x > 0.0)
     return x
 
 
 def project_simplex_batch(v: np.ndarray) -> np.ndarray:
-    """Row-wise simplex projection; same rule as :func:`project_simplex`."""
-    v = np.asarray(v, dtype=float)
-    u = -np.sort(-v, axis=1)
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, v.shape[1] + 1)
-    cond = u * idx > css
-    rho = v.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(v.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(v - theta[:, None], 0.0)
+    """:func:`project_simplex` of every vector along the last axis, without input checks."""
+    return _threshold_rows(np.asarray(v, dtype=float))[0]
 
 
 def project_simplex_exact(v: Sequence[Fraction]) -> list[Fraction]:
@@ -280,37 +300,42 @@ class TreeplexProjector:
         self._rate_steps = np.tile(np.diff(1.0 / self._slope, prepend=0.0), n)
 
     def project(self, v) -> np.ndarray:
-        """Nearest realization plan to ``v``; the root entry of ``v`` is ignored."""
+        """Nearest realization plan to ``v``; the root entry of ``v`` is ignored.
+
+        A 2-D ``v`` is projected row by row, each row exactly as on its own.
+        """
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
+        if v.ndim not in (1, 2) or v.shape[-1] != self.n:
             raise StructuralError("projection input length does not match treeplex")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("projection input must be finite (no NaN/inf)")
-        x = np.zeros(self.n)
-        x[self.treeplex.root] = 1.0
+        x = np.zeros(v.shape)
+        rows, out = v.reshape(-1, self.n), x.reshape(-1, self.n)
+        out[:, self.treeplex.root] = 1.0
         if self._blocks is not None:
-            x[self._blocks] = project_simplex_batch(v[self._blocks])
+            out[:, self._blocks] = project_simplex_batch(rows.take(self._blocks, axis=1))
             return x
 
-        p, q = v[self._accept], v[self._reject]
+        p, q = rows.take(self._accept, axis=1), rows.take(self._reject, axis=1)
         # breakpoints t (ascending per offer, led by s = 0) and g_a at each
-        t = np.zeros((p.shape[0], p.shape[1] + 1))
-        t[:, 1:] = np.sort(np.abs(p - q), axis=1)
-        g0 = -v[self._offers] - np.maximum(p, q).sum(axis=1)
-        g = g0[:, None] + self._slope * t + 0.5 * np.cumsum(t, axis=1)
+        t = np.zeros(p.shape[:2] + (p.shape[2] + 1,))
+        t[:, :, 1:] = np.sort(np.abs(p - q), axis=2)
+        g0 = -rows.take(self._offers, axis=1) - np.maximum(p, q).sum(axis=2)
+        g = g0[:, :, None] + self._slope * t + 0.5 * np.cumsum(t, axis=2)
         # S at the sorted breakpoints; its slope in lam grows by the change of
         # 1/slope as lam passes each breakpoint of each offer
-        order = np.argsort(g, axis=None, kind="stable")
-        lam = g.ravel()[order]
-        rate = np.cumsum(self._rate_steps[order])
-        total = np.zeros(lam.size)
-        total[1:] = np.cumsum(rate[:-1] * (lam[1:] - lam[:-1]))
-        k = int(np.searchsorted(total, 1.0, side="right")) - 1
-        lam_star = lam[k] + (1.0 - total[k]) / rate[k]
+        g_flat = g.reshape(len(rows), -1)
+        lam = np.sort(g_flat, axis=1)
+        rate = np.cumsum(self._rate_steps[np.argsort(g_flat, axis=1, kind="stable")], axis=1)
+        total = np.zeros(lam.shape)
+        total[:, 1:] = np.cumsum(rate[:, :-1] * (lam[:, 1:] - lam[:, :-1]), axis=1)
+        # total is nondecreasing along a row: lam_star follows its last entry <= 1
+        k = np.arange(lam.shape[1] - 1, lam.size, lam.shape[1]) - (total > 1.0).sum(axis=1)
+        lam_star = lam.take(k) + (1.0 - total.take(k)) / rate.take(k)
         # s_a is convex, so it is the largest of its affine pieces
-        s = np.maximum((t + (lam_star - g) / self._slope).max(axis=1), 0.0)[:, None]
-        y = np.minimum(np.maximum((s + p - q) / 2.0, 0.0), s)
-        x[self._offers] = s[:, 0]
-        x[self._accept] = y
-        x[self._reject] = s - y
+        s = np.maximum((t + (lam_star[:, None, None] - g) / self._slope).max(axis=2), 0.0)
+        y = np.minimum(np.maximum((s[:, :, None] + p - q) / 2.0, 0.0), s[:, :, None])
+        out[:, self._offers] = s
+        out[:, self._accept] = y
+        out[:, self._reject] = s[:, :, None] - y
         return x

@@ -6,6 +6,11 @@ Euclidean-regularized update (a nearest-point projection of
 cumulative vectors are shifted by their running maximum every step; the
 projection is translation invariant, so iterates are unchanged while the
 float path stays well conditioned (an explicit offset restores true values).
+
+One float kernel, :func:`run_lockstep`, advances a stack of independent runs
+of either game in lockstep, one row per run, each row exactly as it would run
+alone; :func:`run_dynamics` is its one-row case.  The exact-rational loop for
+the one-shot game stays separate as the audit's oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ __all__ = [
     "LearnerConfig",
     "Trajectory",
     "MonitorSuite",
+    "Lockstep",
     "ftrl_step",
     "run_dynamics",
+    "run_lockstep",
     "detect_convergence",
 ]
 
@@ -109,7 +116,11 @@ class LearnerConfig:
 
 @dataclass
 class Trajectory:
-    """History and endpoint of one run; ``converged_at`` unset means the cap hit."""
+    """History and endpoint of one run; ``converged_at`` unset means the cap hit.
+
+    ``regret_*`` (one-shot runs with ``keep_history`` only) is the cumulative
+    regret against the best fixed action in hindsight after each step.
+    """
 
     converged_at: Optional[int]
     steps: int
@@ -124,6 +135,17 @@ class Trajectory:
     @property
     def converged(self) -> bool:
         return self.converged_at is not None
+
+
+@dataclass
+class Lockstep:
+    """Endpoints of a stack of runs, one row each; ``converged_at`` 0 means the cap hit."""
+
+    converged_at: np.ndarray
+    final_f: np.ndarray
+    final_w: np.ndarray
+    cum_util_f: np.ndarray
+    cum_util_w: np.ndarray
 
 
 def detect_convergence(prev, nxt, threshold: float) -> bool:
@@ -145,16 +167,31 @@ def _certified_stop(cfg: LearnerConfig, x_f, x_w) -> bool:
     return analysis.certify_epsilon_ne(profile, cfg.game).eps <= cfg.stop_eps
 
 
+def _updater(cfg: LearnerConfig, agent: str):
+    """The agent's update: cumulative utility -> (projection input, strategy).
+
+    Acts on one vector or row-wise on a stack of them.
+    """
+    eta = float(cfg.eta)
+    if isinstance(cfg.game, UltimatumGame):
+        ref = cfg.reference_vector(agent)
+
+        def update(U):
+            v = ref + eta * U
+            return v, _project_simplex(v)
+    else:
+        tp = games.build_treeplex(cfg.game, agent)
+        projector = geometry.TreeplexProjector(tp)
+
+        def update(U):
+            v = eta * tp.normalize_backward(U)
+            return v, projector.project(v)
+    return update
+
+
 def ftrl_step(agent: str, cum_util: np.ndarray, cfg: LearnerConfig) -> np.ndarray:
     """One update: project reference + eta * cum_util onto the agent's polytope."""
-    cum_util = np.asarray(cum_util, dtype=float)
-    if not np.all(np.isfinite(cum_util)):
-        raise ValueError("cumulative utility must be finite")
-    if isinstance(cfg.game, UltimatumGame):
-        v = cfg.reference_vector(agent) + cfg.eta * cum_util
-        return _project_simplex(v)
-    projector = geometry.TreeplexProjector(games.build_treeplex(cfg.game, agent))
-    return projector.project(cfg.eta * cum_util)
+    return _updater(cfg, agent)(np.asarray(cum_util, dtype=float))[1]
 
 
 class MonitorSuite:
@@ -236,6 +273,17 @@ class MonitorSuite:
                                f"mass {x_w[wmax]:.3e} -> {new_w[wmax]:.3e}")
 
 
+def _check_initial(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray) -> None:
+    game = cfg.game
+    for agent, x in ((FIRM, x_f), (WORKER, x_w)):
+        if isinstance(game, UltimatumGame):
+            ok = x.shape == (game.grid.size,) and geometry.check_simplex(x, tol=1e-9)
+        else:
+            ok = geometry.validate_plan(x, games.build_treeplex(game, agent))
+        if not ok:
+            raise StructuralError(f"initial {agent} strategy is not on its polytope")
+
+
 def run_dynamics(
     cfg: LearnerConfig,
     init_f,
@@ -250,83 +298,114 @@ def run_dynamics(
     Monitors watch float one-shot runs only; passing them to any other run
     raises ``ValueError``.
     """
-    float_ultimatum = cfg.arithmetic == "float" and isinstance(cfg.game, UltimatumGame)
-    if monitors is not None and not float_ultimatum:
+    one_shot = isinstance(cfg.game, UltimatumGame)
+    if monitors is not None and not (one_shot and cfg.arithmetic == "float"):
         raise ValueError("monitors apply to float one-shot runs only")
     if cfg.arithmetic == "exact":
         return _run_ultimatum_exact(cfg, init_f, init_w, keep_history)
-    if float_ultimatum:
-        return _run_ultimatum_float(cfg, init_f, init_w, keep_history, monitors)
-    return _run_two_round(cfg, init_f, init_w, keep_history)
-
-
-def _run_ultimatum_float(cfg, init_f, init_w, keep_history, monitors) -> Trajectory:
-    grid = cfg.grid
-    x_f = np.array(init_f, dtype=float).copy()
-    x_w = np.array(init_w, dtype=float).copy()
-    for name, x in ((FIRM, x_f), (WORKER, x_w)):
-        if x.shape != (grid.size,) or not geometry.check_simplex(x, tol=1e-9):
-            raise StructuralError(f"initial {name} strategy is not on the simplex")
-    eta = float(cfg.eta)
-    ref_f = cfg.reference_vector(FIRM)
-    ref_w = cfg.reference_vector(WORKER)
-    U_f = np.zeros(grid.size)
-    U_w = np.zeros(grid.size)
-    off_f = off_w = 0.0
-    realized_f = realized_w = 0.0
+    x_f = np.array(init_f, dtype=float)
+    x_w = np.array(init_w, dtype=float)
+    _check_initial(cfg, x_f, x_w)
     history = [(x_f.copy(), x_w.copy())] if keep_history else None
-    regret_f: list[float] = []
-    regret_w: list[float] = []
+    regret = ([], []) if keep_history and one_shot else None
+    realized = [0.0, 0.0]
 
-    converged_at = None
-    t = 1
-    for t in range(2, cfg.steps_cap + 1):
-        fb_f = games.ultimatum_feedback(FIRM, x_w, grid)
-        fb_w = games.ultimatum_feedback(WORKER, x_f, grid)
+    def on_step(t, prev, fb, off, v, new):
+        if monitors is not None:
+            monitors.observe_projection(FIRM, t, v[0][0], new[0][0])
+            monitors.observe_projection(WORKER, t, v[1][0], new[1][0])
+            monitors.observe_step(t, prev[0][0], prev[1][0], new[0][0], new[1][0])
         if keep_history:
-            realized_f += float(x_f @ fb_f)
-            realized_w += float(x_w @ fb_w)
+            history.append((new[0][0].copy(), new[1][0].copy()))
+        if regret is not None:
+            for i in (0, 1):
+                realized[i] += float(prev[i][0] @ fb[i][0])
+                regret[i].append(float(off[i][0, 0]) - realized[i])
+
+    hook = on_step if keep_history or monitors is not None else None
+    run = run_lockstep(cfg, x_f[None], x_w[None], hook)
+    converged_at = int(run.converged_at[0]) or None
+    return Trajectory(
+        converged_at=converged_at,
+        steps=converged_at or cfg.steps_cap,
+        final_f=run.final_f[0],
+        final_w=run.final_w[0],
+        cum_util_f=run.cum_util_f[0],
+        cum_util_w=run.cum_util_w[0],
+        history=history,
+        regret_f=regret[0] if regret else None,
+        regret_w=regret[1] if regret else None,
+    )
+
+
+def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
+                 on_step=None) -> Lockstep:
+    """Float self-play of a stack of runs, one row of ``init_f``/``init_w`` each.
+
+    All rows step together through one feedback, shift, update and projection
+    per agent on the whole stack; every row does exactly the arithmetic it
+    would do alone.  A row whose step moves no entry by more than the
+    threshold and that passes the certificate guard leaves the stack; the
+    rest run to the step cap.  Initial strategies are not checked here.
+    ``on_step(t, prev, fb, off, v, new)`` sees each step of the live rows, as
+    (firm, worker) pairs of stacks: strategies before the step, feedback,
+    running offsets, projection inputs and new strategies.
+    """
+    game = cfg.game
+    if isinstance(game, UltimatumGame):
+        def feedback(agent, opponent):
+            return games.ultimatum_feedback(agent, opponent, game.grid)
+    else:
+        def feedback(agent, opponent):
+            return games.two_round_feedback(agent, opponent, game)
+    update_f, update_w = _updater(cfg, FIRM), _updater(cfg, WORKER)
+    threshold = cfg.threshold
+    x_f = np.array(init_f, dtype=float)
+    x_w = np.array(init_w, dtype=float)
+    out = Lockstep(np.zeros(len(x_f), dtype=np.int64), np.empty_like(x_f), np.empty_like(x_w),
+                   np.empty_like(x_f), np.empty_like(x_w))
+    rows = np.arange(len(x_f))
+    U_f, U_w = np.zeros(x_f.shape), np.zeros(x_w.shape)
+    off_f, off_w = np.zeros((len(x_f), 1)), np.zeros((len(x_w), 1))
+
+    def retire(mask):
+        out.final_f[rows[mask]] = x_f[mask]
+        out.final_w[rows[mask]] = x_w[mask]
+        out.cum_util_f[rows[mask]] = U_f[mask] + off_f[mask]
+        out.cum_util_w[rows[mask]] = U_w[mask] + off_w[mask]
+
+    for t in range(2, cfg.steps_cap + 1):
+        fb_f = feedback(FIRM, x_w)
+        fb_w = feedback(WORKER, x_f)
         U_f += fb_f
         U_w += fb_w
-        shift_f = float(U_f.max())
-        shift_w = float(U_w.max())
+        shift_f, shift_w = U_f.max(axis=1, keepdims=True), U_w.max(axis=1, keepdims=True)
         U_f -= shift_f
         U_w -= shift_w
         off_f += shift_f
         off_w += shift_w
-        v_f = ref_f + eta * U_f
-        v_w = ref_w + eta * U_w
-        new_f = _project_simplex(v_f)
-        new_w = _project_simplex(v_w)
-        if monitors is not None:
-            monitors.observe_projection(FIRM, t, v_f, new_f)
-            monitors.observe_projection(WORKER, t, v_w, new_w)
-            monitors.observe_step(t, x_f, x_w, new_f, new_w)
-        if keep_history:
-            regret_f.append(off_f - realized_f)
-            regret_w.append(off_w - realized_w)
-        delta = max(
-            float(np.abs(new_f - x_f).max()),
-            float(np.abs(new_w - x_w).max()),
-        )
+        v_f, new_f = update_f(U_f)
+        v_w, new_w = update_w(U_w)
+        delta = np.maximum(abs(new_f - x_f).max(axis=1), abs(new_w - x_w).max(axis=1))
+        if on_step is not None:
+            on_step(t, (x_f, x_w), (fb_f, fb_w), (off_f, off_w), (v_f, v_w), (new_f, new_w))
         x_f, x_w = new_f, new_w
-        if keep_history:
-            history.append((x_f.copy(), x_w.copy()))
-        if delta <= cfg.threshold and _certified_stop(cfg, x_f, x_w):
-            converged_at = t
-            break
-
-    return Trajectory(
-        converged_at=converged_at,
-        steps=t,
-        final_f=x_f,
-        final_w=x_w,
-        cum_util_f=U_f + off_f,
-        cum_util_w=U_w + off_w,
-        history=history,
-        regret_f=regret_f if keep_history else None,
-        regret_w=regret_w if keep_history else None,
-    )
+        if delta.min() > threshold:
+            continue
+        stopped = [pos for pos in np.flatnonzero(delta <= threshold)
+                   if _certified_stop(cfg, x_f[pos], x_w[pos])]
+        if stopped:
+            done = np.zeros(rows.size, dtype=bool)
+            done[stopped] = True
+            out.converged_at[rows[done]] = t
+            retire(done)
+            live = ~done
+            rows, x_f, x_w, U_f, U_w, off_f, off_w = (
+                a[live] for a in (rows, x_f, x_w, U_f, U_w, off_f, off_w))
+            if rows.size == 0:
+                break
+    retire(np.ones(rows.size, dtype=bool))
+    return out
 
 
 def _run_ultimatum_exact(cfg, init_f, init_w, keep_history) -> Trajectory:
@@ -342,10 +421,12 @@ def _run_ultimatum_exact(cfg, init_f, init_w, keep_history) -> Trajectory:
     zero = Fraction(0)
     U_f = [zero] * grid.size
     U_w = [zero] * grid.size
-    off_f = off_w = zero
+    off_f = off_w = realized_f = realized_w = zero
     threshold = Fraction(cfg.threshold)
 
     history = [(list(x_f), list(x_w))] if keep_history else None
+    regret_f: list[Fraction] = []
+    regret_w: list[Fraction] = []
     converged_at = None
     t = 1
     for t in range(2, cfg.steps_cap + 1):
@@ -364,9 +445,13 @@ def _run_ultimatum_exact(cfg, init_f, init_w, keep_history) -> Trajectory:
             max(abs(b - a) for a, b in zip(x_f, new_f)),
             max(abs(b - a) for a, b in zip(x_w, new_w)),
         )
-        x_f, x_w = new_f, new_w
         if keep_history:
-            history.append((list(x_f), list(x_w)))
+            realized_f += sum(x * f for x, f in zip(x_f, fb_f))
+            realized_w += sum(x * f for x, f in zip(x_w, fb_w))
+            regret_f.append(off_f - realized_f)
+            regret_w.append(off_w - realized_w)
+            history.append((list(new_f), list(new_w)))
+        x_f, x_w = new_f, new_w
         if delta <= threshold and _certified_stop(cfg, x_f, x_w):
             converged_at = t
             break
@@ -379,60 +464,6 @@ def _run_ultimatum_exact(cfg, init_f, init_w, keep_history) -> Trajectory:
         cum_util_f=[u + off_f for u in U_f],
         cum_util_w=[u + off_w for u in U_w],
         history=history,
-    )
-
-
-def _run_two_round(cfg, init_f, init_w, keep_history) -> Trajectory:
-    game: TwoRoundGame = cfg.game
-    tp_f = games.build_treeplex(game, FIRM)
-    tp_w = games.build_treeplex(game, WORKER)
-    proj_f = geometry.TreeplexProjector(tp_f)
-    proj_w = geometry.TreeplexProjector(tp_w)
-    r_f = np.array(init_f, dtype=float).copy()
-    r_w = np.array(init_w, dtype=float).copy()
-    if not geometry.validate_plan(r_f, tp_f):
-        raise StructuralError("initial firm plan violates realization constraints")
-    if not geometry.validate_plan(r_w, tp_w):
-        raise StructuralError("initial worker plan violates realization constraints")
-    eta = float(cfg.eta)
-    U_f = np.zeros(tp_f.n_sequences)
-    U_w = np.zeros(tp_w.n_sequences)
-    off_f = off_w = 0.0
-    history = [(r_f.copy(), r_w.copy())] if keep_history else None
-
-    converged_at = None
-    t = 1
-    for t in range(2, cfg.steps_cap + 1):
-        fb_f = games.two_round_feedback(FIRM, r_w, game)
-        fb_w = games.two_round_feedback(WORKER, r_f, game)
-        U_f += fb_f
-        U_w += fb_w
-        shift_f, shift_w = float(U_f.max()), float(U_w.max())
-        U_f -= shift_f
-        U_w -= shift_w
-        off_f += shift_f
-        off_w += shift_w
-        v_f = eta * tp_f.normalize_backward(U_f)
-        v_w = eta * tp_w.normalize_backward(U_w)
-        new_f = proj_f.project(v_f)
-        new_w = proj_w.project(v_w)
-        delta = max(
-            float(np.abs(new_f - r_f).max()),
-            float(np.abs(new_w - r_w).max()),
-        )
-        r_f, r_w = new_f, new_w
-        if keep_history:
-            history.append((r_f.copy(), r_w.copy()))
-        if delta <= cfg.threshold and _certified_stop(cfg, r_f, r_w):
-            converged_at = t
-            break
-
-    return Trajectory(
-        converged_at=converged_at,
-        steps=t,
-        final_f=r_f,
-        final_w=r_w,
-        cum_util_f=U_f + off_f,
-        cum_util_w=U_w + off_w,
-        history=history,
+        regret_f=regret_f if keep_history else None,
+        regret_w=regret_w if keep_history else None,
     )

@@ -1,22 +1,24 @@
 """Initial-strategy sweeps and the constant-sum meta-game over their outcomes.
 
-A sweep runs the learning dynamics from every pure initial profile and records
-the worker's converged payoff per cell; the resulting matrix is treated as a
-zero-sum game (worker maximizes, firm minimizes) and solved approximately by
-multiplicative-weights self-play with an explicit duality-gap certificate.
+A sweep runs the learning dynamics from every initial profile on its axes and
+records the worker's converged payoff per cell.  Float sweeps stack all cells
+into the learner's lockstep kernel, split into ``parallelism`` contiguous
+chunks (one process each); exact sweeps run cell by cell in this process.
+The resulting matrix is treated as a zero-sum game (worker maximizes, firm
+minimizes) and solved approximately by multiplicative-weights self-play with
+an explicit duality-gap certificate.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import analysis, games, geometry, learner
-from .games import FIRM, WORKER, ActionGrid, TwoRoundGame, UltimatumGame
+from . import analysis, games, learner
+from .games import FIRM, WORKER, UltimatumGame
 from .learner import LearnerConfig
 
 __all__ = [
@@ -110,37 +112,28 @@ class MinimaxSolution:
 # ---------------------------------------------------------------------------
 
 
-def _ultimatum_axis(grid: ActionGrid, kind: str):
-    if kind == "pure":
-        return tuple(float(a) for a in grid.actions)
+def _axis(game, kind: str) -> tuple:
+    """Initial strategies along one sweep axis.
+
+    Two-round entries are (proposer offer, responder threshold), offer-major.
+    """
     if kind == "uniform":
         return ("uniform",)
-    raise ValueError(f"unknown axis kind {kind!r}")
+    if kind != "pure":
+        raise ValueError(f"unknown axis kind {kind!r}")
+    acts = [float(a) for a in game.grid.actions]
+    if isinstance(game, UltimatumGame):
+        return tuple(acts)
+    return tuple((p, r) for p in acts for r in acts)
 
 
-def _two_round_axis(grid: ActionGrid, kind: str):
-    if kind == "pure":
-        # (proposer offer, responder threshold), offer-major
-        return tuple(
-            (float(grid.actions[p]), float(grid.actions[r]))
-            for p in range(grid.size)
-            for r in range(grid.size)
-        )
-    if kind == "uniform":
-        return ("uniform",)
-    raise ValueError(f"unknown axis kind {kind!r}")
-
-
-def _ultimatum_initial(grid: ActionGrid, entry) -> np.ndarray:
+def _initial(game, agent: str, entry) -> np.ndarray:
+    if isinstance(game, UltimatumGame):
+        if entry == "uniform":
+            return games.uniform_strategy(game.grid)
+        return games.pure_strategy(game.grid, entry)
     if entry == "uniform":
-        return games.uniform_strategy(grid)
-    return games.pure_strategy(grid, float(entry))
-
-
-def _two_round_initial(game: TwoRoundGame, agent: str, entry) -> np.ndarray:
-    if entry == "uniform":
-        tp = games.build_treeplex(game, agent)
-        return tp.uniform_plan()
+        return games.build_treeplex(game, agent).uniform_plan()
     first, second = entry
     if agent == FIRM:
         return games.firm_vertex_plan(game, offer=first, threshold=second)
@@ -148,171 +141,76 @@ def _two_round_initial(game: TwoRoundGame, agent: str, entry) -> np.ndarray:
     return games.worker_vertex_plan(game, threshold=first, counter=second)
 
 
-def _cell_from_trajectory(cfg: LearnerConfig, traj: learner.Trajectory) -> CellResult:
+def _cell_result(cfg: LearnerConfig, final_f: np.ndarray, final_w: np.ndarray,
+                 cum_util_f: Optional[np.ndarray], converged_at: Optional[int]) -> CellResult:
     game = cfg.game
+    profile = (final_f, final_w)
     if isinstance(game, UltimatumGame):
-        fb_w = games.ultimatum_feedback(WORKER, traj.final_f, game.grid)
-        u_w = float(np.asarray(traj.final_w, dtype=float) @ fb_w)
+        fb_w = games.ultimatum_feedback(WORKER, final_f, game.grid)
         threat = None
     else:
-        fb_w = games.two_round_feedback(WORKER, traj.final_f, game)
-        u_w = float(np.asarray(traj.final_w) @ fb_w)
-        threat = analysis.detect_threats(
-            (traj.final_f, traj.final_w), game, firm_cum_util=traj.cum_util_f
-        )
-    cert = analysis.certify_epsilon_ne((traj.final_f, traj.final_w), game)
+        fb_w = games.two_round_feedback(WORKER, final_f, game)
+        threat = analysis.detect_threats(profile, game, firm_cum_util=cum_util_f)
+    cert = analysis.certify_epsilon_ne(profile, game)
     return CellResult(
-        u_w=u_w,
+        u_w=float(final_w @ fb_w),
         eps=cert.eps,
         gap_f=cert.gap_f,
         gap_w=cert.gap_w,
-        converged_at=traj.converged_at,
-        status="converged" if traj.converged else "max_steps",
-        final_f=np.asarray(traj.final_f, dtype=float),
-        final_w=np.asarray(traj.final_w, dtype=float),
+        converged_at=converged_at,
+        status="converged" if converged_at else "max_steps",
+        final_f=final_f,
+        final_w=final_w,
         threat=threat,
     )
 
 
-def _sweep_ultimatum_batched(cfg: LearnerConfig, firm_axis, worker_axis) -> list[list[CellResult]]:
-    """Lockstep evaluation of every cell; numerically identical to per-cell runs."""
-    grid = cfg.grid
-    n = grid.size
-    rows, cols = len(firm_axis), len(worker_axis)
-    ncells = rows * cols
-    X_f = np.empty((ncells, n))
-    X_w = np.empty((ncells, n))
-    for i, fe in enumerate(firm_axis):
-        for j, we in enumerate(worker_axis):
-            X_f[i * cols + j] = _ultimatum_initial(grid, fe)
-            X_w[i * cols + j] = _ultimatum_initial(grid, we)
-
-    eta = float(cfg.eta)
-    acts = grid.actions
-    ref_f = cfg.reference_vector(FIRM)
-    ref_w = cfg.reference_vector(WORKER)
-    U_f = np.zeros((ncells, n))
-    U_w = np.zeros((ncells, n))
-    converged_at = np.zeros(ncells, dtype=np.int64)
-    active = np.arange(ncells)
-
-    for t in range(2, cfg.steps_cap + 1):
-        if active.size == 0:
-            break
-        xf = X_f[active]
-        xw = X_w[active]
-        xf_eff = np.where(xf > games.NEGLIGIBLE_MASS, xf, 0.0)
-        xw_eff = np.where(xw > games.NEGLIGIBLE_MASS, xw, 0.0)
-        fb_f = np.cumsum(xw_eff, axis=1) * (1.0 - acts)
-        fb_w = np.cumsum((xf_eff * acts)[:, ::-1], axis=1)[:, ::-1]
-        uf = U_f[active] + fb_f
-        uw = U_w[active] + fb_w
-        uf -= uf.max(axis=1, keepdims=True)
-        uw -= uw.max(axis=1, keepdims=True)
-        U_f[active] = uf
-        U_w[active] = uw
-        new_f = geometry.project_simplex_batch(ref_f + eta * uf)
-        new_w = geometry.project_simplex_batch(ref_w + eta * uw)
-        delta = np.maximum(
-            np.abs(new_f - xf).max(axis=1),
-            np.abs(new_w - xw).max(axis=1),
-        )
-        X_f[active] = new_f
-        X_w[active] = new_w
-        done = delta <= cfg.threshold
-        if cfg.stop_eps is not None and np.any(done):
-            for pos in np.nonzero(done)[0]:
-                if not learner._certified_stop(cfg, new_f[pos], new_w[pos]):
-                    done[pos] = False
-        converged_at[active[done]] = t
-        active = active[~done]
-
-    cells: list[list[CellResult]] = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            idx = i * cols + j
-            conv = int(converged_at[idx]) or None
-            x_f, x_w = X_f[idx], X_w[idx]
-            fb_w = games.ultimatum_feedback(WORKER, x_f, grid)
-            cert = analysis.certify_epsilon_ne((x_f, x_w), cfg.game)
-            row.append(
-                CellResult(
-                    u_w=float(x_w @ fb_w),
-                    eps=cert.eps,
-                    gap_f=cert.gap_f,
-                    gap_w=cert.gap_w,
-                    converged_at=conv,
-                    status="converged" if conv else "max_steps",
-                    final_f=x_f,
-                    final_w=x_w,
-                )
-            )
-        cells.append(row)
-    return cells
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(cfg: LearnerConfig):
-    _POOL_STATE["cfg"] = cfg
-
-
-def _pool_run_cell(args):
-    i, j, fe, we = args
-    cfg: LearnerConfig = _POOL_STATE["cfg"]
-    game = cfg.game
-    if isinstance(game, UltimatumGame):
-        init_f = _ultimatum_initial(game.grid, fe)
-        init_w = _ultimatum_initial(game.grid, we)
-    else:
-        init_f = _two_round_initial(game, FIRM, fe)
-        init_w = _two_round_initial(game, WORKER, we)
-    traj = learner.run_dynamics(cfg, init_f, init_w)
-    return i, j, _cell_from_trajectory(cfg, traj)
+def _sweep_chunk(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray) -> list[CellResult]:
+    """Cell results of one contiguous chunk of a sweep, in cell order."""
+    if cfg.arithmetic == "exact":
+        cells = []
+        for f, w in zip(init_f, init_w):
+            traj = learner.run_dynamics(cfg, f, w)
+            cells.append(_cell_result(cfg, np.asarray(traj.final_f, dtype=float),
+                                      np.asarray(traj.final_w, dtype=float),
+                                      None, traj.converged_at))
+        return cells
+    run = learner.run_lockstep(cfg, init_f, init_w)
+    return [_cell_result(cfg, run.final_f[i], run.final_w[i], run.cum_util_f[i],
+                         int(run.converged_at[i]) or None)
+            for i in range(len(init_f))]
 
 
 def sweep_initials(
     cfg: LearnerConfig,
     axis_f: str = "pure",
     axis_w: str = "pure",
-    parallelism: Optional[int] = None,
+    parallelism: int = 1,
 ) -> SweepResult:
     """Run the dynamics from every initial profile on the requested axes.
 
-    Cells are independent; execution order never affects results.  Individual
-    non-converged cells are recorded in place and never abort the sweep.
+    ``parallelism`` (an integer >= 1) is the number of processes a float
+    sweep is split over, one contiguous chunk of cells each; exact sweeps run
+    in this process.  Results never depend on it.  Individual non-converged
+    cells are recorded in place and never abort the sweep.
     """
+    if isinstance(parallelism, bool) or not isinstance(parallelism, int) or parallelism < 1:
+        raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
     game = cfg.game
-    if isinstance(game, UltimatumGame):
-        firm_axis = _ultimatum_axis(game.grid, axis_f)
-        worker_axis = _ultimatum_axis(game.grid, axis_w)
-        if cfg.arithmetic == "float":
-            cells = _sweep_ultimatum_batched(cfg, firm_axis, worker_axis)
-            return SweepResult(cfg, firm_axis, worker_axis, tuple(map(tuple, cells)))
-    else:
-        firm_axis = _two_round_axis(game.grid, axis_f)
-        worker_axis = _two_round_axis(game.grid, axis_w)
-
+    firm_axis, worker_axis = _axis(game, axis_f), _axis(game, axis_w)
     rows, cols = len(firm_axis), len(worker_axis)
-    tasks = [
-        (i, j, firm_axis[i], worker_axis[j]) for i in range(rows) for j in range(cols)
-    ]
-    workers = parallelism if parallelism is not None else (os.cpu_count() or 1)
-    grid_cells: list[list[Optional[CellResult]]] = [[None] * cols for _ in range(rows)]
-    if workers <= 1 or len(tasks) <= 1:
-        _pool_init(cfg)
-        for task in tasks:
-            i, j, cell = _pool_run_cell(task)
-            grid_cells[i][j] = cell
+    init_f = np.repeat([_initial(game, FIRM, e) for e in firm_axis], cols, axis=0)
+    init_w = np.tile([_initial(game, WORKER, e) for e in worker_axis], (rows, 1))
+    chunks = 1 if cfg.arithmetic == "exact" else min(parallelism, rows * cols)
+    if chunks == 1:
+        cells = _sweep_chunk(cfg, init_f, init_w)
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=(cfg,)) as pool:
-            chunk = max(1, len(tasks) // (8 * workers))
-            for i, j, cell in pool.map(_pool_run_cell, tasks, chunksize=chunk):
-                grid_cells[i][j] = cell
-    return SweepResult(cfg, firm_axis, worker_axis, tuple(map(tuple, grid_cells)))
+        with ProcessPoolExecutor(max_workers=chunks) as pool:
+            parts = pool.map(_sweep_chunk, [cfg] * chunks, np.array_split(init_f, chunks),
+                             np.array_split(init_w, chunks))
+            cells = [cell for part in parts for cell in part]
+    grid_cells = tuple(tuple(cells[i * cols:(i + 1) * cols]) for i in range(rows))
+    return SweepResult(cfg, firm_axis, worker_axis, grid_cells)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,13 @@ class TestSweepCommand:
         cfg = write_config(tmp_path / "c.cfg", game="g1", d=5, eta=0.5)
         assert main(["sweep", cfg]) == 2
 
+    def test_nonpositive_parallelism_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", game="g1", d=3, eta=0.5,
+                           sweep_firm="pure", sweep_worker="pure",
+                           output_dir=str(tmp_path), parallelism=0)
+        assert main(["sweep", cfg]) == 2
+        assert "parallelism" in capsys.readouterr().err
+
     def test_g2_sweep_headers(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", game="g2", d=3, eta=0.5, delta=0.55,
                            sweep_firm="pure", sweep_worker="pure",

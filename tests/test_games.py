@@ -137,6 +137,29 @@ class TestUltimatumFeedback:
             np.testing.assert_allclose([float(v) for v in fe], ff, atol=1e-12)
 
 
+class TestStackedFeedback:
+    """A 2-D opponent stack gives exactly the per-row feedback vectors."""
+
+    @pytest.mark.parametrize("D", [3, 5])
+    def test_ultimatum_stack_matches_rows(self, rng, D):
+        grid = ActionGrid(D)
+        X = np.array([random_simplex(rng, grid.size) for _ in range(6)])
+        X[0, 1] = 1e-16  # below NEGLIGIBLE_MASS
+        for agent in (FIRM, WORKER):
+            stacked = ultimatum_feedback(agent, X, grid)
+            assert np.array_equal(stacked, [ultimatum_feedback(agent, x, grid) for x in X])
+
+    @pytest.mark.parametrize("D", [3, 5])
+    def test_two_round_stack_matches_rows(self, rng, D):
+        game = TwoRoundGame(ActionGrid(D), 0.55)
+        for agent, other in ((FIRM, WORKER), (WORKER, FIRM)):
+            tp = build_treeplex(game, other)
+            R = tp.uniform_plan() * rng.uniform(0.0, 2.0, size=(6, tp.n_sequences))
+            R[0, 2] = 1e-16
+            stacked = two_round_feedback(agent, R, game)
+            assert np.array_equal(stacked, [two_round_feedback(agent, r, game) for r in R])
+
+
 class TestTwoRoundGame:
     def test_delta_validation(self):
         with pytest.raises(ValueError):

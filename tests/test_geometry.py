@@ -87,6 +87,7 @@ class TestSimplexProjection:
         for row in range(v.shape[0]):
             single = project_simplex(v[row])
             assert np.array_equal(batch[row], single)
+        assert np.array_equal(project_simplex(v), batch)
 
 
 class TestExactSimplexProjection:
@@ -174,6 +175,16 @@ class TestTreeplex:
                 u = rng.normal(size=tp.n_sequences) * scale
                 assert np.array_equal(tp.normalize_backward(u), oracles.normalize_backward_loop(u, tp))
 
+    @pytest.mark.parametrize("D", [3, 5])
+    def test_normalize_backward_stack_matches_rows(self, rng, D):
+        game = TwoRoundGame(ActionGrid(D), 0.9)
+        for tp in (build_treeplex(game, FIRM), build_treeplex(game, WORKER), mixed_depth_treeplex()):
+            U = rng.normal(size=(6, tp.n_sequences)) * np.array([0.1, 1.0, 1.0, 30.0, 1e3, 1e3])[:, None]
+            U[:2] = np.round(U[:2])  # ties inside infosets
+            expected = [oracles.normalize_backward_loop(u, tp) for u in U]
+            assert np.array_equal(tp.normalize_backward(U), expected)
+            assert np.array_equal(tp.normalize_backward(U[:1]), expected[:1])
+
 
 class TestTreeplexProjection:
     def test_degenerate_treeplex_is_simplex(self, rng):
@@ -232,6 +243,16 @@ class TestTreeplexProjection:
                     assert validate_plan(x, tp, tol=1e-12)
                     c = v - x
                     assert oracles.treeplex_best_response_value(c, tp) <= float(c @ x) + 1e-9
+
+    @pytest.mark.parametrize("agent,D", [(a, d) for d in (3, 5) for a in (FIRM, WORKER)]
+                             + [("simplex", None)])
+    def test_stack_matches_rows(self, rng, agent, D):
+        tp = small_treeplex() if D is None else build_treeplex(TwoRoundGame(ActionGrid(D), 0.9), agent)
+        proj = TreeplexProjector(tp)
+        V = rng.normal(size=(12, tp.n_sequences)) * np.repeat([0.1, 1.0, 30.0], 4)[:, None]
+        V[::4] = np.round(V[::4])  # ties and zero breakpoints
+        assert np.array_equal(proj.project(V), [proj.project(v) for v in V])
+        assert np.array_equal(proj.project(V[:1]), [proj.project(V[0])])
 
     @pytest.mark.parametrize("tp", [
         mixed_depth_treeplex(),

@@ -208,11 +208,17 @@ class TestExactMode:
         # both paths report the true cumulative utility, running offset included
         cfg_f = g1_config(d=5, eta=0.5, max_steps=30, stop_eps=None)
         cfg_e = g1_config(d=5, eta=Fraction(1, 2), max_steps=30, stop_eps=None, arithmetic="exact")
-        tf = run_dynamics(cfg_f, uniform_strategy(cfg_f.grid), pure_strategy(cfg_f.grid, 0.6))
-        te = run_dynamics(cfg_e, [Fraction(1, 6)] * 6, [Fraction(int(k == 3)) for k in range(6)])
+        # and, with history kept, the same cumulative regret after every step
+        tf = run_dynamics(cfg_f, uniform_strategy(cfg_f.grid), pure_strategy(cfg_f.grid, 0.6),
+                          keep_history=True)
+        te = run_dynamics(cfg_e, [Fraction(1, 6)] * 6, [Fraction(int(k == 3)) for k in range(6)],
+                          keep_history=True)
         assert tf.steps == te.steps
         np.testing.assert_allclose([float(u) for u in te.cum_util_f], tf.cum_util_f, rtol=0, atol=1e-9)
         np.testing.assert_allclose([float(u) for u in te.cum_util_w], tf.cum_util_w, rtol=0, atol=1e-9)
+        assert len(te.regret_f) == len(tf.regret_f) == tf.steps - 1
+        np.testing.assert_allclose([float(r) for r in te.regret_f], tf.regret_f, rtol=0, atol=1e-9)
+        np.testing.assert_allclose([float(r) for r in te.regret_w], tf.regret_w, rtol=0, atol=1e-9)
 
     def test_monitors_rejected(self):
         cfg = g1_config(d=4, eta=Fraction(1, 2), arithmetic="exact")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,13 @@ def small_sweep(eta=0.5, **kw):
     return sweep_initials(cfg)
 
 
+def pure_initials(game, firm_entry, worker_entry):
+    """Initial profile of one pure-axis sweep cell, built independently of the sweep."""
+    if isinstance(game, UltimatumGame):
+        return games.pure_strategy(game.grid, firm_entry), games.pure_strategy(game.grid, worker_entry)
+    return games.firm_vertex_plan(game, *firm_entry), games.worker_vertex_plan(game, *worker_entry)
+
+
 class TestSweep:
     def test_shape_and_convergence(self):
         sweep = small_sweep()
@@ -23,19 +32,24 @@ class TestSweep:
                 assert cell.eps <= 1e-7
 
     def test_batched_matches_per_cell_runs(self):
-        cfg = LearnerConfig(game=UltimatumGame(ActionGrid(4)), eta=0.5)
-        sweep = sweep_initials(cfg)
-        for i, a_f in enumerate(sweep.firm_axis):
-            for j, a_w in enumerate(sweep.worker_axis):
-                traj = learner.run_dynamics(
-                    cfg,
-                    games.pure_strategy(cfg.grid, a_f),
-                    games.pure_strategy(cfg.grid, a_w),
-                )
+        # every sweep cell, and every row of the lockstep kernel, is the run
+        # the cell would make alone; the two-round check uses every 5th cell
+        for game, stride in ((UltimatumGame(ActionGrid(4)), 1), (TwoRoundGame(ActionGrid(3), 0.9), 5)):
+            cfg = LearnerConfig(game=game, eta=0.5)
+            sweep = sweep_initials(cfg)
+            cells = [(i, j) for i in range(sweep.shape[0]) for j in range(sweep.shape[1])]
+            inits = [pure_initials(game, sweep.firm_axis[i], sweep.worker_axis[j]) for i, j in cells]
+            batch = learner.run_lockstep(cfg, np.array([f for f, _ in inits]),
+                                         np.array([w for _, w in inits]))
+            for k in range(0, len(cells), stride):
+                i, j = cells[k]
+                traj = learner.run_dynamics(cfg, *inits[k])
                 cell = sweep.cells[i][j]
-                assert cell.converged_at == traj.converged_at
+                assert cell.converged_at == traj.converged_at == (int(batch.converged_at[k]) or None)
                 assert np.array_equal(cell.final_f, traj.final_f)
                 assert np.array_equal(cell.final_w, traj.final_w)
+                assert np.array_equal(batch.cum_util_f[k], traj.cum_util_f)
+                assert np.array_equal(batch.cum_util_w[k], traj.cum_util_w)
 
     def test_deterministic_rerun(self):
         a = small_sweep()
@@ -72,12 +86,32 @@ class TestSweep:
         assert max(c.eps for row in sweep.cells for c in row) <= 1e-7
 
     def test_parallel_matches_serial(self):
-        cfg = LearnerConfig(game=TwoRoundGame(ActionGrid(3), 0.9), eta=0.5)
-        serial = sweep_initials(cfg, parallelism=1)
-        parallel = sweep_initials(cfg, parallelism=2)
-        for ra, rb in zip(serial.cells, parallel.cells):
-            for ca, cb in zip(ra, rb):
-                assert ca.u_w == cb.u_w and ca.converged_at == cb.converged_at
+        for game in (UltimatumGame(ActionGrid(10)), TwoRoundGame(ActionGrid(3), 0.9)):
+            cfg = LearnerConfig(game=game, eta=0.5)
+            serial = sweep_initials(cfg, parallelism=1)
+            parallel = sweep_initials(cfg, parallelism=2)
+            for ra, rb in zip(serial.cells, parallel.cells):
+                for ca, cb in zip(ra, rb):
+                    assert ca.u_w == cb.u_w and ca.converged_at == cb.converged_at
+                    assert np.array_equal(ca.final_f, cb.final_f)
+                    assert np.array_equal(ca.final_w, cb.final_w)
+
+    @pytest.mark.parametrize("parallelism", [0, -2, 1.5, None])
+    def test_parallelism_must_be_positive_integer(self, parallelism):
+        cfg = LearnerConfig(game=UltimatumGame(ActionGrid(3)), eta=0.5)
+        with pytest.raises(ValueError, match="parallelism"):
+            sweep_initials(cfg, parallelism=parallelism)
+
+    def test_exact_sweep_matches_float(self):
+        grid = ActionGrid(4)
+        exact = sweep_initials(LearnerConfig(game=UltimatumGame(grid), eta=Fraction(1, 2),
+                                             arithmetic="exact"), parallelism=2)
+        fl = sweep_initials(LearnerConfig(game=UltimatumGame(grid), eta=0.5))
+        for re_, rf in zip(exact.cells, fl.cells):
+            for ce, cf in zip(re_, rf):
+                assert ce.converged_at == cf.converged_at is not None
+                np.testing.assert_allclose(ce.final_f, cf.final_f, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(ce.final_w, cf.final_w, rtol=0, atol=1e-12)
 
 
 class TestMinimax:

@@ -10,6 +10,9 @@ outcome classification, and threat detection on converged two-round profiles.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -234,7 +237,14 @@ class RecurrenceParams:
     alpha2_f: float
 
 
-def _alphas(A: Fraction, B: Fraction, c_w: Fraction, c_f: Fraction, dps: int = 50):
+@functools.lru_cache(maxsize=64)
+def _alphas(A: Fraction, B: Fraction, c_w: Fraction, c_f: Fraction, dps: int):
+    """The four mode coefficients and s = sqrt(A*B), in ``dps``-digit arithmetic.
+
+    Cached because one oracle draw asks for the same values in
+    :func:`recurrence_params` and in every :func:`closed_form_mp` call; pass
+    ``dps`` positionally so those calls share one cache entry.
+    """
     with mpmath.workdps(dps):
         Am, Bm = mpmath.mpf(A.numerator) / A.denominator, mpmath.mpf(B.numerator) / B.denominator
         cw = mpmath.mpf(c_w.numerator) / c_w.denominator
@@ -244,7 +254,7 @@ def _alphas(A: Fraction, B: Fraction, c_w: Fraction, c_f: Fraction, dps: int = 5
         a2w = (cw - cf / Bm) / 2 - (cw - Am * cf) / (2 * s)
         a1f = (cw / Am - cf) / 2 + (Bm * cw - cf) / (2 * s)
         a2f = (cw / Am - cf) / 2 - (Bm * cw - cf) / (2 * s)
-        return a1w, a2w, a1f, a2f
+        return a1w, a2w, a1f, a2f, s
 
 
 def recurrence_params(D: int, eta, k: int, w0, f0) -> RecurrenceParams:
@@ -272,7 +282,7 @@ def recurrence_params(D: int, eta, k: int, w0, f0) -> RecurrenceParams:
     C = eta / (2 * D)
     c_w = w0 - thresh
     c_f = 1 - f0
-    a1w, a2w, a1f, a2f = _alphas(A, B, c_w, c_f)
+    a1w, a2w, a1f, a2f, _ = _alphas(A, B, c_w, c_f, 50)  # closed_form_mp's default dps
     return RecurrenceParams(
         D=D, eta=eta, k=k, w0=w0, f0=f0, A=A, B=B, C=C, c_w=c_w, c_f=c_f,
         alpha1_w=float(a1w), alpha2_w=float(a2w),
@@ -300,10 +310,7 @@ def closed_form_mp(p: RecurrenceParams, n: int, dps: int = 50):
                 mpmath.mpf(p.f0.numerator) / p.f0.denominator,
             )
     with mpmath.workdps(dps):
-        a1w, a2w, a1f, a2f = _alphas(p.A, p.B, p.c_w, p.c_f, dps=dps)
-        Am = mpmath.mpf(p.A.numerator) / p.A.denominator
-        Bm = mpmath.mpf(p.B.numerator) / p.B.denominator
-        s = mpmath.sqrt(Am * Bm)
+        a1w, a2w, a1f, a2f, s = _alphas(p.A, p.B, p.c_w, p.c_f, dps)
         up = (1 + s) ** (n - 1)
         down = (1 - s) ** (n - 1)
         ratio = mpmath.mpf(p.C.numerator * p.B.denominator) / (p.C.denominator * p.B.numerator)
@@ -312,12 +319,36 @@ def closed_form_mp(p: RecurrenceParams, n: int, dps: int = 50):
         return w, f
 
 
+def _scaled_iterates(p: RecurrenceParams):
+    """Yield ``(W, F, den)`` with ``(w_n, f_n) = (W/den, F/den)`` for n = 0, 1, 2, ...
+
+    The step w' = w - A*(1 - f), f' = f + B*w - C is done on integers: with
+    Q the lcm of the denominators of A, B and C, (a, b, c) = Q*(A, B, C) and
+    P the lcm of the denominators of w0 and f0, ``den = P * Q**n``.  Nothing
+    is reduced, so a step costs five integer products and no gcd.
+    """
+    Q = math.lcm(p.A.denominator, p.B.denominator, p.C.denominator)
+    a, b, c = (x.numerator * (Q // x.denominator) for x in (p.A, p.B, p.C))
+    den = math.lcm(p.w0.denominator, p.f0.denominator)
+    W = p.w0.numerator * (den // p.w0.denominator)
+    F = p.f0.numerator * (den // p.f0.denominator)
+    while True:
+        yield W, F, den
+        W, F = Q * W - a * (den - F), Q * F + b * W - c * den
+        den *= Q
+
+
 def iterate_recurrence(p: RecurrenceParams, n: int) -> tuple[Fraction, Fraction]:
-    """Exact-rational direct iteration of the coupled recurrence to step n."""
-    w, f = p.w0, p.f0
-    for _ in range(n):
-        w, f = w - p.A * (1 - f), f + p.B * w - p.C
-    return w, f
+    """Exact direct iteration of the coupled recurrence to step n.
+
+    w_n and f_n are kept as integer numerators over one common denominator
+    (see :func:`_scaled_iterates`) and reduced once, into two ``Fraction``
+    values equal to those of plain ``Fraction`` iteration.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    W, F, den = next(itertools.islice(_scaled_iterates(p), n, None))
+    return Fraction(W, den), Fraction(F, den)
 
 
 def classify_recurrence(p: RecurrenceParams, zero_tol: float = 1e-12) -> RecurrenceOutcome:

@@ -475,14 +475,9 @@ def cmd_oracle(args) -> int:
     import mpmath
 
     print("n,w_closed,f_closed,w_iter,f_iter,abs_diff")
-    w_it, f_it = params.w0, params.f0
     max_diff = 0.0
-    for n in range(args.n + 1):
-        if n > 0:
-            w_it, f_it = (
-                w_it - params.A * (1 - f_it),
-                f_it + params.B * w_it - params.C,
-            )
+    for n, (W, F, den) in zip(range(args.n + 1), analysis._scaled_iterates(params)):
+        w_it, f_it = Fraction(W, den), Fraction(F, den)
         w_cl, f_cl = analysis.closed_form_mp(params, n, dps=60)
         with mpmath.workdps(60):
             diff = float(max(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -127,9 +128,12 @@ def _axis(game, kind: str) -> tuple:
     return tuple((p, r) for p in acts for r in acts)
 
 
-def _initial(game, agent: str, entry) -> np.ndarray:
+def _initial(game, agent: str, entry, exact: bool) -> np.ndarray:
+    """Initial strategy of one axis entry; exact uniform entries are ``Fraction``s."""
     if isinstance(game, UltimatumGame):
         if entry == "uniform":
+            if exact:
+                return np.full(game.grid.size, Fraction(1, game.grid.size), dtype=object)
             return games.uniform_strategy(game.grid)
         return games.pure_strategy(game.grid, entry)
     if entry == "uniform":
@@ -199,9 +203,10 @@ def sweep_initials(
     game = cfg.game
     firm_axis, worker_axis = _axis(game, axis_f), _axis(game, axis_w)
     rows, cols = len(firm_axis), len(worker_axis)
-    init_f = np.repeat([_initial(game, FIRM, e) for e in firm_axis], cols, axis=0)
-    init_w = np.tile([_initial(game, WORKER, e) for e in worker_axis], (rows, 1))
-    chunks = 1 if cfg.arithmetic == "exact" else min(parallelism, rows * cols)
+    exact = cfg.arithmetic == "exact"
+    init_f = np.repeat([_initial(game, FIRM, e, exact) for e in firm_axis], cols, axis=0)
+    init_w = np.tile([_initial(game, WORKER, e, exact) for e in worker_axis], (rows, 1))
+    chunks = 1 if exact else min(parallelism, rows * cols)
     if chunks == 1:
         cells = _sweep_chunk(cfg, init_f, init_w)
     else:

@@ -256,7 +256,7 @@ def test_criterion7_recurrence_oracle():
             Am = mpmath.mpf(p.A.numerator) / p.A.denominator
             Bm = mpmath.mpf(p.B.numerator) / p.B.denominator
             s = mpmath.sqrt(Am * Bm)
-            a1w, a2w, a1f, a2f = analysis._alphas(p.A, p.B, p.c_w, p.c_f, dps=60)
+            a1w, a2w, a1f, a2f, _ = analysis._alphas(p.A, p.B, p.c_w, p.c_f, dps=60)
             ratio = mpmath.mpf(thresh.numerator) / thresh.denominator
             up = mpmath.mpf(1)
             down = mpmath.mpf(1)

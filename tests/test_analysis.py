@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 
-from ftrl_bargain import games
+from ftrl_bargain import analysis, games
 from ftrl_bargain.analysis import (
     RecurrenceOutcome,
     best_response_firm,
@@ -246,6 +246,47 @@ class TestRecurrence:
         ours = iterate_recurrence(p, 40)
         oracle = oracles.iterate_mass_recurrence(p.A, p.B, p.C, p.w0, p.f0, 40)[-1]
         assert ours == oracle
+
+        # criterion 7's ranges, then the boundaries of the valid region
+        rng = np.random.default_rng(7)
+        inputs = []
+        for _ in range(200):
+            d = int(rng.integers(3, 31))
+            k = int(rng.integers(2, d + 1))
+            thresh = Fraction(1, d - k + 1)
+            inputs.append((d, Fraction(int(rng.integers(10, 1001)), 1000), k,
+                           thresh + (1 - thresh) * Fraction(int(rng.integers(0, 1001)), 1000),
+                           Fraction(int(rng.integers(0, 1001)), 1000)))
+        for d, k in ((3, 2), (5, 2), (5, 5), (17, 9), (30, 30)):
+            for f0 in (0, 1):
+                inputs.append((d, 1, k, Fraction(1, d - k + 1), f0))
+                inputs.append((d, Fraction(3, 7), k, Fraction(1, d - k + 1), f0))
+                inputs.append((d, 1, k, 1, f0))
+        for args in inputs:
+            p = recurrence_params(*args)
+            steps = oracles.iterate_mass_recurrence(p.A, p.B, p.C, p.w0, p.f0, 100)
+            for n in (0, 1, 2, 10, 100):
+                w, f = iterate_recurrence(p, n)
+                assert type(w) is type(f) is Fraction
+                assert (w, f) == steps[n], (args, n)
+
+    def test_iteration_rejects_negative_n(self):
+        p = recurrence_params(5, Fraction(1, 2), 2, Fraction(1, 2), Fraction(1, 2))
+        for n in (-1, -5):
+            with pytest.raises(ValueError):
+                iterate_recurrence(p, n)
+            with pytest.raises(ValueError):
+                closed_form_mp(p, n)
+
+    def test_cached_alphas_match_uncached(self):
+        p = recurrence_params(11, Fraction(7, 10), 4, Fraction(1, 2), Fraction(1, 4))
+        for dps in (50, 60):
+            cached = analysis._alphas(p.A, p.B, p.c_w, p.c_f, dps)
+            fresh = analysis._alphas.__wrapped__(p.A, p.B, p.c_w, p.c_f, dps)
+            assert len(cached) == 5
+            for c, u in zip(cached, fresh):
+                assert isinstance(c, mpmath.mpf) and c == u
+        assert analysis._alphas.cache_info().maxsize < 1000
 
     def test_classification_examples(self):
         # large c_w, tiny c_f: the growing mode pushes the firm mass to 1

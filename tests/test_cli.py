@@ -1,9 +1,14 @@
 import csv
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 
-from ftrl_bargain import cli
+from ftrl_bargain import analysis, cli
 from ftrl_bargain.cli import main
+
+import oracles
 
 
 def write_config(path, **kv):
@@ -233,6 +238,29 @@ class TestOracleCommand:
 
     def test_out_of_range_exit_2(self, capsys):
         assert main(["oracle", "5", "1/2", "1", "1/2", "1/2", "5"]) == 2
+
+    def test_table_matches_fraction_iteration(self, capsys):
+        # The table as printed from plain Fraction iteration, byte for byte.
+        for D, eta, k, w0, f0, n in ((5, "1/2", 2, "1/2", "1/2", 50), (5, "1/2", 2, "1/4", "1", 5)):
+            assert main(["oracle", str(D), eta, str(k), w0, f0, str(n)]) == 0
+            out = capsys.readouterr().out
+            p = analysis.recurrence_params(D, Fraction(eta), k, Fraction(w0), Fraction(f0))
+            lines = ["n,w_closed,f_closed,w_iter,f_iter,abs_diff"]
+            max_diff = 0.0
+            steps = oracles.iterate_mass_recurrence(p.A, p.B, p.C, p.w0, p.f0, n)
+            for i, (w_it, f_it) in enumerate(steps):
+                w_cl, f_cl = analysis.closed_form_mp(p, i, dps=60)
+                with mpmath.workdps(60):
+                    diff = float(max(
+                        abs(w_cl - mpmath.mpf(w_it.numerator) / w_it.denominator),
+                        abs(f_cl - mpmath.mpf(f_it.numerator) / f_it.denominator),
+                    ))
+                max_diff = max(max_diff, diff)
+                lines.append(f"{i},{float(w_cl):.17g},{float(f_cl):.17g},"
+                             f"{float(w_it):.17g},{float(f_it):.17g},{diff:.3e}")
+            verdict = analysis.classify_recurrence(p).value
+            lines.append(f"verdict: {verdict} (max |diff| {max_diff:.3e})")
+            assert out == "\n".join(lines) + "\n"
 
 
 class TestExitCodes:

@@ -104,14 +104,16 @@ class TestSweep:
 
     def test_exact_sweep_matches_float(self):
         grid = ActionGrid(4)
-        exact = sweep_initials(LearnerConfig(game=UltimatumGame(grid), eta=Fraction(1, 2),
-                                             arithmetic="exact"), parallelism=2)
-        fl = sweep_initials(LearnerConfig(game=UltimatumGame(grid), eta=0.5))
-        for re_, rf in zip(exact.cells, fl.cells):
-            for ce, cf in zip(re_, rf):
-                assert ce.converged_at == cf.converged_at is not None
-                np.testing.assert_allclose(ce.final_f, cf.final_f, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(ce.final_w, cf.final_w, rtol=0, atol=1e-12)
+        for axes in (("pure", "pure"), ("uniform", "pure"), ("pure", "uniform")):
+            exact = sweep_initials(LearnerConfig(game=UltimatumGame(grid), eta=Fraction(1, 2),
+                                                 arithmetic="exact"), *axes, parallelism=2)
+            fl = sweep_initials(LearnerConfig(game=UltimatumGame(grid), eta=0.5), *axes)
+            assert exact.shape == fl.shape
+            for re_, rf in zip(exact.cells, fl.cells):
+                for ce, cf in zip(re_, rf):
+                    assert ce.converged_at == cf.converged_at is not None
+                    np.testing.assert_allclose(ce.final_f, cf.final_f, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(ce.final_w, cf.final_w, rtol=0, atol=1e-12)
 
 
 class TestMinimax:

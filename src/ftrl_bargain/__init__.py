@@ -25,11 +25,10 @@ from .geometry import (
     StructuralError,
     Treeplex,
     TreeplexProjector,
-    behavioral_from_plan,
     project_simplex,
     project_simplex_exact,
 )
-from .learner import LearnerConfig, MonitorSuite, Trajectory, detect_convergence, ftrl_step, run_dynamics
+from .learner import LearnerConfig, MonitorSuite, Trajectory, run_dynamics
 from .analysis import (
     EquilibriumCertificate,
     RecurrenceOutcome,
@@ -42,7 +41,6 @@ from .analysis import (
     classify_recurrence,
     continuous_br_gap,
     detect_threats,
-    recurrence_closed_form,
     recurrence_params,
 )
 from .metagame import MinimaxSolution, SweepResult, minimax_solve, summarize, sweep_initials

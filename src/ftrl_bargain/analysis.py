@@ -37,7 +37,6 @@ __all__ = [
     "w_max",
     "f_min",
     "recurrence_params",
-    "recurrence_closed_form",
     "iterate_recurrence",
     "classify_recurrence",
     "detect_threats",
@@ -290,16 +289,6 @@ def recurrence_params(D: int, eta, k: int, w0, f0) -> RecurrenceParams:
     )
 
 
-def recurrence_closed_form(p: RecurrenceParams, n: int, dps: int = 50):
-    """(w_n, f_n) from the closed form; n = 0 returns the initial values.
-
-    Evaluated in ``dps``-digit arithmetic because (1+s)^(n-1) amplifies
-    rounding; pass floats out, or use :func:`closed_form_mp` for full precision.
-    """
-    w, f = closed_form_mp(p, n, dps=dps)
-    return float(w), float(f)
-
-
 def closed_form_mp(p: RecurrenceParams, n: int, dps: int = 50):
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -402,22 +391,17 @@ def _firm_accept_behavior(
     update's tie-breaking: all mass on the larger cumulative utility, an even
     split on ties.  Without utilities the uniform placeholder applies.
     """
-    grid = game.grid
-    n = grid.size
+    n = game.grid.size
+    offers = r_f[1 : 1 + n, None]
+    reach = offers > reach_tol
     accept = np.full((n, n), 0.5)
-    for a in range(n):
-        parent = float(r_f[games.firm_offer_index(grid, a)])
-        for b in range(n):
-            ia = games.firm_accept_index(grid, a, b)
-            ir = games.firm_reject_index(grid, a, b)
-            if parent > reach_tol:
-                accept[a, b] = float(np.clip(r_f[ia], 0.0, None)) / parent
-            elif firm_cum_util is not None:
-                gap = float(firm_cum_util[ia]) - float(firm_cum_util[ir])
-                if gap > tie_tol:
-                    accept[a, b] = 1.0
-                elif gap < -tie_tol:
-                    accept[a, b] = 0.0
+    accept_mass = np.clip(r_f[1 + n :].reshape(n, n, 2)[:, :, 0], 0.0, None)
+    np.divide(accept_mass, offers, out=accept, where=reach)
+    if firm_cum_util is not None:
+        util = np.asarray(firm_cum_util, dtype=float)[1 + n :].reshape(n, n, 2)
+        gap = util[:, :, 0] - util[:, :, 1]
+        limit = np.where(gap > tie_tol, 1.0, np.where(gap < -tie_tol, 0.0, 0.5))
+        accept = np.where(reach, accept, limit)
     return accept
 
 

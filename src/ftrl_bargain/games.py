@@ -193,36 +193,16 @@ def build_treeplex(game: TwoRoundGame, agent: Agent) -> Treeplex:
     """Sequence-form polytope of one side of the two-round game.
 
     The firm has the root offer infoset plus one accept/reject infoset per
-    (first offer, counter) pair; the worker has one response infoset per first
-    offer whose extensions are "accept" and "reject & counter b" for each b.
+    (first offer, counter) pair (``Treeplex.pairs``); the worker has one
+    response infoset per first offer whose extensions are "accept" and
+    "reject & counter b" for each b (``Treeplex.blocks``).
     """
     _check_agent(agent)
     grid = game.grid
     if grid.D <= 2:
         raise ValueError(f"two-round game needs D > 2, got D={grid.D}")
     n = grid.size
-
-    if agent == FIRM:
-        n_seq = 1 + n + 2 * n * n
-        infosets = [(0, tuple(firm_offer_index(grid, a) for a in range(n)))]
-        for a in range(n):
-            for b in range(n):
-                infosets.append(
-                    (
-                        firm_offer_index(grid, a),
-                        (firm_accept_index(grid, a, b), firm_reject_index(grid, a, b)),
-                    )
-                )
-        return Treeplex(n_seq, 0, tuple(infosets))
-
-    n_seq = 1 + n + n * n
-    infosets = []
-    for a in range(n):
-        children = (worker_accept_index(grid, a),) + tuple(
-            worker_counter_index(grid, a, b) for b in range(n)
-        )
-        infosets.append((0, children))
-    return Treeplex(n_seq, 0, tuple(infosets))
+    return Treeplex.pairs(n, n) if agent == FIRM else Treeplex.blocks(n, n + 1)
 
 
 def two_round_feedback(agent: Agent, opponent_plan: np.ndarray, game: TwoRoundGame) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Euclidean projections onto the probability simplex and sequence-form polytopes.
 
 The simplex path uses the exact sort-and-threshold rule (float and rational
-flavors).  The treeplex path is closed form for the two shapes the two-round
-game has: a product of simplices under the root (worker), and one simplex of
-offers with a binary choice per (offer, counter) pair below it (firm).
+flavors).  The treeplex layers serve the two layouts the two-round game has,
+which :class:`Treeplex` builds and recognises in one place: blocks, a product
+of simplices under the root (worker; a plain simplex is one block), and
+pairs, one simplex of offers with a binary choice per (offer, counter) pair
+below it (firm).  Backward normalization and the closed-form projection
+both work on reshaped views of that layout.
 """
 
 from __future__ import annotations
@@ -18,12 +21,9 @@ import numpy as np
 __all__ = [
     "StructuralError",
     "Treeplex",
-    "BehavioralCell",
-    "SimplexCertificate",
     "project_simplex",
     "project_simplex_exact",
     "TreeplexProjector",
-    "behavioral_from_plan",
     "validate_plan",
     "check_simplex",
 ]
@@ -97,70 +97,79 @@ class Treeplex:
             r[list(children)] = r[parent] / len(children)
         return r
 
-    @cached_property
-    def _levels(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per parent depth, deepest first: (children, starts, sizes, parents).
+    @classmethod
+    def blocks(cls, n: int, c: int) -> "Treeplex":
+        """``n`` infosets of ``c`` children under the root: [root, n heads, n*(c-1) tails].
 
-        Infosets keep their reversed list order, so values added onto a shared
-        parent sum in the order of an infoset-by-infoset backward walk.
+        Infoset a holds head a, then its own c - 1 tails.  This is the worker's
+        treeplex (accepts, then counters) and, for n = 1, the plain simplex.
         """
-        depth = {self.root: 0}
-        for parent, children in self.infosets:
-            for c in children:
-                depth[c] = depth[parent] + 1
-        levels = []
-        for d in sorted({depth[parent] for parent, _ in self.infosets}, reverse=True):
-            isets = [(p, ch) for p, ch in reversed(self.infosets) if depth[p] == d]
-            sizes = np.array([len(ch) for _, ch in isets])
-            levels.append((np.concatenate([ch for _, ch in isets]), np.cumsum(sizes) - sizes,
-                           sizes, np.array([p for p, _ in isets])))
-        return tuple(levels)
+        return cls(1 + n * c, 0, tuple(
+            (0, (1 + a,) + tuple(range(1 + n + a * (c - 1), 1 + n + (a + 1) * (c - 1))))
+            for a in range(n)))
+
+    @classmethod
+    def pairs(cls, n: int, m: int) -> "Treeplex":
+        """A root infoset over ``n`` heads, each with ``m`` binary infosets below it.
+
+        Layout [root, n heads, n*m (first, second) pairs]: the firm's treeplex
+        (offers, then accept/reject per counter).
+        """
+        return cls(1 + n + 2 * n * m, 0, ((0, tuple(range(1, 1 + n))),) + tuple(
+            (1 + a, (1 + n + 2 * (a * m + b), 2 + n + 2 * (a * m + b)))
+            for a in range(n) for b in range(m)))
+
+    @cached_property
+    def _layout(self) -> tuple[bool, int, int]:
+        """``(pairs, n, m)``: which canonical layout this is, with n heads and m below each.
+
+        Both two-round layers read and write stacks through :meth:`_views` of
+        this layout; any other treeplex raises :class:`StructuralError`.
+        """
+        n = len(self.infosets)
+        c = len(self.infosets[0][1]) if n else 0
+        if c > 1 and self == Treeplex.blocks(n, c):
+            return False, n, c - 1
+        if c and self == Treeplex.pairs(c, (n - 1) // c):
+            return True, c, (n - 1) // c
+        raise StructuralError("treeplex is neither a blocks nor a pairs layout")
+
+    def _views(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of a ``(k, n_sequences)`` stack: heads ``(k, n)`` and what hangs below.
+
+        Below is ``(k, n, m, 2)`` (first, second) pairs or ``(k, n, m)`` tails.
+        """
+        pairs, n, m = self._layout
+        below = (len(rows), n, m, 2) if pairs else (len(rows), n, m)
+        return rows[:, 1 : 1 + n], rows[:, 1 + n :].reshape(below)
 
     def normalize_backward(self, u: np.ndarray) -> np.ndarray:
         """Shift ``u`` by a row-space translation so every infoset tops out at 0.
 
-        Walks infosets deepest-first, moving each infoset's best-child value
-        onto its parent sequence (a backward-induction pass), one depth level
-        at a time.  Projections are invariant under such translations, but the
-        shifted vector keeps the numerically active entries at unit scale
-        however large the raw cumulative utilities grow.  A 2-D ``u`` is
-        shifted row by row, each row exactly as on its own.
+        Moves each infoset's best-child value onto its parent sequence,
+        deepest infosets first (a backward-induction pass).  Projections are
+        invariant under such translations, but the shifted vector keeps the
+        numerically active entries at unit scale however large the raw
+        cumulative utilities grow.  A 2-D ``u`` is shifted row by row, each row
+        exactly as on its own.
         """
         out = np.array(u, dtype=float)
-        flat = out.reshape(-1)
-        for children, starts, sizes, parents in self._stacked_levels(flat.size // self.n_sequences):
-            top = np.maximum.reduceat(flat.take(children), starts)
-            flat[children] -= np.repeat(top, sizes)
-            np.add.at(flat, parents, top)
-        flat[self.root::self.n_sequences] = 0.0
+        rows = out.reshape(-1, self.n_sequences)
+        head, below = self._views(rows)
+        pairs, _, m = self._layout
+        if pairs:
+            top = np.maximum(below[..., 0], below[..., 1])
+            below -= top[..., None]
+            # last pair first: the summation order of an infoset-by-infoset walk
+            for b in range(m - 1, -1, -1):
+                head += top[:, :, b]
+            head -= head.max(axis=1, keepdims=True)
+        else:
+            top = np.maximum(head, below.max(axis=2))
+            head -= top
+            below -= top[..., None]
+        rows[:, self.root] = 0.0
         return out
-
-    def _stacked_levels(self, k: int):
-        """:attr:`_levels` with indices into a flattened stack of ``k`` rows."""
-        if k == 1:
-            return self._levels
-        offset = np.arange(k)[:, None]
-        return tuple(
-            ((children + self.n_sequences * offset).ravel(), (starts + children.size * offset).ravel(),
-             np.tile(sizes, k), (parents + self.n_sequences * offset).ravel())
-            for children, starts, sizes, parents in self._levels
-        )
-
-
-@dataclass(frozen=True)
-class SimplexCertificate:
-    """KKT certificate for a simplex projection: threshold and active support."""
-
-    theta: float
-    support: np.ndarray
-
-
-@dataclass(frozen=True)
-class BehavioralCell:
-    """Local distribution recovered at one infoset, with a reachability flag."""
-
-    probs: np.ndarray
-    unreachable: bool
 
 
 def check_simplex(x: np.ndarray, tol: float = 1e-12) -> bool:
@@ -184,7 +193,7 @@ def _threshold_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x.reshape(v.shape), theta.reshape(v.shape[:-1])
 
 
-def project_simplex(v, return_certificate: bool = False):
+def project_simplex(v) -> np.ndarray:
     """Nearest point of ``v`` on the probability simplex (sort-and-threshold).
 
     A 2-D ``v`` is projected row by row.  The rule sorts values, not
@@ -196,12 +205,7 @@ def project_simplex(v, return_certificate: bool = False):
         raise StructuralError("projection input must be a non-empty vector or stack of vectors")
     if not np.isfinite(v).all():
         raise ValueError("projection input must be finite (no NaN/inf)")
-    x, theta = _threshold_rows(v)
-    if return_certificate:
-        if v.ndim != 1:
-            raise StructuralError("a certificate needs a single vector")
-        return x, SimplexCertificate(theta=float(theta), support=x > 0.0)
-    return x
+    return _threshold_rows(v)[0]
 
 
 def project_simplex_batch(v: np.ndarray) -> np.ndarray:
@@ -229,27 +233,6 @@ def project_simplex_exact(v: Sequence[Fraction]) -> list[Fraction]:
     return [x - theta if x > theta else zero for x in vals]
 
 
-def behavioral_from_plan(r: np.ndarray, t: Treeplex) -> list[BehavioralCell]:
-    """Per-infoset local simplices r(child)/r(parent).
-
-    Infosets whose parent mass is at most ``UNREACHABLE_TOL`` get a uniform
-    placeholder and are flagged unreachable.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (t.n_sequences,):
-        raise StructuralError("plan length does not match treeplex")
-    cells = []
-    for parent, children in t.infosets:
-        mass = float(r[parent])
-        if mass <= UNREACHABLE_TOL:
-            probs = np.full(len(children), 1.0 / len(children))
-            cells.append(BehavioralCell(probs=probs, unreachable=True))
-        else:
-            probs = np.maximum(r[list(children)], 0.0) / mass
-            cells.append(BehavioralCell(probs=probs, unreachable=False))
-    return cells
-
-
 def validate_plan(r: np.ndarray, t: Treeplex, tol: float = PLAN_FLOW_TOL) -> bool:
     r = np.asarray(r, dtype=float)
     if r.shape != (t.n_sequences,):
@@ -261,13 +244,11 @@ def validate_plan(r: np.ndarray, t: Treeplex, tol: float = PLAN_FLOW_TOL) -> boo
 
 
 class TreeplexProjector:
-    """Exact Euclidean projection onto a treeplex of one of two shapes.
+    """Exact Euclidean projection onto a treeplex of one of the two layouts.
 
-    * Every infoset hangs off the root, all with the same number of children
-      (the worker's treeplex, or a plain simplex): one simplex projection per
-      infoset, in one batch.
-    * One root infoset whose children each carry the same number m of binary
-      infosets (the firm's treeplex: offers, then accept/reject per counter).
+    * Blocks (the worker's treeplex, or a plain simplex): one simplex
+      projection per infoset, in one batch.
+    * Pairs (the firm's treeplex: offers, then accept/reject per counter).
       Offer mass s splits over pair (p, q) as y = clip((s + p - q)/2, 0, s),
       at marginal cost s - max(p, q) - (s - |p - q|)_+ / 2.  So offer a's
       marginal cost g_a(s) is increasing, concave and piecewise linear (slope
@@ -275,27 +256,13 @@ class TreeplexProjector:
       0 is convex, and the multiplier of sum(s_a) == 1 follows exactly from
       evaluating sum(s_a) at every breakpoint and interpolating linearly.
 
-    Any other shape raises :class:`StructuralError` here, although
-    :class:`Treeplex` itself accepts it.
+    Any other treeplex raises :class:`StructuralError` here; both layers
+    share one layout check (``Treeplex._layout``).
     """
 
     def __init__(self, t: Treeplex):
         self.treeplex = t
-        self.n = t.n_sequences
-        top = [children for parent, children in t.infosets if parent == t.root]
-        below = [(parent, children) for parent, children in t.infosets if parent != t.root]
-        if not below and len({len(children) for children in top}) == 1:
-            self._blocks = np.array(top)
-            return
-        self._blocks = None
-        offers = top[0] if len(top) == 1 else ()
-        rows = [[children for parent, children in below if parent == a] for a in offers]
-        if (not rows or len({len(r) for r in rows}) != 1 or sum(map(len, rows)) != len(below)
-                or any(len(ch) != 2 for _, ch in below)):
-            raise StructuralError("treeplex shape not supported by the projector")
-        self._offers = np.array(offers)
-        self._accept, self._reject = np.moveaxis(np.array(rows), -1, 0)
-        n, m = self._accept.shape
+        self._pairs, n, m = t._layout
         self._slope = 1.0 + m - 0.5 * np.arange(m + 1)
         self._rate_steps = np.tile(np.diff(1.0 / self._slope, prepend=0.0), n)
 
@@ -305,22 +272,30 @@ class TreeplexProjector:
         A 2-D ``v`` is projected row by row, each row exactly as on its own.
         """
         v = np.asarray(v, dtype=float)
-        if v.ndim not in (1, 2) or v.shape[-1] != self.n:
+        tp = self.treeplex
+        if v.ndim not in (1, 2) or v.shape[-1] != tp.n_sequences:
             raise StructuralError("projection input length does not match treeplex")
         if not np.isfinite(v).all():
             raise ValueError("projection input must be finite (no NaN/inf)")
         x = np.zeros(v.shape)
-        rows, out = v.reshape(-1, self.n), x.reshape(-1, self.n)
-        out[:, self.treeplex.root] = 1.0
-        if self._blocks is not None:
-            out[:, self._blocks] = project_simplex_batch(rows.take(self._blocks, axis=1))
+        rows, out = v.reshape(-1, tp.n_sequences), x.reshape(-1, tp.n_sequences)
+        out[:, tp.root] = 1.0
+        head, below = tp._views(rows)
+        out_head, out_below = tp._views(out)
+        if not self._pairs:
+            blocks = project_simplex_batch(np.concatenate([head[:, :, None], below], axis=2))
+            out_head[...] = blocks[:, :, 0]
+            out_below[...] = blocks[:, :, 1:]
             return x
 
-        p, q = rows.take(self._accept, axis=1), rows.take(self._reject, axis=1)
+        p, q = below[..., 0], below[..., 1]
         # breakpoints t (ascending per offer, led by s = 0) and g_a at each
         t = np.zeros(p.shape[:2] + (p.shape[2] + 1,))
-        t[:, :, 1:] = np.sort(np.abs(p - q), axis=2)
-        g0 = -rows.take(self._offers, axis=1) - np.maximum(p, q).sum(axis=2)
+        gaps = t[:, :, 1:]
+        np.subtract(p, q, out=gaps)
+        np.abs(gaps, out=gaps)
+        gaps.sort(axis=2)
+        g0 = -head - np.maximum(p, q).sum(axis=2)
         g = g0[:, :, None] + self._slope * t + 0.5 * np.cumsum(t, axis=2)
         # S at the sorted breakpoints; its slope in lam grows by the change of
         # 1/slope as lam passes each breakpoint of each offer
@@ -335,7 +310,7 @@ class TreeplexProjector:
         # s_a is convex, so it is the largest of its affine pieces
         s = np.maximum((t + (lam_star[:, None, None] - g) / self._slope).max(axis=2), 0.0)
         y = np.minimum(np.maximum((s[:, :, None] + p - q) / 2.0, 0.0), s[:, :, None])
-        out[:, self._offers] = s
-        out[:, self._accept] = y
-        out[:, self._reject] = s[:, :, None] - y
+        out_head[...] = s
+        out_below[..., 0] = y
+        out_below[..., 1] = s[:, :, None] - y
         return x

@@ -30,10 +30,8 @@ __all__ = [
     "Trajectory",
     "MonitorSuite",
     "Lockstep",
-    "ftrl_step",
     "run_dynamics",
     "run_lockstep",
-    "detect_convergence",
 ]
 
 GAME_DEFAULTS = {
@@ -148,15 +146,6 @@ class Lockstep:
     cum_util_w: np.ndarray
 
 
-def detect_convergence(prev, nxt, threshold: float) -> bool:
-    """True when no strategy dimension moved by more than ``threshold``."""
-    if len(prev) != len(nxt):
-        raise StructuralError("strategy dimension mismatch")
-    if isinstance(prev, np.ndarray) and isinstance(nxt, np.ndarray):
-        return float(np.abs(nxt - prev).max()) <= threshold
-    return max(abs(b - a) for a, b in zip(prev, nxt)) <= threshold
-
-
 def _certified_stop(cfg: LearnerConfig, x_f, x_w) -> bool:
     """Equilibrium guard applied when the step-size test fires."""
     if cfg.stop_eps is None:
@@ -187,11 +176,6 @@ def _updater(cfg: LearnerConfig, agent: str):
             v = eta * tp.normalize_backward(U)
             return v, projector.project(v)
     return update
-
-
-def ftrl_step(agent: str, cum_util: np.ndarray, cfg: LearnerConfig) -> np.ndarray:
-    """One update: project reference + eta * cum_util onto the agent's polytope."""
-    return _updater(cfg, agent)(np.asarray(cum_util, dtype=float))[1]
 
 
 class MonitorSuite:

@@ -92,6 +92,30 @@ def normalize_backward_loop(u: np.ndarray, t) -> np.ndarray:
     return out
 
 
+def firm_accept_behavior_loop(r_f, game: TwoRoundGame, firm_cum_util=None,
+                              reach_tol: float = 1e-12, tie_tol: float = 1e-9) -> np.ndarray:
+    """Pair-by-pair reference for ``analysis._firm_accept_behavior``."""
+    from ftrl_bargain import games
+
+    grid = game.grid
+    n = grid.size
+    accept = np.full((n, n), 0.5)
+    for a in range(n):
+        parent = float(r_f[games.firm_offer_index(grid, a)])
+        for b in range(n):
+            ia = games.firm_accept_index(grid, a, b)
+            ir = games.firm_reject_index(grid, a, b)
+            if parent > reach_tol:
+                accept[a, b] = float(np.clip(r_f[ia], 0.0, None)) / parent
+            elif firm_cum_util is not None:
+                gap = float(firm_cum_util[ia]) - float(firm_cum_util[ir])
+                if gap > tie_tol:
+                    accept[a, b] = 1.0
+                elif gap < -tie_tol:
+                    accept[a, b] = 0.0
+    return accept
+
+
 def count_sequences_tree_walk(D: int) -> tuple[int, int]:
     """(firm, worker) terminal-sequence counts incl. the empty sequence."""
     offers = range(D + 1)

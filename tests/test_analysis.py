@@ -17,7 +17,6 @@ from ftrl_bargain.analysis import (
     detect_threats,
     f_min,
     iterate_recurrence,
-    recurrence_closed_form,
     recurrence_params,
     w_max,
 )
@@ -29,7 +28,7 @@ from ftrl_bargain.games import (
     pure_strategy,
     worker_vertex_plan,
 )
-from ftrl_bargain.geometry import StructuralError
+from ftrl_bargain.geometry import StructuralError, TreeplexProjector
 
 import oracles
 
@@ -223,14 +222,14 @@ class TestRecurrence:
         assert p.c_w == 0 and p.c_f == 0
         assert p.alpha1_w == p.alpha2_w == p.alpha1_f == p.alpha2_f == 0.0
         for n in (0, 1, 5, 50):
-            w, f = recurrence_closed_form(p, n)
+            w, f = map(float, closed_form_mp(p, n))
             assert w == pytest.approx(0.25, abs=1e-12)
             assert f == pytest.approx(1.0, abs=1e-12)
         assert classify_recurrence(p) is RecurrenceOutcome.ASYMPTOTIC_CONVERGENCE
 
     def test_n_zero_returns_initials(self):
         p = recurrence_params(7, Fraction(3, 4), 3, Fraction(1, 2), Fraction(1, 3))
-        assert recurrence_closed_form(p, 0) == (pytest.approx(0.5), pytest.approx(1 / 3))
+        assert tuple(map(float, closed_form_mp(p, 0))) == (pytest.approx(0.5), pytest.approx(1 / 3))
 
     def test_closed_form_matches_iteration(self):
         p = recurrence_params(5, Fraction(1, 2), 2, Fraction(1, 2), Fraction(1, 2))
@@ -406,6 +405,23 @@ class TestThreats:
         rep = detect_threats((r_f, r_w), self.game)
         assert rep.status == "undefined-equilibrium-offer"
         assert not rep.credible_worker_threat and not rep.noncredible_firm_threat
+
+    def test_firm_accept_behavior_matches_loop(self, rng):
+        for D in (3, 5, 8):
+            game = TwoRoundGame(ActionGrid(D), 0.9)
+            tp = games.build_treeplex(game, "firm")
+            n = game.grid.size
+            for i in range(400):
+                r_f = TreeplexProjector(tp).project(rng.normal(size=tp.n_sequences) * (1 + i % 4 * 10))
+                r_f[1 + rng.integers(n)] = rng.choice([0.0, 1e-12, 2e-12])  # unreachable offers
+                U = rng.normal(size=tp.n_sequences)
+                if i % 2:  # gaps exactly at the tie tolerance, beyond it, and exact ties
+                    pairs = U[1 + n:].reshape(n, n, 2)
+                    pairs[..., 0] = rng.choice([0.0, 1e-9, -1e-9, 2e-9, -2e-9], size=(n, n))
+                    pairs[..., 1] = 0.0
+                for util in (U, None):
+                    expected = oracles.firm_accept_behavior_loop(r_f, game, util)
+                    assert np.array_equal(analysis._firm_accept_behavior(r_f, game, util), expected)
 
     def test_report_invariant(self):
         for kwargs in (

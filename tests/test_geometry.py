@@ -8,7 +8,7 @@ from ftrl_bargain.geometry import (
     StructuralError,
     Treeplex,
     TreeplexProjector,
-    behavioral_from_plan,
+    _threshold_rows,
     project_simplex,
     project_simplex_batch,
     project_simplex_exact,
@@ -35,12 +35,13 @@ class TestSimplexProjection:
         assert ((x - np.array([0.5, 0.2, 0.2])) ** 2).sum() <= lattice_d + 1e-12
 
     def test_certificate(self):
-        x, cert = project_simplex(np.array([0.5, 0.2, 0.2]), return_certificate=True)
-        assert cert.theta == pytest.approx(-1 / 30, abs=1e-15)
-        assert cert.support.all()
-        y, cert2 = project_simplex(np.array([2.0, 0.0, 0.0]), return_certificate=True)
-        assert cert2.theta == pytest.approx(1.0, abs=1e-15)
-        assert list(cert2.support) == [True, False, False]
+        # threshold and active support of the sort-and-threshold rule
+        x, theta = _threshold_rows(np.array([0.5, 0.2, 0.2]))
+        assert theta == pytest.approx(-1 / 30, abs=1e-15)
+        assert (x > 0.0).all()
+        y, theta2 = _threshold_rows(np.array([2.0, 0.0, 0.0]))
+        assert theta2 == pytest.approx(1.0, abs=1e-15)
+        assert list(y > 0.0) == [True, False, False]
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -131,6 +132,12 @@ def mixed_depth_treeplex():
         (0, (1, 2)), (0, (3, 4)), (2, (5, 6)), (2, (7, 8)), (4, (9, 10))))
 
 
+def permuted_worker_treeplex():
+    """The D=3 worker treeplex with each infoset's children listed in reverse."""
+    tp = build_treeplex(TwoRoundGame(ActionGrid(3), 0.9), WORKER)
+    return Treeplex(tp.n_sequences, tp.root, tuple((p, ch[::-1]) for p, ch in tp.infosets))
+
+
 class TestTreeplex:
     def test_validation_rejects_orphan(self):
         with pytest.raises(StructuralError):
@@ -167,20 +174,21 @@ class TestTreeplex:
             b = proj.project(tp.normalize_backward(u))
             np.testing.assert_allclose(a, b, atol=1e-9)
 
-    @pytest.mark.parametrize("D", [3, 5])
+    @pytest.mark.parametrize("D", [3, 5, 8])
     def test_normalize_backward_matches_loop(self, rng, D):
         game = TwoRoundGame(ActionGrid(D), 0.9)
-        for tp in (build_treeplex(game, FIRM), build_treeplex(game, WORKER), mixed_depth_treeplex()):
-            for scale in (1.0, 1e3):
+        for tp in (build_treeplex(game, FIRM), build_treeplex(game, WORKER), small_treeplex()):
+            for scale in (1.0, 1e3, 1e6):
                 u = rng.normal(size=tp.n_sequences) * scale
                 assert np.array_equal(tp.normalize_backward(u), oracles.normalize_backward_loop(u, tp))
 
-    @pytest.mark.parametrize("D", [3, 5])
+    @pytest.mark.parametrize("D", [3, 5, 8])
     def test_normalize_backward_stack_matches_rows(self, rng, D):
         game = TwoRoundGame(ActionGrid(D), 0.9)
-        for tp in (build_treeplex(game, FIRM), build_treeplex(game, WORKER), mixed_depth_treeplex()):
-            U = rng.normal(size=(6, tp.n_sequences)) * np.array([0.1, 1.0, 1.0, 30.0, 1e3, 1e3])[:, None]
-            U[:2] = np.round(U[:2])  # ties inside infosets
+        for tp in (build_treeplex(game, FIRM), build_treeplex(game, WORKER), small_treeplex()):
+            scales = np.array([0.1, 1.0, 1.0, 30.0, 1e3, 1e6] * 21 + [1e3, 1e6])
+            U = rng.normal(size=(128, tp.n_sequences)) * scales[:, None]
+            U[::3] = np.round(U[::3])  # ties inside infosets
             expected = [oracles.normalize_backward_loop(u, tp) for u in U]
             assert np.array_equal(tp.normalize_backward(U), expected)
             assert np.array_equal(tp.normalize_backward(U[:1]), expected[:1])
@@ -259,39 +267,16 @@ class TestTreeplexProjection:
         Treeplex(n_sequences=6, root=0, infosets=((0, (1, 2)), (2, (3, 4, 5)))),
         Treeplex(n_sequences=6, root=0, infosets=((0, (1, 2)), (0, (3, 4, 5)))),
         Treeplex(n_sequences=6, root=0, infosets=((0, (1,)), (1, (2, 3)), (2, (4, 5)))),
+        permuted_worker_treeplex(),
     ])
     def test_unsupported_shape_rejected(self, tp):
+        # both two-round layers share one layout check
         with pytest.raises(StructuralError):
             TreeplexProjector(tp)
+        with pytest.raises(StructuralError):
+            tp.normalize_backward(np.zeros(tp.n_sequences))
 
     def test_nan_rejected(self):
         tp = small_treeplex()
         with pytest.raises(ValueError):
             TreeplexProjector(tp).project(np.array([0.0, np.nan, 0.0, 0.0]))
-
-
-class TestBehavioral:
-    def test_ratios(self):
-        game = TwoRoundGame(ActionGrid(5), 0.9)
-        tp = build_treeplex(game, FIRM)
-        plan = tp.uniform_plan()
-        cells = behavioral_from_plan(plan, tp)
-        assert not cells[0].unreachable
-        np.testing.assert_allclose(cells[0].probs, np.full(6, 1 / 6), atol=1e-12)
-        # every response infoset splits its offer mass in half
-        for cell in cells[1:]:
-            np.testing.assert_allclose(cell.probs, [0.5, 0.5], atol=1e-12)
-
-    def test_unreachable_placeholder(self):
-        tp = Treeplex(n_sequences=6, root=0, infosets=((0, (1, 2)), (2, (3, 4, 5))))
-        plan = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        cells = behavioral_from_plan(plan, tp)
-        assert not cells[0].unreachable
-        assert cells[1].unreachable
-        np.testing.assert_allclose(cells[1].probs, np.full(3, 1 / 3))
-
-    def test_split_after_offer(self):
-        tp = Treeplex(n_sequences=6, root=0, infosets=((0, (1, 2)), (2, (3, 4, 5))))
-        plan = np.array([1.0, 0.0, 1.0, 0.5, 0.5, 0.0])
-        cells = behavioral_from_plan(plan, tp)
-        np.testing.assert_allclose(cells[1].probs, [0.5, 0.5, 0.0])

@@ -15,11 +15,16 @@ from ftrl_bargain.games import (
     worker_vertex_plan,
 )
 from ftrl_bargain.geometry import StructuralError
-from ftrl_bargain.learner import LearnerConfig, MonitorSuite, detect_convergence, ftrl_step, run_dynamics
+from ftrl_bargain.learner import LearnerConfig, MonitorSuite, run_dynamics
 
 
 def g1_config(d=5, eta=0.5, **kw):
     return LearnerConfig(game=UltimatumGame(ActionGrid(d)), eta=eta, **kw)
+
+
+def ftrl_step(agent, cum_util, cfg):
+    """One update of the kernel: project reference + eta * cum_util."""
+    return learner._updater(cfg, agent)(np.asarray(cum_util, dtype=float))[1]
 
 
 class TestConfig:
@@ -76,23 +81,36 @@ class TestFtrlStep:
 
 
 class TestDetectConvergence:
+    """The kernel's step-size stop rule, with the certificate guard off."""
+
     def test_identical(self):
-        x = np.full(6, 1 / 6)
-        assert detect_convergence(x, x, 1e-7)
+        # eta large enough that the first update lands on the initial profile
+        cfg = g1_config(eta=10.0, reference_w=0.0, stop_eps=None)
+        x = pure_strategy(cfg.grid, 0.0)
+        assert run_dynamics(cfg, x, x).converged_at == 2
 
     def test_uniform_vs_pure(self):
-        g = ActionGrid(5)
-        assert not detect_convergence(uniform_strategy(g), pure_strategy(g, 0.2), 1e-7)
+        cfg = g1_config(eta=10.0, reference_w=0.0, max_steps=2, stop_eps=None)
+        traj = run_dynamics(cfg, uniform_strategy(cfg.grid), uniform_strategy(cfg.grid))
+        assert not traj.converged
 
     def test_boundary_inclusive(self):
-        a = np.array([0.0, 1.0])
-        b = np.array([1e-7, 1.0])  # max change sits exactly at the threshold
-        assert detect_convergence(a, b, 1e-7)
-        assert not detect_convergence(a, np.array([2e-7, 1.0]), 1e-7)
+        cfg = g1_config(d=6, eta=0.5, max_steps=2, stop_eps=None)
+        init_f, init_w = uniform_strategy(cfg.grid), pure_strategy(cfg.grid, 0.5)
+        (f0, w0), (f1, w1) = run_dynamics(cfg, init_f, init_w, keep_history=True).history
+        moved = max(np.abs(f1 - f0).max(), np.abs(w1 - w0).max())
+        assert moved > 0.0
+        # the largest move sits exactly at the threshold, then just above it
+        at = g1_config(d=6, eta=0.5, max_steps=2, stop_eps=None, conv_threshold=moved)
+        assert run_dynamics(at, init_f, init_w).converged_at == 2
+        below = g1_config(d=6, eta=0.5, max_steps=2, stop_eps=None, conv_threshold=np.nextafter(moved, 0))
+        assert not run_dynamics(below, init_f, init_w).converged
 
     def test_dimension_mismatch(self):
+        # steps compare strategies of one dimension: the initials are checked first
+        cfg = g1_config()
         with pytest.raises(StructuralError):
-            detect_convergence(np.zeros(3), np.zeros(4), 1e-7)
+            run_dynamics(cfg, uniform_strategy(ActionGrid(4)), uniform_strategy(cfg.grid))
 
 
 class TestUltimatumDynamics:
@@ -174,10 +192,9 @@ class TestUltimatumDynamics:
     def test_monitor_fires_on_injected_fault(self, monkeypatch):
         # negative control: skipping the projection (renormalizing instead)
         # breaks the sorted-worker law once a pure reference biases one entry
-        def broken(v, return_certificate=False):
+        def broken(v):
             x = np.maximum(v, 0.0)
-            x = x / max(x.sum(), 1e-300)
-            return (x, None) if return_certificate else x
+            return x / max(x.sum(), 1e-300)
 
         monkeypatch.setattr(learner, "_project_simplex", broken)
         cfg = g1_config(d=5, eta=0.5, reference_w=0.6, max_steps=50, stop_eps=None)

@@ -446,7 +446,7 @@ def cmd_metagame(args) -> int:
     out = Path(args.out or "minimax.csv")
     write_minimax_csv(out, table, sol)
     print(f"metagame: value_w = {sol.value_w:.6f} (gap {sol.br_gap:.2e}, "
-          f"{sol.iterations} iterations); wrote {out}")
+          f"{sol.iterations} pivots); wrote {out}")
     return EXIT_OK
 
 

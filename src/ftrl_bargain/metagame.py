@@ -5,8 +5,8 @@ records the worker's converged payoff per cell.  Float sweeps stack all cells
 into the learner's lockstep kernel, split into ``parallelism`` contiguous
 chunks (one process each); exact sweeps run cell by cell in this process.
 The resulting matrix is treated as a zero-sum game (worker maximizes, firm
-minimizes) and solved approximately by multiplicative-weights self-play with
-an explicit duality-gap certificate.
+minimizes) and solved exactly by a dense tableau simplex, whose mixtures are
+certified by an explicit duality gap.
 """
 
 from __future__ import annotations
@@ -99,13 +99,13 @@ class SweepSummary:
 
 @dataclass(frozen=True)
 class MinimaxSolution:
-    """Approximate minimax of the worker-payoff matrix with a gap certificate."""
+    """Minimax of the worker-payoff matrix with its best-response gap certificate."""
 
     value_w: float
     row_mix: np.ndarray     # firm (minimizer) mixture over its initial strategies
     col_mix: np.ndarray     # worker (maximizer) mixture
     br_gap: float
-    iterations: int
+    iterations: int         # simplex pivots
 
 
 # ---------------------------------------------------------------------------
@@ -223,62 +223,60 @@ def sweep_initials(
 # ---------------------------------------------------------------------------
 
 
-def minimax_solve(
-    m: np.ndarray,
-    tol: float = 1e-4,
-    max_iters: int = 2_000_000,
-    check_every: int = 200,
-) -> MinimaxSolution:
-    """Multiplicative-weights self-play on the worker-payoff matrix.
+_PIVOT_EPS = 1e-12  # tableau entries within this of zero count as zero
 
-    The row player drives the payoff down, the column player up; time-averaged
-    mixtures are certified by explicit best responses.  Hitting the iteration
-    cap returns the solution with its actual gap (the caller decides).
+
+def minimax_solve(m: np.ndarray, tol: float = 1e-4, max_iters: int = 10_000) -> MinimaxSolution:
+    """Exact minimax of the worker-payoff matrix by a dense tableau simplex.
+
+    With ``a = 1 + (m - min m) / span`` (entries in [1, 2]) the firm's LP is
+    ``max 1'x  s.t.  a'x <= 1, x >= 0``: its primal scaled to sum one is the
+    firm's mixture and the reduced costs of its slacks, scaled alike, the
+    worker's.  Bland's rule keeps degenerate pivots on tie-heavy heatmaps from
+    cycling.  Both mixtures are certified by explicit best responses; an
+    optimal basis whose gap exceeds ``tol`` (float breakdown) raises, while
+    hitting the ``max_iters`` pivot cap returns the solution with its actual
+    gap (the caller decides).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.size == 0 or not np.all(np.isfinite(m)):
         raise ValueError("payoff matrix must be a finite 2-D array")
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     nr, nc = m.shape
-    G_row = np.zeros(nr)   # cumulative payoffs for the minimizer (negated matrix)
-    G_col = np.zeros(nc)
-    p_sum = np.zeros(nr)
-    q_sum = np.zeros(nc)
-    lr_r = np.sqrt(8.0 * np.log(max(nr, 2)))
-    lr_c = np.sqrt(8.0 * np.log(max(nc, 2)))
-
-    def _mix(g, lr, t):
-        z = g * (lr / np.sqrt(t))
-        z -= z.max()
-        w = np.exp(z)
-        return w / w.sum()
-
-    iterations = 0
-    for t in range(1, max_iters + 1):
-        p = _mix(G_row, lr_r, t)
-        q = _mix(G_col, lr_c, t)
-        mq = m @ q
-        pm = p @ m
-        G_row -= mq
-        G_col += pm
-        p_sum += p
-        q_sum += q
-        iterations = t
-        if t % check_every == 0 or t == max_iters:
-            pbar = p_sum / t
-            qbar = q_sum / t
-            gap = float((pbar @ m).max() - (m @ qbar).min())
-            if gap <= tol:
-                break
-    pbar = p_sum / iterations
-    qbar = q_sum / iterations
-    gap = float((pbar @ m).max() - (m @ qbar).min())
-    return MinimaxSolution(
-        value_w=float(pbar @ m @ qbar),
-        row_mix=pbar,
-        col_mix=qbar,
-        br_gap=gap,
-        iterations=iterations,
-    )
+    lo = m.min()
+    a = 1.0 + (m - lo) / ((m.max() - lo) or 1.0)
+    # one row per worker strategy: [a' | slacks | rhs]; obj holds z_j - c_j
+    t = np.hstack([a.T, np.eye(nc), np.ones((nc, 1))])
+    obj = np.concatenate([-np.ones(nr), np.zeros(nc + 1)])
+    basis = np.arange(nr, nr + nc)
+    pivots = 0
+    while (improving := np.flatnonzero(obj[:-1] < -_PIVOT_EPS)).size and pivots < max_iters:
+        k = improving[0]                          # Bland: lowest entering index
+        rows = np.flatnonzero(t[:, k] > _PIVOT_EPS)
+        ratios = np.maximum(t[rows, -1], 0.0) / t[rows, k]
+        ties = rows[ratios <= ratios.min() + _PIVOT_EPS]
+        r = ties[np.argmin(basis[ties])]          # Bland: lowest leaving index
+        row = t[r] / t[r, k]
+        t -= np.outer(t[:, k], row)
+        t[r] = row
+        obj -= obj[k] * row
+        basis[r] = k
+        pivots += 1
+    x = np.zeros(nr)
+    firm = basis < nr
+    x[basis[firm]] = t[firm, -1]
+    # x and the slack duals both sum to the objective, positive after the first pivot
+    p, q = np.maximum(x, 0.0), np.maximum(obj[nr:-1], 0.0)
+    p, q = p / p.sum(), q / q.sum()
+    gap = float((p @ m).max() - (m @ q).min())
+    if gap > tol and not improving.size:
+        raise ValueError(f"simplex reached an optimal basis but its certified gap "
+                         f"{gap:.3e} exceeds tol {tol:.3e}")
+    return MinimaxSolution(value_w=float(p @ m @ q), row_mix=p, col_mix=q,
+                           br_gap=gap, iterations=pivots)
 
 
 def summarize(sweep: SweepResult, reference_w: Optional[float] = None) -> SweepSummary:

@@ -138,7 +138,8 @@ def test_criterion2_metagame_value(g1_sweeps, name):
     ok = sol.br_gap <= 1e-3 and abs(sol.value_w - target) <= 1e-3
     assert report(
         f"2 (minimax, {name})", ok,
-        f"value_w={sol.value_w:.5f} vs {target:.5f}, gap={sol.br_gap:.2e}",
+        f"value_w={sol.value_w:.5f} ({Fraction(sol.value_w).limit_denominator(1000)}) "
+        f"vs {target:.5f}, gap={sol.br_gap:.2e}",
     )
 
 

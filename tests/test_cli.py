@@ -199,6 +199,15 @@ class TestMetagameCommand:
         out = tmp_path / "m.csv"
         assert main(["metagame", str(path), "--allow-partial", "--out", str(out)]) == 0
 
+    def test_negative_tol_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text(
+            "firm_init,worker_init,u_w,eps,converged_at,status,credible_threat,noncredible_threat\n"
+            "0,0,0.25,0,10,converged,,\n"
+        )
+        assert main(["metagame", str(path), "--tol", "-1"]) == 2
+        assert "tol" in capsys.readouterr().err
+
 
 class TestAuditCommand:
     def test_vacuous_pass(self, tmp_path, capsys):

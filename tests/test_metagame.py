@@ -14,6 +14,11 @@ def small_sweep(eta=0.5, **kw):
     return sweep_initials(cfg)
 
 
+def assert_probability(mix):
+    assert np.all(mix >= 0.0)
+    assert abs(mix.sum() - 1.0) <= 1e-15
+
+
 def pure_initials(game, firm_entry, worker_entry):
     """Initial profile of one pure-axis sweep cell, built independently of the sweep."""
     if isinstance(game, UltimatumGame):
@@ -118,10 +123,11 @@ class TestSweep:
 
 class TestMinimax:
     def test_matching_pennies_value(self):
-        sol = minimax_solve(np.array([[1.0, 0.0], [0.0, 1.0]]), tol=2e-3, max_iters=2_000_000)
-        assert sol.br_gap <= 2e-3
-        assert sol.value_w == pytest.approx(0.5, abs=2e-3)
-        np.testing.assert_allclose(sol.row_mix, [0.5, 0.5], atol=0.05)
+        sol = minimax_solve(np.array([[1.0, 0.0], [0.0, 1.0]]), tol=1e-12)
+        assert sol.br_gap <= 1e-12
+        assert sol.value_w == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_allclose(sol.row_mix, [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(sol.col_mix, [0.5, 0.5], atol=1e-12)
 
     def test_saddle_point(self):
         m = np.array([
@@ -143,16 +149,30 @@ class TestMinimax:
         assert sol.br_gap == pytest.approx(best_col - best_row, abs=1e-12)
         assert best_row - 1e-12 <= sol.value_w <= best_col + 1e-12
 
-    def test_uniform_start_solves_symmetric_game_immediately(self):
-        # matching pennies' saddle is the uniform profile the play starts at
-        sol = minimax_solve(np.array([[1.0, 0.0], [0.0, 1.0]]), tol=1e-12, max_iters=2000)
-        assert sol.br_gap <= 1e-12 and sol.value_w == pytest.approx(0.5, abs=1e-12)
-
     def test_cap_returns_actual_gap(self):
-        m = np.array([[0.7, 0.2], [0.3, 0.8]])  # interior saddle, slow averages
-        sol = minimax_solve(m, tol=1e-12, max_iters=2000)
-        assert sol.iterations == 2000
+        m = np.array([[0.7, 0.2], [0.3, 0.8]])  # interior saddle: two pivots
+        assert minimax_solve(m, tol=1e-12).iterations > 1
+        sol = minimax_solve(m, tol=1e-12, max_iters=1)
+        assert sol.iterations == 1
         assert sol.br_gap > 1e-12
+        assert_probability(sol.row_mix)
+        assert_probability(sol.col_mix)
+
+    @pytest.mark.parametrize("kw", [{"tol": float("nan")}, {"tol": -1.0}, {"tol": -1e-300},
+                                    {"max_iters": 0}, {"max_iters": -5}])
+    def test_rejects_bad_tol_and_cap(self, kw):
+        with pytest.raises(ValueError):
+            minimax_solve(np.array([[1.0, 0.0], [0.0, 1.0]]), **kw)
+
+    def test_gap_above_tol_at_optimal_basis_raises(self, rng):
+        for _ in range(100):  # find an optimum whose certificate keeps a float residue
+            m = rng.uniform(size=(9, 7))
+            gap = minimax_solve(m, tol=1.0).br_gap
+            if gap > 0.0:
+                break
+        assert gap > 0.0
+        with pytest.raises(ValueError, match="certified gap"):
+            minimax_solve(m, tol=gap / 2)
 
     def test_rejects_bad_matrix(self):
         with pytest.raises(ValueError):
@@ -163,6 +183,59 @@ class TestMinimax:
         m = sweep.payoff_matrix()
         sol = minimax_solve(m, tol=1e-3)
         assert sol.value_w >= np.nanmin(m) - 1e-3
+
+
+def _lp_cases():
+    rng = np.random.default_rng(7)
+    pennies = np.array([[1.0, 0.0], [0.0, 1.0]])
+    return {
+        "one_row": (np.array([[0.3, 0.1, 0.7, 0.2]]), 0.7),
+        "one_column": (np.array([[0.3], [0.1], [0.7]]), 0.1),
+        "constant": (np.full((4, 5), 0.25), 0.25),
+        "duplicates": (pennies[[0, 0, 1, 1, 0]][:, [1, 0, 0, 1]], 0.5),
+        "dominated": (np.array([[1.0, 0.0, 0.4], [0.0, 1.0, 0.4], [0.7, 0.6, 0.45]]), 0.5),
+        "sixths": (rng.integers(0, 3, size=(12, 15)) / 6, None),
+        "thirtieths": (np.round(rng.uniform(size=(31, 31)) * 30) / 30, None),
+    }
+
+
+class TestLpCertificate:
+    @pytest.mark.parametrize("name", list(_lp_cases()))
+    def test_exact_certificate(self, name):
+        m, value = _lp_cases()[name]
+        sol = minimax_solve(m, tol=1e-12)
+        assert sol.br_gap <= 1e-12
+        assert_probability(sol.row_mix)
+        assert_probability(sol.col_mix)
+        if value is not None:
+            assert sol.value_w == pytest.approx(value, abs=1e-12)
+
+    def test_strictly_dominated_strategies_get_no_weight(self):
+        m, _ = _lp_cases()["dominated"]
+        sol = minimax_solve(m, tol=1e-12)
+        # a 50/50 mix of the first two rows (columns) beats the last one everywhere
+        assert sol.row_mix[2] <= 1e-12 and sol.col_mix[2] <= 1e-12
+
+    def test_matches_highs(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            nr, nc = rng.integers(1, 35, size=2)
+            if trial % 3 == 0:
+                m = rng.uniform(size=(nr, nc))
+            elif trial % 3 == 1:
+                m = rng.integers(0, 3, size=(nr, nc)) / 6
+            else:
+                m = np.round(rng.uniform(size=(nr, nc)) * 30) / 30
+            # firm: min v  s.t.  m'p <= v, sum p = 1, p >= 0
+            res = optimize.linprog(
+                np.r_[np.zeros(nr), 1.0],
+                A_ub=np.hstack([m.T, -np.ones((nc, 1))]), b_ub=np.zeros(nc),
+                A_eq=np.r_[np.ones(nr), 0.0][None], b_eq=[1.0],
+                bounds=[(0, None)] * nr + [(None, None)], method="highs",
+            )
+            assert res.status == 0
+            assert minimax_solve(m, tol=1e-12).value_w == pytest.approx(res.fun, abs=1e-12)
 
 
 class TestSummarize:

@@ -149,6 +149,12 @@ class TestMinimax:
         assert sol.br_gap == pytest.approx(best_col - best_row, abs=1e-12)
         assert best_row - 1e-12 <= sol.value_w <= best_col + 1e-12
 
+    def test_uniform_start_solves_symmetric_game_immediately(self):
+        # matching pennies' saddle is the uniform profile; a pivot cap far above need
+        sol = minimax_solve(np.array([[1.0, 0.0], [0.0, 1.0]]), tol=1e-12, max_iters=2000)
+        assert sol.br_gap <= 1e-12 and sol.value_w == pytest.approx(0.5, abs=1e-12)
+        assert sol.iterations <= 2
+
     def test_cap_returns_actual_gap(self):
         m = np.array([[0.7, 0.2], [0.3, 0.8]])  # interior saddle: two pivots
         assert minimax_solve(m, tol=1e-12).iterations > 1

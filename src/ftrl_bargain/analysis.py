@@ -2,8 +2,7 @@
 
 Covers best responses and epsilon-Nash certificates for both games, the
 pure-firm mixed-equilibrium inequality, the continuous-action bridge via grid
-refinement, support extraction (largest worker threshold / smallest firm
-offer), the closed-form solution of the two-variable mass recurrence with its
+refinement, the closed-form solution of the two-variable mass recurrence with its
 outcome classification, and threat detection on converged two-round profiles.
 """
 
@@ -22,7 +21,6 @@ import numpy as np
 
 from . import games, geometry
 from .games import FIRM, WORKER, ActionGrid, TwoRoundGame, UltimatumGame
-from .geometry import StructuralError
 
 __all__ = [
     "EquilibriumCertificate",
@@ -34,8 +32,6 @@ __all__ = [
     "certify_epsilon_ne",
     "check_eq3",
     "continuous_br_gap",
-    "w_max",
-    "f_min",
     "recurrence_params",
     "iterate_recurrence",
     "classify_recurrence",
@@ -126,9 +122,7 @@ def certify_epsilon_ne(profile, game) -> EquilibriumCertificate:
         )
 
     assert isinstance(game, TwoRoundGame)
-    grid, delta = game.grid, game.delta
-    n = grid.size
-    acts = grid.actions
+    acts, delta = game.grid.actions, game.delta
     r_f = np.asarray(x_f, dtype=float)
     r_w = np.asarray(x_w, dtype=float)
     fb_f = games.two_round_feedback(FIRM, r_w, game)
@@ -138,15 +132,14 @@ def certify_epsilon_ne(profile, game) -> EquilibriumCertificate:
 
     # Firm: pick the offer whose subtree value is largest; in the second round
     # accepting pays delta*b*(counter mass), rejecting pays 0.
-    w_accept = r_w[1 : 1 + n]
-    w_counter = r_w[1 + n :].reshape(n, n)
+    w_accept, w_counter = games.build_treeplex(game, WORKER).views(r_w)
     offer_values = (1.0 - acts) * w_accept + delta * (w_counter * acts[None, :]).sum(axis=1)
     br_offer = int(np.argmax(offer_values))
     gap_f = max(0.0, float(offer_values[br_offer]) - cur_f)
 
     # Worker: per first offer choose accept or the best counter.
-    f_offer = r_f[1 : 1 + n]
-    f_accept = r_f[1 + n :].reshape(n, n, 2)[:, :, 0]
+    f_offer, f_pairs = games.build_treeplex(game, FIRM).views(r_f)
+    f_accept = f_pairs[:, :, 0]
     accept_values = acts * f_offer
     counter_values = delta * (1.0 - acts)[None, :] * f_accept
     row_best = np.maximum(accept_values, counter_values.max(axis=1))
@@ -182,22 +175,6 @@ def continuous_br_gap(profile, grid: ActionGrid, refinement: int) -> float:
     gap_f = max(0.0, val_f_fine - float(x_f @ fb_f))
     gap_w = max(0.0, val_w_fine - float(x_w @ fb_w))
     return max(gap_f, gap_w)
-
-
-def w_max(x: np.ndarray, grid: ActionGrid, support_tol: float = SUPPORT_TOL) -> float:
-    """Largest action with mass above ``support_tol``."""
-    sup = np.nonzero(np.asarray(x, dtype=float) > support_tol)[0]
-    if sup.size == 0:
-        raise StructuralError("no mass above the support tolerance")
-    return float(grid.actions[int(sup[-1])])
-
-
-def f_min(x: np.ndarray, grid: ActionGrid, support_tol: float = SUPPORT_TOL) -> float:
-    """Smallest action with mass above ``support_tol``."""
-    sup = np.nonzero(np.asarray(x, dtype=float) > support_tol)[0]
-    if sup.size == 0:
-        raise StructuralError("no mass above the support tolerance")
-    return float(grid.actions[int(sup[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +368,15 @@ def _firm_accept_behavior(
     update's tie-breaking: all mass on the larger cumulative utility, an even
     split on ties.  Without utilities the uniform placeholder applies.
     """
-    n = game.grid.size
-    offers = r_f[1 : 1 + n, None]
+    tp = games.build_treeplex(game, FIRM)
+    offers, pairs = tp.views(r_f)
+    offers = offers[:, None]
     reach = offers > reach_tol
-    accept = np.full((n, n), 0.5)
-    accept_mass = np.clip(r_f[1 + n :].reshape(n, n, 2)[:, :, 0], 0.0, None)
+    accept = np.full(pairs.shape[:2], 0.5)
+    accept_mass = np.clip(pairs[:, :, 0], 0.0, None)
     np.divide(accept_mass, offers, out=accept, where=reach)
     if firm_cum_util is not None:
-        util = np.asarray(firm_cum_util, dtype=float)[1 + n :].reshape(n, n, 2)
+        util = tp.views(np.asarray(firm_cum_util, dtype=float))[1]
         gap = util[:, :, 0] - util[:, :, 1]
         limit = np.where(gap > tie_tol, 1.0, np.where(gap < -tie_tol, 0.0, 0.5))
         accept = np.where(reach, accept, limit)
@@ -423,10 +401,9 @@ def detect_threats(
     """
     r_f, r_w = (np.asarray(v, dtype=float) for v in profile)
     grid, delta = game.grid, game.delta
-    n = grid.size
     acts = grid.actions
 
-    offers = r_f[1 : 1 + n]
+    offers = games.build_treeplex(game, FIRM).views(r_f)[0]
     eq_candidates = np.nonzero(offers >= 1.0 - tol)[0]
     if eq_candidates.size != 1:
         return ThreatReport(
@@ -439,8 +416,7 @@ def detect_threats(
     eq = int(eq_candidates[0])
     eq_offer = float(acts[eq])
 
-    accepts = r_w[1 : 1 + n]
-    counters = r_w[1 + n :].reshape(n, n)
+    accepts, counters = games.build_treeplex(game, WORKER).views(r_w)
     worker_accepts_eq = bool(accepts[eq] >= 1.0 - tol)
 
     firm_accept = _firm_accept_behavior(r_f, game, firm_cum_util)

@@ -73,6 +73,10 @@ class ExperimentConfig:
     parallelism: int = 1             # worker processes of a float sweep
     seed: int = 42
 
+    def __post_init__(self):
+        if self.game == "g1" and self.delta is not None:
+            raise ConfigError("delta applies only to game = g2")
+
     def to_learner_config(self) -> LearnerConfig:
         grid = ActionGrid(self.d)
         if self.game == "g1":
@@ -320,7 +324,11 @@ def run_audit(n_runs: int, seed: int, exact_compare: int = 20,
     Draws D in [3, 30], a rational learning rate in (0, 1], and random initial
     mixtures.  The first ``exact_compare`` draws with D <= 10 are re-run in
     exact rational arithmetic and must match the float path to 1e-12.
+    Negative counts raise ``ValueError``; ``n_runs = 0`` is a vacuous pass.
     """
+    if n_runs < 0 or exact_compare < 0:
+        raise ValueError(f"audit counts must be non-negative, got {n_runs} runs "
+                         f"and {exact_compare} exact comparisons")
     rng = np.random.default_rng(seed)
     report = AuditReport(seed=seed, n_runs=n_runs)
     for run_idx in range(n_runs):
@@ -467,6 +475,8 @@ def cmd_audit(args) -> int:
 
 def cmd_oracle(args) -> int:
     try:
+        if args.n < 0:
+            raise ValueError(f"n must be non-negative, got {args.n}")
         params = analysis.recurrence_params(args.D, Fraction(args.eta), args.k,
                                             Fraction(args.w0), Fraction(args.f0))
     except ValueError as exc:

@@ -3,7 +3,9 @@
 Two games over a shared discretized offer grid: the one-shot ultimatum game
 (mixed strategies on the simplex) and the two-round alternating game
 (sequence-form realization plans on a treeplex).  This module owns payoffs,
-single-step expected-utility feedback vectors, and the sequence enumeration.
+single-step expected-utility feedback vectors, pure strategies and plans, and
+which treeplex layout each side of the two-round game uses; the layout itself
+lives in :class:`geometry.Treeplex`.
 """
 
 from __future__ import annotations
@@ -92,6 +94,14 @@ class TwoRoundGame:
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"discount must lie in (0, 1), got {self.delta}")
 
+    @cached_property
+    def _treeplexes(self) -> dict[str, Treeplex]:
+        """Both sides' treeplexes, built once per game: see :func:`build_treeplex`."""
+        if self.grid.D <= 2:
+            raise ValueError(f"two-round game needs D > 2, got D={self.grid.D}")
+        n = self.grid.size
+        return {FIRM: Treeplex.pairs(n, n), WORKER: Treeplex.blocks(n, n + 1)}
+
 
 Game = Union[UltimatumGame, TwoRoundGame]
 
@@ -160,33 +170,9 @@ def ultimatum_feedback_exact(
 
 
 # ---------------------------------------------------------------------------
-# Two-round game: sequence enumeration and treeplex construction.
-#
-# Canonical vector layout (lexicographic by round, then offer a, then counter
-# b, accept before reject):
-#   firm:   [root] + [offer a] + [a accept b, a reject b  for (a, b)]
-#   worker: [root] + [accept a] + [reject a & counter b   for (a, b)]
+# Two-round game: treeplexes, feedback and vertex plans, all through the
+# views of ``Treeplex`` (which documents the vector layout).
 # ---------------------------------------------------------------------------
-
-
-def firm_offer_index(grid: ActionGrid, a: int) -> int:
-    return 1 + a
-
-
-def firm_accept_index(grid: ActionGrid, a: int, b: int) -> int:
-    return 1 + grid.size + 2 * (a * grid.size + b)
-
-
-def firm_reject_index(grid: ActionGrid, a: int, b: int) -> int:
-    return firm_accept_index(grid, a, b) + 1
-
-
-def worker_accept_index(grid: ActionGrid, a: int) -> int:
-    return 1 + a
-
-
-def worker_counter_index(grid: ActionGrid, a: int, b: int) -> int:
-    return 1 + grid.size + a * grid.size + b
 
 
 def build_treeplex(game: TwoRoundGame, agent: Agent) -> Treeplex:
@@ -195,14 +181,12 @@ def build_treeplex(game: TwoRoundGame, agent: Agent) -> Treeplex:
     The firm has the root offer infoset plus one accept/reject infoset per
     (first offer, counter) pair (``Treeplex.pairs``); the worker has one
     response infoset per first offer whose extensions are "accept" and
-    "reject & counter b" for each b (``Treeplex.blocks``).
+    "reject & counter b" for each b (``Treeplex.blocks``).  Both are built
+    once per game; the feedback, plan and certificate code asks for them on
+    every call.
     """
     _check_agent(agent)
-    grid = game.grid
-    if grid.D <= 2:
-        raise ValueError(f"two-round game needs D > 2, got D={grid.D}")
-    n = grid.size
-    return Treeplex.pairs(n, n) if agent == FIRM else Treeplex.blocks(n, n + 1)
+    return game._treeplexes[agent]
 
 
 def two_round_feedback(agent: Agent, opponent_plan: np.ndarray, game: TwoRoundGame) -> np.ndarray:
@@ -214,28 +198,22 @@ def two_round_feedback(agent: Agent, opponent_plan: np.ndarray, game: TwoRoundGa
     counter.  A 2-D ``opponent_plan`` gives one feedback row per plan row.
     """
     _check_agent(agent)
-    grid, delta = game.grid, game.delta
-    n = grid.size
-    acts = grid.actions
+    opponent = WORKER if agent == FIRM else FIRM
+    own, other = build_treeplex(game, agent), build_treeplex(game, opponent)
+    acts, delta = game.grid.actions, game.delta
     r = np.asarray(opponent_plan, dtype=float)
-    opponent, expected = ("worker", 1 + n + n * n) if agent == FIRM else ("firm", 1 + n + 2 * n * n)
-    if r.ndim not in (1, 2) or r.shape[-1] != expected:
+    if r.ndim not in (1, 2) or r.shape[-1] != other.n_sequences:
         raise StructuralError(f"{opponent} plan length does not match game")
     r = np.where(r > NEGLIGIBLE_MASS, r, 0.0)
-    rows = r.shape[:-1]
-
+    out = np.zeros(r.shape[:-1] + (own.n_sequences,))
+    out_head, out_below = own.views(out)
+    r_head, r_below = other.views(r)
     if agent == FIRM:
-        out = np.zeros(rows + (1 + n + 2 * n * n,))
-        out[..., 1 : 1 + n] = (1.0 - acts) * r[..., 1 : 1 + n]
-        counters = r[..., 1 + n :].reshape(rows + (n, n))
-        # second-round accepts sit at even offsets after the offers; rejects pay 0
-        out[..., 1 + n :: 2] = (delta * acts * counters).reshape(rows + (n * n,))
-        return out
-
-    out = np.zeros(rows + (1 + n + n * n,))
-    out[..., 1 : 1 + n] = acts * r[..., 1 : 1 + n]
-    accepts = r[..., 1 + n :: 2].reshape(rows + (n, n))
-    out[..., 1 + n :] = (delta * (1.0 - acts) * accepts).reshape(rows + (n * n,))
+        out_head[...] = (1.0 - acts) * r_head
+        out_below[..., 0] = delta * acts * r_below  # second-round rejects pay 0
+    else:
+        out_head[...] = acts * r_head
+        out_below[...] = delta * (1.0 - acts) * r_below[..., 0]
     return out
 
 
@@ -247,14 +225,13 @@ def firm_vertex_plan(game: TwoRoundGame, offer: float, threshold: float) -> np.n
     """
     grid = game.grid
     a_p, a_r = grid.index_of(offer), grid.index_of(threshold)
-    r = np.zeros(1 + grid.size + 2 * grid.size**2)
-    r[0] = 1.0
-    r[firm_offer_index(grid, a_p)] = 1.0
-    for b in range(grid.size):
-        if b >= a_r:
-            r[firm_accept_index(grid, a_p, b)] = 1.0
-        else:
-            r[firm_reject_index(grid, a_p, b)] = 1.0
+    tp = build_treeplex(game, FIRM)
+    r = np.zeros(tp.n_sequences)
+    r[tp.root] = 1.0
+    offers, pairs = tp.views(r)
+    offers[a_p] = 1.0
+    pairs[a_p, a_r:, 0] = 1.0
+    pairs[a_p, :a_r, 1] = 1.0
     return r
 
 
@@ -262,11 +239,10 @@ def worker_vertex_plan(game: TwoRoundGame, threshold: float, counter: float) -> 
     """Pure plan: accept offers >= ``threshold``, otherwise counter ``counter``."""
     grid = game.grid
     a_r, a_p = grid.index_of(threshold), grid.index_of(counter)
-    r = np.zeros(1 + grid.size + grid.size**2)
-    r[0] = 1.0
-    for a in range(grid.size):
-        if a >= a_r:
-            r[worker_accept_index(grid, a)] = 1.0
-        else:
-            r[worker_counter_index(grid, a, a_p)] = 1.0
+    tp = build_treeplex(game, WORKER)
+    r = np.zeros(tp.n_sequences)
+    r[tp.root] = 1.0
+    accepts, counters = tp.views(r)
+    accepts[a_r:] = 1.0
+    counters[:a_r, a_p] = 1.0
     return r

@@ -1,12 +1,13 @@
 """Euclidean projections onto the probability simplex and sequence-form polytopes.
 
 The simplex path uses the exact sort-and-threshold rule (float and rational
-flavors).  The treeplex layers serve the two layouts the two-round game has,
-which :class:`Treeplex` builds and recognises in one place: blocks, a product
-of simplices under the root (worker; a plain simplex is one block), and
-pairs, one simplex of offers with a binary choice per (offer, counter) pair
-below it (firm).  Backward normalization and the closed-form projection
-both work on reshaped views of that layout.
+flavors).  :class:`Treeplex` is the one owner of the two layouts the
+two-round game has: blocks, a product of simplices under the root (worker; a
+plain simplex is one block), and pairs, one simplex of offers with a binary
+choice per (offer, counter) pair below it (firm).  It is a value of three
+sizes whose ``views`` give every other module the heads and what hangs below
+them; backward normalization, plan validation and the closed-form projection
+all work on those views.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -40,108 +41,66 @@ class StructuralError(ValueError):
 
 @dataclass(frozen=True)
 class Treeplex:
-    """Sequence-form polytope: a forest of infosets hanging off sequences.
+    """Sequence-form polytope of one of the two layouts; the root sequence is pinned to 1.
 
-    ``infosets[i] = (parent_sequence, children)`` encodes the flow constraint
-    sum(children) == parent.  The root sequence is pinned to 1.
+    Every vector on it is ``[root, n heads, what hangs below the heads]``:
+
+    * blocks (``paired`` false): head a and its m tails form one infoset
+      under the root.  This is the worker's treeplex, ``[root] + [accept a] +
+      [reject a & counter b for (a, b)]``, and for n = 1 the plain simplex.
+    * pairs (``paired`` true): the heads form one infoset under the root,
+      and each head a carries m binary infosets (first, second).  This is the
+      firm's treeplex, ``[root] + [offer a] + [a accept b, a reject b for
+      (a, b)]``.
+
+    Both are ordered by round, then offer a, then counter b, accept before
+    reject.  :meth:`views` is the one place that turns this layout into
+    array shapes.
     """
 
-    n_sequences: int
-    root: int
-    infosets: tuple[tuple[int, tuple[int, ...]], ...]
+    paired: bool
+    n: int
+    m: int
+    root: ClassVar[int] = 0
 
     def __post_init__(self):
-        self.validate()
+        if not all(isinstance(k, int) and k >= 1 for k in (self.n, self.m)):
+            raise StructuralError(f"treeplex needs n, m >= 1, got n={self.n}, m={self.m}")
 
-    def validate(self) -> None:
-        seen: dict[int, int] = {}
-        for iset, (parent, children) in enumerate(self.infosets):
-            if not (0 <= parent < self.n_sequences):
-                raise StructuralError(f"infoset {iset}: parent {parent} out of range")
-            if not children:
-                raise StructuralError(f"infoset {iset} has no extensions")
-            for c in children:
-                if not (0 <= c < self.n_sequences) or c == self.root:
-                    raise StructuralError(f"infoset {iset}: bad child {c}")
-                if c in seen:
-                    raise StructuralError(f"sequence {c} extends two infosets")
-                seen[c] = iset
-        missing = set(range(self.n_sequences)) - {self.root} - set(seen)
-        if missing:
-            raise StructuralError(f"sequences outside any infoset: {sorted(missing)}")
-        # Parents must be assigned before their children (forest rooted at root).
-        depth = {self.root: 0}
-        for parent, children in self.infosets:
-            if parent not in depth:
-                raise StructuralError("infosets are not topologically ordered")
-            for c in children:
-                depth[c] = depth[parent] + 1
+    @classmethod
+    def blocks(cls, n: int, c: int) -> "Treeplex":
+        """``n`` infosets of ``c`` children (a head, then ``c - 1`` tails) under the root."""
+        return cls(False, n, c - 1)
 
-    def constraints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (E, e) with E @ r == e for every valid realization plan."""
-        m = 1 + len(self.infosets)
-        E = np.zeros((m, self.n_sequences))
-        e = np.zeros(m)
-        E[0, self.root] = 1.0
-        e[0] = 1.0
-        for i, (parent, children) in enumerate(self.infosets):
-            E[1 + i, list(children)] = 1.0
-            E[1 + i, parent] -= 1.0
-        return E, e
+    @classmethod
+    def pairs(cls, n: int, m: int) -> "Treeplex":
+        """A root infoset over ``n`` heads, each with ``m`` binary infosets below it."""
+        return cls(True, n, m)
+
+    @cached_property
+    def n_sequences(self) -> int:
+        return 1 + self.n + self.n * self.m * (2 if self.paired else 1)
+
+    def views(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of a ``(..., n_sequences)`` array: heads ``(..., n)`` and what hangs below.
+
+        Below is ``(..., n, m)`` tails (blocks) or ``(..., n, m, 2)`` (first,
+        second) pairs.  Writing to a view writes to ``x``.
+        """
+        below = (self.n, self.m, 2) if self.paired else (self.n, self.m)
+        return x[..., 1 : 1 + self.n], x[..., 1 + self.n :].reshape(x.shape[:-1] + below)
 
     def uniform_plan(self) -> np.ndarray:
         """Feasible plan splitting every infoset uniformly."""
         r = np.zeros(self.n_sequences)
         r[self.root] = 1.0
-        for parent, children in self.infosets:
-            r[list(children)] = r[parent] / len(children)
+        head, below = self.views(r)
+        if self.paired:
+            head[...] = 1.0 / self.n
+            below[...] = 0.5 / self.n
+        else:
+            head[...] = below[...] = 1.0 / (1 + self.m)
         return r
-
-    @classmethod
-    def blocks(cls, n: int, c: int) -> "Treeplex":
-        """``n`` infosets of ``c`` children under the root: [root, n heads, n*(c-1) tails].
-
-        Infoset a holds head a, then its own c - 1 tails.  This is the worker's
-        treeplex (accepts, then counters) and, for n = 1, the plain simplex.
-        """
-        return cls(1 + n * c, 0, tuple(
-            (0, (1 + a,) + tuple(range(1 + n + a * (c - 1), 1 + n + (a + 1) * (c - 1))))
-            for a in range(n)))
-
-    @classmethod
-    def pairs(cls, n: int, m: int) -> "Treeplex":
-        """A root infoset over ``n`` heads, each with ``m`` binary infosets below it.
-
-        Layout [root, n heads, n*m (first, second) pairs]: the firm's treeplex
-        (offers, then accept/reject per counter).
-        """
-        return cls(1 + n + 2 * n * m, 0, ((0, tuple(range(1, 1 + n))),) + tuple(
-            (1 + a, (1 + n + 2 * (a * m + b), 2 + n + 2 * (a * m + b)))
-            for a in range(n) for b in range(m)))
-
-    @cached_property
-    def _layout(self) -> tuple[bool, int, int]:
-        """``(pairs, n, m)``: which canonical layout this is, with n heads and m below each.
-
-        Both two-round layers read and write stacks through :meth:`_views` of
-        this layout; any other treeplex raises :class:`StructuralError`.
-        """
-        n = len(self.infosets)
-        c = len(self.infosets[0][1]) if n else 0
-        if c > 1 and self == Treeplex.blocks(n, c):
-            return False, n, c - 1
-        if c and self == Treeplex.pairs(c, (n - 1) // c):
-            return True, c, (n - 1) // c
-        raise StructuralError("treeplex is neither a blocks nor a pairs layout")
-
-    def _views(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Views of a ``(k, n_sequences)`` stack: heads ``(k, n)`` and what hangs below.
-
-        Below is ``(k, n, m, 2)`` (first, second) pairs or ``(k, n, m)`` tails.
-        """
-        pairs, n, m = self._layout
-        below = (len(rows), n, m, 2) if pairs else (len(rows), n, m)
-        return rows[:, 1 : 1 + n], rows[:, 1 + n :].reshape(below)
 
     def normalize_backward(self, u: np.ndarray) -> np.ndarray:
         """Shift ``u`` by a row-space translation so every infoset tops out at 0.
@@ -155,13 +114,12 @@ class Treeplex:
         """
         out = np.array(u, dtype=float)
         rows = out.reshape(-1, self.n_sequences)
-        head, below = self._views(rows)
-        pairs, _, m = self._layout
-        if pairs:
+        head, below = self.views(rows)
+        if self.paired:
             top = np.maximum(below[..., 0], below[..., 1])
             below -= top[..., None]
             # last pair first: the summation order of an infoset-by-infoset walk
-            for b in range(m - 1, -1, -1):
+            for b in range(self.m - 1, -1, -1):
                 head += top[:, :, b]
             head -= head.max(axis=1, keepdims=True)
         else:
@@ -234,13 +192,18 @@ def project_simplex_exact(v: Sequence[Fraction]) -> list[Fraction]:
 
 
 def validate_plan(r: np.ndarray, t: Treeplex, tol: float = PLAN_FLOW_TOL) -> bool:
+    """Whether ``r`` is a realization plan of ``t``: root 1, flows within ``tol``, no negatives."""
     r = np.asarray(r, dtype=float)
     if r.shape != (t.n_sequences,):
         raise StructuralError("plan length does not match treeplex")
     if abs(float(r[t.root]) - 1.0) > tol or float(r.min()) < -PLAN_NEG_TOL:
         return False
-    E, e = t.constraints()
-    return float(np.abs(E @ r - e).max()) <= tol
+    head, below = t.views(r)
+    if t.paired:
+        flows = np.append(below.sum(axis=2) - head[:, None], head.sum() - r[t.root])
+    else:
+        flows = head + below.sum(axis=1) - r[t.root]
+    return float(np.abs(flows).max()) <= tol
 
 
 class TreeplexProjector:
@@ -255,14 +218,11 @@ class TreeplexProjector:
       1 + m - j/2 past its j-th breakpoint), its inverse s_a(lam) floored at
       0 is convex, and the multiplier of sum(s_a) == 1 follows exactly from
       evaluating sum(s_a) at every breakpoint and interpolating linearly.
-
-    Any other treeplex raises :class:`StructuralError` here; both layers
-    share one layout check (``Treeplex._layout``).
     """
 
     def __init__(self, t: Treeplex):
         self.treeplex = t
-        self._pairs, n, m = t._layout
+        n, m = t.n, t.m
         self._slope = 1.0 + m - 0.5 * np.arange(m + 1)
         self._rate_steps = np.tile(np.diff(1.0 / self._slope, prepend=0.0), n)
 
@@ -280,9 +240,9 @@ class TreeplexProjector:
         x = np.zeros(v.shape)
         rows, out = v.reshape(-1, tp.n_sequences), x.reshape(-1, tp.n_sequences)
         out[:, tp.root] = 1.0
-        head, below = tp._views(rows)
-        out_head, out_below = tp._views(out)
-        if not self._pairs:
+        head, below = tp.views(rows)
+        out_head, out_below = tp.views(out)
+        if not tp.paired:
             blocks = project_simplex_batch(np.concatenate([head[:, :, None], below], axis=2))
             out_head[...] = blocks[:, :, 0]
             out_below[...] = blocks[:, :, 1:]

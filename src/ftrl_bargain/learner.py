@@ -39,7 +39,7 @@ GAME_DEFAULTS = {
     TwoRoundGame: dict(conv_threshold=1e-6, max_steps=15000),
 }
 
-SUPPORT_TOL = 1e-10   # masses below this count as zero for w_max / f_min
+SUPPORT_TOL = 1e-10   # masses below this count as zero in the monitors' supports
 MONITOR_TOL = 1e-10   # slack for the structural monitors
 
 # Test seam: monitors' negative control replaces this with a faulty update.

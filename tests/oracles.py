@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's fast paths: feedback by double loops
 over the payoff function, projections by lattice search or long-run
-first-order iterations, treeplex best responses and backward passes by
-infoset-by-infoset loops, sequence counts by a recursive tree walk, and the
-recurrence by direct rational iteration.
+first-order iterations, the treeplex layout by naming every sequence in
+order, treeplex best responses and backward passes by infoset-by-infoset
+loops, sequence counts by a recursive tree walk, and the recurrence by
+direct rational iteration.
 """
 
 from __future__ import annotations
@@ -57,6 +58,50 @@ def simplex_lattice_best(v: np.ndarray, denom: int) -> tuple[np.ndarray, float]:
     return best, best_d
 
 
+def sequence_index(paired: bool, n: int, m: int) -> dict[tuple, int]:
+    """Index of every sequence of a layout by name, counted in canonical order.
+
+    Names: ``("root",)``; ``("head", a)`` (firm offer a, worker accept a);
+    then per (a, b) either ``("accept", a, b)`` and ``("reject", a, b)``
+    (``paired``: the firm's, with m = n) or ``("counter", a, b)`` (the
+    worker's, with m = n).
+    """
+    names = [("root",)] + [("head", a) for a in range(n)]
+    for a in range(n):
+        for b in range(m):
+            names += [("accept", a, b), ("reject", a, b)] if paired else [("counter", a, b)]
+    return {name: i for i, name in enumerate(names)}
+
+
+def infosets(t) -> list[tuple[int, list[int]]]:
+    """``(parent, children)`` of every infoset of ``t``, parents before children."""
+    idx = sequence_index(t.paired, t.n, t.m)
+    if t.paired:
+        return [(idx["root",], [idx["head", a] for a in range(t.n)])] + [
+            (idx["head", a], [idx["accept", a, b], idx["reject", a, b]])
+            for a in range(t.n) for b in range(t.m)]
+    return [(idx["root",], [idx["head", a]] + [idx["counter", a, b] for b in range(t.m)])
+            for a in range(t.n)]
+
+
+def constraints(t) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (E, e) with E @ r == e for every realization plan r of ``t``."""
+    sets = infosets(t)
+    E = np.zeros((1 + len(sets), len(sequence_index(t.paired, t.n, t.m))))
+    e = np.zeros(1 + len(sets))
+    E[0, 0] = e[0] = 1.0
+    for i, (parent, children) in enumerate(sets, start=1):
+        E[i, children] = 1.0
+        E[i, parent] -= 1.0
+    return E, e
+
+
+def plan_feasible_dense(r: np.ndarray, t, tol: float, neg_tol: float = 1e-12) -> bool:
+    """Plan check by the dense residual ``E @ r - e`` and a floor on every entry."""
+    E, e = constraints(t)
+    return bool(r.min() >= -neg_tol and np.abs(E @ r - e).max() <= tol)
+
+
 def dual_ascent_projection(v: np.ndarray, E: np.ndarray, e: np.ndarray,
                            iters: int = 1_000_000) -> np.ndarray:
     """First-order oracle for min ||x-v||^2 s.t. Ex=e, x>=0.
@@ -75,36 +120,32 @@ def dual_ascent_projection(v: np.ndarray, E: np.ndarray, e: np.ndarray,
 def treeplex_best_response_value(c: np.ndarray, t) -> float:
     """max <c, z> over realization plans z of treeplex ``t``, by backward induction."""
     val = np.array(c, dtype=float)
-    for parent, children in reversed(t.infosets):
-        val[parent] += max(val[list(children)])
-    return float(val[t.root])
+    for parent, children in reversed(infosets(t)):
+        val[parent] += max(val[children])
+    return float(val[0])
 
 
 def normalize_backward_loop(u: np.ndarray, t) -> np.ndarray:
     """Infoset-by-infoset reference for ``Treeplex.normalize_backward``."""
     out = np.array(u, dtype=float)
-    for parent, children in reversed(t.infosets):
-        ch = list(children)
-        top = float(out[ch].max())
-        out[ch] -= top
+    for parent, children in reversed(infosets(t)):
+        top = float(out[children].max())
+        out[children] -= top
         out[parent] += top
-    out[t.root] = 0.0
+    out[0] = 0.0
     return out
 
 
 def firm_accept_behavior_loop(r_f, game: TwoRoundGame, firm_cum_util=None,
                               reach_tol: float = 1e-12, tie_tol: float = 1e-9) -> np.ndarray:
     """Pair-by-pair reference for ``analysis._firm_accept_behavior``."""
-    from ftrl_bargain import games
-
-    grid = game.grid
-    n = grid.size
+    n = game.grid.size
+    idx = sequence_index(True, n, n)
     accept = np.full((n, n), 0.5)
     for a in range(n):
-        parent = float(r_f[games.firm_offer_index(grid, a)])
+        parent = float(r_f[idx["head", a]])
         for b in range(n):
-            ia = games.firm_accept_index(grid, a, b)
-            ir = games.firm_reject_index(grid, a, b)
+            ia, ir = idx["accept", a, b], idx["reject", a, b]
             if parent > reach_tol:
                 accept[a, b] = float(np.clip(r_f[ia], 0.0, None)) / parent
             elif firm_cum_util is not None:
@@ -182,11 +223,12 @@ def g2_best_response_value(agent: str, opp_plan: np.ndarray, game: TwoRoundGame)
             best = max(best, float(plan @ fb))
     else:
         fb = games.two_round_feedback("worker", opp_plan, game)
+        idx = sequence_index(False, n, n)
         # worker vertices: per-offer accept or counter choice, enumerated per infoset
         total = 0.0
         for a in range(n):
-            options = [fb[games.worker_accept_index(grid, a)]]
-            options += [fb[games.worker_counter_index(grid, a, b)] for b in range(n)]
+            options = [fb[idx["head", a]]]
+            options += [fb[idx["counter", a, b]] for b in range(n)]
             total += max(options)
         best = total
     return float(best)

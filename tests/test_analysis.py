@@ -15,10 +15,8 @@ from ftrl_bargain.analysis import (
     closed_form_mp,
     continuous_br_gap,
     detect_threats,
-    f_min,
     iterate_recurrence,
     recurrence_params,
-    w_max,
 )
 from ftrl_bargain.games import (
     ActionGrid,
@@ -28,7 +26,7 @@ from ftrl_bargain.games import (
     pure_strategy,
     worker_vertex_plan,
 )
-from ftrl_bargain.geometry import StructuralError, TreeplexProjector
+from ftrl_bargain.geometry import TreeplexProjector
 
 import oracles
 
@@ -184,28 +182,9 @@ class TestContinuousBridge:
             continuous_br_gap((pure_strategy(g, 0.0), pure_strategy(g, 0.0)), g, 0)
 
 
-class TestSupportExtraction:
-    def setup_method(self):
-        self.grid = ActionGrid(5)
-
-    def test_pure(self):
-        x = pure_strategy(self.grid, 0.6)
-        assert w_max(x, self.grid) == 0.6
-        assert f_min(x, self.grid) == 0.6
-
-    def test_uniform(self):
-        x = np.full(6, 1 / 6)
-        assert w_max(x, self.grid) == 1.0
-        assert f_min(x, self.grid) == 0.0
-
-    def test_tolerance_convention(self):
-        x = np.zeros(6)
-        x[0], x[1], x[4] = 0.7, 0.3 - 1e-12, 1e-12
-        assert w_max(x, self.grid, support_tol=1e-10) == 0.2
-
-    def test_empty_support_error(self):
-        with pytest.raises(StructuralError):
-            w_max(np.full(6, 1e-12), self.grid, support_tol=1e-10)
+def test_support_helpers_deleted():
+    # the audit monitors compute the top worker threshold and lowest firm offer inline
+    assert not {"w_max", "f_min"} & set(dir(analysis))
 
 
 class TestRecurrence:
@@ -326,23 +305,24 @@ def make_fig_profile(game, eq_offer, reject_offer=None, counter=None, firm_rejec
     """Hand-built converged-style profiles for the threat taxonomy tests."""
     grid = game.grid
     n = grid.size
-    r_f = np.zeros(1 + n + 2 * n * n)
+    firm, worker = oracles.sequence_index(True, n, n), oracles.sequence_index(False, n, n)
+    r_f = np.zeros(len(firm))
     r_f[0] = 1.0
     eq = grid.index_of(eq_offer)
-    r_f[games.firm_offer_index(grid, eq)] = 1.0
+    r_f[firm["head", eq]] = 1.0
     for b in range(n):
         if firm_reject_eqcounter and b == 1:
-            r_f[games.firm_accept_index(grid, eq, b)] = 0.5
-            r_f[games.firm_reject_index(grid, eq, b)] = 0.5
+            r_f[firm["accept", eq, b]] = 0.5
+            r_f[firm["reject", eq, b]] = 0.5
         else:
-            r_f[games.firm_accept_index(grid, eq, b)] = 1.0
-    r_w = np.zeros(1 + n + n * n)
+            r_f[firm["accept", eq, b]] = 1.0
+    r_w = np.zeros(len(worker))
     r_w[0] = 1.0
     for a in range(n):
         if reject_offer is not None and a == grid.index_of(reject_offer):
-            r_w[games.worker_counter_index(grid, a, grid.index_of(counter))] = 1.0
+            r_w[worker["counter", a, grid.index_of(counter)]] = 1.0
         else:
-            r_w[games.worker_accept_index(grid, a)] = 1.0
+            r_w[worker["head", a]] = 1.0
     return r_f, r_w
 
 
@@ -350,6 +330,7 @@ class TestThreats:
     def setup_method(self):
         self.game = TwoRoundGame(ActionGrid(5), 0.9)
         self.grid = self.game.grid
+        self.firm = oracles.sequence_index(True, 6, 6)
 
     def test_no_threats_when_everyone_accepts(self):
         r_f, r_w = make_fig_profile(self.game, eq_offer=0.4)
@@ -382,7 +363,7 @@ class TestThreats:
         tp_f = games.build_treeplex(self.game, "firm")
         U = np.zeros(tp_f.n_sequences)
         a6 = self.grid.index_of(0.6)
-        U[games.firm_accept_index(self.grid, a6, 1)] = 100.0  # accepting 0.2 learned
+        U[self.firm["accept", a6, 1]] = 100.0  # accepting 0.2 learned
         rep = detect_threats((r_f, r_w), self.game, firm_cum_util=U)
         assert rep.credible_worker_threat
         assert rep.credible_witness_offer == 0.6
@@ -394,14 +375,14 @@ class TestThreats:
         tp_f = games.build_treeplex(self.game, "firm")
         U = np.zeros(tp_f.n_sequences)
         a6 = self.grid.index_of(0.6)
-        U[games.firm_accept_index(self.grid, a6, 1)] = 100.0
+        U[self.firm["accept", a6, 1]] = 100.0
         rep = detect_threats((r_f, r_w), self.game, firm_cum_util=U)
         assert not rep.credible_worker_threat
 
     def test_undefined_equilibrium_offer(self):
         r_f, r_w = make_fig_profile(self.game, eq_offer=0.4)
-        r_f[games.firm_offer_index(self.grid, 2)] = 0.5
-        r_f[games.firm_offer_index(self.grid, 3)] = 0.5
+        r_f[self.firm["head", 2]] = 0.5
+        r_f[self.firm["head", 3]] = 0.5
         rep = detect_threats((r_f, r_w), self.game)
         assert rep.status == "undefined-equilibrium-offer"
         assert not rep.credible_worker_threat and not rep.noncredible_firm_threat

@@ -54,6 +54,16 @@ class TestConfigParsing:
         with pytest.raises(FileNotFoundError):
             cli.load_config("/nonexistent/path.cfg")
 
+    def test_delta_on_one_shot_rejected(self, tmp_path, capsys):
+        # the one-shot game has no discount, so a delta would be silently dropped
+        path = write_config(tmp_path / "c.cfg", game="g1", d=5, eta=0.5, delta=0.9)
+        with pytest.raises(cli.ConfigError, match="delta"):
+            cli.load_config(path)
+        with pytest.raises(cli.ConfigError):
+            cli.ExperimentConfig(game="g1", d=5, eta=Fraction(1, 2), delta=0.9)
+        assert main(["run", path, "--init-f", "0", "--init-w", "0"]) == 2
+        assert "delta" in capsys.readouterr().err
+
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# a comment\n\ngame = g1\nd = 5\neta = 0.5\n")
@@ -220,6 +230,23 @@ class TestAuditCommand:
         out = capsys.readouterr().out
         assert "0 violations" in out
 
+    def test_negative_runs_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", game="g1", d=5, eta=0.5)
+        assert main(["audit", cfg, "--runs", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "non-negative" in captured.err and "clean" not in captured.out
+
+    def test_negative_exact_compare_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", game="g1", d=5, eta=0.5)
+        assert main(["audit", cfg, "--runs", "1", "--exact-compare", "-1"]) == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_run_audit_rejects_negative_counts(self):
+        with pytest.raises(ValueError):
+            cli.run_audit(-1, seed=0)
+        with pytest.raises(ValueError):
+            cli.run_audit(0, seed=0, exact_compare=-1)
+
     def test_requires_g1(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", game="g2", d=5, eta=0.5, delta=0.9)
         assert main(["audit", cfg, "--runs", "1"]) == 2
@@ -247,6 +274,11 @@ class TestOracleCommand:
 
     def test_out_of_range_exit_2(self, capsys):
         assert main(["oracle", "5", "1/2", "1", "1/2", "1/2", "5"]) == 2
+
+    def test_negative_n_exit_2(self, capsys):
+        assert main(["oracle", "5", "1/2", "2", "1/2", "1/2", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-negative" in captured.err
 
     def test_table_matches_fraction_iteration(self, capsys):
         # The table as printed from plain Fraction iteration, byte for byte.

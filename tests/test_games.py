@@ -3,7 +3,6 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from ftrl_bargain import games
 from ftrl_bargain.games import (
     FIRM,
     WORKER,
@@ -172,9 +171,11 @@ class TestTwoRoundGame:
         tp_f = build_treeplex(game, FIRM)
         tp_w = build_treeplex(game, WORKER)
         assert tp_f.n_sequences - 1 == 78  # 6 offers + 72 second-round accept/reject
-        assert len(tp_f.infosets) == 37    # root offer infoset + 36 response infosets
+        assert len(oracles.infosets(tp_f)) == 37  # root offer infoset + 36 response infosets
+        assert (tp_f.paired, tp_f.n, tp_f.m) == (True, 6, 6)
         assert tp_w.n_sequences - 1 == 42  # 6 accepts + 36 counters
-        assert len(tp_w.infosets) == 6
+        assert len(oracles.infosets(tp_w)) == 6
+        assert (tp_w.paired, tp_w.n, tp_w.m) == (False, 6, 6)
 
     @pytest.mark.parametrize("d", [3, 4, 5, 7])
     def test_sequence_count_formulas(self, d):
@@ -201,22 +202,42 @@ class TestTwoRoundGame:
                 assert validate_plan(worker_vertex_plan(game, a, b), tp_w)
 
 
+    @pytest.mark.parametrize("D", [3, 5])
+    def test_vertex_plans_match_oracle_layout(self, D):
+        game = TwoRoundGame(ActionGrid(D), 0.9)
+        n = D + 1
+        firm, worker = oracles.sequence_index(True, n, n), oracles.sequence_index(False, n, n)
+        for i, first in enumerate(game.grid.actions):
+            for j, second in enumerate(game.grid.actions):
+                # firm offers i and accepts counters c >= j; worker accepts offers c >= i, else counters j
+                expected_f = np.zeros(len(firm))
+                expected_w = np.zeros(len(worker))
+                expected_f[0] = expected_w[0] = expected_f[firm["head", i]] = 1.0
+                for c in range(n):
+                    expected_f[firm["accept" if c >= j else "reject", i, c]] = 1.0
+                    expected_w[worker[("head", c) if c >= i else ("counter", c, j)]] = 1.0
+                assert np.array_equal(firm_vertex_plan(game, first, second), expected_f)
+                assert np.array_equal(worker_vertex_plan(game, first, second), expected_w)
+
+
 class TestTwoRoundFeedback:
     def setup_method(self):
         self.game = TwoRoundGame(ActionGrid(5), 0.9)
         self.grid = self.game.grid
+        self.firm = oracles.sequence_index(True, 6, 6)
+        self.worker = oracles.sequence_index(False, 6, 6)
 
     def test_firm_second_round_accept_value(self):
         # worker rejects everything and counters 0.2 with certainty
         r_w = worker_vertex_plan(self.game, threshold=1.0, counter=0.2)
         fb = two_round_feedback(FIRM, r_w, self.game)
-        idx = games.firm_accept_index(self.grid, self.grid.index_of(0.6), self.grid.index_of(0.2))
+        idx = self.firm["accept", self.grid.index_of(0.6), self.grid.index_of(0.2)]
         assert fb[idx] == pytest.approx(0.18, abs=1e-12)
 
     def test_worker_counter_value(self):
         r_f = firm_vertex_plan(self.game, offer=0.6, threshold=0.0)
         fb = two_round_feedback(WORKER, r_f, self.game)
-        idx = games.worker_counter_index(self.grid, self.grid.index_of(0.6), self.grid.index_of(0.2))
+        idx = self.worker["counter", self.grid.index_of(0.6), self.grid.index_of(0.2)]
         assert fb[idx] == pytest.approx(0.72, abs=1e-12)
 
     def test_second_round_reject_pays_zero(self):
@@ -224,7 +245,7 @@ class TestTwoRoundFeedback:
         fb = two_round_feedback(FIRM, r_w, self.game)
         for a in range(6):
             for b in range(6):
-                assert fb[games.firm_reject_index(self.grid, a, b)] == 0.0
+                assert fb[self.firm["reject", a, b]] == 0.0
 
     def test_matches_ultimatum_when_worker_accepts_all(self):
         # worker accepting every first offer makes second-round terms vanish
@@ -232,7 +253,7 @@ class TestTwoRoundFeedback:
         fb2 = two_round_feedback(FIRM, r_w, self.game)
         x_w = pure_strategy(self.grid, 0.0)
         fb1 = ultimatum_feedback(FIRM, x_w, self.grid)
-        offers = [games.firm_offer_index(self.grid, a) for a in range(6)]
+        offers = [self.firm["head", a] for a in range(6)]
         np.testing.assert_allclose(fb2[offers], fb1, atol=1e-15)
         assert np.all(fb2[1 + 6 :] == 0.0)
 
@@ -241,7 +262,7 @@ class TestTwoRoundFeedback:
             r_w = worker_vertex_plan(self.game, threshold=thr, counter=0.4)
             fb2 = two_round_feedback(FIRM, r_w, self.game)
             fb1 = ultimatum_feedback(FIRM, pure_strategy(self.grid, thr), self.grid)
-            offers = [games.firm_offer_index(self.grid, a) for a in range(6)]
+            offers = [self.firm["head", a] for a in range(6)]
             np.testing.assert_allclose(fb2[offers], fb1, atol=1e-15)
 
     def test_shape_mismatch(self):

@@ -3,8 +3,11 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
+from ftrl_bargain import games
 from ftrl_bargain.games import FIRM, WORKER, ActionGrid, TwoRoundGame, build_treeplex
 from ftrl_bargain.geometry import (
+    PLAN_FLOW_TOL,
+    PLAN_NEG_TOL,
     StructuralError,
     Treeplex,
     TreeplexProjector,
@@ -123,29 +126,62 @@ class TestExactSimplexProjection:
 
 def small_treeplex():
     """Single root infoset over three sequences: the simplex as a treeplex."""
-    return Treeplex(n_sequences=4, root=0, infosets=((0, (1, 2, 3)),))
-
-
-def mixed_depth_treeplex():
-    """Infosets of several sizes and depths, two of them sharing each parent."""
-    return Treeplex(n_sequences=11, root=0, infosets=(
-        (0, (1, 2)), (0, (3, 4)), (2, (5, 6)), (2, (7, 8)), (4, (9, 10))))
-
-
-def permuted_worker_treeplex():
-    """The D=3 worker treeplex with each infoset's children listed in reverse."""
-    tp = build_treeplex(TwoRoundGame(ActionGrid(3), 0.9), WORKER)
-    return Treeplex(tp.n_sequences, tp.root, tuple((p, ch[::-1]) for p, ch in tp.infosets))
+    return Treeplex.blocks(1, 3)
 
 
 class TestTreeplex:
-    def test_validation_rejects_orphan(self):
-        with pytest.raises(StructuralError):
-            Treeplex(n_sequences=5, root=0, infosets=((0, (1, 2, 3)),))
+    def test_bad_sizes_rejected(self):
+        # a blocks infoset needs a head and at least one tail; pairs need heads and pairs
+        for make, n, k in ((Treeplex.blocks, 0, 3), (Treeplex.blocks, 3, 1), (Treeplex.blocks, -1, 3),
+                           (Treeplex.pairs, 0, 2), (Treeplex.pairs, 2, 0), (Treeplex.pairs, 2.5, 2)):
+            with pytest.raises(StructuralError):
+                make(n, k)
 
-    def test_validation_rejects_duplicate_child(self):
-        with pytest.raises(StructuralError):
-            Treeplex(n_sequences=4, root=0, infosets=((0, (1, 2)), (0, (2, 3))))
+    @pytest.mark.parametrize("agent,D", [(a, d) for d in (3, 5, 8) for a in (FIRM, WORKER)])
+    def test_views_match_oracle_enumeration(self, agent, D):
+        tp = build_treeplex(TwoRoundGame(ActionGrid(D), 0.9), agent)
+        n = D + 1
+        idx = oracles.sequence_index(agent == FIRM, n, n)
+        assert tp.n_sequences == len(idx)
+        head, below = tp.views(np.arange(tp.n_sequences))
+        for a in range(n):
+            assert head[a] == idx["head", a]
+            for b in range(n):
+                if agent == FIRM:
+                    assert below[a, b, 0] == idx["accept", a, b]
+                    assert below[a, b, 1] == idx["reject", a, b]
+                else:
+                    assert below[a, b] == idx["counter", a, b]
+        # a stack views row by row, and writes through the views land in it
+        X = np.arange(3.0 * tp.n_sequences).reshape(3, tp.n_sequences)
+        H, B = tp.views(X)
+        assert np.array_equal(H, X[:, head]) and np.array_equal(B, X[:, below])
+        H[...], B[...] = -1.0, -2.0
+        assert (X[:, head] == -1.0).all() and (X[:, below] == -2.0).all() and (X[:, 0] >= 0).all()
+
+    @pytest.mark.parametrize("agent", [FIRM, WORKER])
+    def test_validate_plan_matches_dense_residual(self, rng, agent):
+        game = TwoRoundGame(ActionGrid(3), 0.9)
+        tp = build_treeplex(game, agent)
+        vertex = games.firm_vertex_plan if agent == FIRM else games.worker_vertex_plan
+        plans = [tp.uniform_plan(), vertex(game, 1 / 3, 2 / 3), vertex(game, 0.0, 1.0),
+                 TreeplexProjector(tp).project(rng.normal(size=tp.n_sequences))]
+        verdicts = set()
+        for plan in plans:
+            assert validate_plan(plan, tp)
+            for step in (0.9, 1.1, -0.9, -1.1):
+                # scaling everything below the root moves only the flows that leave it
+                perturbed = [plan * np.r_[1.0, np.full(tp.n_sequences - 1, 1.0 + step * PLAN_FLOW_TOL)]]
+                for i in range(tp.n_sequences):
+                    perturbed.append(plan.copy())
+                    perturbed[-1][i] += step * PLAN_FLOW_TOL
+                for i, r in enumerate(perturbed):
+                    verdict = validate_plan(r, tp)
+                    assert verdict == oracles.plan_feasible_dense(r, tp, PLAN_FLOW_TOL, PLAN_NEG_TOL)
+                    if i == 0 or r[i - 1] > 0.0:  # just inside the tolerance passes, just outside fails
+                        assert verdict == (abs(step) < 1.0)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_uniform_plan_feasible(self):
         game = TwoRoundGame(ActionGrid(5), 0.9)
@@ -156,7 +192,7 @@ class TestTreeplex:
     def test_normalize_backward_is_row_space_shift(self, rng):
         game = TwoRoundGame(ActionGrid(4), 0.7)
         tp = build_treeplex(game, FIRM)
-        E, _ = tp.constraints()
+        E, _ = oracles.constraints(tp)
         u = rng.normal(size=tp.n_sequences) * 100
         shifted = tp.normalize_backward(u)
         diff = u - shifted
@@ -226,7 +262,7 @@ class TestTreeplexProjection:
     def test_matches_first_order_oracle(self, rng):
         game = TwoRoundGame(ActionGrid(3), 0.9)
         tp = build_treeplex(game, FIRM)
-        E, e = tp.constraints()
+        E, e = oracles.constraints(tp)
         proj = TreeplexProjector(tp)
         v = rng.normal(size=tp.n_sequences) * 2
         ours = proj.project(v)
@@ -261,20 +297,6 @@ class TestTreeplexProjection:
         V[::4] = np.round(V[::4])  # ties and zero breakpoints
         assert np.array_equal(proj.project(V), [proj.project(v) for v in V])
         assert np.array_equal(proj.project(V[:1]), [proj.project(V[0])])
-
-    @pytest.mark.parametrize("tp", [
-        mixed_depth_treeplex(),
-        Treeplex(n_sequences=6, root=0, infosets=((0, (1, 2)), (2, (3, 4, 5)))),
-        Treeplex(n_sequences=6, root=0, infosets=((0, (1, 2)), (0, (3, 4, 5)))),
-        Treeplex(n_sequences=6, root=0, infosets=((0, (1,)), (1, (2, 3)), (2, (4, 5)))),
-        permuted_worker_treeplex(),
-    ])
-    def test_unsupported_shape_rejected(self, tp):
-        # both two-round layers share one layout check
-        with pytest.raises(StructuralError):
-            TreeplexProjector(tp)
-        with pytest.raises(StructuralError):
-            tp.normalize_backward(np.zeros(tp.n_sequences))
 
     def test_nan_rejected(self):
         tp = small_treeplex()

@@ -130,12 +130,29 @@ def small_treeplex():
 
 
 class TestTreeplex:
-    def test_bad_sizes_rejected(self):
-        # a blocks infoset needs a head and at least one tail; pairs need heads and pairs
-        for make, n, k in ((Treeplex.blocks, 0, 3), (Treeplex.blocks, 3, 1), (Treeplex.blocks, -1, 3),
-                           (Treeplex.pairs, 0, 2), (Treeplex.pairs, 2, 0), (Treeplex.pairs, 2.5, 2)):
+    def test_validation_rejects_orphan(self):
+        # the root and the views reach every sequence; an entry past them is rejected
+        for tp in (build_treeplex(TwoRoundGame(ActionGrid(3), 0.9), agent) for agent in (FIRM, WORKER)):
+            head, below = tp.views(np.arange(tp.n_sequences))
+            reached = np.r_[tp.root, head, below.ravel()]
+            assert set(reached.tolist()) == set(range(tp.n_sequences))
+            longer = np.r_[tp.uniform_plan(), 0.0]
             with pytest.raises(StructuralError):
-                make(n, k)
+                validate_plan(longer, tp)
+            with pytest.raises(StructuralError):
+                TreeplexProjector(tp).project(longer)
+
+    def test_validation_rejects_duplicate_child(self):
+        # no sequence sits in two places of the views; a plan that would need one is rejected
+        for tp in (build_treeplex(TwoRoundGame(ActionGrid(3), 0.9), agent) for agent in (FIRM, WORKER)):
+            head, below = tp.views(np.arange(tp.n_sequences))
+            reached = np.r_[tp.root, head, below.ravel()]
+            assert len(reached) == len(set(reached.tolist())) == tp.n_sequences
+            shorter = tp.uniform_plan()[:-1]
+            with pytest.raises(StructuralError):
+                validate_plan(shorter, tp)
+            with pytest.raises(StructuralError):
+                TreeplexProjector(tp).project(shorter)
 
     @pytest.mark.parametrize("agent,D", [(a, d) for d in (3, 5, 8) for a in (FIRM, WORKER)])
     def test_views_match_oracle_enumeration(self, agent, D):
@@ -297,6 +314,19 @@ class TestTreeplexProjection:
         V[::4] = np.round(V[::4])  # ties and zero breakpoints
         assert np.array_equal(proj.project(V), [proj.project(v) for v in V])
         assert np.array_equal(proj.project(V[:1]), [proj.project(V[0])])
+
+    @pytest.mark.parametrize("tp", [
+        ((Treeplex.blocks, 0, 3), (Treeplex.blocks, -1, 3)),  # no infosets
+        ((Treeplex.blocks, 3, 1),),                           # a head with no tail
+        ((Treeplex.pairs, 0, 2),),                            # no offers
+        ((Treeplex.pairs, 2, 0),),                            # offers with no pair below
+        ((Treeplex.pairs, 2.5, 2),),                          # a size that is no count
+    ])
+    def test_unsupported_shape_rejected(self, tp):
+        # only the blocks and pairs layouts exist, so no projector is built on anything else
+        for make, n, k in tp:
+            with pytest.raises(StructuralError):
+                TreeplexProjector(make(n, k))
 
     def test_nan_rejected(self):
         tp = small_treeplex()

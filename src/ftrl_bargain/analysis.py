@@ -94,60 +94,59 @@ def check_eq3(a_f: float, x_w: np.ndarray, grid: ActionGrid) -> bool:
     return bool(np.all((1.0 - grid.actions[lower]) * cum[lower] <= (1.0 - grid.actions[k]) + 1e-12))
 
 
+def _gap_rows(game, x_f: np.ndarray, x_w: np.ndarray):
+    """Best-response gaps of a stack of profiles, one per row of ``(k, n)`` stacks.
+
+    Returns ``(gap_f, gap_w, br_offer)`` per row; ``br_offer`` indexes the
+    firm's best (first) offer, ties broken toward lower offers.  Each row gets
+    the arithmetic it would get alone: row dot products by ``np.vecdot``,
+    sums and maxes along the last axis.  For the two-round game best
+    responses enumerate pure plans by backward induction against the
+    opponent's fixed plan; a best response to a fixed plan always sits at a
+    vertex.
+    """
+    acts = game.grid.actions
+    if isinstance(game, UltimatumGame):
+        fb_f = games.ultimatum_feedback(FIRM, x_w, game.grid)
+        fb_w = games.ultimatum_feedback(WORKER, x_f, game.grid)
+        offer_values = np.cumsum(x_w, axis=-1) * (1.0 - acts)
+        best_w = np.vecdot(x_f, acts)  # accepting every offer is a best response
+    else:
+        assert isinstance(game, TwoRoundGame)
+        delta = game.delta
+        fb_f = games.two_round_feedback(FIRM, x_w, game)
+        fb_w = games.two_round_feedback(WORKER, x_f, game)
+        # Firm: pick the offer whose subtree value is largest; in the second
+        # round accepting pays delta*b*(counter mass), rejecting pays 0.
+        w_accept, w_counter = games.build_treeplex(game, WORKER).views(x_w)
+        offer_values = (1.0 - acts) * w_accept + delta * (w_counter * acts).sum(axis=-1)
+        # Worker: per first offer choose accept or the best counter.
+        f_offer, f_pairs = games.build_treeplex(game, FIRM).views(x_f)
+        counter_values = delta * (1.0 - acts) * f_pairs[..., 0]
+        best_w = np.maximum(acts * f_offer, counter_values.max(axis=-1)).sum(axis=-1)
+    gap_f = np.fmax(0.0, offer_values.max(axis=-1) - np.vecdot(x_f, fb_f))
+    gap_w = np.fmax(0.0, best_w - np.vecdot(x_w, fb_w))
+    return gap_f, gap_w, offer_values.argmax(axis=-1)
+
+
 def certify_epsilon_ne(profile, game) -> EquilibriumCertificate:
     """Max best-response gap of a strategy profile, plus the structural flag.
 
-    For the two-round game best responses enumerate pure plans by backward
-    induction against the opponent's fixed plan; a best response to a fixed
-    plan always sits at a vertex.
+    The one-row case of :func:`_gap_rows`.  ``br_w`` is the one-shot worker's
+    canonical best threshold (see :func:`best_response_worker`), None for the
+    two-round game.
     """
-    x_f, x_w = profile
+    x_f, x_w = (np.asarray(v, dtype=float) for v in profile)
+    gap_f, gap_w, br_offer = (a[0].item() for a in _gap_rows(game, x_f[None], x_w[None]))
+    br_w, structural = None, False
     if isinstance(game, UltimatumGame):
-        grid = game.grid
-        x_f = np.asarray(x_f, dtype=float)
-        x_w = np.asarray(x_w, dtype=float)
-        fb_f = games.ultimatum_feedback(FIRM, x_w, grid)
-        fb_w = games.ultimatum_feedback(WORKER, x_f, grid)
-        br_f, val_f = best_response_firm(x_w, grid)
-        br_w, val_w = best_response_worker(x_f, grid)
-        gap_f = max(0.0, val_f - float(x_f @ fb_f))
-        gap_w = max(0.0, val_w - float(x_w @ fb_w))
+        br_w = 0.0
         top = int(np.argmax(x_f))
-        structural = False
         if x_f[top] >= 1.0 - PURE_FIRM_TOL:
-            structural = check_eq3(float(grid.actions[top]), x_w, grid)
-        return EquilibriumCertificate(
-            eps=max(gap_f, gap_w), gap_f=gap_f, gap_w=gap_w,
-            br_f=br_f, br_w=br_w, structural_ne=structural,
-        )
-
-    assert isinstance(game, TwoRoundGame)
-    acts, delta = game.grid.actions, game.delta
-    r_f = np.asarray(x_f, dtype=float)
-    r_w = np.asarray(x_w, dtype=float)
-    fb_f = games.two_round_feedback(FIRM, r_w, game)
-    fb_w = games.two_round_feedback(WORKER, r_f, game)
-    cur_f = float(r_f @ fb_f)
-    cur_w = float(r_w @ fb_w)
-
-    # Firm: pick the offer whose subtree value is largest; in the second round
-    # accepting pays delta*b*(counter mass), rejecting pays 0.
-    w_accept, w_counter = games.build_treeplex(game, WORKER).views(r_w)
-    offer_values = (1.0 - acts) * w_accept + delta * (w_counter * acts[None, :]).sum(axis=1)
-    br_offer = int(np.argmax(offer_values))
-    gap_f = max(0.0, float(offer_values[br_offer]) - cur_f)
-
-    # Worker: per first offer choose accept or the best counter.
-    f_offer, f_pairs = games.build_treeplex(game, FIRM).views(r_f)
-    f_accept = f_pairs[:, :, 0]
-    accept_values = acts * f_offer
-    counter_values = delta * (1.0 - acts)[None, :] * f_accept
-    row_best = np.maximum(accept_values, counter_values.max(axis=1))
-    gap_w = max(0.0, float(row_best.sum()) - cur_w)
-
+            structural = check_eq3(float(game.grid.actions[top]), x_w, game.grid)
     return EquilibriumCertificate(
         eps=max(gap_f, gap_w), gap_f=gap_f, gap_w=gap_w,
-        br_f=float(acts[br_offer]), br_w=None, structural_ne=False,
+        br_f=float(game.grid.actions[br_offer]), br_w=br_w, structural_ne=structural,
     )
 
 

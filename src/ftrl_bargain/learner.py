@@ -15,13 +15,14 @@ the one-shot game stays separate as the audit's oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
 
-from . import games, geometry
+from . import analysis, games, geometry
 from .games import FIRM, WORKER, ActionGrid, TwoRoundGame, UltimatumGame
 from .geometry import StructuralError
 
@@ -64,8 +65,8 @@ class LearnerConfig:
     stop_eps: Optional[float] = 1e-7
 
     def __post_init__(self):
-        if float(self.eta) <= 0:
-            raise ValueError("eta must be positive")
+        if not 0 < float(self.eta) < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
         if self.arithmetic not in ("float", "exact"):
             raise ValueError(f"unknown arithmetic mode {self.arithmetic!r}")
         if self.arithmetic == "exact" and not isinstance(self.game, UltimatumGame):
@@ -77,8 +78,10 @@ class LearnerConfig:
             for ref in (self.reference_f, self.reference_w):
                 if ref is not None:
                     self.grid.index_of(ref)
-        if self.threshold <= 0:
-            raise ValueError("conv_threshold must be positive")
+        if not self.threshold > 0:  # also rejects NaN
+            raise ValueError(f"conv_threshold must be positive, got {self.threshold!r}")
+        if self.stop_eps is not None and not self.stop_eps >= 0:
+            raise ValueError(f"stop_eps must be None or a number >= 0, got {self.stop_eps!r}")
         if self.steps_cap < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -147,11 +150,12 @@ class Lockstep:
 
 
 def _certified_stop(cfg: LearnerConfig, x_f, x_w) -> bool:
-    """Equilibrium guard applied when the step-size test fires."""
+    """Equilibrium guard of the exact loop, applied when the step-size test fires.
+
+    :func:`run_lockstep` applies the same test to all its candidate rows at once.
+    """
     if cfg.stop_eps is None:
         return True
-    from . import analysis
-
     profile = (np.asarray(x_f, dtype=float), np.asarray(x_w, dtype=float))
     return analysis.certify_epsilon_ne(profile, cfg.game).eps <= cfg.stop_eps
 
@@ -329,8 +333,9 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
     All rows step together through one feedback, shift, update and projection
     per agent on the whole stack; every row does exactly the arithmetic it
     would do alone.  A row whose step moves no entry by more than the
-    threshold and that passes the certificate guard leaves the stack; the
-    rest run to the step cap.  Initial strategies are not checked here.
+    threshold and that passes the certificate guard (one stacked certificate
+    per step over all such rows) leaves the stack; the rest run to the step
+    cap.  Initial strategies are not checked here.
     ``on_step(t, prev, fb, off, v, new)`` sees each step of the live rows, as
     (firm, worker) pairs of stacks: strategies before the step, feedback,
     running offsets, projection inputs and new strategies.
@@ -376,9 +381,11 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
         x_f, x_w = new_f, new_w
         if delta.min() > threshold:
             continue
-        stopped = [pos for pos in np.flatnonzero(delta <= threshold)
-                   if _certified_stop(cfg, x_f[pos], x_w[pos])]
-        if stopped:
+        stopped = np.flatnonzero(delta <= threshold)
+        if cfg.stop_eps is not None:
+            gap_f, gap_w, _ = analysis._gap_rows(game, x_f[stopped], x_w[stopped])
+            stopped = stopped[np.maximum(gap_f, gap_w) <= cfg.stop_eps]
+        if stopped.size:
             done = np.zeros(rows.size, dtype=bool)
             done[stopped] = True
             out.converged_at[rows[done]] = t

@@ -145,44 +145,40 @@ def _initial(game, agent: str, entry, exact: bool) -> np.ndarray:
     return games.worker_vertex_plan(game, threshold=first, counter=second)
 
 
-def _cell_result(cfg: LearnerConfig, final_f: np.ndarray, final_w: np.ndarray,
-                 cum_util_f: Optional[np.ndarray], converged_at: Optional[int]) -> CellResult:
+def _sweep_chunk(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray) -> list[CellResult]:
+    """Cell results of one contiguous chunk of a sweep, in cell order.
+
+    The chunk's final profiles are certified as one stack; exact runs are
+    certified on their float finals.
+    """
     game = cfg.game
-    profile = (final_f, final_w)
+    if cfg.arithmetic == "exact":
+        runs = [learner.run_dynamics(cfg, f, w) for f, w in zip(init_f, init_w)]
+        final_f = np.array([traj.final_f for traj in runs], dtype=float)
+        final_w = np.array([traj.final_w for traj in runs], dtype=float)
+        converged_at = [traj.converged_at for traj in runs]
+    else:
+        run = learner.run_lockstep(cfg, init_f, init_w)
+        final_f, final_w = run.final_f, run.final_w
+        converged_at = [int(t) or None for t in run.converged_at]
+    gap_f, gap_w, _ = analysis._gap_rows(game, final_f, final_w)
     if isinstance(game, UltimatumGame):
         fb_w = games.ultimatum_feedback(WORKER, final_f, game.grid)
-        threat = None
     else:
         fb_w = games.two_round_feedback(WORKER, final_f, game)
-        threat = analysis.detect_threats(profile, game, firm_cum_util=cum_util_f)
-    cert = analysis.certify_epsilon_ne(profile, game)
-    return CellResult(
-        u_w=float(final_w @ fb_w),
-        eps=cert.eps,
-        gap_f=cert.gap_f,
-        gap_w=cert.gap_w,
-        converged_at=converged_at,
-        status="converged" if converged_at else "max_steps",
-        final_f=final_f,
-        final_w=final_w,
-        threat=threat,
-    )
-
-
-def _sweep_chunk(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray) -> list[CellResult]:
-    """Cell results of one contiguous chunk of a sweep, in cell order."""
-    if cfg.arithmetic == "exact":
-        cells = []
-        for f, w in zip(init_f, init_w):
-            traj = learner.run_dynamics(cfg, f, w)
-            cells.append(_cell_result(cfg, np.asarray(traj.final_f, dtype=float),
-                                      np.asarray(traj.final_w, dtype=float),
-                                      None, traj.converged_at))
-        return cells
-    run = learner.run_lockstep(cfg, init_f, init_w)
-    return [_cell_result(cfg, run.final_f[i], run.final_w[i], run.cum_util_f[i],
-                         int(run.converged_at[i]) or None)
-            for i in range(len(init_f))]
+    u_w = np.vecdot(final_w, fb_w).tolist()
+    eps = np.maximum(gap_f, gap_w).tolist()
+    gap_f, gap_w = gap_f.tolist(), gap_w.tolist()
+    cells = []
+    for i, t in enumerate(converged_at):
+        threat = None
+        if not isinstance(game, UltimatumGame):  # two-round sweeps are float: ``run`` is set
+            threat = analysis.detect_threats((final_f[i], final_w[i]), game,
+                                             firm_cum_util=run.cum_util_f[i])
+        cells.append(CellResult(u_w=u_w[i], eps=eps[i], gap_f=gap_f[i], gap_w=gap_w[i],
+                                converged_at=t, status="converged" if t else "max_steps",
+                                final_f=final_f[i], final_w=final_w[i], threat=threat))
+    return cells
 
 
 def sweep_initials(

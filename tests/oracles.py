@@ -232,3 +232,34 @@ def g2_best_response_value(agent: str, opp_plan: np.ndarray, game: TwoRoundGame)
             total += max(options)
         best = total
     return float(best)
+
+
+def certify_gaps_loop(profile, game) -> tuple[float, float, float]:
+    """``(gap_f, gap_w, br_f)`` of one profile, on 1-D vectors.
+
+    The certificate as computed one profile at a time: ``@`` dot products,
+    reductions over one vector or matrix, Python ``max`` against zero.  The
+    stacked certificate must reproduce it bit for bit on every row.
+    """
+    from ftrl_bargain import games
+
+    x_f, x_w = (np.asarray(v, dtype=float) for v in profile)
+    acts = game.grid.actions
+    if isinstance(game, TwoRoundGame):
+        delta = game.delta
+        fb_f = games.two_round_feedback("firm", x_w, game)
+        fb_w = games.two_round_feedback("worker", x_f, game)
+        w_accept, w_counter = games.build_treeplex(game, "worker").views(x_w)
+        offer_values = (1.0 - acts) * w_accept + delta * (w_counter * acts[None, :]).sum(axis=1)
+        f_offer, f_pairs = games.build_treeplex(game, "firm").views(x_f)
+        counter_values = delta * (1.0 - acts)[None, :] * f_pairs[:, :, 0]
+        best_w = float(np.maximum(acts * f_offer, counter_values.max(axis=1)).sum())
+    else:
+        fb_f = games.ultimatum_feedback("firm", x_w, game.grid)
+        fb_w = games.ultimatum_feedback("worker", x_f, game.grid)
+        offer_values = np.cumsum(x_w) * (1.0 - acts)
+        best_w = float(x_f @ acts)
+    br = int(np.argmax(offer_values))
+    gap_f = max(0.0, float(offer_values[br]) - float(x_f @ fb_f))
+    gap_w = max(0.0, best_w - float(x_w @ fb_w))
+    return gap_f, gap_w, float(acts[br])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 
-from ftrl_bargain import analysis, games
+from ftrl_bargain import analysis, games, geometry
 from ftrl_bargain.analysis import (
     RecurrenceOutcome,
     best_response_firm,
@@ -139,6 +139,60 @@ class TestCertification:
         fb_w = games.two_round_feedback("worker", r_f, game)
         br_worker = oracles.g2_best_response_value("worker", r_f, game)
         assert cert.gap_w == pytest.approx(br_worker - float(r_w @ fb_w), abs=1e-12)
+
+
+def gap_row_profiles(game, rng, rows=961):
+    """At least ``rows`` profiles: vertices, exact ties, then projected random plans."""
+    acts = game.grid.actions
+    if isinstance(game, UltimatumGame):
+        n = game.grid.size
+        pure = [pure_strategy(game.grid, a) for a in acts]
+        prefixes = [np.where(np.arange(n) <= k, 1.0 / (k + 1), 0.0) for k in range(n)]
+        pool = [(f, w) for f in pure for w in pure]
+        # exact ties: pure offers against uniform prefixes of thresholds, uniform play
+        pool += [(f, w) for f in pure for w in prefixes] + [(prefixes[-1], prefixes[-1])]
+
+        def project(k, agent):
+            return geometry.project_simplex(3.0 * rng.normal(size=(k, n)))
+    else:
+        firm = [firm_vertex_plan(game, a, b) for a in acts for b in acts]
+        worker = [worker_vertex_plan(game, a, b) for a in acts for b in acts]
+        uniform = {agent: games.build_treeplex(game, agent).uniform_plan()
+                   for agent in ("firm", "worker")}
+        pool = [(f, w) for f in firm[::3] for w in worker[::2]]
+        pool += [(uniform["firm"], w) for w in worker] + [(f, uniform["worker"]) for f in firm]
+        pool.append((uniform["firm"], uniform["worker"]))
+
+        def project(k, agent):
+            tp = games.build_treeplex(game, agent)
+            return TreeplexProjector(tp).project(3.0 * rng.normal(size=(k, tp.n_sequences)))
+    k = max(rows - len(pool), 64)
+    pool += list(zip(project(k, "firm"), project(k, "worker")))
+    return [pool[i] for i in rng.permutation(len(pool))]
+
+
+@pytest.mark.parametrize("game", [
+    UltimatumGame(ActionGrid(3)), UltimatumGame(ActionGrid(5)),
+    UltimatumGame(ActionGrid(10)), UltimatumGame(ActionGrid(30)),
+    TwoRoundGame(ActionGrid(3), 0.9), TwoRoundGame(ActionGrid(5), 0.55),
+], ids=lambda g: f"{type(g).__name__}-D{g.grid.D}")
+def test_gap_rows_match_per_profile_certificates(game, rng):
+    # every row of a stack is certified exactly as the profile on its own
+    profiles = gap_row_profiles(game, rng)
+    expected = []
+    for profile in profiles[:961]:
+        cert = certify_epsilon_ne(profile, game)
+        gap_f, gap_w, br_f = oracles.certify_gaps_loop(profile, game)
+        expected.append((cert.eps, cert.gap_f, cert.gap_w, cert.br_f))
+        assert expected[-1] == (max(gap_f, gap_w), gap_f, gap_w, br_f)
+    assert any(e[0] == 0.0 for e in expected) and any(e[0] > 0.0 for e in expected)
+    for k in (1, 7, 961):
+        x_f = np.array([f for f, _ in profiles[:k]])
+        x_w = np.array([w for _, w in profiles[:k]])
+        gap_f, gap_w, br_offer = analysis._gap_rows(game, x_f, x_w)
+        br_f = game.grid.actions[br_offer]
+        got = zip(np.maximum(gap_f, gap_w).tolist(), gap_f.tolist(), gap_w.tolist(), br_f.tolist())
+        assert list(got) == expected[:k]
 
 
 class TestEq3:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from ftrl_bargain import games, geometry, learner
+from ftrl_bargain import analysis, games, geometry, learner
 from ftrl_bargain.games import (
     FIRM,
     WORKER,
@@ -47,6 +47,19 @@ class TestConfig:
             LearnerConfig(game=TwoRoundGame(ActionGrid(5), 0.9), eta=0.5, reference_f=0.2)
         with pytest.raises(ValueError):
             g1_config(reference_f=0.123)  # off-grid reference
+
+    @pytest.mark.parametrize("kw", [
+        dict(eta=float("nan")), dict(eta=float("inf")), dict(conv_threshold=float("nan")),
+        dict(stop_eps=float("nan")), dict(stop_eps=-1.0),
+    ], ids=["eta-nan", "eta-inf", "conv_threshold-nan", "stop_eps-nan", "stop_eps-negative"])
+    def test_meaningless_stop_rules_rejected(self, kw):
+        # each would otherwise run silently to the step cap or fail mid-run
+        with pytest.raises(ValueError):
+            g1_config(**kw)
+
+    def test_stop_eps_bounds_accepted(self):
+        assert g1_config(stop_eps=0.0).stop_eps == 0.0
+        assert g1_config(stop_eps=None).stop_eps is None
 
     def test_reference_vectors(self):
         cfg = g1_config(reference_f=0.4)
@@ -152,6 +165,33 @@ class TestUltimatumDynamics:
         cfg = g1_config(d=10, eta=0.5, max_steps=3)
         traj = run_dynamics(cfg, pure_strategy(cfg.grid, 0.0), pure_strategy(cfg.grid, 1.0))
         assert traj.converged_at is None and traj.steps == 3
+
+    def test_guard_mixed_verdicts_in_one_step(self, monkeypatch):
+        # At D=10 with references (1/2, 1) the (0.1, 0.5) and (0.4, 0.5) rows
+        # hit step-size plateaus that are no equilibrium while (0.0, 0.5)
+        # converges at step 8: one stacked certificate rejects and accepts rows
+        # of the same step, and every row still ends as it would alone.
+        cfg = g1_config(d=10, reference_f=0.5, reference_w=1.0)
+        inits = [(0.1, 0.5), (0.0, 0.5), (0.4, 0.5)]
+        init_f = np.array([pure_strategy(cfg.grid, f) for f, _ in inits])
+        init_w = np.array([pure_strategy(cfg.grid, w) for _, w in inits])
+        verdicts = []
+        gap_rows = analysis._gap_rows
+
+        def spy(game, x_f, x_w):
+            gap_f, gap_w, br = gap_rows(game, x_f, x_w)
+            verdicts.append(np.maximum(gap_f, gap_w) <= cfg.stop_eps)
+            return gap_f, gap_w, br
+
+        monkeypatch.setattr(analysis, "_gap_rows", spy)
+        run = learner.run_lockstep(cfg, init_f, init_w)
+        assert any(v.any() and not v.all() for v in verdicts)
+        for k in range(len(inits)):
+            traj = run_dynamics(cfg, init_f[k], init_w[k])
+            assert (int(run.converged_at[k]) or None) == traj.converged_at
+            assert np.array_equal(run.final_f[k], traj.final_f)
+            assert np.array_equal(run.final_w[k], traj.final_w)
+        assert run.converged_at[1] == 8 < run.converged_at[0]
 
     def test_invalid_initials_rejected(self):
         cfg = g1_config()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ftrl_bargain import games, learner
+from ftrl_bargain import analysis, games, learner
 from ftrl_bargain.games import ActionGrid, TwoRoundGame, UltimatumGame
 from ftrl_bargain.learner import LearnerConfig
 from ftrl_bargain.metagame import minimax_solve, summarize, sweep_initials
@@ -55,6 +55,37 @@ class TestSweep:
                 assert np.array_equal(cell.final_w, traj.final_w)
                 assert np.array_equal(batch.cum_util_f[k], traj.cum_util_f)
                 assert np.array_equal(batch.cum_util_w[k], traj.cum_util_w)
+
+    def test_cells_match_standalone_certificates(self):
+        # each chunk certifies its finals as one stack; every cell's payoff
+        # and gaps equal certifying that cell's finals on their own
+        sweeps = [
+            sweep_initials(LearnerConfig(game=UltimatumGame(ActionGrid(10)), eta=0.5)),
+            sweep_initials(LearnerConfig(game=TwoRoundGame(ActionGrid(3), 0.9), eta=0.5),
+                           parallelism=2),
+            sweep_initials(LearnerConfig(game=UltimatumGame(ActionGrid(4)), eta=Fraction(1, 2),
+                                         arithmetic="exact")),
+        ]
+        for sweep in sweeps:
+            cfg, game = sweep.config, sweep.config.game
+            for i, firm_entry in enumerate(sweep.firm_axis):
+                for j, worker_entry in enumerate(sweep.worker_axis):
+                    cell = sweep.cells[i][j]
+                    final_f, final_w = cell.final_f, cell.final_w
+                    if cfg.arithmetic == "exact":
+                        inits = pure_initials(game, firm_entry, worker_entry)
+                        traj = learner.run_dynamics(cfg, *inits)
+                        final_f = np.asarray(traj.final_f, dtype=float)
+                        final_w = np.asarray(traj.final_w, dtype=float)
+                        assert np.array_equal(cell.final_f, final_f)
+                        assert np.array_equal(cell.final_w, final_w)
+                    if isinstance(game, UltimatumGame):
+                        fb_w = games.ultimatum_feedback("worker", final_f, game.grid)
+                    else:
+                        fb_w = games.two_round_feedback("worker", final_f, game)
+                    cert = analysis.certify_epsilon_ne((final_f, final_w), game)
+                    assert cell.u_w == float(final_w @ fb_w)
+                    assert (cell.eps, cell.gap_f, cell.gap_w) == (cert.eps, cert.gap_f, cert.gap_w)
 
     def test_deterministic_rerun(self):
         a = small_sweep()

@@ -5,11 +5,14 @@ so a renamed function or a changed call pattern in the package would
 silently empty or inflate a per-layer metric.
 """
 
+import dataclasses
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
-from ftrl_bargain import learner
-from ftrl_bargain.games import ActionGrid, TwoRoundGame, firm_vertex_plan, worker_vertex_plan
+from ftrl_bargain import learner, metagame
+from ftrl_bargain.games import (ActionGrid, TwoRoundGame, UltimatumGame, firm_vertex_plan,
+                                worker_vertex_plan)
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -39,3 +42,26 @@ def test_two_round_layers_counted_per_step():
     assert counts["learner.steps"] == traj.steps
     assert counts["calls:geometry.treeplex"] == 2 * (traj.steps - 1)
     assert counts["calls:geometry.normalize"] == 2 * (traj.steps - 1)
+
+
+def test_install_swaps_and_restores_every_attribute():
+    tracer = load_tracer()
+    swapped = [(owner, attr) for owner, attr, _ in tracer.TARGETS]
+    swapped.append((learner, "_certified_stop"))
+    originals = [owner.__dict__[attr] for owner, attr in swapped]
+    cfg = learner.LearnerConfig(game=UltimatumGame(ActionGrid(4)), eta=Fraction(1, 2))
+    init = [Fraction(1, 5)] * 5
+    with tracer.Tracer() as tr:
+        for (owner, attr), fn in zip(swapped, originals):
+            wrapper = owner.__dict__[attr]
+            assert wrapper is not fn and wrapper.__wrapped__ is fn, f"{attr} is not swapped"
+        metagame.sweep_initials(cfg)
+        traj = learner.run_dynamics(dataclasses.replace(cfg, arithmetic="exact"), init, init)
+    for (owner, attr), fn in zip(swapped, originals):
+        assert owner.__dict__[attr] is fn, f"{attr} is not restored"
+    counts = tr.exact_counts()
+    assert traj.converged and counts["calls:learner.run"] == counts["calls:metagame.sweep"] == 1
+    # the sweep certifies its stack without a per-cell certificate: every
+    # certificate is one of the exact run's guard calls, the last accepted
+    assert counts["analysis.guard_calls"] == counts["calls:analysis.certify"] >= 1
+    assert counts["analysis.guard_accepts"] == 1

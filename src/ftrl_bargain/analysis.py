@@ -48,22 +48,28 @@ THREAT_TOL = 1e-3       # default mass tolerance for threat extraction
 # ---------------------------------------------------------------------------
 
 
-def best_response_firm(x_w: np.ndarray, grid: ActionGrid) -> tuple[float, float]:
-    """Best offer against a worker mixture, breaking ties toward lower offers."""
-    x_w = np.asarray(x_w, dtype=float)
-    values = np.cumsum(x_w) * (1.0 - grid.actions)
-    best = int(np.argmax(values))  # argmax returns the first (lowest) maximizer
-    return float(grid.actions[best]), float(values[best])
+def best_response_firm(x_w: np.ndarray, grid: ActionGrid):
+    """Best offer against a worker mixture and its value, ties broken toward lower offers.
+
+    Row-wise on a ``(k, n)`` stack of mixtures: one offer and value per row.
+    """
+    values = np.cumsum(np.asarray(x_w, dtype=float), axis=-1) * (1.0 - grid.actions)
+    return _best_offer(grid.actions, values)
 
 
-def best_response_worker(x_f: np.ndarray, grid: ActionGrid) -> tuple[float, float]:
+def _best_offer(acts: np.ndarray, offer_values: np.ndarray):
+    """First (lowest) offer of largest value and that value, per row."""
+    return acts[offer_values.argmax(axis=-1)], offer_values.max(axis=-1)
+
+
+def best_response_worker(x_f: np.ndarray, grid: ActionGrid):
     """Canonical best threshold (accept everything) and its value.
 
     Every threshold at or below the firm's lowest supported offer ties; the
-    smallest, zero, is returned as the canonical representative.
+    smallest, zero, is returned as the canonical representative.  Row-wise on
+    a ``(k, n)`` stack of mixtures: one value per row, threshold zero for all.
     """
-    x_f = np.asarray(x_f, dtype=float)
-    return 0.0, float(x_f @ grid.actions)
+    return 0.0, np.vecdot(np.asarray(x_f, dtype=float), grid.actions)
 
 
 @dataclass(frozen=True)
@@ -97,36 +103,36 @@ def check_eq3(a_f: float, x_w: np.ndarray, grid: ActionGrid) -> bool:
 def _gap_rows(game, x_f: np.ndarray, x_w: np.ndarray):
     """Best-response gaps of a stack of profiles, one per row of ``(k, n)`` stacks.
 
-    Returns ``(gap_f, gap_w, br_offer)`` per row; ``br_offer`` indexes the
-    firm's best (first) offer, ties broken toward lower offers.  Each row gets
-    the arithmetic it would get alone: row dot products by ``np.vecdot``,
-    sums and maxes along the last axis.  For the two-round game best
-    responses enumerate pure plans by backward induction against the
+    Returns ``(gap_f, gap_w, br_offer, u_w)`` per row: both gaps, the firm's
+    best offer (ties broken toward lower offers) and the worker's payoff.
+    Each row gets the arithmetic it would get alone: row dot products by
+    ``np.vecdot``, sums and maxes along the last axis.  For the two-round game
+    best responses enumerate pure plans by backward induction against the
     opponent's fixed plan; a best response to a fixed plan always sits at a
     vertex.
     """
-    acts = game.grid.actions
     if isinstance(game, UltimatumGame):
         fb_f = games.ultimatum_feedback(FIRM, x_w, game.grid)
         fb_w = games.ultimatum_feedback(WORKER, x_f, game.grid)
-        offer_values = np.cumsum(x_w, axis=-1) * (1.0 - acts)
-        best_w = np.vecdot(x_f, acts)  # accepting every offer is a best response
+        br_offer, best_f = best_response_firm(x_w, game.grid)
+        _, best_w = best_response_worker(x_f, game.grid)
     else:
         assert isinstance(game, TwoRoundGame)
-        delta = game.delta
+        acts, delta = game.grid.actions, game.delta
         fb_f = games.two_round_feedback(FIRM, x_w, game)
         fb_w = games.two_round_feedback(WORKER, x_f, game)
         # Firm: pick the offer whose subtree value is largest; in the second
         # round accepting pays delta*b*(counter mass), rejecting pays 0.
         w_accept, w_counter = games.build_treeplex(game, WORKER).views(x_w)
         offer_values = (1.0 - acts) * w_accept + delta * (w_counter * acts).sum(axis=-1)
+        br_offer, best_f = _best_offer(acts, offer_values)
         # Worker: per first offer choose accept or the best counter.
         f_offer, f_pairs = games.build_treeplex(game, FIRM).views(x_f)
         counter_values = delta * (1.0 - acts) * f_pairs[..., 0]
         best_w = np.maximum(acts * f_offer, counter_values.max(axis=-1)).sum(axis=-1)
-    gap_f = np.fmax(0.0, offer_values.max(axis=-1) - np.vecdot(x_f, fb_f))
-    gap_w = np.fmax(0.0, best_w - np.vecdot(x_w, fb_w))
-    return gap_f, gap_w, offer_values.argmax(axis=-1)
+    u_w = np.vecdot(x_w, fb_w)
+    gap_f = np.fmax(0.0, best_f - np.vecdot(x_f, fb_f))
+    return gap_f, np.fmax(0.0, best_w - u_w), br_offer, u_w
 
 
 def certify_epsilon_ne(profile, game) -> EquilibriumCertificate:
@@ -137,16 +143,16 @@ def certify_epsilon_ne(profile, game) -> EquilibriumCertificate:
     two-round game.
     """
     x_f, x_w = (np.asarray(v, dtype=float) for v in profile)
-    gap_f, gap_w, br_offer = (a[0].item() for a in _gap_rows(game, x_f[None], x_w[None]))
+    gap_f, gap_w, br_f, _ = (a[0].item() for a in _gap_rows(game, x_f[None], x_w[None]))
     br_w, structural = None, False
     if isinstance(game, UltimatumGame):
-        br_w = 0.0
+        br_w = best_response_worker(x_f, game.grid)[0]
         top = int(np.argmax(x_f))
         if x_f[top] >= 1.0 - PURE_FIRM_TOL:
             structural = check_eq3(float(game.grid.actions[top]), x_w, game.grid)
     return EquilibriumCertificate(
         eps=max(gap_f, gap_w), gap_f=gap_f, gap_w=gap_w,
-        br_f=float(game.grid.actions[br_offer]), br_w=br_w, structural_ne=structural,
+        br_f=br_f, br_w=br_w, structural_ne=structural,
     )
 
 

@@ -149,15 +149,22 @@ class Lockstep:
     cum_util_w: np.ndarray
 
 
-def _certified_stop(cfg: LearnerConfig, x_f, x_w) -> bool:
-    """Equilibrium guard of the exact loop, applied when the step-size test fires.
+def _certified_rows(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray) -> np.ndarray:
+    """Equilibrium guard, applied when the step-size test fires: a row mask.
 
-    :func:`run_lockstep` applies the same test to all its candidate rows at once.
+    A row of the ``(k, n)`` profile stacks passes when ``stop_eps`` is None
+    or both its best-response gaps are within ``stop_eps``.
     """
     if cfg.stop_eps is None:
-        return True
-    profile = (np.asarray(x_f, dtype=float), np.asarray(x_w, dtype=float))
-    return analysis.certify_epsilon_ne(profile, cfg.game).eps <= cfg.stop_eps
+        return np.ones(len(x_f), dtype=bool)
+    gap_f, gap_w, _, _ = analysis._gap_rows(cfg.game, x_f, x_w)
+    return np.maximum(gap_f, gap_w) <= cfg.stop_eps
+
+
+def _certified_stop(cfg: LearnerConfig, x_f, x_w) -> bool:
+    """The guard on one profile, as the exact loop applies it."""
+    x_f, x_w = (np.asarray(v, dtype=float)[None] for v in (x_f, x_w))
+    return bool(_certified_rows(cfg, x_f, x_w)[0])
 
 
 def _updater(cfg: LearnerConfig, agent: str):
@@ -382,9 +389,7 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
         if delta.min() > threshold:
             continue
         stopped = np.flatnonzero(delta <= threshold)
-        if cfg.stop_eps is not None:
-            gap_f, gap_w, _ = analysis._gap_rows(game, x_f[stopped], x_w[stopped])
-            stopped = stopped[np.maximum(gap_f, gap_w) <= cfg.stop_eps]
+        stopped = stopped[_certified_rows(cfg, x_f[stopped], x_w[stopped])]
         if stopped.size:
             done = np.zeros(rows.size, dtype=bool)
             done[stopped] = True

@@ -161,14 +161,9 @@ def _sweep_chunk(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray) -> 
         run = learner.run_lockstep(cfg, init_f, init_w)
         final_f, final_w = run.final_f, run.final_w
         converged_at = [int(t) or None for t in run.converged_at]
-    gap_f, gap_w, _ = analysis._gap_rows(game, final_f, final_w)
-    if isinstance(game, UltimatumGame):
-        fb_w = games.ultimatum_feedback(WORKER, final_f, game.grid)
-    else:
-        fb_w = games.two_round_feedback(WORKER, final_f, game)
-    u_w = np.vecdot(final_w, fb_w).tolist()
+    gap_f, gap_w, _, u_w = analysis._gap_rows(game, final_f, final_w)
     eps = np.maximum(gap_f, gap_w).tolist()
-    gap_f, gap_w = gap_f.tolist(), gap_w.tolist()
+    gap_f, gap_w, u_w = gap_f.tolist(), gap_w.tolist(), u_w.tolist()
     cells = []
     for i, t in enumerate(converged_at):
         threat = None

@@ -189,8 +189,7 @@ def test_gap_rows_match_per_profile_certificates(game, rng):
     for k in (1, 7, 961):
         x_f = np.array([f for f, _ in profiles[:k]])
         x_w = np.array([w for _, w in profiles[:k]])
-        gap_f, gap_w, br_offer = analysis._gap_rows(game, x_f, x_w)
-        br_f = game.grid.actions[br_offer]
+        gap_f, gap_w, br_f, _ = analysis._gap_rows(game, x_f, x_w)
         got = zip(np.maximum(gap_f, gap_w).tolist(), gap_f.tolist(), gap_w.tolist(), br_f.tolist())
         assert list(got) == expected[:k]
 

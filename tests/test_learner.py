@@ -179,9 +179,9 @@ class TestUltimatumDynamics:
         gap_rows = analysis._gap_rows
 
         def spy(game, x_f, x_w):
-            gap_f, gap_w, br = gap_rows(game, x_f, x_w)
+            gap_f, gap_w, br, u_w = gap_rows(game, x_f, x_w)
             verdicts.append(np.maximum(gap_f, gap_w) <= cfg.stop_eps)
-            return gap_f, gap_w, br
+            return gap_f, gap_w, br, u_w
 
         monkeypatch.setattr(analysis, "_gap_rows", spy)
         run = learner.run_lockstep(cfg, init_f, init_w)

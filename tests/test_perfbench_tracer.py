@@ -61,7 +61,8 @@ def test_install_swaps_and_restores_every_attribute():
         assert owner.__dict__[attr] is fn, f"{attr} is not restored"
     counts = tr.exact_counts()
     assert traj.converged and counts["calls:learner.run"] == counts["calls:metagame.sweep"] == 1
-    # the sweep certifies its stack without a per-cell certificate: every
-    # certificate is one of the exact run's guard calls, the last accepted
-    assert counts["analysis.guard_calls"] == counts["calls:analysis.certify"] >= 1
-    assert counts["analysis.guard_accepts"] == 1
+    # every certificate here runs on stacks through analysis._gap_rows, which
+    # the tracer does not wrap, so none is a certify_epsilon_ne call; the
+    # guard counts only the exact run's stop checks, the last one accepted
+    assert counts["calls:analysis.certify"] == 0
+    assert counts["analysis.guard_calls"] >= 1 and counts["analysis.guard_accepts"] == 1

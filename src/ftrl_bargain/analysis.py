@@ -41,6 +41,7 @@ __all__ = [
 SUPPORT_TOL = 1e-10
 PURE_FIRM_TOL = 1e-7    # firm counts as pure for the structural check
 THREAT_TOL = 1e-3       # default mass tolerance for threat extraction
+TIE_TOL = 1e-9          # cumulative-utility gaps within this are ties for the firm's limit
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +101,15 @@ def check_eq3(a_f: float, x_w: np.ndarray, grid: ActionGrid) -> bool:
     return bool(np.all((1.0 - grid.actions[lower]) * cum[lower] <= (1.0 - grid.actions[k]) + 1e-12))
 
 
+def _clip_gap(gap):
+    """``max(0, gap)`` that keeps NaN and gives +0.0 for both zeros.
+
+    ``np.fmax`` would turn a NaN gap into 0 and ``np.maximum`` alone can
+    return -0.0; adding 0.0 maps -0.0 to +0.0 and leaves everything else as is.
+    """
+    return np.maximum(gap, 0.0) + 0.0
+
+
 def _gap_rows(game, x_f: np.ndarray, x_w: np.ndarray):
     """Best-response gaps of a stack of profiles, one per row of ``(k, n)`` stacks.
 
@@ -109,7 +119,7 @@ def _gap_rows(game, x_f: np.ndarray, x_w: np.ndarray):
     ``np.vecdot``, sums and maxes along the last axis.  For the two-round game
     best responses enumerate pure plans by backward induction against the
     opponent's fixed plan; a best response to a fixed plan always sits at a
-    vertex.
+    vertex.  A row holding NaN gets NaN gaps.
     """
     if isinstance(game, UltimatumGame):
         fb_f = games.ultimatum_feedback(FIRM, x_w, game.grid)
@@ -131,8 +141,7 @@ def _gap_rows(game, x_f: np.ndarray, x_w: np.ndarray):
         counter_values = delta * (1.0 - acts) * f_pairs[..., 0]
         best_w = np.maximum(acts * f_offer, counter_values.max(axis=-1)).sum(axis=-1)
     u_w = np.vecdot(x_w, fb_w)
-    gap_f = np.fmax(0.0, best_f - np.vecdot(x_f, fb_f))
-    return gap_f, np.fmax(0.0, best_w - u_w), br_offer, u_w
+    return _clip_gap(best_f - np.vecdot(x_f, fb_f)), _clip_gap(best_w - u_w), br_offer, u_w
 
 
 def certify_epsilon_ne(profile, game) -> EquilibriumCertificate:
@@ -143,7 +152,7 @@ def certify_epsilon_ne(profile, game) -> EquilibriumCertificate:
     two-round game.
     """
     x_f, x_w = (np.asarray(v, dtype=float) for v in profile)
-    gap_f, gap_w, br_f, _ = (a[0].item() for a in _gap_rows(game, x_f[None], x_w[None]))
+    gap_f, gap_w, br_f, _ = (a[0] for a in _gap_rows(game, x_f[None], x_w[None]))
     br_w, structural = None, False
     if isinstance(game, UltimatumGame):
         br_w = best_response_worker(x_f, game.grid)[0]
@@ -151,8 +160,8 @@ def certify_epsilon_ne(profile, game) -> EquilibriumCertificate:
         if x_f[top] >= 1.0 - PURE_FIRM_TOL:
             structural = check_eq3(float(game.grid.actions[top]), x_w, game.grid)
     return EquilibriumCertificate(
-        eps=max(gap_f, gap_w), gap_f=gap_f, gap_w=gap_w,
-        br_f=br_f, br_w=br_w, structural_ne=structural,
+        eps=np.maximum(gap_f, gap_w).item(), gap_f=gap_f.item(), gap_w=gap_w.item(),
+        br_f=br_f.item(), br_w=br_w, structural_ne=structural,
     )
 
 
@@ -177,9 +186,9 @@ def continuous_br_gap(profile, grid: ActionGrid, refinement: int) -> float:
 
     fb_f = games.ultimatum_feedback(FIRM, x_w, grid)
     fb_w = games.ultimatum_feedback(WORKER, x_f, grid)
-    gap_f = max(0.0, val_f_fine - float(x_f @ fb_f))
-    gap_w = max(0.0, val_w_fine - float(x_w @ fb_w))
-    return max(gap_f, gap_w)
+    gap_f = _clip_gap(val_f_fine - float(x_f @ fb_f))
+    gap_w = _clip_gap(val_w_fine - float(x_w @ fb_w))
+    return float(np.maximum(gap_f, gap_w))
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +331,19 @@ def iterate_recurrence(p: RecurrenceParams, n: int) -> tuple[Fraction, Fraction]
     return Fraction(W, den), Fraction(F, den)
 
 
-def classify_recurrence(p: RecurrenceParams, zero_tol: float = 1e-12) -> RecurrenceOutcome:
+def classify_recurrence(p: RecurrenceParams) -> RecurrenceOutcome:
     """Outcome by the sign of the growing mode's coefficient.
 
     Both growing-mode coefficients share the sign of c_w - sqrt(A/B) * c_f,
     so the sign test reduces to the exact rational discriminant
     B*c_w^2 - A*c_f^2 (c_w and c_f are non-negative in the valid range).
+    A zero discriminant makes the growing mode vanish (alpha1_f = 0).
     """
     disc = p.B * p.c_w * p.c_w - p.A * p.c_f * p.c_f
     if disc > 0:
         return RecurrenceOutcome.EXACT_CONVERGENCE
     if disc < 0:
         return RecurrenceOutcome.DECREASES
-    if abs(p.alpha1_f) > zero_tol:  # unreachable for rational inputs; float guard
-        return (RecurrenceOutcome.EXACT_CONVERGENCE if p.alpha1_f > 0
-                else RecurrenceOutcome.DECREASES)
     return RecurrenceOutcome.ASYMPTOTIC_CONVERGENCE
 
 
@@ -363,8 +370,6 @@ def _firm_accept_behavior(
     r_f: np.ndarray,
     game: TwoRoundGame,
     firm_cum_util: Optional[np.ndarray],
-    reach_tol: float = geometry.UNREACHABLE_TOL,
-    tie_tol: float = 1e-9,
 ) -> np.ndarray:
     """Firm's accept probability at every (first offer, counter) infoset.
 
@@ -376,14 +381,14 @@ def _firm_accept_behavior(
     tp = games.build_treeplex(game, FIRM)
     offers, pairs = tp.views(r_f)
     offers = offers[:, None]
-    reach = offers > reach_tol
+    reach = offers > geometry.UNREACHABLE_TOL
     accept = np.full(pairs.shape[:2], 0.5)
     accept_mass = np.clip(pairs[:, :, 0], 0.0, None)
     np.divide(accept_mass, offers, out=accept, where=reach)
     if firm_cum_util is not None:
         util = tp.views(np.asarray(firm_cum_util, dtype=float))[1]
         gap = util[:, :, 0] - util[:, :, 1]
-        limit = np.where(gap > tie_tol, 1.0, np.where(gap < -tie_tol, 0.0, 0.5))
+        limit = np.where(gap > TIE_TOL, 1.0, np.where(gap < -TIE_TOL, 0.0, 0.5))
         accept = np.where(reach, accept, limit)
     return accept
 

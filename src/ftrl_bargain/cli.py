@@ -12,14 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import analysis, games, learner, metagame
+from . import analysis, learner, metagame
 from .games import FIRM, WORKER, ActionGrid, TwoRoundGame, UltimatumGame
 from .learner import LearnerConfig, MonitorSuite
 
@@ -28,12 +28,6 @@ __all__ = ["ExperimentConfig", "load_config", "run_audit", "AuditReport", "main"
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-
-_CONFIG_KEYS = {
-    "game", "d", "eta", "delta", "reference_f", "reference_w",
-    "conv_threshold", "max_steps", "arithmetic", "sweep_firm", "sweep_worker",
-    "output_dir", "parallelism", "seed",
-}
 
 
 class ConfigError(ValueError):
@@ -96,10 +90,23 @@ class ExperimentConfig:
         )
 
 
+def _reference(text: str) -> Optional[float]:
+    return None if text == "zero" else _parse_number(text)
+
+
+# Value parser per config key; keys not listed stay strings.
+_PARSERS = {
+    "d": int, "max_steps": int, "parallelism": int, "seed": int, "eta": Fraction,
+    "delta": _parse_number, "conv_threshold": _parse_number,
+    "reference_f": _reference, "reference_w": _reference,
+}
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
+    keys = {f.name for f in fields(ExperimentConfig)}
     raw: dict[str, str] = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         text = line.strip()
@@ -109,44 +116,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = text.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
-
-    def get(key, default=None):
-        return raw.get(key, default)
-
-    game = get("game")
-    if game not in ("g1", "g2"):
+    if raw.get("game") not in ("g1", "g2"):
         raise ConfigError("config requires game = g1 | g2")
     if "d" not in raw or "eta" not in raw:
         raise ConfigError("config requires d and eta")
-
-    def ref(key):
-        value = get(key)
-        if value is None or value == "zero":
-            return None
-        return _parse_number(value)
-
     try:
-        return ExperimentConfig(
-            game=game,
-            d=int(raw["d"]),
-            eta=Fraction(raw["eta"]),
-            delta=_parse_number(raw["delta"]) if "delta" in raw else None,
-            reference_f=ref("reference_f"),
-            reference_w=ref("reference_w"),
-            conv_threshold=_parse_number(raw["conv_threshold"]) if "conv_threshold" in raw else None,
-            max_steps=int(raw["max_steps"]) if "max_steps" in raw else None,
-            arithmetic=get("arithmetic", "float"),
-            sweep_firm=get("sweep_firm"),
-            sweep_worker=get("sweep_worker"),
-            output_dir=get("output_dir", "."),
-            parallelism=int(get("parallelism", "1")),
-            seed=int(get("seed", "42")),
-        )
+        return ExperimentConfig(**{k: _PARSERS.get(k, str)(v) for k, v in raw.items()})
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -156,26 +136,28 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def write_certificate_csv(path: Path, cert: analysis.EquilibriumCertificate,
-                          converged_at: Optional[int]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["eps", "gap_f", "gap_w", "br_f", "br_w", "structural_ne", "converged_at"])
-        w.writerow([
-            _fmt(cert.eps), _fmt(cert.gap_f), _fmt(cert.gap_w),
-            _fmt(cert.br_f), _fmt(cert.br_w), _fmt(cert.structural_ne),
-            _fmt(converged_at),
-        ])
+        w.writerow(header)
+        w.writerows(rows)
 
 
-def write_trajectory_csv(path: Path, history) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "agent", "action_index", "mass"])
-        for step, (x_f, x_w) in enumerate(history, start=1):
-            for agent, x in ((FIRM, x_f), (WORKER, x_w)):
-                for idx, mass in enumerate(x):
-                    w.writerow([step, agent, idx, _fmt(float(mass))])
+def _write_record(path: Path, record, **extra) -> None:
+    """One-row CSV of a record dataclass: its fields, then ``extra``, as columns."""
+    values = {**asdict(record), **extra}
+    _write_csv(path, list(values), [[_fmt(v) for v in values.values()]])
+
+
+def _labels(entry) -> tuple[str, str]:
+    """Label columns of one axis entry: its two values, or ``uniform`` and a blank.
+
+    A one-shot entry is a single value; its second label is blank.
+    """
+    if entry == "uniform":
+        return "uniform", ""
+    first, second = entry if isinstance(entry, tuple) else (entry, None)
+    return _fmt(first), _fmt(second)
 
 
 def write_heatmap_csv(path: Path, sweep: metagame.SweepResult) -> None:
@@ -184,41 +166,22 @@ def write_heatmap_csv(path: Path, sweep: metagame.SweepResult) -> None:
     if is_g2:
         header += ["worker_counter", "firm_threshold"]
     header += ["u_w", "eps", "converged_at", "status", "credible_threat", "noncredible_threat"]
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        rows, cols = sweep.shape
-        for i in range(rows):
-            for j in range(cols):
-                cell = sweep.cells[i][j]
-                fe = sweep.firm_axis[i]
-                we = sweep.worker_axis[j]
-                if is_g2:
-                    f_offer, f_thresh = fe if fe != "uniform" else ("uniform", "")
-                    w_thresh, w_counter = we if we != "uniform" else ("uniform", "")
-                    lead = [_fmt(f_offer) if fe != "uniform" else "uniform",
-                            _fmt(w_thresh) if we != "uniform" else "uniform",
-                            _fmt(w_counter) if we != "uniform" else "",
-                            _fmt(f_thresh) if fe != "uniform" else ""]
-                else:
-                    lead = ["uniform" if fe == "uniform" else _fmt(fe),
-                            "uniform" if we == "uniform" else _fmt(we)]
-                threat = cell.threat
-                w.writerow(lead + [
-                    _fmt(cell.u_w), _fmt(cell.eps), _fmt(cell.converged_at), cell.status,
-                    _fmt(threat.credible_worker_threat) if threat else "",
-                    _fmt(threat.noncredible_firm_threat) if threat else "",
-                ])
+    firm = [_labels(e) for e in sweep.firm_axis]
+    worker = [_labels(e) for e in sweep.worker_axis]
 
+    def row(i, j):
+        (f_first, f_second), (w_first, w_second) = firm[i], worker[j]
+        lead = [f_first, w_first, w_second, f_second] if is_g2 else [f_first, w_first]
+        cell = sweep.cells[i][j]
+        threat = cell.threat
+        return lead + [
+            _fmt(cell.u_w), _fmt(cell.eps), _fmt(cell.converged_at), cell.status,
+            _fmt(threat.credible_worker_threat) if threat else "",
+            _fmt(threat.noncredible_firm_threat) if threat else "",
+        ]
 
-def write_summary_csv(path: Path, summary: metagame.SweepSummary) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["min_uw", "max_uw", "prop_ge_init", "prop_ge_ref"])
-        w.writerow([
-            _fmt(summary.min_uw), _fmt(summary.max_uw),
-            _fmt(summary.prop_ge_init), _fmt(summary.prop_ge_ref),
-        ])
+    rows, cols = sweep.shape
+    _write_csv(path, header, (row(i, j) for i in range(rows) for j in range(cols)))
 
 
 @dataclass
@@ -232,44 +195,26 @@ class HeatmapTable:
 
 
 def read_heatmap_csv(path: Path) -> HeatmapTable:
+    firm: dict[str, int] = {}
+    worker: dict[str, int] = {}
+    records: dict[tuple[int, int], tuple[float, str]] = {}
     with path.open() as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "firm_init" not in reader.fieldnames:
             raise ConfigError(f"{path}: not a heatmap file")
         is_g2 = "worker_counter" in reader.fieldnames
-        records = []
         for row in reader:
             fkey = row["firm_init"] + ("|" + row["firm_threshold"] if is_g2 else "")
             wkey = row["worker_init"] + ("|" + row["worker_counter"] if is_g2 else "")
-            records.append((fkey, wkey, float(row["u_w"]), row["status"]))
-    firm_inits: list[str] = []
-    worker_inits: list[str] = []
-    for fkey, wkey, _, _ in records:
-        if fkey not in firm_inits:
-            firm_inits.append(fkey)
-        if wkey not in worker_inits:
-            worker_inits.append(wkey)
-    u = np.full((len(firm_inits), len(worker_inits)), np.nan)
-    status = [["missing"] * len(worker_inits) for _ in firm_inits]
-    for fkey, wkey, uw, st in records:
-        i, j = firm_inits.index(fkey), worker_inits.index(wkey)
+            i = firm.setdefault(fkey, len(firm))
+            j = worker.setdefault(wkey, len(worker))
+            records[i, j] = float(row["u_w"]), row["status"]
+    u = np.full((len(firm), len(worker)), np.nan)
+    status = [["missing"] * len(worker) for _ in firm]
+    for (i, j), (uw, st) in records.items():
         u[i, j] = uw
         status[i][j] = st
-    return HeatmapTable(firm_inits, worker_inits, u, status)
-
-
-def write_minimax_csv(path: Path, table: HeatmapTable, sol: metagame.MinimaxSolution) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["record", "player", "init", "value"])
-        w.writerow(["value_w", "", "", _fmt(sol.value_w)])
-        w.writerow(["br_gap", "", "", _fmt(sol.br_gap)])
-        for label, prob in zip(table.firm_inits, sol.row_mix):
-            if prob > 1e-9:
-                w.writerow(["mix", "firm", label, _fmt(float(prob))])
-        for label, prob in zip(table.worker_inits, sol.col_mix):
-            if prob > 1e-9:
-                w.writerow(["mix", "worker", label, _fmt(float(prob))])
+    return HeatmapTable(list(firm), list(worker), u, status)
 
 
 # ---------------------------------------------------------------------------
@@ -371,22 +316,19 @@ def run_audit(n_runs: int, seed: int, exact_compare: int = 20,
 
 
 def _parse_initial(cfg: LearnerConfig, text: str, agent: str):
-    game = cfg.game
-    if isinstance(game, UltimatumGame):
-        if text == "uniform":
-            return games.uniform_strategy(game.grid)
-        return games.pure_strategy(game.grid, _parse_number(text))
+    """Initial strategy from its CLI text, through the sweeps' axis-entry mapping."""
     if text == "uniform":
-        return games.build_treeplex(game, agent).uniform_plan()
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(
-            f"two-round initial strategy must be 'first,second', got {text!r}"
-        )
-    a, b = (_parse_number(p) for p in parts)
-    if agent == FIRM:
-        return games.firm_vertex_plan(game, offer=a, threshold=b)
-    return games.worker_vertex_plan(game, threshold=a, counter=b)
+        entry = text
+    elif isinstance(cfg.game, UltimatumGame):
+        entry = _parse_number(text)
+    else:
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ConfigError(
+                f"two-round initial strategy must be 'first,second', got {text!r}"
+            )
+        entry = tuple(_parse_number(p) for p in parts)
+    return metagame._initial(cfg.game, agent, entry, cfg.arithmetic == "exact")
 
 
 def cmd_run(args) -> int:
@@ -398,9 +340,13 @@ def cmd_run(args) -> int:
     cert = analysis.certify_epsilon_ne((traj.final_f, traj.final_w), cfg.game)
     out_dir = Path(args.out_dir or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_certificate_csv(out_dir / "certificate.csv", cert, traj.converged_at)
+    _write_record(out_dir / "certificate.csv", cert, converged_at=traj.converged_at)
     if args.dump_trajectory:
-        write_trajectory_csv(out_dir / "trajectory.csv", traj.history)
+        _write_csv(out_dir / "trajectory.csv", ["step", "agent", "action_index", "mass"],
+                   ([step, agent, idx, _fmt(mass)]
+                    for step, profile in enumerate(traj.history, start=1)
+                    for agent, x in zip((FIRM, WORKER), profile)
+                    for idx, mass in enumerate(x)))
     status = f"converged at step {traj.converged_at}" if traj.converged else \
         f"did not converge within {traj.steps} steps"
     print(f"run: {status}; eps = {cert.eps:.3e}; wrote {out_dir / 'certificate.csv'}")
@@ -420,39 +366,33 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_heatmap_csv(out_dir / "heatmap.csv", sweep)
     summary = metagame.summarize(sweep, reference_w=config.reference_w)
-    write_summary_csv(out_dir / "summary.csv", summary)
-    n_conv = sum(c.converged for row in sweep.cells for c in row)
-    total = sweep.shape[0] * sweep.shape[1]
-    print(f"sweep: {n_conv}/{total} cells converged; "
+    _write_record(out_dir / "summary.csv", summary)
+    converged = sweep.converged_mask()
+    print(f"sweep: {converged.sum()}/{converged.size} cells converged; "
           f"u_w in [{summary.min_uw:.4f}, {summary.max_uw:.4f}]; wrote {out_dir / 'heatmap.csv'}")
-    return EXIT_OK if n_conv >= 1 else EXIT_VIOLATION
+    return EXIT_OK if converged.any() else EXIT_VIOLATION
 
 
 def cmd_metagame(args) -> int:
     table = read_heatmap_csv(Path(args.heatmap))
-    bad = [st for row in table.status for st in row if st != "converged"]
-    if bad and not args.allow_partial:
-        print("metagame: heatmap has non-converged cells; pass --allow-partial to drop them",
-              file=sys.stderr)
-        return EXIT_USAGE
-    u = table.u_w
-    firm_inits, worker_inits = table.firm_inits, table.worker_inits
-    if bad:
-        keep_rows = [i for i in range(u.shape[0])
-                     if all(st == "converged" for st in table.status[i])]
-        u = u[keep_rows]
-        firm_inits = [firm_inits[i] for i in keep_rows]
-        keep_cols = [j for j in range(u.shape[1])
-                     if not np.any(np.isnan(u[:, j]))]
-        u = u[:, keep_cols]
-        worker_inits = [worker_inits[j] for j in keep_cols]
-        if u.size == 0:
-            raise ConfigError("no fully converged rows/columns remain")
-        table = HeatmapTable(firm_inits, worker_inits, u,
-                             [["converged"] * len(worker_inits)] * len(firm_inits))
-    sol = metagame.minimax_solve(table.u_w, tol=args.tol)
+    firm_inits, u = table.firm_inits, table.u_w
+    keep = [i for i, row in enumerate(table.status) if all(st == "converged" for st in row)]
+    if len(keep) < len(firm_inits):
+        if not args.allow_partial:
+            print("metagame: heatmap has non-converged cells; pass --allow-partial to drop them",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        if not keep:
+            raise ConfigError("no fully converged firm rows remain")
+        firm_inits, u = [firm_inits[i] for i in keep], u[keep]
+    sol = metagame.minimax_solve(u, tol=args.tol)
     out = Path(args.out or "minimax.csv")
-    write_minimax_csv(out, table, sol)
+    mixes = (("firm", firm_inits, sol.row_mix), ("worker", table.worker_inits, sol.col_mix))
+    _write_csv(out, ["record", "player", "init", "value"],
+               [["value_w", "", "", _fmt(sol.value_w)], ["br_gap", "", "", _fmt(sol.br_gap)]]
+               + [["mix", player, label, _fmt(prob)]
+                  for player, labels, mix in mixes
+                  for label, prob in zip(labels, mix) if prob > 1e-9])
     print(f"metagame: value_w = {sol.value_w:.6f} (gap {sol.br_gap:.2e}, "
           f"{sol.iterations} pivots); wrote {out}")
     return EXIT_OK

@@ -40,7 +40,6 @@ GAME_DEFAULTS = {
     TwoRoundGame: dict(conv_threshold=1e-6, max_steps=15000),
 }
 
-SUPPORT_TOL = 1e-10   # masses below this count as zero in the monitors' supports
 MONITOR_TOL = 1e-10   # slack for the structural monitors
 
 # Test seam: monitors' negative control replaces this with a faulty update.
@@ -78,8 +77,8 @@ class LearnerConfig:
             for ref in (self.reference_f, self.reference_w):
                 if ref is not None:
                     self.grid.index_of(ref)
-        if not self.threshold > 0:  # also rejects NaN
-            raise ValueError(f"conv_threshold must be positive, got {self.threshold!r}")
+        if not 0 < self.threshold < math.inf:  # also rejects NaN
+            raise ValueError(f"conv_threshold must be positive and finite, got {self.threshold!r}")
         if self.stop_eps is not None and not self.stop_eps >= 0:
             raise ValueError(f"stop_eps must be None or a number >= 0, got {self.stop_eps!r}")
         if self.steps_cap < 1:
@@ -199,9 +198,8 @@ class MonitorSuite:
     output order follows input order).
     """
 
-    def __init__(self, grid: ActionGrid, support_tol: float = SUPPORT_TOL):
+    def __init__(self, grid: ActionGrid):
         self.grid = grid
-        self.support_tol = support_tol
         self.violations: list[tuple[str, int, str]] = []
         self._transitions_seen = 0
 
@@ -209,7 +207,7 @@ class MonitorSuite:
         self.violations.append((monitor, step, detail))
 
     def observe_projection(self, agent: str, step: int, v: np.ndarray, x: np.ndarray) -> None:
-        pos = x > self.support_tol
+        pos = x > analysis.SUPPORT_TOL
         idx = np.nonzero(pos)[0]
         if idx.size >= 2:
             dx = x[idx] - x[idx[0]]
@@ -231,7 +229,7 @@ class MonitorSuite:
         new_f: np.ndarray,
         new_w: np.ndarray,
     ) -> None:
-        tol = self.support_tol
+        tol = analysis.SUPPORT_TOL
         if np.any(np.diff(new_w) > MONITOR_TOL):
             self._flag("lemma1_worker_sorted", step, "worker masses increase with threshold")
         df = np.diff(new_f)

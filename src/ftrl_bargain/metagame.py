@@ -65,28 +65,17 @@ class SweepResult:
     def shape(self) -> tuple[int, int]:
         return len(self.firm_axis), len(self.worker_axis)
 
+    def converged_mask(self) -> np.ndarray:
+        return np.array([[c.converged for c in row] for row in self.cells], dtype=bool)
+
     def payoff_matrix(self) -> np.ndarray:
         """Worker payoffs per cell; non-converged cells carry NaN."""
-        rows, cols = self.shape
-        m = np.full((rows, cols), np.nan)
-        for i in range(rows):
-            for j in range(cols):
-                c = self.cells[i][j]
-                if c.converged:
-                    m[i, j] = c.u_w
+        m = np.array([[c.u_w for c in row] for row in self.cells], dtype=float)
+        m[~self.converged_mask()] = np.nan
         return m
 
     def all_converged(self) -> bool:
-        return all(c.converged for row in self.cells for c in row)
-
-    def worker_init_thresholds(self) -> Optional[np.ndarray]:
-        """Worker's initial acceptance threshold per column (None for a mixture)."""
-        vals = []
-        for entry in self.worker_axis:
-            if entry == "uniform":
-                return None
-            vals.append(entry[0] if isinstance(entry, tuple) else entry)
-        return np.asarray(vals, dtype=float)
+        return bool(self.converged_mask().all())
 
 
 @dataclass(frozen=True)
@@ -274,34 +263,22 @@ def summarize(sweep: SweepResult, reference_w: Optional[float] = None) -> SweepS
     """Distribution facts of converged worker payoffs across the sweep.
 
     Proportions compare each cell's payoff with the worker's initial threshold
-    on that cell's column and with the worker's reference action; both use a
-    1e-9 slack so grid-exact equalities count as "at least".
+    on that cell's column (None on a ``uniform`` worker axis) and with the
+    worker's reference action; both use a 1e-9 slack so grid-exact equalities
+    count as "at least".
     """
-    uws = []
-    thresholds = sweep.worker_init_thresholds()
-    per_cell_threshold = []
-    rows, cols = sweep.shape
-    for i in range(rows):
-        for j in range(cols):
-            c = sweep.cells[i][j]
-            if not c.converged:
-                continue
-            uws.append(c.u_w)
-            if thresholds is not None:
-                per_cell_threshold.append(thresholds[j])
-    if not uws:
+    converged = sweep.converged_mask()
+    if not converged.any():
         raise ValueError("sweep has no converged cells to summarize")
-    uws_arr = np.asarray(uws)
+    u = sweep.payoff_matrix()
+    uws = u[converged]
     prop_init = None
-    if thresholds is not None:
-        thr = np.asarray(per_cell_threshold)
-        prop_init = float(np.mean(uws_arr >= thr - 1e-9))
+    if "uniform" not in sweep.worker_axis:
+        # worker axis entries are thresholds (one-shot) or (threshold, counter)
+        thr = np.array([e[0] if isinstance(e, tuple) else e for e in sweep.worker_axis])
+        prop_init = float(np.mean((u >= thr - 1e-9)[converged]))
     prop_ref = None
     if reference_w is not None:
-        prop_ref = float(np.mean(uws_arr >= float(reference_w) - 1e-9))
-    return SweepSummary(
-        min_uw=float(uws_arr.min()),
-        max_uw=float(uws_arr.max()),
-        prop_ge_init=prop_init,
-        prop_ge_ref=prop_ref,
-    )
+        prop_ref = float(np.mean(uws >= float(reference_w) - 1e-9))
+    return SweepSummary(min_uw=float(uws.min()), max_uw=float(uws.max()),
+                        prop_ge_init=prop_init, prop_ge_ref=prop_ref)

@@ -140,6 +140,32 @@ class TestCertification:
         br_worker = oracles.g2_best_response_value("worker", r_f, game)
         assert cert.gap_w == pytest.approx(br_worker - float(r_w @ fb_w), abs=1e-12)
 
+    def test_nan_profile_is_not_certified(self):
+        # a NaN gap must not be clipped to 0, which would certify an exact equilibrium
+        nan, uniform = np.full(self.grid.size, np.nan), games.uniform_strategy(self.grid)
+        for profile in ((nan, uniform), (uniform, nan)):
+            cert = certify_epsilon_ne(profile, self.game)
+            assert np.isnan([cert.eps, cert.gap_f, cert.gap_w]).all()
+            assert np.isnan(continuous_br_gap(profile, self.grid, 3))
+        two_round = TwoRoundGame(self.grid, 0.9)
+        plan = games.build_treeplex(two_round, "firm").uniform_plan()
+        cert = certify_epsilon_ne((np.full_like(plan, np.nan), worker_vertex_plan(two_round, 0.4, 0.2)),
+                                  two_round)
+        assert np.isnan([cert.eps, cert.gap_f, cert.gap_w]).all()
+
+    def test_nan_row_leaves_other_rows_alone(self):
+        x_f = np.array([pure_strategy(self.grid, 0.4), np.full(self.grid.size, np.nan)])
+        x_w = np.array([mix(self.grid, {0.0: 0.9, 0.4: 0.1})] * 2)
+        gap_f, gap_w, _, _ = analysis._gap_rows(self.game, x_f, x_w)
+        alone = certify_epsilon_ne((x_f[0], x_w[0]), self.game)
+        assert (gap_f[0], gap_w[0]) == (alone.gap_f, alone.gap_w)
+        assert np.isnan(gap_f[1]) and np.isnan(gap_w[1])
+
+    def test_clipped_gaps_keep_nan_and_positive_zero(self):
+        got = analysis._clip_gap(np.array([-0.0, 0.0, -1e-300, 2.5, np.inf, -np.inf, np.nan]))
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 2.5, np.inf, 0.0, np.nan])
+        assert not np.signbit(got[:-1]).any()
+
 
 def gap_row_profiles(game, rng, rows=961):
     """At least ``rows`` profiles: vertices, exact ties, then projected random plans."""

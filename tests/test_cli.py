@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ftrl_bargain import analysis, cli
+from ftrl_bargain import analysis, cli, games, learner, metagame
 from ftrl_bargain.cli import main
 
 import oracles
@@ -15,6 +15,16 @@ def write_config(path, **kv):
     lines = [f"{k} = {v}" for k, v in kv.items()]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def g17(x) -> str:
+    """A float as the CSV files write it: 17 significant digits, exact on reparse."""
+    return f"{x:.17g}"
+
+
+def read_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture
@@ -99,6 +109,44 @@ class TestRunCommand:
         float_masses = [float(r["mass"]) for r in rows]
         assert all(m >= 0 for m in float_masses)
 
+    @pytest.mark.parametrize("kv, init_f, init_w", [
+        (dict(game="g1", d=5, reference_w=0.6), "0.4", "uniform"),
+        (dict(game="g2", d=3, delta=0.9), "1/3,0", "2/3,1/3"),
+    ], ids=["g1", "g2"])
+    def test_run_rows_match_trajectory(self, tmp_path, kv, init_f, init_w):
+        cfg = write_config(tmp_path / "c.cfg", eta="1/2", output_dir=str(tmp_path), **kv)
+        assert main(["run", cfg, "--init-f", init_f, "--init-w", init_w, "--dump-trajectory"]) == 0
+        lc = cli.load_config(cfg).to_learner_config()
+        if kv["game"] == "g1":
+            start = (games.pure_strategy(lc.grid, 0.4), games.uniform_strategy(lc.grid))
+        else:
+            start = (games.firm_vertex_plan(lc.game, offer=1 / 3, threshold=0.0),
+                     games.worker_vertex_plan(lc.game, threshold=2 / 3, counter=1 / 3))
+        traj = learner.run_dynamics(lc, *start, keep_history=True)
+        cert = analysis.certify_epsilon_ne((traj.final_f, traj.final_w), lc.game)
+        (row,) = read_rows(tmp_path / "certificate.csv")
+        assert row == {
+            "eps": g17(cert.eps), "gap_f": g17(cert.gap_f), "gap_w": g17(cert.gap_w),
+            "br_f": g17(cert.br_f), "br_w": "" if cert.br_w is None else g17(cert.br_w),
+            "structural_ne": str(cert.structural_ne).lower(),
+            "converged_at": str(traj.converged_at),
+        }
+        rows = read_rows(tmp_path / "trajectory.csv")
+        expected = [(step, agent, idx, mass)
+                    for step, profile in enumerate(traj.history, start=1)
+                    for agent, x in zip(("firm", "worker"), profile)
+                    for idx, mass in enumerate(x)]
+        assert [(int(r["step"]), r["agent"], int(r["action_index"]), float(r["mass"]))
+                for r in rows] == expected
+
+    def test_exact_run_from_uniform(self, tmp_path):
+        # exact uniform initials are Fractions that sum to exactly one
+        cfg = write_config(tmp_path / "c.cfg", game="g1", d=4, eta="1/2", arithmetic="exact",
+                           output_dir=str(tmp_path))
+        assert main(["run", cfg, "--init-f", "uniform", "--init-w", "uniform"]) == 0
+        (row,) = read_rows(tmp_path / "certificate.csv")
+        assert float(row["eps"]) <= 1e-7 and row["converged_at"] != ""
+
     def test_g2_run(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", game="g2", d=5, eta=0.5, delta=0.9,
                            output_dir=str(tmp_path))
@@ -142,6 +190,18 @@ class TestSweepCommand:
             for j in range(6):
                 assert table.u_w[i, j] == sweep.cells[i][j].u_w
 
+    @pytest.mark.parametrize("axes", [("pure", "uniform"), ("uniform", "pure")])
+    def test_summary_row_matches_sweep(self, tmp_path, axes):
+        cfg = write_config(tmp_path / "c.cfg", game="g1", d=5, eta="1/2", reference_w=0.6,
+                           sweep_firm=axes[0], sweep_worker=axes[1], output_dir=str(tmp_path))
+        assert main(["sweep", cfg]) == 0
+        lc = cli.load_config(cfg).to_learner_config()
+        summary = metagame.summarize(metagame.sweep_initials(lc, *axes), reference_w=0.6)
+        (row,) = read_rows(tmp_path / "summary.csv")
+        assert row == {key: "" if value is None else g17(value)
+                       for key, value in vars(summary).items()}
+        assert (row["prop_ge_init"] == "") == (axes[1] == "uniform")
+
     def test_sweep_requires_axes(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", game="g1", d=5, eta=0.5)
         assert main(["sweep", cfg]) == 2
@@ -184,6 +244,22 @@ class TestMetagameCommand:
         firm_mass = sum(float(r["value"]) for r in mixes if r["player"] == "firm")
         assert firm_mass == pytest.approx(1.0, abs=1e-6)
 
+    def test_minimax_rows_match_solution(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", game="g2", d=3, eta="1/2", delta=0.55,
+                           sweep_firm="pure", sweep_worker="pure", output_dir=str(tmp_path))
+        assert main(["sweep", cfg]) == 0
+        out = tmp_path / "minimax.csv"
+        assert main(["metagame", str(tmp_path / "heatmap.csv"), "--out", str(out)]) == 0
+        table = cli.read_heatmap_csv(tmp_path / "heatmap.csv")
+        sol = metagame.minimax_solve(table.u_w, tol=1e-3)
+        expected = [["value_w", "", "", g17(sol.value_w)], ["br_gap", "", "", g17(sol.br_gap)]]
+        for player, labels, mix in (("firm", table.firm_inits, sol.row_mix),
+                                    ("worker", table.worker_inits, sol.col_mix)):
+            expected += [["mix", player, label, g17(p)]
+                         for label, p in zip(labels, mix) if p > 1e-9]
+        with open(out) as fh:
+            assert list(csv.reader(fh)) == [["record", "player", "init", "value"]] + expected
+
     def test_single_cell_heatmap(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text(
@@ -208,6 +284,9 @@ class TestMetagameCommand:
         # allow-partial drops the incomplete row
         out = tmp_path / "m.csv"
         assert main(["metagame", str(path), "--allow-partial", "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [r["init"] for r in rows if r["player"] == "firm"] == ["1"]
+        assert float(rows[0]["value"]) == pytest.approx(0.4, abs=1e-12)
 
     def test_negative_tol_exit_2(self, tmp_path, capsys):
         path = tmp_path / "h.csv"

@@ -50,8 +50,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw", [
         dict(eta=float("nan")), dict(eta=float("inf")), dict(conv_threshold=float("nan")),
-        dict(stop_eps=float("nan")), dict(stop_eps=-1.0),
-    ], ids=["eta-nan", "eta-inf", "conv_threshold-nan", "stop_eps-nan", "stop_eps-negative"])
+        dict(stop_eps=float("nan")), dict(stop_eps=-1.0), dict(conv_threshold=float("inf")),
+        dict(conv_threshold=float("inf"), arithmetic="exact"),
+    ], ids=["eta-nan", "eta-inf", "conv_threshold-nan", "stop_eps-nan", "stop_eps-negative",
+            "conv_threshold-inf", "conv_threshold-inf-exact"])
     def test_meaningless_stop_rules_rejected(self, kw):
         # each would otherwise run silently to the step cap or fail mid-run
         with pytest.raises(ValueError):

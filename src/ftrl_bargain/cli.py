@@ -64,7 +64,7 @@ class ExperimentConfig:
     sweep_firm: Optional[str] = None
     sweep_worker: Optional[str] = None
     output_dir: str = "."
-    parallelism: int = 1             # worker processes of a float sweep
+    parallelism: int = 1             # worker processes of a sweep
     seed: int = 42
 
     def __post_init__(self):
@@ -402,6 +402,8 @@ def cmd_audit(args) -> int:
     config = load_config(args.config)
     if config.game != "g1":
         raise ConfigError("audit requires a g1 config")
+    # the audit draws its own D and eta, but the config must still be one `run` accepts
+    config.to_learner_config()
     report = run_audit(args.runs, args.seed if args.seed is not None else config.seed,
                        exact_compare=args.exact_compare)
     for line in report.lines():

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Literal, Sequence, Union
+from typing import Literal, Union
 
 import numpy as np
 
@@ -146,27 +146,20 @@ def ultimatum_feedback(agent: Agent, opponent_strategy: np.ndarray, grid: Action
     return x.cumsum(axis=-1) * (1.0 - actions)
 
 
-def ultimatum_feedback_exact(
-    agent: Agent, opponent_strategy: Sequence[Fraction], grid: ActionGrid
-) -> list[Fraction]:
-    """Exact-rational twin of :func:`ultimatum_feedback` (no mass clipping)."""
+def ultimatum_feedback_exact(agent: Agent, opponent_strategy, grid: ActionGrid) -> np.ndarray:
+    """Exact-rational twin of :func:`ultimatum_feedback` on ``Fraction`` mixtures.
+
+    The same formula on ``Fraction`` actions, without mass clipping; a 2-D
+    ``opponent_strategy`` gives one feedback row per mixture row.
+    """
     _check_agent(agent)
-    xs = [Fraction(m) for m in opponent_strategy]
-    if len(xs) != grid.size:
+    x = np.asarray(opponent_strategy, dtype=object)
+    if x.ndim not in (1, 2) or x.shape[-1] != grid.size:
         raise StructuralError("opponent strategy length does not match grid")
-    acts = grid.action_fractions()
-    out: list[Fraction] = [Fraction(0)] * grid.size
+    actions = np.array(grid.action_fractions(), dtype=object)
     if agent == WORKER:
-        acc = Fraction(0)
-        for k in range(grid.size - 1, -1, -1):
-            acc += xs[k] * acts[k]
-            out[k] = acc
-    else:
-        acc = Fraction(0)
-        for k in range(grid.size):
-            acc += xs[k]
-            out[k] = acc * (1 - acts[k])
-    return out
+        return (x * actions)[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    return x.cumsum(axis=-1) * (1 - actions)
 
 
 # ---------------------------------------------------------------------------

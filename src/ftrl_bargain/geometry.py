@@ -1,13 +1,13 @@
 """Euclidean projections onto the probability simplex and sequence-form polytopes.
 
-The simplex path uses the exact sort-and-threshold rule (float and rational
-flavors).  :class:`Treeplex` is the one owner of the two layouts the
-two-round game has: blocks, a product of simplices under the root (worker; a
-plain simplex is one block), and pairs, one simplex of offers with a binary
-choice per (offer, counter) pair below it (firm).  It is a value of three
-sizes whose ``views`` give every other module the heads and what hangs below
-them; backward normalization, plan validation and the closed-form projection
-all work on those views.
+The simplex path uses the exact sort-and-threshold rule, on float stacks and
+on object stacks of ``Fraction``s.  :class:`Treeplex` is the one owner of the
+two layouts the two-round game has: blocks, a product of simplices under the
+root (worker; a plain simplex is one block), and pairs, one simplex of offers
+with a binary choice per (offer, counter) pair below it (firm).  It is a
+value of three sizes whose ``views`` give every other module the heads and
+what hangs below them; backward normalization, plan validation and the
+closed-form projection all work on those views.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -171,24 +171,27 @@ def project_simplex_batch(v: np.ndarray) -> np.ndarray:
     return _threshold_rows(np.asarray(v, dtype=float))[0]
 
 
-def project_simplex_exact(v: Sequence[Fraction]) -> list[Fraction]:
-    """Exact-rational twin of :func:`project_simplex`."""
-    vals = [Fraction(x) for x in v]
-    if not vals:
-        raise StructuralError("projection input must be a non-empty vector")
-    order = sorted(range(len(vals)), key=lambda i: (-vals[i], i))
-    total = Fraction(0)
-    theta = None
-    for j, i in enumerate(order, start=1):
-        total += vals[i]
-        cand = (total - 1) / j
-        if vals[i] - cand > 0:
-            theta = cand
-        else:
-            break
-    assert theta is not None
+def project_simplex_exact(v) -> np.ndarray:
+    """Exact-rational twin of :func:`project_simplex` on ``Fraction`` vectors or stacks.
+
+    The same sort-and-threshold rule, row by row and without rounding; the
+    scan for the threshold stops at the first entry the support excludes.
+    """
+    v = np.asarray(v, dtype=object)
+    if v.ndim not in (1, 2) or v.shape[-1] == 0:
+        raise StructuralError("projection input must be a non-empty vector or stack of vectors")
+    out = np.empty_like(v)
     zero = Fraction(0)
-    return [x - theta if x > theta else zero for x in vals]
+    for row, x in zip(v.reshape(-1, v.shape[-1]), out.reshape(-1, v.shape[-1])):
+        excess, k = Fraction(-1), 0  # sum of the k largest entries, minus one
+        for u in sorted(row, reverse=True):
+            if u * k <= excess:
+                break
+            excess += u
+            k += 1
+        theta = excess / k
+        x[:] = [u - theta if u > theta else zero for u in row]
+    return out
 
 
 def validate_plan(r: np.ndarray, t: Treeplex, tol: float = PLAN_FLOW_TOL) -> bool:

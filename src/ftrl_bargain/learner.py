@@ -7,10 +7,11 @@ cumulative vectors are shifted by their running maximum every step; the
 projection is translation invariant, so iterates are unchanged while the
 float path stays well conditioned (an explicit offset restores true values).
 
-One float kernel, :func:`run_lockstep`, advances a stack of independent runs
-of either game in lockstep, one row per run, each row exactly as it would run
-alone; :func:`run_dynamics` is its one-row case.  The exact-rational loop for
-the one-shot game stays separate as the audit's oracle.
+One kernel, :func:`run_lockstep`, advances a stack of independent runs of
+either game in lockstep, one row per run, each row exactly as it would run
+alone; :func:`run_dynamics` is its one-row case.  Exact-rational one-shot runs
+go through the same kernel on object stacks of ``Fraction``s: only the
+feedback and the projection differ, and the certificate guard sees float casts.
 """
 
 from __future__ import annotations
@@ -101,16 +102,11 @@ class LearnerConfig:
         return GAME_DEFAULTS[type(self.game)]["max_steps"]
 
     def reference_vector(self, agent: str) -> np.ndarray:
+        """The agent's reference as 0/1 integers, which add exactly in both arithmetics."""
         ref = self.reference_f if agent == FIRM else self.reference_w
-        if ref is None:
-            return np.zeros(self.grid.size)
-        return games.pure_strategy(self.grid, ref)
-
-    def reference_vector_exact(self, agent: str) -> list[Fraction]:
-        ref = self.reference_f if agent == FIRM else self.reference_w
-        out = [Fraction(0)] * self.grid.size
+        out = np.zeros(self.grid.size, dtype=int)
         if ref is not None:
-            out[self.grid.index_of(ref)] = Fraction(1)
+            out[self.grid.index_of(ref)] = 1
         return out
 
 
@@ -119,7 +115,9 @@ class Trajectory:
     """History and endpoint of one run; ``converged_at`` unset means the cap hit.
 
     ``regret_*`` (one-shot runs with ``keep_history`` only) is the cumulative
-    regret against the best fixed action in hindsight after each step.
+    regret against the best fixed action in hindsight after each step.  Both
+    arithmetics fill the same fields with the same shapes; exact runs hold
+    ``Fraction``s (object arrays and lists).
     """
 
     converged_at: Optional[int]
@@ -152,16 +150,19 @@ def _certified_rows(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray) -> np.
     """Equilibrium guard, applied when the step-size test fires: a row mask.
 
     A row of the ``(k, n)`` profile stacks passes when ``stop_eps`` is None
-    or both its best-response gaps are within ``stop_eps``.
+    or both its best-response gaps, certified on float casts, are within
+    ``stop_eps``.
     """
     if cfg.stop_eps is None:
         return np.ones(len(x_f), dtype=bool)
+    x_f, x_w = np.asarray(x_f, dtype=float), np.asarray(x_w, dtype=float)
     gap_f, gap_w, _, _ = analysis._gap_rows(cfg.game, x_f, x_w)
     return np.maximum(gap_f, gap_w) <= cfg.stop_eps
 
 
+# Unused by the package; kept because perfbench/tracer.py wraps it by name.
 def _certified_stop(cfg: LearnerConfig, x_f, x_w) -> bool:
-    """The guard on one profile, as the exact loop applies it."""
+    """The guard on one profile."""
     x_f, x_w = (np.asarray(v, dtype=float)[None] for v in (x_f, x_w))
     return bool(_certified_rows(cfg, x_f, x_w)[0])
 
@@ -171,15 +172,20 @@ def _updater(cfg: LearnerConfig, agent: str):
 
     Acts on one vector or row-wise on a stack of them.
     """
-    eta = float(cfg.eta)
-    if isinstance(cfg.game, UltimatumGame):
-        ref = cfg.reference_vector(agent)
+    if cfg.arithmetic == "exact":
+        eta, ref = Fraction(cfg.eta), cfg.reference_vector(agent)
+
+        def update(U):
+            v = ref + eta * U
+            return v, geometry.project_simplex_exact(v)
+    elif isinstance(cfg.game, UltimatumGame):
+        eta, ref = float(cfg.eta), cfg.reference_vector(agent).astype(float)
 
         def update(U):
             v = ref + eta * U
             return v, _project_simplex(v)
     else:
-        tp = games.build_treeplex(cfg.game, agent)
+        eta, tp = float(cfg.eta), games.build_treeplex(cfg.game, agent)
         projector = geometry.TreeplexProjector(tp)
 
         def update(U):
@@ -266,9 +272,23 @@ class MonitorSuite:
                                f"mass {x_w[wmax]:.3e} -> {new_w[wmax]:.3e}")
 
 
+_fractions = np.frompyfunc(Fraction, 1, 1)
+
+
+def _state(cfg: LearnerConfig, x) -> np.ndarray:
+    """A copy of ``x`` in the run's arithmetic: floats, or ``Fraction``s entry by entry."""
+    if cfg.arithmetic == "exact":
+        return _fractions(np.array(x, dtype=object))
+    return np.array(x, dtype=float)
+
+
 def _check_initial(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray) -> None:
     game = cfg.game
     for agent, x in ((FIRM, x_f), (WORKER, x_w)):
+        if cfg.arithmetic == "exact":
+            if x.shape != (game.grid.size,) or sum(x) != 1 or min(x) < 0:
+                raise StructuralError(f"initial {agent} strategy is not an exact simplex point")
+            continue
         if isinstance(game, UltimatumGame):
             ok = x.shape == (game.grid.size,) and geometry.check_simplex(x, tol=1e-9)
         else:
@@ -294,14 +314,13 @@ def run_dynamics(
     one_shot = isinstance(cfg.game, UltimatumGame)
     if monitors is not None and not (one_shot and cfg.arithmetic == "float"):
         raise ValueError("monitors apply to float one-shot runs only")
-    if cfg.arithmetic == "exact":
-        return _run_ultimatum_exact(cfg, init_f, init_w, keep_history)
-    x_f = np.array(init_f, dtype=float)
-    x_w = np.array(init_w, dtype=float)
+    x_f, x_w = _state(cfg, init_f), _state(cfg, init_w)
     _check_initial(cfg, x_f, x_w)
     history = [(x_f.copy(), x_w.copy())] if keep_history else None
     regret = ([], []) if keep_history and one_shot else None
-    realized = [0.0, 0.0]
+    # exact regrets stay Fractions; float ones are Python floats
+    scalar = Fraction if cfg.arithmetic == "exact" else float
+    realized = [scalar(0), scalar(0)]
 
     def on_step(t, prev, fb, off, v, new):
         if monitors is not None:
@@ -312,8 +331,8 @@ def run_dynamics(
             history.append((new[0][0].copy(), new[1][0].copy()))
         if regret is not None:
             for i in (0, 1):
-                realized[i] += float(prev[i][0] @ fb[i][0])
-                regret[i].append(float(off[i][0, 0]) - realized[i])
+                realized[i] += scalar(prev[i][0] @ fb[i][0])
+                regret[i].append(scalar(off[i][0, 0]) - realized[i])
 
     hook = on_step if keep_history or monitors is not None else None
     run = run_lockstep(cfg, x_f[None], x_w[None], hook)
@@ -333,20 +352,24 @@ def run_dynamics(
 
 def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
                  on_step=None) -> Lockstep:
-    """Float self-play of a stack of runs, one row of ``init_f``/``init_w`` each.
+    """Self-play of a stack of runs, one row of ``init_f``/``init_w`` each.
 
     All rows step together through one feedback, shift, update and projection
     per agent on the whole stack; every row does exactly the arithmetic it
-    would do alone.  A row whose step moves no entry by more than the
-    threshold and that passes the certificate guard (one stacked certificate
-    per step over all such rows) leaves the stack; the rest run to the step
-    cap.  Initial strategies are not checked here.
+    would do alone.  Exact runs hold object stacks of ``Fraction``s.  A row
+    whose step moves no entry by more than the threshold and that passes the
+    certificate guard (one stacked certificate per step over all such rows)
+    leaves the stack; the rest run to the step cap.  Initial strategies are
+    not checked here.
     ``on_step(t, prev, fb, off, v, new)`` sees each step of the live rows, as
     (firm, worker) pairs of stacks: strategies before the step, feedback,
     running offsets, projection inputs and new strategies.
     """
     game = cfg.game
-    if isinstance(game, UltimatumGame):
+    if cfg.arithmetic == "exact":
+        def feedback(agent, opponent):
+            return games.ultimatum_feedback_exact(agent, opponent, game.grid)
+    elif isinstance(game, UltimatumGame):
         def feedback(agent, opponent):
             return games.ultimatum_feedback(agent, opponent, game.grid)
     else:
@@ -354,13 +377,13 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
             return games.two_round_feedback(agent, opponent, game)
     update_f, update_w = _updater(cfg, FIRM), _updater(cfg, WORKER)
     threshold = cfg.threshold
-    x_f = np.array(init_f, dtype=float)
-    x_w = np.array(init_w, dtype=float)
+    x_f, x_w = _state(cfg, init_f), _state(cfg, init_w)
     out = Lockstep(np.zeros(len(x_f), dtype=np.int64), np.empty_like(x_f), np.empty_like(x_w),
                    np.empty_like(x_f), np.empty_like(x_w))
     rows = np.arange(len(x_f))
-    U_f, U_w = np.zeros(x_f.shape), np.zeros(x_w.shape)
-    off_f, off_w = np.zeros((len(x_f), 1)), np.zeros((len(x_w), 1))
+    # float zeros, or Fraction zeros that keep the exact sums Fractions
+    U_f, U_w, off_f, off_w = (_state(cfg, np.zeros(shape)) for shape in
+                              (x_f.shape, x_w.shape, (len(x_f), 1), (len(x_w), 1)))
 
     def retire(mask):
         out.final_f[rows[mask]] = x_f[mask]
@@ -401,63 +424,3 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
     retire(np.ones(rows.size, dtype=bool))
     return out
 
-
-def _run_ultimatum_exact(cfg, init_f, init_w, keep_history) -> Trajectory:
-    grid = cfg.grid
-    x_f = [Fraction(v) for v in init_f]
-    x_w = [Fraction(v) for v in init_w]
-    for name, x in ((FIRM, x_f), (WORKER, x_w)):
-        if len(x) != grid.size or sum(x) != 1 or min(x) < 0:
-            raise StructuralError(f"initial {name} strategy is not an exact simplex point")
-    eta = Fraction(cfg.eta)
-    ref_f = cfg.reference_vector_exact(FIRM)
-    ref_w = cfg.reference_vector_exact(WORKER)
-    zero = Fraction(0)
-    U_f = [zero] * grid.size
-    U_w = [zero] * grid.size
-    off_f = off_w = realized_f = realized_w = zero
-    threshold = Fraction(cfg.threshold)
-
-    history = [(list(x_f), list(x_w))] if keep_history else None
-    regret_f: list[Fraction] = []
-    regret_w: list[Fraction] = []
-    converged_at = None
-    t = 1
-    for t in range(2, cfg.steps_cap + 1):
-        fb_f = games.ultimatum_feedback_exact(FIRM, x_w, grid)
-        fb_w = games.ultimatum_feedback_exact(WORKER, x_f, grid)
-        U_f = [u + f for u, f in zip(U_f, fb_f)]
-        U_w = [u + f for u, f in zip(U_w, fb_w)]
-        mf, mw = max(U_f), max(U_w)
-        U_f = [u - mf for u in U_f]
-        U_w = [u - mw for u in U_w]
-        off_f += mf
-        off_w += mw
-        new_f = geometry.project_simplex_exact([r + eta * u for r, u in zip(ref_f, U_f)])
-        new_w = geometry.project_simplex_exact([r + eta * u for r, u in zip(ref_w, U_w)])
-        delta = max(
-            max(abs(b - a) for a, b in zip(x_f, new_f)),
-            max(abs(b - a) for a, b in zip(x_w, new_w)),
-        )
-        if keep_history:
-            realized_f += sum(x * f for x, f in zip(x_f, fb_f))
-            realized_w += sum(x * f for x, f in zip(x_w, fb_w))
-            regret_f.append(off_f - realized_f)
-            regret_w.append(off_w - realized_w)
-            history.append((list(new_f), list(new_w)))
-        x_f, x_w = new_f, new_w
-        if delta <= threshold and _certified_stop(cfg, x_f, x_w):
-            converged_at = t
-            break
-
-    return Trajectory(
-        converged_at=converged_at,
-        steps=t,
-        final_f=x_f,
-        final_w=x_w,
-        cum_util_f=[u + off_f for u in U_f],
-        cum_util_w=[u + off_w for u in U_w],
-        history=history,
-        regret_f=regret_f if keep_history else None,
-        regret_w=regret_w if keep_history else None,
-    )

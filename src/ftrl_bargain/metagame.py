@@ -1,9 +1,9 @@
 """Initial-strategy sweeps and the constant-sum meta-game over their outcomes.
 
 A sweep runs the learning dynamics from every initial profile on its axes and
-records the worker's converged payoff per cell.  Float sweeps stack all cells
-into the learner's lockstep kernel, split into ``parallelism`` contiguous
-chunks (one process each); exact sweeps run cell by cell in this process.
+records the worker's converged payoff per cell.  Sweeps of either arithmetic
+stack all cells into the learner's lockstep kernel, split into
+``parallelism`` contiguous chunks (one process each).
 The resulting matrix is treated as a zero-sum game (worker maximizes, firm
 minimizes) and solved exactly by a dense tableau simplex, whose mixtures are
 certified by an explicit duality gap.
@@ -137,26 +137,19 @@ def _initial(game, agent: str, entry, exact: bool) -> np.ndarray:
 def _sweep_chunk(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray) -> list[CellResult]:
     """Cell results of one contiguous chunk of a sweep, in cell order.
 
-    The chunk's final profiles are certified as one stack; exact runs are
-    certified on their float finals.
+    The chunk's final profiles, cast to float, are certified as one stack.
     """
     game = cfg.game
-    if cfg.arithmetic == "exact":
-        runs = [learner.run_dynamics(cfg, f, w) for f, w in zip(init_f, init_w)]
-        final_f = np.array([traj.final_f for traj in runs], dtype=float)
-        final_w = np.array([traj.final_w for traj in runs], dtype=float)
-        converged_at = [traj.converged_at for traj in runs]
-    else:
-        run = learner.run_lockstep(cfg, init_f, init_w)
-        final_f, final_w = run.final_f, run.final_w
-        converged_at = [int(t) or None for t in run.converged_at]
+    run = learner.run_lockstep(cfg, init_f, init_w)
+    final_f, final_w = np.asarray(run.final_f, dtype=float), np.asarray(run.final_w, dtype=float)
+    converged_at = [int(t) or None for t in run.converged_at]
     gap_f, gap_w, _, u_w = analysis._gap_rows(game, final_f, final_w)
     eps = np.maximum(gap_f, gap_w).tolist()
     gap_f, gap_w, u_w = gap_f.tolist(), gap_w.tolist(), u_w.tolist()
     cells = []
     for i, t in enumerate(converged_at):
         threat = None
-        if not isinstance(game, UltimatumGame):  # two-round sweeps are float: ``run`` is set
+        if not isinstance(game, UltimatumGame):
             threat = analysis.detect_threats((final_f[i], final_w[i]), game,
                                              firm_cum_util=run.cum_util_f[i])
         cells.append(CellResult(u_w=u_w[i], eps=eps[i], gap_f=gap_f[i], gap_w=gap_w[i],
@@ -173,10 +166,10 @@ def sweep_initials(
 ) -> SweepResult:
     """Run the dynamics from every initial profile on the requested axes.
 
-    ``parallelism`` (an integer >= 1) is the number of processes a float
-    sweep is split over, one contiguous chunk of cells each; exact sweeps run
-    in this process.  Results never depend on it.  Individual non-converged
-    cells are recorded in place and never abort the sweep.
+    ``parallelism`` (an integer >= 1) is the number of processes the sweep
+    is split over, one contiguous chunk of cells each, in either arithmetic.
+    Results never depend on it.  Individual non-converged cells are recorded
+    in place and never abort the sweep.
     """
     if isinstance(parallelism, bool) or not isinstance(parallelism, int) or parallelism < 1:
         raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
@@ -186,7 +179,7 @@ def sweep_initials(
     exact = cfg.arithmetic == "exact"
     init_f = np.repeat([_initial(game, FIRM, e, exact) for e in firm_axis], cols, axis=0)
     init_w = np.tile([_initial(game, WORKER, e, exact) for e in worker_axis], (rows, 1))
-    chunks = 1 if exact else min(parallelism, rows * cols)
+    chunks = min(parallelism, rows * cols)
     if chunks == 1:
         cells = _sweep_chunk(cfg, init_f, init_w)
     else:

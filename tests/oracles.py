@@ -4,14 +4,15 @@ These deliberately avoid the library's fast paths: feedback by double loops
 over the payoff function, projections by lattice search or long-run
 first-order iterations, the treeplex layout by naming every sequence in
 order, treeplex best responses and backward passes by infoset-by-infoset
-loops, sequence counts by a recursive tree walk, and the recurrence by
-direct rational iteration.
+loops, sequence counts by a recursive tree walk, the recurrence by direct
+rational iteration, and exact one-shot FTRL runs by a plain ``Fraction`` loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -263,3 +264,86 @@ def certify_gaps_loop(profile, game) -> tuple[float, float, float]:
     gap_f = max(0.0, float(offer_values[br]) - float(x_f @ fb_f))
     gap_w = max(0.0, best_w - float(x_w @ fb_w))
     return gap_f, gap_w, float(acts[br])
+
+
+def _feedback_exact_loop(agent: str, x: list, grid: ActionGrid) -> list:
+    """One-shot feedback in ``Fraction``s by running sums over the grid."""
+    acts = [Fraction(k, grid.D) for k in range(grid.size)]
+    out, acc = [Fraction(0)] * grid.size, Fraction(0)
+    if agent == "worker":
+        for k in range(grid.size - 1, -1, -1):
+            acc += x[k] * acts[k]
+            out[k] = acc
+    else:
+        for k in range(grid.size):
+            acc += x[k]
+            out[k] = acc * (1 - acts[k])
+    return out
+
+
+def _project_simplex_exact_loop(v: list) -> list:
+    """Simplex projection in ``Fraction``s: scan the sorted entries for the threshold."""
+    order = sorted(range(len(v)), key=lambda i: (-v[i], i))
+    total, theta = Fraction(0), None
+    for j, i in enumerate(order, start=1):
+        total += v[i]
+        cand = (total - 1) / j
+        if v[i] - cand > 0:
+            theta = cand
+        else:
+            break
+    return [x - theta if x > theta else Fraction(0) for x in v]
+
+
+def ftrl_exact_loop(cfg, init_f, init_w, keep_history: bool = False) -> SimpleNamespace:
+    """One exact one-shot FTRL run as a plain ``Fraction`` loop, one list per vector.
+
+    The same running-max shift, step-size test and certificate guard (on float
+    casts, through :func:`certify_gaps_loop`) as the library's kernel, written
+    out one vector at a time.  Returns the ``Trajectory`` fields as lists.
+    """
+    grid = cfg.grid
+    x_f, x_w = [Fraction(v) for v in init_f], [Fraction(v) for v in init_w]
+    eta = Fraction(cfg.eta)
+    refs = []
+    for ref in (cfg.reference_f, cfg.reference_w):
+        vec = [Fraction(0)] * grid.size
+        if ref is not None:
+            vec[grid.index_of(ref)] = Fraction(1)
+        refs.append(vec)
+    U_f, U_w = [Fraction(0)] * grid.size, [Fraction(0)] * grid.size
+    off_f = off_w = realized_f = realized_w = Fraction(0)
+    history = [(list(x_f), list(x_w))] if keep_history else None
+    regret_f, regret_w = [], []
+    converged_at, t = None, 1
+    for t in range(2, cfg.steps_cap + 1):
+        fb_f = _feedback_exact_loop("firm", x_w, grid)
+        fb_w = _feedback_exact_loop("worker", x_f, grid)
+        U_f = [u + f for u, f in zip(U_f, fb_f)]
+        U_w = [u + f for u, f in zip(U_w, fb_w)]
+        mf, mw = max(U_f), max(U_w)
+        U_f, U_w = [u - mf for u in U_f], [u - mw for u in U_w]
+        off_f, off_w = off_f + mf, off_w + mw
+        new_f = _project_simplex_exact_loop([r + eta * u for r, u in zip(refs[0], U_f)])
+        new_w = _project_simplex_exact_loop([r + eta * u for r, u in zip(refs[1], U_w)])
+        delta = max(max(abs(b - a) for a, b in zip(x_f, new_f)),
+                    max(abs(b - a) for a, b in zip(x_w, new_w)))
+        if keep_history:
+            realized_f += sum(x * f for x, f in zip(x_f, fb_f))
+            realized_w += sum(x * f for x, f in zip(x_w, fb_w))
+            regret_f.append(off_f - realized_f)
+            regret_w.append(off_w - realized_w)
+            history.append((list(new_f), list(new_w)))
+        x_f, x_w = new_f, new_w
+        if delta <= Fraction(cfg.threshold):
+            gap_f, gap_w, _ = certify_gaps_loop(([float(v) for v in x_f], [float(v) for v in x_w]),
+                                                cfg.game)
+            if cfg.stop_eps is None or max(gap_f, gap_w) <= cfg.stop_eps:
+                converged_at = t
+                break
+    return SimpleNamespace(
+        converged_at=converged_at, steps=t, final_f=x_f, final_w=x_w,
+        cum_util_f=[u + off_f for u in U_f], cum_util_w=[u + off_w for u in U_w],
+        history=history, regret_f=regret_f if keep_history else None,
+        regret_w=regret_w if keep_history else None,
+    )

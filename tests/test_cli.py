@@ -326,6 +326,16 @@ class TestAuditCommand:
         with pytest.raises(ValueError):
             cli.run_audit(0, seed=0, exact_compare=-1)
 
+    def test_invalid_config_exit_2(self, tmp_path, capsys):
+        # the config that `run` rejects is rejected by `audit` too, before any run
+        cfg = write_config(tmp_path / "c.cfg", game="g1", d=3, eta="1/2", reference_f=0.123,
+                           max_steps=1, arithmetic="exact")
+        assert main(["run", cfg, "--init-f", "0", "--init-w", "0"]) == 2
+        assert "0.123 is not on the 1/3 grid" in capsys.readouterr().err
+        assert main(["audit", cfg, "--runs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "0.123 is not on the 1/3 grid" in captured.err and "clean" not in captured.out
+
     def test_requires_g1(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", game="g2", d=5, eta=0.5, delta=0.9)
         assert main(["audit", cfg, "--runs", "1"]) == 2

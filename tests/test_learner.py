@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from ftrl_bargain import analysis, games, geometry, learner
+import oracles
+from ftrl_bargain import analysis, cli, games, geometry, learner
 from ftrl_bargain.games import (
     FIRM,
     WORKER,
@@ -292,6 +293,92 @@ class TestExactMode:
         for x_f, x_w in traj.history:
             assert sum(x_f) == 1 and sum(x_w) == 1
             assert min(x_f) >= 0 and min(x_w) >= 0
+
+
+def assert_matches_exact_oracle(traj, ref):
+    """Every ``Trajectory`` field ``==`` the Fraction loop's, entries typed ``Fraction``."""
+    assert (traj.converged_at, traj.steps) == (ref.converged_at, ref.steps)
+    vectors = ["final_f", "final_w", "cum_util_f", "cum_util_w"]
+    pairs = [(getattr(traj, k), getattr(ref, k)) for k in vectors]
+    if ref.history is not None:
+        assert len(traj.history) == len(ref.history)
+        pairs += [(a, b) for got, want in zip(traj.history, ref.history) for a, b in zip(got, want)]
+        pairs += [(traj.regret_f, ref.regret_f), (traj.regret_w, ref.regret_w)]
+    else:
+        assert traj.history is traj.regret_f is traj.regret_w is None
+    for got, want in pairs:
+        assert list(got) == want
+        assert all(type(v) is Fraction for v in got)
+
+
+class TestExactKernel:
+    """Exact runs go through the lockstep kernel and match an independent Fraction loop."""
+
+    def test_audit_draws_match_oracle(self):
+        rng = np.random.default_rng(42)
+        checked = 0
+        while checked < 4:
+            d, eta, wf, ww = cli._audit_draw(rng)
+            if d > 10:
+                continue
+            cfg = g1_config(d=d, eta=eta, max_steps=8000, arithmetic="exact")
+            init_f = [Fraction(int(v), int(wf.sum())) for v in wf]
+            init_w = [Fraction(int(v), int(ww.sum())) for v in ww]
+            traj = run_dynamics(cfg, init_f, init_w)
+            assert traj.converged
+            assert_matches_exact_oracle(traj, oracles.ftrl_exact_loop(cfg, init_f, init_w))
+            checked += 1
+
+    def test_references_and_history_match_oracle(self):
+        cfg = g1_config(d=6, eta=Fraction(3, 10), reference_f=Fraction(1, 6), reference_w=0.5,
+                        arithmetic="exact")
+        init_f = [Fraction(1, 7)] * 7
+        init_w = [Fraction(k + 1, 28) for k in range(7)]
+        traj = run_dynamics(cfg, init_f, init_w, keep_history=True)
+        assert traj.converged and len(traj.regret_f) == traj.steps - 1
+        assert_matches_exact_oracle(traj, oracles.ftrl_exact_loop(cfg, init_f, init_w,
+                                                                  keep_history=True))
+
+    def test_stack_rows_match_rows_alone(self):
+        # At D=10 with references (1/2, 1) the first and third rows pass
+        # step-size plateaus that the guard rejects; the second converges at
+        # step 8, the third at 85 and the first would at 108, past the cap.
+        cfg = g1_config(d=10, eta=Fraction(1, 2), reference_f=0.5, reference_w=1.0,
+                        max_steps=100, arithmetic="exact")
+        grid = cfg.grid
+        inits = [(pure_strategy(grid, f), pure_strategy(grid, w))
+                 for f, w in ((0.1, 0.5), (0.0, 0.5), (0.4, 0.5))]
+        inits.append(([Fraction(1, 11)] * 11, [Fraction(k + 1, 66) for k in range(11)]))
+        init_f = np.array([[Fraction(v) for v in f] for f, _ in inits], dtype=object)
+        init_w = np.array([[Fraction(v) for v in w] for _, w in inits], dtype=object)
+        run = learner.run_lockstep(cfg, init_f, init_w)
+        assert run.converged_at[:3].tolist() == [0, 8, 85]
+        for k, (f, w) in enumerate(inits):
+            ref = oracles.ftrl_exact_loop(cfg, f, w)
+            assert (int(run.converged_at[k]) or None) == ref.converged_at
+            for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
+                assert list(getattr(run, name)[k]) == getattr(ref, name)
+            assert_matches_exact_oracle(run_dynamics(cfg, f, w), ref)
+
+
+def test_trajectory_contract_same_in_both_arithmetics():
+    d = 5
+    inits = (uniform_strategy(ActionGrid(d)), pure_strategy(ActionGrid(d), 0.6))
+    exact_inits = ([Fraction(1, d + 1)] * (d + 1), [Fraction(int(k == 3)) for k in range(d + 1)])
+    tf = run_dynamics(g1_config(d=d, eta=0.5), *inits, keep_history=True)
+    te = run_dynamics(g1_config(d=d, eta=Fraction(1, 2), arithmetic="exact"), *exact_inits,
+                      keep_history=True)
+    assert tf.converged and (te.steps, te.converged_at) == (tf.steps, tf.converged_at)
+    for traj in (tf, te):
+        for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
+            value = getattr(traj, name)
+            assert isinstance(value, np.ndarray) and value.shape == (d + 1,), name
+        assert isinstance(traj.history, list) and len(traj.history) == traj.steps
+        for step in traj.history:
+            assert isinstance(step, tuple) and len(step) == 2
+            assert all(isinstance(x, np.ndarray) and x.shape == (d + 1,) for x in step)
+        for regret in (traj.regret_f, traj.regret_w):
+            assert isinstance(regret, list) and len(regret) == traj.steps - 1
 
 
 class TestTwoRoundDynamics:

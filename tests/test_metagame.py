@@ -122,13 +122,16 @@ class TestSweep:
         assert max(c.eps for row in sweep.cells for c in row) <= 1e-7
 
     def test_parallel_matches_serial(self):
-        for game in (UltimatumGame(ActionGrid(10)), TwoRoundGame(ActionGrid(3), 0.9)):
-            cfg = LearnerConfig(game=game, eta=0.5)
+        for cfg in (LearnerConfig(game=UltimatumGame(ActionGrid(10)), eta=0.5),
+                    LearnerConfig(game=TwoRoundGame(ActionGrid(3), 0.9), eta=0.5),
+                    LearnerConfig(game=UltimatumGame(ActionGrid(4)), eta=Fraction(1, 2),
+                                  arithmetic="exact")):
             serial = sweep_initials(cfg, parallelism=1)
             parallel = sweep_initials(cfg, parallelism=2)
             for ra, rb in zip(serial.cells, parallel.cells):
                 for ca, cb in zip(ra, rb):
                     assert ca.u_w == cb.u_w and ca.converged_at == cb.converged_at
+                    assert ca.eps == cb.eps
                     assert np.array_equal(ca.final_f, cb.final_f)
                     assert np.array_equal(ca.final_w, cb.final_w)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, learner, metagame
 from .games import FIRM, WORKER, ActionGrid, TwoRoundGame, UltimatumGame
-from .learner import LearnerConfig, MonitorSuite
+from .learner import MONITORS, LearnerConfig, MonitorSuite
 
 __all__ = ["ExperimentConfig", "load_config", "run_audit", "AuditReport", "main"]
 
@@ -234,14 +234,9 @@ class AuditReport:
         return not self.violations
 
     def lines(self) -> list[str]:
-        monitors = [
-            "lemma1_worker_sorted", "lemma2_firm_unimodal", "lemma3_worker_stationary",
-            "lemma4_wmax_mass_decays", "lemma5_wmax_monotone",
-            "claim1_mass_difference", "claim2_order", "exact_float_agreement",
-        ]
         out = [f"audit: {self.n_runs} runs, seed {self.seed}, "
                f"{self.exact_compared} exact-mode comparisons"]
-        for name in monitors:
+        for name in (*MONITORS, "exact_float_agreement"):
             hits = [v for v in self.violations if v[0] == name]
             if hits:
                 run, step = hits[0][1], hits[0][2]

@@ -12,6 +12,10 @@ either game in lockstep, one row per run, each row exactly as it would run
 alone; :func:`run_dynamics` is its one-row case.  Exact-rational one-shot runs
 go through the same kernel on object stacks of ``Fraction``s: only the
 feedback and the projection differ, and the certificate guard sees float casts.
+
+A :class:`MonitorSuite` passed to :func:`run_dynamics` buffers each step's
+projection inputs and new strategies and checks the structural laws on
+blocks of ``BLOCK`` steps at once, plus the remainder when the run ends.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "LearnerConfig",
     "Trajectory",
     "MonitorSuite",
+    "MONITORS",
     "Lockstep",
     "run_dynamics",
     "run_lockstep",
@@ -42,6 +47,14 @@ GAME_DEFAULTS = {
 }
 
 MONITOR_TOL = 1e-10   # slack for the structural monitors
+BLOCK = 128           # steps the monitors buffer between checks
+
+# The structural monitors' names, in report order.
+MONITORS = (
+    "lemma1_worker_sorted", "lemma2_firm_unimodal", "lemma3_worker_stationary",
+    "lemma4_wmax_mass_decays", "lemma5_wmax_monotone",
+    "claim1_mass_difference", "claim2_order",
+)
 
 # Test seam: monitors' negative control replaces this with a faulty update.
 _project_simplex = geometry.project_simplex
@@ -195,81 +208,106 @@ def _updater(cfg: LearnerConfig, agent: str):
 
 
 class MonitorSuite:
-    """Runtime checks of the one-shot game's structural laws.
+    """Runtime checks of the one-shot game's structural laws, on blocks of steps.
 
     Armed by the audit: worker vectors stay sorted, firm vectors stay unimodal,
     the top worker threshold never gains support, stationarity when the firm
     offers at or above it, strict decay otherwise, plus the projection
     identities (mass differences track input differences on the support, and
     output order follows input order).
+
+    ``run_dynamics`` starts the suite on a run's initial strategies and
+    appends each step's projection inputs and new strategies to a buffer.
+    Every ``BLOCK`` steps, and once at the end of the run, the buffered
+    ``(T, n)`` stacks are checked together against the carried previous row.
+    ``violations`` lists ``(monitor, step, detail)`` in step order, and within
+    a step in check order: firm then worker projection identities, the two
+    shape laws, then the transition laws.  It accumulates across runs.
     """
 
     def __init__(self, grid: ActionGrid):
         self.grid = grid
         self.violations: list[tuple[str, int, str]] = []
-        self._transitions_seen = 0
+        self._buffer: list = []
 
-    def _flag(self, monitor: str, step: int, detail: str) -> None:
-        self.violations.append((monitor, step, detail))
+    def _start(self, x_f: np.ndarray, x_w: np.ndarray) -> None:
+        """Reset the per-run state on a run's initial strategies."""
+        self._buffer = []
+        self._prev_f, self._prev_w = x_f, x_w
+        self._fresh = True   # the run's first transition is still to come
 
-    def observe_projection(self, agent: str, step: int, v: np.ndarray, x: np.ndarray) -> None:
-        pos = x > analysis.SUPPORT_TOL
-        idx = np.nonzero(pos)[0]
-        if idx.size >= 2:
-            dx = x[idx] - x[idx[0]]
-            dv = v[idx] - v[idx[0]]
-            err = float(np.abs(dx - dv).max())
-            if err > 1e-12:
-                self._flag("claim1_mass_difference", step, f"{agent}: residual {err:.3e}")
-        # order preservation wherever at least one side keeps support
-        order = np.argsort(-v, kind="stable")
-        xs = x[order]
-        if np.any(np.diff(xs) > 1e-12):
-            self._flag("claim2_order", step, f"{agent}: output order breaks input order")
+    def _record(self, t: int, v, new) -> None:
+        """Buffer step ``t``: (firm, worker) projection inputs and outputs, one row each."""
+        self._buffer.append((t, v, new))
+        if len(self._buffer) == BLOCK:
+            self._check()
 
-    def observe_step(
-        self,
-        step: int,
-        x_f: np.ndarray,
-        x_w: np.ndarray,
-        new_f: np.ndarray,
-        new_w: np.ndarray,
-    ) -> None:
-        tol = analysis.SUPPORT_TOL
-        if np.any(np.diff(new_w) > MONITOR_TOL):
-            self._flag("lemma1_worker_sorted", step, "worker masses increase with threshold")
-        df = np.diff(new_f)
-        decreased = False
-        for step_diff in df:
-            if step_diff < -MONITOR_TOL:
-                decreased = True
-            elif step_diff > MONITOR_TOL and decreased:
-                self._flag("lemma2_firm_unimodal", step, "firm masses rise after a fall")
-                break
+    def _check(self) -> None:
+        """Check the buffered steps as ``(T, n)`` stacks and empty the buffer."""
+        if not self._buffer:
+            return
+        v_f, x_f, v_w, x_w = (np.concatenate(col) for col in
+                              zip(*((v[0], new[0], v[1], new[1]) for _, v, new in self._buffer)))
+        prev_f = np.concatenate((self._prev_f[None], x_f[:-1]))
+        prev_w = np.concatenate((self._prev_w[None], x_w[:-1]))
+        t0, skip = self._buffer[0][0], self._fresh
+        self._buffer, self._prev_f, self._prev_w, self._fresh = [], x_f[-1], x_w[-1], False
+        sorted_w, unimodal_f, stationary_w, decays_w, monotone_w, mass_diff, order_kept = MONITORS
+        tol, n = analysis.SUPPORT_TOL, x_f.shape[1]
+        cols = np.arange(n)
+        rows = np.arange(len(x_f))
+        checks = []
+        for agent, v, x in ((FIRM, v_f, x_f), (WORKER, v_w, x_w)):
+            # residuals off the support count as 0, so an empty support (where
+            # argmax picks column 0) or a support of one entry is never flagged
+            pos = x > tol
+            first = pos.argmax(axis=1)
+            x0, v0 = x[rows, first][:, None], v[rows, first][:, None]
+            resid = np.where(pos, np.abs((x - x0) - (v - v0)), 0.0).max(axis=1)
+            # order preservation wherever at least one side keeps support
+            xs = np.take_along_axis(x, np.argsort(-v, axis=1, kind="stable"), axis=1)
+            checks += [
+                (resid > 1e-12, mass_diff,
+                 lambda r, agent=agent, resid=resid: f"{agent}: residual {resid[r]:.3e}"),
+                ((np.diff(xs, axis=1) > 1e-12).any(axis=1), order_kept,
+                 lambda r, agent=agent: f"{agent}: output order breaks input order"),
+            ]
+        df = np.diff(x_f, axis=1)
+        # a rise is never also a fall, so "fell at or before j" is "fell before j"
+        fell = np.logical_or.accumulate(df < -MONITOR_TOL, axis=1)
+        checks += [
+            ((np.diff(x_w, axis=1) > MONITOR_TOL).any(axis=1), sorted_w,
+             lambda r: "worker masses increase with threshold"),
+            (((df > MONITOR_TOL) & fell).any(axis=1), unimodal_f,
+             lambda r: "firm masses rise after a fall"),
+        ]
         # The transition laws condition on the time-t profile being an update
         # output (its mass differences track utility differences), which the
-        # arbitrary initial profile is not; skip the first transition.
-        self._transitions_seen += 1
-        if self._transitions_seen == 1:
-            return
-        w_sup = np.nonzero(x_w > tol)[0]
-        new_w_sup = np.nonzero(new_w > tol)[0]
-        f_sup = np.nonzero(x_f > tol)[0]
-        if w_sup.size and new_w_sup.size and f_sup.size:
-            wmax, fmin = int(w_sup[-1]), int(f_sup[0])
-            if int(new_w_sup[-1]) > wmax:
-                self._flag("lemma5_wmax_monotone", step, "top worker threshold gained support")
-            if wmax <= fmin:
-                moved = float(np.abs(new_w - x_w).max())
-                if moved > MONITOR_TOL:
-                    self._flag("lemma3_worker_stationary", step, f"worker moved {moved:.3e}")
-            elif np.any(x_f[1:wmax] > tol):
-                # decay needs firm mass on a strictly positive offer below the
-                # top threshold; mass on offer 0 pays the worker nothing and
-                # leaves it exactly indifferent
-                if new_w[wmax] > tol and not (new_w[wmax] < x_w[wmax]):
-                    self._flag("lemma4_wmax_mass_decays", step,
-                               f"mass {x_w[wmax]:.3e} -> {new_w[wmax]:.3e}")
+        # arbitrary initial profile is not; skip the run's first transition.
+        w_sup, new_w_sup, f_sup = prev_w > tol, x_w > tol, prev_f > tol
+        wmax = np.where(w_sup.any(axis=1), n - 1 - w_sup[:, ::-1].argmax(axis=1), -1)
+        new_wmax = np.where(new_w_sup.any(axis=1), n - 1 - new_w_sup[:, ::-1].argmax(axis=1), -1)
+        fmin = np.where(f_sup.any(axis=1), f_sup.argmax(axis=1), -1)
+        law = (wmax >= 0) & (new_wmax >= 0) & (fmin >= 0)
+        law[0] &= not skip
+        moved = np.abs(x_w - prev_w).max(axis=1)
+        # decay needs firm mass on a strictly positive offer below the top
+        # threshold; mass on offer 0 pays the worker nothing and leaves it
+        # exactly indifferent
+        paid = (f_sup & (cols >= 1) & (cols < wmax[:, None])).any(axis=1)
+        old, now = prev_w[rows, wmax], x_w[rows, wmax]
+        checks += [
+            (law & (new_wmax > wmax), monotone_w,
+             lambda r: "top worker threshold gained support"),
+            (law & (wmax <= fmin) & (moved > MONITOR_TOL), stationary_w,
+             lambda r: f"worker moved {moved[r]:.3e}"),
+            (law & (wmax > fmin) & paid & (now > tol) & ~(now < old), decays_w,
+             lambda r: f"mass {old[r]:.3e} -> {now[r]:.3e}"),
+        ]
+        hits = sorted((int(r), order, name, detail(r))
+                      for order, (mask, name, detail) in enumerate(checks)
+                      for r in np.flatnonzero(mask))
+        self.violations += [(name, t0 + r, detail) for r, _, name, detail in hits]
 
 
 _fractions = np.frompyfunc(Fraction, 1, 1)
@@ -322,11 +360,12 @@ def run_dynamics(
     scalar = Fraction if cfg.arithmetic == "exact" else float
     realized = [scalar(0), scalar(0)]
 
+    if monitors is not None:
+        monitors._start(x_f, x_w)
+
     def on_step(t, prev, fb, off, v, new):
         if monitors is not None:
-            monitors.observe_projection(FIRM, t, v[0][0], new[0][0])
-            monitors.observe_projection(WORKER, t, v[1][0], new[1][0])
-            monitors.observe_step(t, prev[0][0], prev[1][0], new[0][0], new[1][0])
+            monitors._record(t, v, new)
         if keep_history:
             history.append((new[0][0].copy(), new[1][0].copy()))
         if regret is not None:
@@ -336,6 +375,8 @@ def run_dynamics(
 
     hook = on_step if keep_history or monitors is not None else None
     run = run_lockstep(cfg, x_f[None], x_w[None], hook)
+    if monitors is not None:
+        monitors._check()
     converged_at = int(run.converged_at[0]) or None
     return Trajectory(
         converged_at=converged_at,

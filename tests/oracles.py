@@ -5,7 +5,8 @@ over the payoff function, projections by lattice search or long-run
 first-order iterations, the treeplex layout by naming every sequence in
 order, treeplex best responses and backward passes by infoset-by-infoset
 loops, sequence counts by a recursive tree walk, the recurrence by direct
-rational iteration, and exact one-shot FTRL runs by a plain ``Fraction`` loop.
+rational iteration, exact one-shot FTRL runs by a plain ``Fraction`` loop,
+and the structural monitors by checking one step at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ftrl_bargain.analysis import SUPPORT_TOL
 from ftrl_bargain.games import ActionGrid, TwoRoundGame, utility_ultimatum
+from ftrl_bargain.learner import MONITOR_TOL
 
 
 def feedback_bruteforce(agent: str, opponent: np.ndarray, grid: ActionGrid) -> np.ndarray:
@@ -347,3 +350,71 @@ def ftrl_exact_loop(cfg, init_f, init_w, keep_history: bool = False) -> SimpleNa
         history=history, regret_f=regret_f if keep_history else None,
         regret_w=regret_w if keep_history else None,
     )
+
+
+def _monitor_projection(agent: str, step: int, v: np.ndarray, x: np.ndarray, flag) -> None:
+    pos = x > SUPPORT_TOL
+    idx = np.nonzero(pos)[0]
+    if idx.size >= 2:
+        dx = x[idx] - x[idx[0]]
+        dv = v[idx] - v[idx[0]]
+        err = float(np.abs(dx - dv).max())
+        if err > 1e-12:
+            flag("claim1_mass_difference", step, f"{agent}: residual {err:.3e}")
+    order = np.argsort(-v, kind="stable")
+    xs = x[order]
+    if np.any(np.diff(xs) > 1e-12):
+        flag("claim2_order", step, f"{agent}: output order breaks input order")
+
+
+def _monitor_step(step, x_f, x_w, new_f, new_w, first: bool, flag) -> None:
+    tol = SUPPORT_TOL
+    if np.any(np.diff(new_w) > MONITOR_TOL):
+        flag("lemma1_worker_sorted", step, "worker masses increase with threshold")
+    decreased = False
+    for step_diff in np.diff(new_f):
+        if step_diff < -MONITOR_TOL:
+            decreased = True
+        elif step_diff > MONITOR_TOL and decreased:
+            flag("lemma2_firm_unimodal", step, "firm masses rise after a fall")
+            break
+    if first:
+        return
+    w_sup = np.nonzero(x_w > tol)[0]
+    new_w_sup = np.nonzero(new_w > tol)[0]
+    f_sup = np.nonzero(x_f > tol)[0]
+    if w_sup.size and new_w_sup.size and f_sup.size:
+        wmax, fmin = int(w_sup[-1]), int(f_sup[0])
+        if int(new_w_sup[-1]) > wmax:
+            flag("lemma5_wmax_monotone", step, "top worker threshold gained support")
+        if wmax <= fmin:
+            moved = float(np.abs(new_w - x_w).max())
+            if moved > MONITOR_TOL:
+                flag("lemma3_worker_stationary", step, f"worker moved {moved:.3e}")
+        elif np.any(x_f[1:wmax] > tol):
+            if new_w[wmax] > tol and not (new_w[wmax] < x_w[wmax]):
+                flag("lemma4_wmax_mass_decays", step,
+                     f"mass {x_w[wmax]:.3e} -> {new_w[wmax]:.3e}")
+
+
+def monitor_loop(init_f, init_w, steps) -> list[tuple[str, int, str]]:
+    """The structural monitors on one run, checked one step at a time.
+
+    ``steps`` yields ``(t, v_f, new_f, v_w, new_w)`` per step as 1-D vectors:
+    projection inputs and outputs.  Each step checks the firm's then the
+    worker's projection identities, then the shape laws, then (from the run's
+    second transition on) the transition laws against the previous strategies.
+    Returns ``(monitor, step, detail)`` in that order.
+    """
+    out = []
+
+    def flag(monitor, step, detail):
+        out.append((monitor, step, detail))
+
+    x_f, x_w = np.asarray(init_f, dtype=float), np.asarray(init_w, dtype=float)
+    for i, (t, v_f, new_f, v_w, new_w) in enumerate(steps):
+        _monitor_projection("firm", t, v_f, new_f, flag)
+        _monitor_projection("worker", t, v_w, new_w, flag)
+        _monitor_step(t, x_f, x_w, new_f, new_w, i == 0, flag)
+        x_f, x_w = new_f, new_w
+    return out

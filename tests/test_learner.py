@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from ftrl_bargain import analysis, cli, games, geometry, learner
@@ -26,6 +28,80 @@ def g1_config(d=5, eta=0.5, **kw):
 def ftrl_step(agent, cum_util, cfg):
     """One update of the kernel: project reference + eta * cum_util."""
     return learner._updater(cfg, agent)(np.asarray(cum_util, dtype=float))[1]
+
+
+# Faulty projections ``fault(v, call)``, one per monitor.  ``call`` counts the
+# seam's calls from 1; they alternate firm, worker within each step.
+def _softmax(v, call):
+    e = np.exp(v - v.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _reversed(v, call):
+    return geometry.project_simplex(v)[:, ::-1]
+
+
+def _dip(v, call):
+    x = geometry.project_simplex(v)
+    x[:, x.shape[1] // 2] = 0.0
+    return x / x.sum(axis=1, keepdims=True)
+
+
+def _rolled_worker(v, call):
+    x = geometry.project_simplex(v)
+    return np.roll(x, 1, axis=1) if call % 2 == 0 else x
+
+
+def _tilted_worker(v, call):
+    x = geometry.project_simplex(v)
+    if call % 2:
+        return x
+    x = x * (1 + 1e-3 * call * np.arange(x.shape[1]))
+    return x / x.sum(axis=1, keepdims=True)
+
+
+def _leak(share, period):
+    """Mix ``share`` of the uniform vector into both outputs on every ``period``-th step."""
+    def fault(v, call):
+        x = geometry.project_simplex(v)
+        return (1 - share) * x + share / x.shape[1] if (call - 1) // 2 % period == 0 else x
+    return fault
+
+
+MONITOR_FAULTS = {
+    "lemma1_worker_sorted": _rolled_worker,
+    "lemma2_firm_unimodal": _dip,
+    "lemma3_worker_stationary": _tilted_worker,
+    "lemma4_wmax_mass_decays": _leak(0.001, 1),
+    "lemma5_wmax_monotone": _leak(0.01, 2),
+    "claim1_mass_difference": _softmax,
+    "claim2_order": _reversed,
+}
+
+
+def monitored_run(monkeypatch, cfg, init_f, init_w, fault=None, suite=None):
+    """One monitored run; asserts that the suite agrees with the per-step oracle.
+
+    The projection seam records every call's input and output row, optionally
+    through ``fault``; those rows feed ``oracles.monitor_loop``.  Returns the
+    violations the run added to ``suite`` (a fresh one by default).
+    """
+    calls = []
+
+    def project(v):
+        x = fault(v, len(calls) + 1) if fault else geometry.project_simplex(v)
+        calls.append((v[0].copy(), x[0].copy()))
+        return x
+
+    monkeypatch.setattr(learner, "_project_simplex", project)
+    if suite is None:
+        suite = MonitorSuite(cfg.grid)
+    before = len(suite.violations)
+    run_dynamics(cfg, init_f, init_w, monitors=suite)
+    steps = [(2 + i, *calls[2 * i], *calls[2 * i + 1]) for i in range(len(calls) // 2)]
+    added = suite.violations[before:]
+    assert added == oracles.monitor_loop(init_f, init_w, steps)
+    return added
 
 
 class TestConfig:
@@ -232,19 +308,78 @@ class TestUltimatumDynamics:
         run_dynamics(cfg, uniform_strategy(cfg.grid), init_w, monitors=monitors)
         assert any(v[0] == "lemma2_firm_unimodal" for v in monitors.violations)
 
-    def test_monitor_fires_on_injected_fault(self, monkeypatch):
-        # negative control: skipping the projection (renormalizing instead)
-        # breaks the sorted-worker law once a pure reference biases one entry
-        def broken(v):
-            x = np.maximum(v, 0.0)
-            return x / max(x.sum(), 1e-300)
+    @pytest.mark.parametrize("monitor", learner.MONITORS)
+    def test_monitor_fires_on_injected_fault(self, monkeypatch, monitor):
+        # negative control: each monitor fires under its own faulty projection,
+        # and the same run without the fault is clean
+        cfg = g1_config(d=5, eta=0.5, max_steps=60, conv_threshold=1e-300, stop_eps=None)
+        init_f, init_w = pure_strategy(cfg.grid, 0.8), np.array([2, 1, 0, 0, 0, 0]) / 3
+        assert monitored_run(monkeypatch, cfg, init_f, init_w) == []
+        names = {v[0] for v in monitored_run(monkeypatch, cfg, init_f, init_w,
+                                             MONITOR_FAULTS[monitor])}
+        assert monitor in names
 
-        monkeypatch.setattr(learner, "_project_simplex", broken)
-        cfg = g1_config(d=5, eta=0.5, reference_w=0.6, max_steps=50, stop_eps=None)
-        monitors = MonitorSuite(cfg.grid)
-        run_dynamics(cfg, pure_strategy(cfg.grid, 0.2), pure_strategy(cfg.grid, 0.2), monitors=monitors)
-        names = {v[0] for v in monitors.violations}
-        assert "lemma1_worker_sorted" in names
+
+class TestMonitorBlocks:
+    """The block check reports what checking each step as it happens reports."""
+
+    def test_audit_draws_match_oracle(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        for _ in range(30):
+            d, eta, wf, ww = cli._audit_draw(rng)
+            monitored_run(monkeypatch, g1_config(d=d, eta=eta), wf / wf.sum(), ww / ww.sum())
+
+    def test_unsorted_worker_inits_match_oracle(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        found = []
+        for _ in range(10):
+            d = int(rng.integers(3, 13))
+            wf, ww = rng.integers(1, 100, size=(2, d + 1))
+            found += monitored_run(monkeypatch, g1_config(d=d, eta=0.5), wf / wf.sum(), ww / ww.sum())
+        assert "lemma2_firm_unimodal" in {v[0] for v in found}
+
+    def test_violations_straddle_block_edges(self, monkeypatch):
+        cfg = g1_config(d=5, eta=0.5, max_steps=3 * learner.BLOCK + 20, conv_threshold=1e-300,
+                        stop_eps=None)
+        found = monitored_run(monkeypatch, cfg, uniform_strategy(cfg.grid),
+                              np.array([2, 1, 0, 0, 0, 0]) / 3, _tilted_worker)
+        steps = {v[1] for v in found}
+        # blocks hold steps 2..BLOCK+1, BLOCK+2..2*BLOCK+1, ...
+        assert {k * learner.BLOCK + e for k in (1, 2, 3) for e in (1, 2)} <= steps
+
+    def test_suite_reused_across_runs(self, monkeypatch):
+        # each run skips its own first transition, however many the suite saw
+        rng = np.random.default_rng(42)
+        runs = []
+        for _ in range(2):
+            d, eta, wf, ww = cli._audit_draw(rng)
+            runs.insert(0, (g1_config(d=d, eta=eta), wf / wf.sum(), ww / ww.sum()))
+        fresh = [v for cfg, f, w in runs for v in monitored_run(monkeypatch, cfg, f, w)]
+        suite = MonitorSuite(runs[0][0].grid)
+        for cfg, f, w in runs:
+            monitored_run(monkeypatch, cfg, f, w, suite=suite)
+        assert suite.violations == fresh
+
+    @given(data=st.data())
+    def test_arbitrary_stacks_match_oracle(self, data):
+        # empty and single-entry supports, ties, NaNs and one-step runs,
+        # checked on blocks of several sizes
+        n = data.draw(st.integers(1, 6))
+        steps = data.draw(st.integers(1, 12))
+        entry = st.one_of(st.sampled_from([0.0, 1e-11, 0.25, 0.5, 1.0, np.nan]), st.floats(-1, 1))
+        init_f, init_w, *stacks = (data.draw(arrays(float, (rows, n), elements=entry))
+                                   for rows in (1, 1, steps, steps, steps, steps))
+        v_f, x_f, v_w, x_w = stacks
+        suite = MonitorSuite(ActionGrid(5))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learner, "BLOCK", data.draw(st.sampled_from([1, 2, 5, learner.BLOCK])))
+            suite._start(init_f[0], init_w[0])
+            for r in range(steps):
+                suite._record(2 + r, (v_f[r:r + 1], v_w[r:r + 1]), (x_f[r:r + 1], x_w[r:r + 1]))
+            suite._check()
+        expected = oracles.monitor_loop(init_f[0], init_w[0],
+                                        [(2 + r, v_f[r], x_f[r], v_w[r], x_w[r]) for r in range(steps)])
+        assert suite.violations == expected
 
 
 class TestExactMode:

@@ -40,7 +40,7 @@ __all__ = [
 
 SUPPORT_TOL = 1e-10
 PURE_FIRM_TOL = 1e-7    # firm counts as pure for the structural check
-THREAT_TOL = 1e-3       # default mass tolerance for threat extraction
+THREAT_TOL = 1e-3       # mass tolerance of threat extraction
 TIE_TOL = 1e-9          # cumulative-utility gaps within this are ties for the firm's limit
 
 
@@ -396,21 +396,21 @@ def _firm_accept_behavior(
 def detect_threats(
     profile,
     game: TwoRoundGame,
-    tol: float = THREAT_TOL,
     firm_cum_util: Optional[np.ndarray] = None,
 ) -> ThreatReport:
     """Classify credible worker threats and non-credible firm threats.
 
-    The equilibrium offer is the unique first-round offer with realization at
-    least 1 - tol.  A worker threat at a lower offer is credible when the
-    rejection happens with probability above tol and the counter-offer mass
-    sits on best responses (within tol of the best counter value) against the
-    firm's second-round behavior.  The firm threatens non-credibly when the
-    accepted equilibrium offer is worth less than the discounted second-worst
-    split and it still rejects the minimal counter with probability above tol.
+    With ``tol = THREAT_TOL``, the equilibrium offer is the unique first-round
+    offer with realization at least 1 - tol.  A worker threat at a lower offer
+    is credible when the rejection happens with probability above tol and the
+    counter-offer mass sits on best responses (within tol of the best counter
+    value) against the firm's second-round behavior.  The firm threatens
+    non-credibly when the accepted equilibrium offer is worth less than the
+    discounted second-worst split and it still rejects the minimal counter
+    with probability above tol.
     """
     r_f, r_w = (np.asarray(v, dtype=float) for v in profile)
-    grid, delta = game.grid, game.delta
+    grid, delta, tol = game.grid, game.delta, THREAT_TOL
     acts = grid.actions
 
     offers = games.build_treeplex(game, FIRM).views(r_f)[0]

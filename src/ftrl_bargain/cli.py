@@ -3,8 +3,8 @@
 Subcommands: ``run`` (one trajectory plus certificate), ``sweep`` (heatmap and
 summary over initial strategies), ``metagame`` (minimax of a heatmap),
 ``audit`` (randomized invariant monitors), and ``oracle`` (closed-form vs
-iterated recurrence table).  Exit codes: 0 success, 1 audit/acceptance
-violation, 2 usage or config error.
+iterated recurrence table).  Exit codes: 0 success, 1 audit violation or a
+sweep in which no cell converged, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -50,63 +50,48 @@ def _parse_number(text: str) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat key-value experiment description; see README for the key list."""
+    """A config file: the run it describes, plus the settings of the subcommands."""
 
-    game: str
-    d: int
-    eta: Fraction  # kept rational so exact-mode runs share the float path's rate
-    delta: Optional[float] = None
-    reference_f: Optional[float] = None
-    reference_w: Optional[float] = None
-    conv_threshold: Optional[float] = None
-    max_steps: Optional[int] = None
-    arithmetic: str = "float"
+    learner: LearnerConfig
     sweep_firm: Optional[str] = None
     sweep_worker: Optional[str] = None
     output_dir: str = "."
     parallelism: int = 1             # worker processes of a sweep
-    seed: int = 42
-
-    def __post_init__(self):
-        if self.game == "g1" and self.delta is not None:
-            raise ConfigError("delta applies only to game = g2")
-
-    def to_learner_config(self) -> LearnerConfig:
-        grid = ActionGrid(self.d)
-        if self.game == "g1":
-            game = UltimatumGame(grid)
-        else:
-            if self.delta is None:
-                raise ConfigError("two-round config requires delta")
-            game = TwoRoundGame(grid, self.delta)
-        return LearnerConfig(
-            game=game,
-            eta=self.eta,
-            reference_f=self.reference_f,
-            reference_w=self.reference_w,
-            conv_threshold=self.conv_threshold,
-            max_steps=self.max_steps,
-            arithmetic=self.arithmetic,
-        )
 
 
 def _reference(text: str) -> Optional[float]:
     return None if text == "zero" else _parse_number(text)
 
 
-# Value parser per config key; keys not listed stay strings.
+# Value parser per config key; keys not listed stay strings.  ``eta`` stays
+# rational so that exact-mode runs share the float path's rate.
 _PARSERS = {
-    "d": int, "max_steps": int, "parallelism": int, "seed": int, "eta": Fraction,
+    "d": int, "max_steps": int, "parallelism": int, "eta": Fraction,
     "delta": _parse_number, "conv_threshold": _parse_number,
     "reference_f": _reference, "reference_w": _reference,
 }
+# Config keys: the three that pick the game, then the other fields of
+# LearnerConfig and of ExperimentConfig.
+_LEARNER_KEYS = tuple(f.name for f in fields(LearnerConfig) if f.name != "game")
+_KEYS = ("game", "d", "delta", *_LEARNER_KEYS,
+         *(f.name for f in fields(ExperimentConfig) if f.name != "learner"))
+
+
+def _game(kind: str, d: int, delta: Optional[float]):
+    if kind == "g1":
+        if delta is not None:
+            raise ConfigError("delta applies only to game = g2")
+        return UltimatumGame(ActionGrid(d))
+    if delta is None:
+        raise ConfigError("two-round config requires delta")
+    return TwoRoundGame(ActionGrid(d), delta)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse and validate a config file; any bad value raises ``ConfigError``."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    keys = {f.name for f in fields(ExperimentConfig)}
     raw: dict[str, str] = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         text = line.strip()
@@ -116,7 +101,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = text.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in keys:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -126,7 +111,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if "d" not in raw or "eta" not in raw:
         raise ConfigError("config requires d and eta")
     try:
-        return ExperimentConfig(**{k: _PARSERS.get(k, str)(v) for k, v in raw.items()})
+        values = {k: _PARSERS.get(k, str)(v) for k, v in raw.items()}
+        game = _game(values.pop("game"), values.pop("d"), values.pop("delta", None))
+        learner = LearnerConfig(game=game, **{k: values.pop(k) for k in _LEARNER_KEYS
+                                              if k in values})
+        return ExperimentConfig(learner, **values)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -246,8 +235,8 @@ class AuditReport:
         return out
 
 
-def _audit_draw(rng: np.random.Generator, d_low=3, d_high=30):
-    d = int(rng.integers(d_low, d_high + 1))
+def _audit_draw(rng: np.random.Generator):
+    d = int(rng.integers(3, 31))
     eta = Fraction(int(rng.integers(10, 1001)), 1000)
     weights_f = rng.integers(1, 100, size=d + 1)
     # The firm-unimodality law conditions on the worker's whole history being
@@ -257,8 +246,7 @@ def _audit_draw(rng: np.random.Generator, d_low=3, d_high=30):
     return d, eta, weights_f, weights_w
 
 
-def run_audit(n_runs: int, seed: int, exact_compare: int = 20,
-              max_steps: int = 8000) -> AuditReport:
+def run_audit(n_runs: int, seed: int, exact_compare: int = 20) -> AuditReport:
     """Randomized trajectories with every structural monitor armed.
 
     Draws D in [3, 30], a rational learning rate in (0, 1], and random initial
@@ -276,19 +264,14 @@ def run_audit(n_runs: int, seed: int, exact_compare: int = 20,
         total_f, total_w = int(wf.sum()), int(ww.sum())
         init_f = wf.astype(float) / total_f
         init_w = ww.astype(float) / total_w
-        cfg = LearnerConfig(
-            game=UltimatumGame(ActionGrid(d)), eta=eta, max_steps=max_steps
-        )
-        monitors = MonitorSuite(cfg.grid)
+        cfg = LearnerConfig(game=UltimatumGame(ActionGrid(d)), eta=eta)
+        monitors = MonitorSuite()
         traj = learner.run_dynamics(cfg, init_f, init_w, monitors=monitors)
         for monitor, step, detail in monitors.violations:
             report.violations.append((monitor, run_idx, step, detail))
 
         if report.exact_compared < exact_compare and d <= 10:
-            cfg_exact = LearnerConfig(
-                game=UltimatumGame(ActionGrid(d)), eta=eta,
-                max_steps=max_steps, arithmetic="exact",
-            )
+            cfg_exact = LearnerConfig(game=cfg.game, eta=eta, arithmetic="exact")
             exact_init_f = [Fraction(int(v), total_f) for v in wf]
             exact_init_w = [Fraction(int(v), total_w) for v in ww]
             exact = learner.run_dynamics(cfg_exact, exact_init_f, exact_init_w)
@@ -328,7 +311,7 @@ def _parse_initial(cfg: LearnerConfig, text: str, agent: str):
 
 def cmd_run(args) -> int:
     config = load_config(args.config)
-    cfg = config.to_learner_config()
+    cfg = config.learner
     init_f = _parse_initial(cfg, args.init_f, FIRM)
     init_w = _parse_initial(cfg, args.init_w, WORKER)
     traj = learner.run_dynamics(cfg, init_f, init_w, keep_history=args.dump_trajectory)
@@ -352,20 +335,23 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config)
     if not config.sweep_firm or not config.sweep_worker:
         raise ConfigError("sweep requires sweep_firm and sweep_worker axes")
-    cfg = config.to_learner_config()
     sweep = metagame.sweep_initials(
-        cfg, axis_f=config.sweep_firm, axis_w=config.sweep_worker,
+        config.learner, axis_f=config.sweep_firm, axis_w=config.sweep_worker,
         parallelism=config.parallelism,
     )
     out_dir = Path(args.out_dir or config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_heatmap_csv(out_dir / "heatmap.csv", sweep)
-    summary = metagame.summarize(sweep, reference_w=config.reference_w)
-    _write_record(out_dir / "summary.csv", summary)
     converged = sweep.converged_mask()
+    if not converged.any():
+        print(f"sweep: 0/{converged.size} cells converged; wrote {out_dir / 'heatmap.csv'} "
+              "and no summary", file=sys.stderr)
+        return EXIT_VIOLATION
+    summary = metagame.summarize(sweep, reference_w=config.learner.reference_w)
+    _write_record(out_dir / "summary.csv", summary)
     print(f"sweep: {converged.sum()}/{converged.size} cells converged; "
           f"u_w in [{summary.min_uw:.4f}, {summary.max_uw:.4f}]; wrote {out_dir / 'heatmap.csv'}")
-    return EXIT_OK if converged.any() else EXIT_VIOLATION
+    return EXIT_OK
 
 
 def cmd_metagame(args) -> int:
@@ -394,13 +380,10 @@ def cmd_metagame(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    config = load_config(args.config)
-    if config.game != "g1":
-        raise ConfigError("audit requires a g1 config")
     # the audit draws its own D and eta, but the config must still be one `run` accepts
-    config.to_learner_config()
-    report = run_audit(args.runs, args.seed if args.seed is not None else config.seed,
-                       exact_compare=args.exact_compare)
+    if not isinstance(load_config(args.config).learner.game, UltimatumGame):
+        raise ConfigError("audit requires a g1 config")
+    report = run_audit(args.runs, args.seed, exact_compare=args.exact_compare)
     for line in report.lines():
         print(line)
     if not report.ok:
@@ -471,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="randomized invariant monitors")
     p_audit.add_argument("config")
     p_audit.add_argument("--runs", type=int, default=100)
-    p_audit.add_argument("--seed", type=int, default=None)
+    p_audit.add_argument("--seed", type=int, default=42)
     p_audit.add_argument("--exact-compare", type=int, default=20)
     p_audit.set_defaults(func=cmd_audit)
 

@@ -130,9 +130,10 @@ class Treeplex:
         return out
 
 
-def check_simplex(x: np.ndarray, tol: float = 1e-12) -> bool:
+def check_simplex(x: np.ndarray) -> bool:
+    """Whether ``x`` is a probability vector, within 1e-9 per entry and in its sum."""
     x = np.asarray(x, dtype=float)
-    return bool(np.all(x >= -tol) and abs(float(x.sum()) - 1.0) <= max(tol, 1e-12))
+    return bool(np.all(x >= -1e-9) and abs(float(x.sum()) - 1.0) <= 1e-9)
 
 
 def _threshold_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

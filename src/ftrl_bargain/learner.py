@@ -49,6 +49,12 @@ GAME_DEFAULTS = {
 MONITOR_TOL = 1e-10   # slack for the structural monitors
 BLOCK = 128           # steps the monitors buffer between checks
 
+# A small-step profile only counts as converged once it certifies as an
+# approximate equilibrium at this gap; exact dynamics hit step-size-zero
+# plateaus that later move, which a bare step-size test mistakes for
+# convergence.
+STOP_EPS = 1e-7
+
 # The structural monitors' names, in report order.
 MONITORS = (
     "lemma1_worker_sorted", "lemma2_firm_unimodal", "lemma3_worker_stationary",
@@ -71,11 +77,6 @@ class LearnerConfig:
     conv_threshold: Optional[float] = None
     max_steps: Optional[int] = None
     arithmetic: str = "float"             # "float" | "exact"
-    # A small-step profile only counts as converged once it certifies as an
-    # approximate equilibrium at this gap; exact dynamics hit step-size-zero
-    # plateaus that later move, which a bare step-size test mistakes for
-    # convergence.  None disables the guard.
-    stop_eps: Optional[float] = 1e-7
 
     def __post_init__(self):
         if not 0 < float(self.eta) < math.inf:
@@ -93,8 +94,6 @@ class LearnerConfig:
                     self.grid.index_of(ref)
         if not 0 < self.threshold < math.inf:  # also rejects NaN
             raise ValueError(f"conv_threshold must be positive and finite, got {self.threshold!r}")
-        if self.stop_eps is not None and not self.stop_eps >= 0:
-            raise ValueError(f"stop_eps must be None or a number >= 0, got {self.stop_eps!r}")
         if self.steps_cap < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -162,15 +161,12 @@ class Lockstep:
 def _certified_rows(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray) -> np.ndarray:
     """Equilibrium guard, applied when the step-size test fires: a row mask.
 
-    A row of the ``(k, n)`` profile stacks passes when ``stop_eps`` is None
-    or both its best-response gaps, certified on float casts, are within
-    ``stop_eps``.
+    A row of the ``(k, n)`` profile stacks passes when both its best-response
+    gaps, certified on float casts, are within ``STOP_EPS``.
     """
-    if cfg.stop_eps is None:
-        return np.ones(len(x_f), dtype=bool)
     x_f, x_w = np.asarray(x_f, dtype=float), np.asarray(x_w, dtype=float)
     gap_f, gap_w, _, _ = analysis._gap_rows(cfg.game, x_f, x_w)
-    return np.maximum(gap_f, gap_w) <= cfg.stop_eps
+    return np.maximum(gap_f, gap_w) <= STOP_EPS
 
 
 # Unused by the package; kept because perfbench/tracer.py wraps it by name.
@@ -225,8 +221,7 @@ class MonitorSuite:
     shape laws, then the transition laws.  It accumulates across runs.
     """
 
-    def __init__(self, grid: ActionGrid):
-        self.grid = grid
+    def __init__(self):
         self.violations: list[tuple[str, int, str]] = []
         self._buffer: list = []
 
@@ -328,7 +323,7 @@ def _check_initial(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray) -> None
                 raise StructuralError(f"initial {agent} strategy is not an exact simplex point")
             continue
         if isinstance(game, UltimatumGame):
-            ok = x.shape == (game.grid.size,) and geometry.check_simplex(x, tol=1e-9)
+            ok = x.shape == (game.grid.size,) and geometry.check_simplex(x)
         else:
             ok = geometry.validate_plan(x, games.build_treeplex(game, agent))
         if not ok:

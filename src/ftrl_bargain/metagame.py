@@ -42,14 +42,17 @@ class CellResult:
     gap_f: float
     gap_w: float
     converged_at: Optional[int]
-    status: str                       # "converged" | "max_steps"
     final_f: np.ndarray
     final_w: np.ndarray
     threat: Optional[analysis.ThreatReport] = None
 
     @property
     def converged(self) -> bool:
-        return self.status == "converged"
+        return self.converged_at is not None
+
+    @property
+    def status(self) -> str:
+        return "converged" if self.converged else "max_steps"
 
 
 @dataclass(frozen=True)
@@ -153,8 +156,8 @@ def _sweep_chunk(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray) -> 
             threat = analysis.detect_threats((final_f[i], final_w[i]), game,
                                              firm_cum_util=run.cum_util_f[i])
         cells.append(CellResult(u_w=u_w[i], eps=eps[i], gap_f=gap_f[i], gap_w=gap_w[i],
-                                converged_at=t, status="converged" if t else "max_steps",
-                                final_f=final_f[i], final_w=final_w[i], threat=threat))
+                                converged_at=t, final_f=final_f[i], final_w=final_w[i],
+                                threat=threat))
     return cells
 
 
@@ -196,10 +199,11 @@ def sweep_initials(
 # ---------------------------------------------------------------------------
 
 
-_PIVOT_EPS = 1e-12  # tableau entries within this of zero count as zero
+_PIVOT_EPS = 1e-12   # tableau entries within this of zero count as zero
+_MAX_PIVOTS = 10_000  # pivot cap of one solve
 
 
-def minimax_solve(m: np.ndarray, tol: float = 1e-4, max_iters: int = 10_000) -> MinimaxSolution:
+def minimax_solve(m: np.ndarray, tol: float = 1e-4) -> MinimaxSolution:
     """Exact minimax of the worker-payoff matrix by a dense tableau simplex.
 
     With ``a = 1 + (m - min m) / span`` (entries in [1, 2]) the firm's LP is
@@ -208,7 +212,7 @@ def minimax_solve(m: np.ndarray, tol: float = 1e-4, max_iters: int = 10_000) -> 
     worker's.  Bland's rule keeps degenerate pivots on tie-heavy heatmaps from
     cycling.  Both mixtures are certified by explicit best responses; an
     optimal basis whose gap exceeds ``tol`` (float breakdown) raises, while
-    hitting the ``max_iters`` pivot cap returns the solution with its actual
+    hitting the ``_MAX_PIVOTS`` cap returns the solution with its actual
     gap (the caller decides).
     """
     m = np.asarray(m, dtype=float)
@@ -216,8 +220,6 @@ def minimax_solve(m: np.ndarray, tol: float = 1e-4, max_iters: int = 10_000) -> 
         raise ValueError("payoff matrix must be a finite 2-D array")
     if not tol >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters!r}")
     nr, nc = m.shape
     lo = m.min()
     a = 1.0 + (m - lo) / ((m.max() - lo) or 1.0)
@@ -226,7 +228,7 @@ def minimax_solve(m: np.ndarray, tol: float = 1e-4, max_iters: int = 10_000) -> 
     obj = np.concatenate([-np.ones(nr), np.zeros(nc + 1)])
     basis = np.arange(nr, nr + nc)
     pivots = 0
-    while (improving := np.flatnonzero(obj[:-1] < -_PIVOT_EPS)).size and pivots < max_iters:
+    while (improving := np.flatnonzero(obj[:-1] < -_PIVOT_EPS)).size and pivots < _MAX_PIVOTS:
         k = improving[0]                          # Bland: lowest entering index
         rows = np.flatnonzero(t[:, k] > _PIVOT_EPS)
         ratios = np.maximum(t[rows, -1], 0.0) / t[rows, k]

@@ -19,6 +19,7 @@ import numpy as np
 
 from ftrl_bargain.analysis import SUPPORT_TOL
 from ftrl_bargain.games import ActionGrid, TwoRoundGame, utility_ultimatum
+from ftrl_bargain import learner
 from ftrl_bargain.learner import MONITOR_TOL
 
 
@@ -341,7 +342,7 @@ def ftrl_exact_loop(cfg, init_f, init_w, keep_history: bool = False) -> SimpleNa
         if delta <= Fraction(cfg.threshold):
             gap_f, gap_w, _ = certify_gaps_loop(([float(v) for v in x_f], [float(v) for v in x_w]),
                                                 cfg.game)
-            if cfg.stop_eps is None or max(gap_f, gap_w) <= cfg.stop_eps:
+            if max(gap_f, gap_w) <= learner.STOP_EPS:
                 converged_at = t
                 break
     return SimpleNamespace(

@@ -38,16 +38,34 @@ def g1_config(tmp_path):
     )
 
 
+# Documented config key -> (file value, where load_config puts it, expected value).
+KEY_ROUTES = {
+    "game": ("g2", lambda c: type(c.learner.game), games.TwoRoundGame),
+    "d": ("7", lambda c: c.learner.grid.D, 7),
+    "eta": ("1/3", lambda c: c.learner.eta, Fraction(1, 3)),
+    "delta": ("0.55", lambda c: c.learner.game.delta, 0.55),
+    "reference_f": ("2/5", lambda c: c.learner.reference_f, 0.4),
+    "reference_w": ("zero", lambda c: c.learner.reference_w, None),
+    "conv_threshold": ("1e-5", lambda c: c.learner.threshold, 1e-5),
+    "max_steps": ("123", lambda c: c.learner.steps_cap, 123),
+    "arithmetic": ("exact", lambda c: c.learner.arithmetic, "exact"),
+    "sweep_firm": ("uniform", lambda c: c.sweep_firm, "uniform"),
+    "sweep_worker": ("pure", lambda c: c.sweep_worker, "pure"),
+    "output_dir": ("elsewhere", lambda c: c.output_dir, "elsewhere"),
+    "parallelism": ("3", lambda c: c.parallelism, 3),
+}
+
+
 class TestConfigParsing:
     def test_roundtrip(self, tmp_path):
         path = write_config(
             tmp_path / "c.cfg", game="g1", d=30, eta="1/2",
             reference_f="1/6", reference_w="1/2", max_steps=8000,
         )
-        cfg = cli.load_config(path)
-        assert cfg.d == 30 and cfg.eta == 0.5
+        cfg = cli.load_config(path).learner
+        assert cfg.grid.D == 30 and cfg.eta == 0.5
         assert cfg.reference_f == pytest.approx(1 / 6)
-        assert cfg.to_learner_config().steps_cap == 8000
+        assert cfg.steps_cap == 8000
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", game="g1", d=5, eta=0.5, bogus=1)
@@ -57,7 +75,7 @@ class TestConfigParsing:
     def test_zero_reference_keyword(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", game="g1", d=5, eta=0.5,
                             reference_f="zero", reference_w="zero")
-        cfg = cli.load_config(path)
+        cfg = cli.load_config(path).learner
         assert cfg.reference_f is None and cfg.reference_w is None
 
     def test_missing_file(self):
@@ -69,15 +87,37 @@ class TestConfigParsing:
         path = write_config(tmp_path / "c.cfg", game="g1", d=5, eta=0.5, delta=0.9)
         with pytest.raises(cli.ConfigError, match="delta"):
             cli.load_config(path)
-        with pytest.raises(cli.ConfigError):
-            cli.ExperimentConfig(game="g1", d=5, eta=Fraction(1, 2), delta=0.9)
         assert main(["run", path, "--init-f", "0", "--init-w", "0"]) == 2
         assert "delta" in capsys.readouterr().err
 
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# a comment\n\ngame = g1\nd = 5\neta = 0.5\n")
-        assert cli.load_config(path).game == "g1"
+        assert isinstance(cli.load_config(path).learner.game, games.UltimatumGame)
+
+    @pytest.mark.parametrize("key", cli._KEYS)
+    def test_key_routing(self, tmp_path, key):
+        # every accepted key lands in the run's LearnerConfig or in the CLI settings
+        text, read, expected = KEY_ROUTES[key]
+        kv = dict(game="g1", d=5, eta="1/2")
+        if key in ("game", "delta"):
+            kv.update(game="g2", delta=0.9)
+        kv[key] = text
+        assert read(cli.load_config(write_config(tmp_path / "c.cfg", **kv))) == expected
+
+    def test_learner_rejection_names_file(self, tmp_path):
+        path = write_config(tmp_path / "c.cfg", game="g1", d=3, eta="1/2", reference_f=0.123)
+        with pytest.raises(cli.ConfigError, match="0.123 is not on the 1/3 grid") as exc:
+            cli.load_config(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_seed_is_a_flag_not_a_key(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.cfg", game="g1", d=5, eta=0.5, seed=7)
+        with pytest.raises(cli.ConfigError, match="unknown key 'seed'"):
+            cli.load_config(path)
+        cfg = write_config(tmp_path / "ok.cfg", game="g1", d=5, eta=0.5)
+        assert main(["audit", cfg, "--runs", "0"]) == 0
+        assert "seed 42" in capsys.readouterr().out
 
 
 class TestRunCommand:
@@ -116,7 +156,7 @@ class TestRunCommand:
     def test_run_rows_match_trajectory(self, tmp_path, kv, init_f, init_w):
         cfg = write_config(tmp_path / "c.cfg", eta="1/2", output_dir=str(tmp_path), **kv)
         assert main(["run", cfg, "--init-f", init_f, "--init-w", init_w, "--dump-trajectory"]) == 0
-        lc = cli.load_config(cfg).to_learner_config()
+        lc = cli.load_config(cfg).learner
         if kv["game"] == "g1":
             start = (games.pure_strategy(lc.grid, 0.4), games.uniform_strategy(lc.grid))
         else:
@@ -195,12 +235,21 @@ class TestSweepCommand:
         cfg = write_config(tmp_path / "c.cfg", game="g1", d=5, eta="1/2", reference_w=0.6,
                            sweep_firm=axes[0], sweep_worker=axes[1], output_dir=str(tmp_path))
         assert main(["sweep", cfg]) == 0
-        lc = cli.load_config(cfg).to_learner_config()
+        lc = cli.load_config(cfg).learner
         summary = metagame.summarize(metagame.sweep_initials(lc, *axes), reference_w=0.6)
         (row,) = read_rows(tmp_path / "summary.csv")
         assert row == {key: "" if value is None else g17(value)
                        for key, value in vars(summary).items()}
         assert (row["prop_ge_init"] == "") == (axes[1] == "uniform")
+
+    def test_no_converged_cell_exit_1(self, tmp_path, capsys):
+        # the heatmap is written, the summary of no converged payoff is not
+        cfg = write_config(tmp_path / "c.cfg", game="g1", d=5, eta=0.5, max_steps=2,
+                           sweep_firm="pure", sweep_worker="pure", output_dir=str(tmp_path))
+        assert main(["sweep", cfg]) == 1
+        assert "0/36 cells converged" in capsys.readouterr().err
+        assert {r["status"] for r in read_rows(tmp_path / "heatmap.csv")} == {"max_steps"}
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_sweep_requires_axes(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", game="g1", d=5, eta=0.5)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -23,6 +25,12 @@ from ftrl_bargain.learner import LearnerConfig, MonitorSuite, run_dynamics
 
 def g1_config(d=5, eta=0.5, **kw):
     return LearnerConfig(game=UltimatumGame(ActionGrid(d)), eta=eta, **kw)
+
+
+@pytest.fixture
+def no_guard(monkeypatch):
+    """Turn the kernel's certificate guard off: every small-step row stops."""
+    monkeypatch.setattr(learner, "STOP_EPS", math.inf)
 
 
 def ftrl_step(agent, cum_util, cfg):
@@ -95,7 +103,7 @@ def monitored_run(monkeypatch, cfg, init_f, init_w, fault=None, suite=None):
 
     monkeypatch.setattr(learner, "_project_simplex", project)
     if suite is None:
-        suite = MonitorSuite(cfg.grid)
+        suite = MonitorSuite()
     before = len(suite.violations)
     run_dynamics(cfg, init_f, init_w, monitors=suite)
     steps = [(2 + i, *calls[2 * i], *calls[2 * i + 1]) for i in range(len(calls) // 2)]
@@ -127,18 +135,24 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw", [
         dict(eta=float("nan")), dict(eta=float("inf")), dict(conv_threshold=float("nan")),
-        dict(stop_eps=float("nan")), dict(stop_eps=-1.0), dict(conv_threshold=float("inf")),
-        dict(conv_threshold=float("inf"), arithmetic="exact"),
-    ], ids=["eta-nan", "eta-inf", "conv_threshold-nan", "stop_eps-nan", "stop_eps-negative",
-            "conv_threshold-inf", "conv_threshold-inf-exact"])
+        dict(conv_threshold=float("inf")), dict(conv_threshold=float("inf"), arithmetic="exact"),
+    ], ids=["eta-nan", "eta-inf", "conv_threshold-nan", "conv_threshold-inf",
+            "conv_threshold-inf-exact"])
     def test_meaningless_stop_rules_rejected(self, kw):
         # each would otherwise run silently to the step cap or fail mid-run
         with pytest.raises(ValueError):
             g1_config(**kw)
 
-    def test_stop_eps_bounds_accepted(self):
-        assert g1_config(stop_eps=0.0).stop_eps == 0.0
-        assert g1_config(stop_eps=None).stop_eps is None
+    def test_stop_eps_bounds_accepted(self, monkeypatch):
+        # the guard reads STOP_EPS when it runs: 0 stops only exact equilibria,
+        # inf (the tests' way to turn the guard off) stops every row
+        cfg = g1_config()
+        eq, uniform = pure_strategy(cfg.grid, 0.0), uniform_strategy(cfg.grid)
+        x = np.array([eq, uniform])
+        monkeypatch.setattr(learner, "STOP_EPS", 0.0)
+        assert learner._certified_rows(cfg, x, x).tolist() == [True, False]
+        monkeypatch.setattr(learner, "STOP_EPS", math.inf)
+        assert learner._certified_rows(cfg, x, x).tolist() == [True, True]
 
     def test_reference_vectors(self):
         cfg = g1_config(reference_f=0.4)
@@ -172,30 +186,31 @@ class TestFtrlStep:
             ftrl_step(FIRM, np.array([np.nan] * 6), g1_config())
 
 
+@pytest.mark.usefixtures("no_guard")
 class TestDetectConvergence:
     """The kernel's step-size stop rule, with the certificate guard off."""
 
     def test_identical(self):
         # eta large enough that the first update lands on the initial profile
-        cfg = g1_config(eta=10.0, reference_w=0.0, stop_eps=None)
+        cfg = g1_config(eta=10.0, reference_w=0.0)
         x = pure_strategy(cfg.grid, 0.0)
         assert run_dynamics(cfg, x, x).converged_at == 2
 
     def test_uniform_vs_pure(self):
-        cfg = g1_config(eta=10.0, reference_w=0.0, max_steps=2, stop_eps=None)
+        cfg = g1_config(eta=10.0, reference_w=0.0, max_steps=2)
         traj = run_dynamics(cfg, uniform_strategy(cfg.grid), uniform_strategy(cfg.grid))
         assert not traj.converged
 
     def test_boundary_inclusive(self):
-        cfg = g1_config(d=6, eta=0.5, max_steps=2, stop_eps=None)
+        cfg = g1_config(d=6, eta=0.5, max_steps=2)
         init_f, init_w = uniform_strategy(cfg.grid), pure_strategy(cfg.grid, 0.5)
         (f0, w0), (f1, w1) = run_dynamics(cfg, init_f, init_w, keep_history=True).history
         moved = max(np.abs(f1 - f0).max(), np.abs(w1 - w0).max())
         assert moved > 0.0
         # the largest move sits exactly at the threshold, then just above it
-        at = g1_config(d=6, eta=0.5, max_steps=2, stop_eps=None, conv_threshold=moved)
+        at = g1_config(d=6, eta=0.5, max_steps=2, conv_threshold=moved)
         assert run_dynamics(at, init_f, init_w).converged_at == 2
-        below = g1_config(d=6, eta=0.5, max_steps=2, stop_eps=None, conv_threshold=np.nextafter(moved, 0))
+        below = g1_config(d=6, eta=0.5, max_steps=2, conv_threshold=np.nextafter(moved, 0))
         assert not run_dynamics(below, init_f, init_w).converged
 
     def test_dimension_mismatch(self):
@@ -237,8 +252,8 @@ class TestUltimatumDynamics:
         cfg = g1_config(d=8, eta=0.9)
         traj = run_dynamics(cfg, uniform_strategy(cfg.grid), pure_strategy(cfg.grid, 1.0), keep_history=True)
         for x_f, x_w in traj.history:
-            assert geometry.check_simplex(x_f, tol=1e-9)
-            assert geometry.check_simplex(x_w, tol=1e-9)
+            assert geometry.check_simplex(x_f)
+            assert geometry.check_simplex(x_w)
 
     def test_non_convergence_is_data(self):
         cfg = g1_config(d=10, eta=0.5, max_steps=3)
@@ -259,7 +274,7 @@ class TestUltimatumDynamics:
 
         def spy(game, x_f, x_w):
             gap_f, gap_w, br, u_w = gap_rows(game, x_f, x_w)
-            verdicts.append(np.maximum(gap_f, gap_w) <= cfg.stop_eps)
+            verdicts.append(np.maximum(gap_f, gap_w) <= learner.STOP_EPS)
             return gap_f, gap_w, br, u_w
 
         monkeypatch.setattr(analysis, "_gap_rows", spy)
@@ -277,8 +292,8 @@ class TestUltimatumDynamics:
         with pytest.raises(StructuralError):
             run_dynamics(cfg, np.ones(6), uniform_strategy(cfg.grid))
 
-    def test_regret_rate_decreases(self):
-        cfg = g1_config(d=10, eta=0.5, max_steps=8000, conv_threshold=1e-300, stop_eps=None)
+    def test_regret_rate_decreases(self, no_guard):
+        cfg = g1_config(d=10, eta=0.5, max_steps=8000, conv_threshold=1e-300)
         rng = np.random.default_rng(11)
         x = rng.exponential(size=11)
         y = rng.exponential(size=11)
@@ -291,7 +306,7 @@ class TestUltimatumDynamics:
 
     def test_monitor_suite_clean_on_valid_run(self):
         cfg = g1_config(d=9, eta=0.8)
-        monitors = MonitorSuite(cfg.grid)
+        monitors = MonitorSuite()
         rng = np.random.default_rng(5)
         x = rng.exponential(size=10)
         # worker init sorted: the firm-unimodality law conditions on it
@@ -299,20 +314,20 @@ class TestUltimatumDynamics:
         run_dynamics(cfg, x / x.sum(), y / y.sum(), monitors=monitors)
         assert monitors.violations == []
 
-    def test_lemma2_premise_needs_sorted_worker_init(self):
+    def test_lemma2_premise_needs_sorted_worker_init(self, no_guard):
         # with an unsorted worker initial mixture the firm's second iterate
         # can legitimately dip and rise again, so the audit draws sorted ones
-        cfg = g1_config(d=5, eta=0.8, max_steps=6, stop_eps=None)
-        monitors = MonitorSuite(cfg.grid)
+        cfg = g1_config(d=5, eta=0.8, max_steps=6)
+        monitors = MonitorSuite()
         init_w = np.array([0.5, 0.0, 0.0, 0.5, 0.0, 0.0])
         run_dynamics(cfg, uniform_strategy(cfg.grid), init_w, monitors=monitors)
         assert any(v[0] == "lemma2_firm_unimodal" for v in monitors.violations)
 
     @pytest.mark.parametrize("monitor", learner.MONITORS)
-    def test_monitor_fires_on_injected_fault(self, monkeypatch, monitor):
+    def test_monitor_fires_on_injected_fault(self, monkeypatch, no_guard, monitor):
         # negative control: each monitor fires under its own faulty projection,
         # and the same run without the fault is clean
-        cfg = g1_config(d=5, eta=0.5, max_steps=60, conv_threshold=1e-300, stop_eps=None)
+        cfg = g1_config(d=5, eta=0.5, max_steps=60, conv_threshold=1e-300)
         init_f, init_w = pure_strategy(cfg.grid, 0.8), np.array([2, 1, 0, 0, 0, 0]) / 3
         assert monitored_run(monkeypatch, cfg, init_f, init_w) == []
         names = {v[0] for v in monitored_run(monkeypatch, cfg, init_f, init_w,
@@ -338,9 +353,8 @@ class TestMonitorBlocks:
             found += monitored_run(monkeypatch, g1_config(d=d, eta=0.5), wf / wf.sum(), ww / ww.sum())
         assert "lemma2_firm_unimodal" in {v[0] for v in found}
 
-    def test_violations_straddle_block_edges(self, monkeypatch):
-        cfg = g1_config(d=5, eta=0.5, max_steps=3 * learner.BLOCK + 20, conv_threshold=1e-300,
-                        stop_eps=None)
+    def test_violations_straddle_block_edges(self, monkeypatch, no_guard):
+        cfg = g1_config(d=5, eta=0.5, max_steps=3 * learner.BLOCK + 20, conv_threshold=1e-300)
         found = monitored_run(monkeypatch, cfg, uniform_strategy(cfg.grid),
                               np.array([2, 1, 0, 0, 0, 0]) / 3, _tilted_worker)
         steps = {v[1] for v in found}
@@ -355,7 +369,7 @@ class TestMonitorBlocks:
             d, eta, wf, ww = cli._audit_draw(rng)
             runs.insert(0, (g1_config(d=d, eta=eta), wf / wf.sum(), ww / ww.sum()))
         fresh = [v for cfg, f, w in runs for v in monitored_run(monkeypatch, cfg, f, w)]
-        suite = MonitorSuite(runs[0][0].grid)
+        suite = MonitorSuite()
         for cfg, f, w in runs:
             monitored_run(monkeypatch, cfg, f, w, suite=suite)
         assert suite.violations == fresh
@@ -370,7 +384,7 @@ class TestMonitorBlocks:
         init_f, init_w, *stacks = (data.draw(arrays(float, (rows, n), elements=entry))
                                    for rows in (1, 1, steps, steps, steps, steps))
         v_f, x_f, v_w, x_w = stacks
-        suite = MonitorSuite(ActionGrid(5))
+        suite = MonitorSuite()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(learner, "BLOCK", data.draw(st.sampled_from([1, 2, 5, learner.BLOCK])))
             suite._start(init_f[0], init_w[0])
@@ -399,10 +413,10 @@ class TestExactMode:
         np.testing.assert_allclose([float(v) for v in te.final_f], tf.final_f, atol=1e-12)
         np.testing.assert_allclose([float(v) for v in te.final_w], tf.final_w, atol=1e-12)
 
-    def test_cum_util_matches_float(self):
+    def test_cum_util_matches_float(self, no_guard):
         # both paths report the true cumulative utility, running offset included
-        cfg_f = g1_config(d=5, eta=0.5, max_steps=30, stop_eps=None)
-        cfg_e = g1_config(d=5, eta=Fraction(1, 2), max_steps=30, stop_eps=None, arithmetic="exact")
+        cfg_f = g1_config(d=5, eta=0.5, max_steps=30)
+        cfg_e = g1_config(d=5, eta=Fraction(1, 2), max_steps=30, arithmetic="exact")
         # and, with history kept, the same cumulative regret after every step
         tf = run_dynamics(cfg_f, uniform_strategy(cfg_f.grid), pure_strategy(cfg_f.grid, 0.6),
                           keep_history=True)
@@ -419,7 +433,7 @@ class TestExactMode:
         cfg = g1_config(d=4, eta=Fraction(1, 2), arithmetic="exact")
         init = [Fraction(1, 5)] * 5
         with pytest.raises(ValueError, match="monitors"):
-            run_dynamics(cfg, init, init, monitors=MonitorSuite(cfg.grid))
+            run_dynamics(cfg, init, init, monitors=MonitorSuite())
 
     def test_exact_invariants(self):
         cfg = g1_config(d=4, eta=Fraction(3, 10), arithmetic="exact")
@@ -556,7 +570,7 @@ class TestTwoRoundDynamics:
         cfg = LearnerConfig(game=game, eta=0.5)
         with pytest.raises(ValueError, match="monitors"):
             run_dynamics(cfg, firm_vertex_plan(game, 0.0, 0.0), worker_vertex_plan(game, 0.0, 0.0),
-                         monitors=MonitorSuite(game.grid))
+                         monitors=MonitorSuite())
 
     def test_invalid_plan_rejected(self):
         game = TwoRoundGame(ActionGrid(5), 0.9)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ftrl_bargain import analysis, games, learner
+from ftrl_bargain import analysis, games, learner, metagame
 from ftrl_bargain.games import ActionGrid, TwoRoundGame, UltimatumGame
 from ftrl_bargain.learner import LearnerConfig
 from ftrl_bargain.metagame import minimax_solve, summarize, sweep_initials
@@ -184,22 +184,22 @@ class TestMinimax:
         assert best_row - 1e-12 <= sol.value_w <= best_col + 1e-12
 
     def test_uniform_start_solves_symmetric_game_immediately(self):
-        # matching pennies' saddle is the uniform profile; a pivot cap far above need
-        sol = minimax_solve(np.array([[1.0, 0.0], [0.0, 1.0]]), tol=1e-12, max_iters=2000)
+        # matching pennies' saddle is the uniform profile
+        sol = minimax_solve(np.array([[1.0, 0.0], [0.0, 1.0]]), tol=1e-12)
         assert sol.br_gap <= 1e-12 and sol.value_w == pytest.approx(0.5, abs=1e-12)
         assert sol.iterations <= 2
 
-    def test_cap_returns_actual_gap(self):
+    def test_cap_returns_actual_gap(self, monkeypatch):
         m = np.array([[0.7, 0.2], [0.3, 0.8]])  # interior saddle: two pivots
         assert minimax_solve(m, tol=1e-12).iterations > 1
-        sol = minimax_solve(m, tol=1e-12, max_iters=1)
+        monkeypatch.setattr(metagame, "_MAX_PIVOTS", 1)
+        sol = minimax_solve(m, tol=1e-12)
         assert sol.iterations == 1
         assert sol.br_gap > 1e-12
         assert_probability(sol.row_mix)
         assert_probability(sol.col_mix)
 
-    @pytest.mark.parametrize("kw", [{"tol": float("nan")}, {"tol": -1.0}, {"tol": -1e-300},
-                                    {"max_iters": 0}, {"max_iters": -5}])
+    @pytest.mark.parametrize("kw", [{"tol": float("nan")}, {"tol": -1.0}, {"tol": -1e-300}])
     def test_rejects_bad_tol_and_cap(self, kw):
         with pytest.raises(ValueError):
             minimax_solve(np.array([[1.0, 0.0], [0.0, 1.0]]), **kw)

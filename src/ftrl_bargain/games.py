@@ -11,8 +11,8 @@ lives in :class:`geometry.Treeplex`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Literal, Union
 
 import numpy as np
@@ -65,9 +65,6 @@ class ActionGrid:
         out = np.arange(self.D + 1) / self.D
         out.flags.writeable = False
         return out
-
-    def action_fractions(self) -> list[Fraction]:
-        return [Fraction(k, self.D) for k in range(self.D + 1)]
 
     def index_of(self, value: float) -> int:
         k = int(round(float(value) * self.D))
@@ -146,20 +143,26 @@ def ultimatum_feedback(agent: Agent, opponent_strategy: np.ndarray, grid: Action
     return x.cumsum(axis=-1) * (1.0 - actions)
 
 
-def ultimatum_feedback_exact(agent: Agent, opponent_strategy, grid: ActionGrid) -> np.ndarray:
-    """Exact-rational twin of :func:`ultimatum_feedback` on ``Fraction`` mixtures.
+def ultimatum_feedback_exact(agent: Agent, nums: list[list[int]], dens: list[int],
+                             grid: ActionGrid) -> tuple[list[list[int]], list[int]]:
+    """Exact-rational twin of :func:`ultimatum_feedback` on integer numerators.
 
-    The same formula on ``Fraction`` actions, without mass clipping; a 2-D
-    ``opponent_strategy`` gives one feedback row per mixture row.
+    Row i of the opponent's mixtures is ``nums[i] / dens[i]`` (Python ints).
+    The same formula without mass clipping gives one feedback row per
+    mixture row, as numerators over ``dens[i] * D``: the worker's entry at
+    threshold j sums ``nums[i][p] * p`` over offers p >= j, the firm's entry
+    at offer j is the mass at or below j times ``D - j``.  Returns
+    ``(numerators, denominators)``.
     """
     _check_agent(agent)
-    x = np.asarray(opponent_strategy, dtype=object)
-    if x.ndim not in (1, 2) or x.shape[-1] != grid.size:
+    if any(len(row) != grid.size for row in nums):
         raise StructuralError("opponent strategy length does not match grid")
-    actions = np.array(grid.action_fractions(), dtype=object)
     if agent == WORKER:
-        return (x * actions)[..., ::-1].cumsum(axis=-1)[..., ::-1]
-    return x.cumsum(axis=-1) * (1 - actions)
+        out = [list(accumulate([u * p for p, u in enumerate(row)][::-1]))[::-1] for row in nums]
+    else:
+        weights = range(grid.D, -1, -1)
+        out = [[c * w for c, w in zip(accumulate(row), weights)] for row in nums]
+    return out, [d * grid.D for d in dens]
 
 
 # ---------------------------------------------------------------------------

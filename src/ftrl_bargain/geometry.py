@@ -1,19 +1,18 @@
 """Euclidean projections onto the probability simplex and sequence-form polytopes.
 
 The simplex path uses the exact sort-and-threshold rule, on float stacks and
-on object stacks of ``Fraction``s.  :class:`Treeplex` is the one owner of the
-two layouts the two-round game has: blocks, a product of simplices under the
-root (worker; a plain simplex is one block), and pairs, one simplex of offers
-with a binary choice per (offer, counter) pair below it (firm).  It is a
-value of three sizes whose ``views`` give every other module the heads and
-what hangs below them; backward normalization, plan validation and the
-closed-form projection all work on those views.
+on integer numerators over one denominator per row.  :class:`Treeplex` is
+the one owner of the two layouts the two-round game has: blocks, a product of
+simplices under the root (worker; a plain simplex is one block), and pairs,
+one simplex of offers with a binary choice per (offer, counter) pair below
+it (firm).  It is a value of three sizes whose ``views`` give every other
+module the heads and what hangs below them; backward normalization, plan
+validation and the closed-form projection all work on those views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar
 
@@ -172,42 +171,49 @@ def project_simplex_batch(v: np.ndarray) -> np.ndarray:
     return _threshold_rows(np.asarray(v, dtype=float))[0]
 
 
-def project_simplex_exact(v) -> np.ndarray:
-    """Exact-rational twin of :func:`project_simplex` on ``Fraction`` vectors or stacks.
+def project_simplex_exact(nums: list[list[int]],
+                          dens: list[int]) -> tuple[list[list[int]], list[int]]:
+    """Exact-rational twin of :func:`project_simplex` on integer numerators.
 
-    The same sort-and-threshold rule, row by row and without rounding; the
-    scan for the threshold stops at the first entry the support excludes.
+    Row i of the input is ``nums[i] / dens[i]`` (Python ints, denominators
+    positive).  The same sort-and-threshold rule runs row by row on the
+    numerators; the scan for the threshold stops at the first entry the
+    support excludes.  With rho + 1 entries kept, the threshold and the
+    projected row are numerators over ``dens[i] * (rho + 1)``.  Returns
+    ``(numerators, denominators)``, not reduced.
     """
-    v = np.asarray(v, dtype=object)
-    if v.ndim not in (1, 2) or v.shape[-1] == 0:
-        raise StructuralError("projection input must be a non-empty vector or stack of vectors")
-    out = np.empty_like(v)
-    zero = Fraction(0)
-    for row, x in zip(v.reshape(-1, v.shape[-1]), out.reshape(-1, v.shape[-1])):
-        excess, k = Fraction(-1), 0  # sum of the k largest entries, minus one
+    if any(len(row) == 0 for row in nums):
+        raise StructuralError("projection input must be a non-empty stack of vectors")
+    out, scale = [], []
+    for row, den in zip(nums, dens):
+        excess, k = -den, 0   # the sum of the k largest numerators, minus den
         for u in sorted(row, reverse=True):
             if u * k <= excess:
                 break
             excess += u
             k += 1
-        theta = excess / k
-        x[:] = [u - theta if u > theta else zero for u in row]
-    return out
+        out.append([u * k - excess if u * k > excess else 0 for u in row])
+        scale.append(den * k)
+    return out, scale
 
 
-def validate_plan(r: np.ndarray, t: Treeplex, tol: float = PLAN_FLOW_TOL) -> bool:
-    """Whether ``r`` is a realization plan of ``t``: root 1, flows within ``tol``, no negatives."""
+def validate_plan(r: np.ndarray, t: Treeplex) -> bool:
+    """Whether ``r`` is a realization plan of ``t``.
+
+    The root is 1 and every flow holds within ``PLAN_FLOW_TOL``; no entry is
+    below ``-PLAN_NEG_TOL``.
+    """
     r = np.asarray(r, dtype=float)
     if r.shape != (t.n_sequences,):
         raise StructuralError("plan length does not match treeplex")
-    if abs(float(r[t.root]) - 1.0) > tol or float(r.min()) < -PLAN_NEG_TOL:
+    if abs(float(r[t.root]) - 1.0) > PLAN_FLOW_TOL or float(r.min()) < -PLAN_NEG_TOL:
         return False
     head, below = t.views(r)
     if t.paired:
         flows = np.append(below.sum(axis=2) - head[:, None], head.sum() - r[t.root])
     else:
         flows = head + below.sum(axis=1) - r[t.root]
-    return float(np.abs(flows).max()) <= tol
+    return float(np.abs(flows).max()) <= PLAN_FLOW_TOL
 
 
 class TreeplexProjector:

@@ -10,8 +10,9 @@ float path stays well conditioned (an explicit offset restores true values).
 One kernel, :func:`run_lockstep`, advances a stack of independent runs of
 either game in lockstep, one row per run, each row exactly as it would run
 alone; :func:`run_dynamics` is its one-row case.  Exact-rational one-shot runs
-go through the same kernel on object stacks of ``Fraction``s: only the
-feedback and the projection differ, and the certificate guard sees float casts.
+go through the same step loop on Python-int numerators over one denominator
+per row, reduced once per step; the certificate guard sees correctly rounded
+float casts, and ``Fraction``s are built only for the results.
 
 A :class:`MonitorSuite` passed to :func:`run_dynamics` buffers each step's
 projection inputs and new strategies and checks the structural laws on
@@ -177,17 +178,11 @@ def _certified_stop(cfg: LearnerConfig, x_f, x_w) -> bool:
 
 
 def _updater(cfg: LearnerConfig, agent: str):
-    """The agent's update: cumulative utility -> (projection input, strategy).
+    """The agent's float update: cumulative utility -> (projection input, strategy).
 
     Acts on one vector or row-wise on a stack of them.
     """
-    if cfg.arithmetic == "exact":
-        eta, ref = Fraction(cfg.eta), cfg.reference_vector(agent)
-
-        def update(U):
-            v = ref + eta * U
-            return v, geometry.project_simplex_exact(v)
-    elif isinstance(cfg.game, UltimatumGame):
+    if isinstance(cfg.game, UltimatumGame):
         eta, ref = float(cfg.eta), cfg.reference_vector(agent).astype(float)
 
         def update(U):
@@ -305,14 +300,188 @@ class MonitorSuite:
         self.violations += [(name, t0 + r, detail) for r, _, name, detail in hits]
 
 
-_fractions = np.frompyfunc(Fraction, 1, 1)
+class _FloatArithmetic:
+    """The kernel's float arithmetic on ``(k, n)`` float stacks, updated in place."""
+
+    dtype = float
+
+    def __init__(self, cfg: LearnerConfig):
+        self.game, self.threshold = cfg.game, cfg.threshold
+        self._update = {agent: _updater(cfg, agent) for agent in (FIRM, WORKER)}
+
+    def feedback(self, agent: str, opponent: np.ndarray) -> np.ndarray:
+        if isinstance(self.game, UltimatumGame):
+            return games.ultimatum_feedback(agent, opponent, self.game.grid)
+        return games.two_round_feedback(agent, opponent, self.game)
+
+    @staticmethod
+    def stack(x) -> np.ndarray:
+        return np.array(x, dtype=float)
+
+    @staticmethod
+    def zeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Zero cumulative utilities and zero running offsets (a column)."""
+        return np.zeros(x.shape), np.zeros((len(x), 1))
+
+    @staticmethod
+    def accumulate(U: np.ndarray, off: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``U + fb`` shifted by its row max, which moves into the offsets ``off``."""
+        U += fb
+        shift = U.max(axis=1, keepdims=True)
+        U -= shift
+        off += shift
+        return U, off
+
+    def update(self, agent: str, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._update[agent](U)
+
+    def still(self, x: tuple, new: tuple) -> np.ndarray:
+        """Rows whose step moved no entry of either agent by more than the threshold."""
+        moved = np.maximum(abs(new[0] - x[0]).max(axis=1), abs(new[1] - x[1]).max(axis=1))
+        return moved <= self.threshold
+
+    @staticmethod
+    def values(x: np.ndarray) -> np.ndarray:
+        return x
+
+    floats = values
+
+    @staticmethod
+    def offsets(U: np.ndarray, off: np.ndarray) -> np.ndarray:
+        return off
+
+    @staticmethod
+    def cumulative(U: np.ndarray, off: np.ndarray) -> np.ndarray:
+        return U + off
 
 
-def _state(cfg: LearnerConfig, x) -> np.ndarray:
-    """A copy of ``x`` in the run's arithmetic: floats, or ``Fraction``s entry by entry."""
-    if cfg.arithmetic == "exact":
-        return _fractions(np.array(x, dtype=object))
-    return np.array(x, dtype=float)
+@dataclass(frozen=True)
+class _Ratios:
+    """Exact rows: ``num[i]`` (Python ints) over the positive denominator ``den[i]``."""
+
+    num: list[list[int]]
+    den: list[int]
+
+    def __getitem__(self, rows: np.ndarray) -> "_Ratios":
+        """The rows a mask or an index array picks."""
+        picked = np.arange(len(self.den))[rows].tolist()
+        return _Ratios([self.num[i] for i in picked], [self.den[i] for i in picked])
+
+    def __len__(self) -> int:
+        return len(self.den)
+
+
+class _ExactArithmetic:
+    """The kernel's exact arithmetic on :class:`_Ratios` stacks (one-shot game).
+
+    Each step reduces every row once per vector by ``math.gcd``.  The
+    running offsets are numerators over their row's utility denominator, in
+    an object array.  ``Fraction``s are built only for rows that retire and
+    for the ``on_step`` hook.
+    """
+
+    dtype = object
+
+    def __init__(self, cfg: LearnerConfig):
+        self.grid, self.eta, self.threshold = cfg.grid, Fraction(cfg.eta), Fraction(cfg.threshold)
+        self.refs = {agent: None if ref is None else self.grid.index_of(ref)
+                     for agent, ref in ((FIRM, cfg.reference_f), (WORKER, cfg.reference_w))}
+
+    @staticmethod
+    def stack(x) -> _Ratios:
+        """A stack of rationals (``Fraction``s, ints or floats) as integer rows."""
+        rows = [[Fraction(v) for v in row] for row in np.asarray(x, dtype=object).tolist()]
+        den = [math.lcm(*(f.denominator for f in row)) for row in rows]
+        return _Ratios([[f.numerator * (d // f.denominator) for f in row]
+                        for row, d in zip(rows, den)], den)
+
+    @staticmethod
+    def zeros(x: _Ratios) -> tuple[_Ratios, np.ndarray]:
+        """Zero cumulative utilities and zero offset numerators."""
+        return (_Ratios([[0] * len(row) for row in x.num], [1] * len(x)),
+                np.zeros(len(x), dtype=object))
+
+    def feedback(self, agent: str, opponent: _Ratios) -> _Ratios:
+        return _Ratios(*games.ultimatum_feedback_exact(agent, opponent.num, opponent.den,
+                                                       self.grid))
+
+    @staticmethod
+    def accumulate(U: _Ratios, off: np.ndarray, fb: _Ratios) -> tuple[_Ratios, np.ndarray]:
+        """``U + fb`` on the lcm of their denominators, shifted by its integer row max.
+
+        The shift moves into the offset numerators ``off``, which share the
+        row's denominator and its reduction.
+        """
+        nums, dens, offs = [], [], []
+        for u_row, u_den, o, f_row, f_den in zip(U.num, U.den, off.tolist(), fb.num, fb.den):
+            den = math.lcm(u_den, f_den)
+            a, b = den // u_den, den // f_den
+            row = [u * a + f * b for u, f in zip(u_row, f_row)]
+            top = max(row)
+            row = [v - top for v in row]
+            o = o * a + top
+            g = math.gcd(*row, o, den)
+            if g > 1:
+                row, o, den = [v // g for v in row], o // g, den // g
+            nums.append(row)
+            dens.append(den)
+            offs.append(o)
+        return _Ratios(nums, dens), np.array(offs, dtype=object)
+
+    def update(self, agent: str, U: _Ratios) -> tuple[_Ratios, _Ratios]:
+        """Project ``reference + eta * U``, numerators over ``eta``'s denominator times ``U``'s."""
+        p, q, ref = self.eta.numerator, self.eta.denominator, self.refs[agent]
+        v = _Ratios([[p * u for u in row] for row in U.num], [q * d for d in U.den])
+        if ref is not None:
+            for row, den in zip(v.num, v.den):
+                row[ref] += den
+        return v, _reduced(*geometry.project_simplex_exact(v.num, v.den))
+
+    def still(self, x: tuple, new: tuple) -> np.ndarray:
+        """Rows whose step moved no entry by more than the threshold, cross-multiplied."""
+        a, b = self.threshold.numerator, self.threshold.denominator
+
+        def small(old: _Ratios, now: _Ratios) -> np.ndarray:
+            return np.array([
+                max([abs(u * d - w * e) for u, w in zip(row, old_row)]) * b <= a * d * e
+                for row, e, old_row, d in zip(now.num, now.den, old.num, old.den)])
+
+        return small(x[0], new[0]) & small(x[1], new[1])
+
+    @staticmethod
+    def values(x: _Ratios) -> np.ndarray:
+        """The rows as an object array of ``Fraction``s."""
+        return np.array([[Fraction(u, d) for u in row] for row, d in zip(x.num, x.den)],
+                        dtype=object)
+
+    @staticmethod
+    def floats(x: _Ratios) -> np.ndarray:
+        """Correctly rounded casts: Python's int true division, as ``float(Fraction)``."""
+        return np.array([[u / d for u in row] for row, d in zip(x.num, x.den)])
+
+    @staticmethod
+    def offsets(U: _Ratios, off: np.ndarray) -> np.ndarray:
+        return np.array([[Fraction(o, d)] for o, d in zip(off.tolist(), U.den)], dtype=object)
+
+    @staticmethod
+    def cumulative(U: _Ratios, off: np.ndarray) -> np.ndarray:
+        return np.array([[Fraction(u + o, d) for u in row]
+                         for row, o, d in zip(U.num, off.tolist(), U.den)], dtype=object)
+
+
+def _reduced(nums: list[list[int]], dens: list[int]) -> _Ratios:
+    """Each row divided by the gcd of its numerators and its denominator."""
+    out, scale = [], []
+    for row, den in zip(nums, dens):
+        g = math.gcd(*row, den)
+        out.append([v // g for v in row] if g > 1 else row)
+        scale.append(den // g)
+    return _Ratios(out, scale)
+
+
+def _arithmetic(cfg: LearnerConfig) -> Union[_FloatArithmetic, _ExactArithmetic]:
+    """The kernel's arithmetic for the run's ``arithmetic`` mode."""
+    return _ExactArithmetic(cfg) if cfg.arithmetic == "exact" else _FloatArithmetic(cfg)
 
 
 def _check_initial(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray) -> None:
@@ -347,7 +516,8 @@ def run_dynamics(
     one_shot = isinstance(cfg.game, UltimatumGame)
     if monitors is not None and not (one_shot and cfg.arithmetic == "float"):
         raise ValueError("monitors apply to float one-shot runs only")
-    x_f, x_w = _state(cfg, init_f), _state(cfg, init_w)
+    arith = _arithmetic(cfg)
+    x_f, x_w = (arith.values(arith.stack(np.asarray(x)[None]))[0] for x in (init_f, init_w))
     _check_initial(cfg, x_f, x_w)
     history = [(x_f.copy(), x_w.copy())] if keep_history else None
     regret = ([], []) if keep_history and one_shot else None
@@ -392,7 +562,8 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
 
     All rows step together through one feedback, shift, update and projection
     per agent on the whole stack; every row does exactly the arithmetic it
-    would do alone.  Exact runs hold object stacks of ``Fraction``s.  A row
+    would do alone.  Exact runs hold integer numerators over one denominator
+    per row (:class:`_ExactArithmetic`) and report ``Fraction``s.  A row
     whose step moves no entry by more than the threshold and that passes the
     certificate guard (one stacked certificate per step over all such rows)
     leaves the stack; the rest run to the step cap.  Initial strategies are
@@ -401,52 +572,40 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
     (firm, worker) pairs of stacks: strategies before the step, feedback,
     running offsets, projection inputs and new strategies.
     """
-    game = cfg.game
-    if cfg.arithmetic == "exact":
-        def feedback(agent, opponent):
-            return games.ultimatum_feedback_exact(agent, opponent, game.grid)
-    elif isinstance(game, UltimatumGame):
-        def feedback(agent, opponent):
-            return games.ultimatum_feedback(agent, opponent, game.grid)
-    else:
-        def feedback(agent, opponent):
-            return games.two_round_feedback(agent, opponent, game)
-    update_f, update_w = _updater(cfg, FIRM), _updater(cfg, WORKER)
-    threshold = cfg.threshold
-    x_f, x_w = _state(cfg, init_f), _state(cfg, init_w)
-    out = Lockstep(np.zeros(len(x_f), dtype=np.int64), np.empty_like(x_f), np.empty_like(x_w),
-                   np.empty_like(x_f), np.empty_like(x_w))
+    arith = _arithmetic(cfg)
+    x_f, x_w = arith.stack(init_f), arith.stack(init_w)
+    out = Lockstep(np.zeros(len(x_f), dtype=np.int64),
+                   *(np.empty(np.shape(x), dtype=arith.dtype) for x in (init_f, init_w) * 2))
     rows = np.arange(len(x_f))
-    # float zeros, or Fraction zeros that keep the exact sums Fractions
-    U_f, U_w, off_f, off_w = (_state(cfg, np.zeros(shape)) for shape in
-                              (x_f.shape, x_w.shape, (len(x_f), 1), (len(x_w), 1)))
+    (U_f, off_f), (U_w, off_w) = arith.zeros(x_f), arith.zeros(x_w)
+    value = arith.values
 
     def retire(mask):
-        out.final_f[rows[mask]] = x_f[mask]
-        out.final_w[rows[mask]] = x_w[mask]
-        out.cum_util_f[rows[mask]] = U_f[mask] + off_f[mask]
-        out.cum_util_w[rows[mask]] = U_w[mask] + off_w[mask]
+        if not mask.any():
+            return
+        out.final_f[rows[mask]] = value(x_f[mask])
+        out.final_w[rows[mask]] = value(x_w[mask])
+        out.cum_util_f[rows[mask]] = arith.cumulative(U_f[mask], off_f[mask])
+        out.cum_util_w[rows[mask]] = arith.cumulative(U_w[mask], off_w[mask])
 
     for t in range(2, cfg.steps_cap + 1):
-        fb_f = feedback(FIRM, x_w)
-        fb_w = feedback(WORKER, x_f)
-        U_f += fb_f
-        U_w += fb_w
-        shift_f, shift_w = U_f.max(axis=1, keepdims=True), U_w.max(axis=1, keepdims=True)
-        U_f -= shift_f
-        U_w -= shift_w
-        off_f += shift_f
-        off_w += shift_w
-        v_f, new_f = update_f(U_f)
-        v_w, new_w = update_w(U_w)
-        delta = np.maximum(abs(new_f - x_f).max(axis=1), abs(new_w - x_w).max(axis=1))
+        fb_f = arith.feedback(FIRM, x_w)
+        fb_w = arith.feedback(WORKER, x_f)
+        U_f, off_f = arith.accumulate(U_f, off_f, fb_f)
+        U_w, off_w = arith.accumulate(U_w, off_w, fb_w)
+        v_f, new_f = arith.update(FIRM, U_f)
+        v_w, new_w = arith.update(WORKER, U_w)
+        still = arith.still((x_f, x_w), (new_f, new_w))
         if on_step is not None:
-            on_step(t, (x_f, x_w), (fb_f, fb_w), (off_f, off_w), (v_f, v_w), (new_f, new_w))
+            on_step(t, (value(x_f), value(x_w)), (value(fb_f), value(fb_w)),
+                    (arith.offsets(U_f, off_f), arith.offsets(U_w, off_w)),
+                    (value(v_f), value(v_w)), (value(new_f), value(new_w)))
         x_f, x_w = new_f, new_w
-        if delta.min() > threshold:
+        if not still.any():
             continue
-        stopped = np.flatnonzero(delta <= threshold)
-        stopped = stopped[_certified_rows(cfg, x_f[stopped], x_w[stopped])]
+        stopped = np.flatnonzero(still)
+        stopped = stopped[_certified_rows(cfg, arith.floats(x_f[stopped]),
+                                          arith.floats(x_w[stopped]))]
         if stopped.size:
             done = np.zeros(rows.size, dtype=bool)
             done[stopped] = True
@@ -459,4 +618,3 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
                 break
     retire(np.ones(rows.size, dtype=bool))
     return out
-

@@ -11,6 +11,7 @@ the crit 1 tie table under ROADMAP.md open item 1).  All measured values are
 printed so the margins are visible.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -233,6 +234,16 @@ def test_criterion6_invariant_audit():
     )
 
 
+def mpf_in_lowest_terms(num: int, den: int):
+    """``num / den`` as ``mpf(numerator) / denominator`` of its lowest terms.
+
+    Both conversions round, so the result depends on the representation; in
+    lowest terms it is the value a reduced ``Fraction`` gives.
+    """
+    g = math.gcd(num, den)
+    return mpmath.mpf(num // g) / (den // g)
+
+
 def test_criterion7_recurrence_oracle():
     rng = np.random.default_rng(20240817)
     n_draws = 1000
@@ -262,13 +273,19 @@ def test_criterion7_recurrence_oracle():
             ratio = mpmath.mpf(thresh.numerator) / thresh.denominator
             up = mpmath.mpf(1)
             down = mpmath.mpf(1)
-            w_it, f_it = p.w0, p.f0
+            # the iterates as integer numerators W, F over one unreduced
+            # denominator: with (a, b, c) = Q * (A, B, C) on integers, a step
+            # multiplies the denominator by Q and needs no gcd
+            Q = math.lcm(p.A.denominator, p.B.denominator, p.C.denominator)
+            a, b, c = (x.numerator * (Q // x.denominator) for x in (p.A, p.B, p.C))
+            den = math.lcm(p.w0.denominator, p.f0.denominator)
+            W, F = (x.numerator * (den // x.denominator) for x in (p.w0, p.f0))
             for n in range(1, 101):
-                w_it, f_it = w_it - p.A * (1 - f_it), f_it + p.B * w_it - p.C
+                W, F, den = Q * W - a * (den - F), Q * F + b * W - c * den, Q * den
                 w_cl = a1w * s * up - a2w * s * down + ratio
                 f_cl = a1f * s * up - a2f * s * down + 1
-                dw = abs(w_cl - mpmath.mpf(w_it.numerator) / w_it.denominator)
-                df = abs(f_cl - mpmath.mpf(f_it.numerator) / f_it.denominator)
+                dw = abs(w_cl - mpf_in_lowest_terms(W, den))
+                df = abs(f_cl - mpf_in_lowest_terms(F, den))
                 max_diff = max(max_diff, float(dw), float(df))
                 up *= 1 + s
                 down *= 1 - s

@@ -128,12 +128,34 @@ class TestUltimatumFeedback:
     def test_exact_matches_float(self, rng):
         g = ActionGrid(6)
         weights = rng.integers(1, 30, g.size)
-        exact = [Fraction(int(w), int(weights.sum())) for w in weights]
         approx = weights / weights.sum()
         for agent in (FIRM, WORKER):
-            fe = ultimatum_feedback_exact(agent, exact, g)
+            (fe,), (den,) = ultimatum_feedback_exact(agent, [weights.tolist()],
+                                                     [int(weights.sum())], g)
             ff = ultimatum_feedback(agent, approx, g)
-            np.testing.assert_allclose([float(v) for v in fe], ff, atol=1e-12)
+            np.testing.assert_allclose([v / den for v in fe], ff, atol=1e-12)
+
+    def test_exact_numerators_over_den_times_d(self):
+        # x = (1/2, 1/4, 1/4) on D = 2, as numerators (2, 1, 1) over 4
+        g = ActionGrid(2)
+        assert ultimatum_feedback_exact(FIRM, [[2, 1, 1]], [4], g) == ([[4, 3, 0]], [8])
+        assert ultimatum_feedback_exact(WORKER, [[2, 1, 1]], [4], g) == ([[3, 3, 2]], [8])
+
+    @pytest.mark.parametrize("D", [3, 7])
+    def test_exact_stack_matches_fraction_loop(self, rng, D):
+        g = ActionGrid(D)
+        nums = rng.integers(0, 12, size=(5, g.size)).tolist()
+        dens = [sum(row) + int(k) for row, k in zip(nums, rng.integers(1, 4, size=5))]
+        for agent in (FIRM, WORKER):
+            out, out_dens = ultimatum_feedback_exact(agent, nums, dens, g)
+            assert out_dens == [d * D for d in dens]
+            for row, den, got, got_den in zip(nums, dens, out, out_dens):
+                want = oracles._feedback_exact_loop(agent, [Fraction(u, den) for u in row], g)
+                assert [Fraction(u, got_den) for u in got] == want
+
+    def test_exact_rejects_wrong_length(self):
+        with pytest.raises(StructuralError):
+            ultimatum_feedback_exact(FIRM, [[1, 1]], [2], ActionGrid(2))
 
 
 class TestStackedFeedback:

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from ftrl_bargain import games
+from ftrl_bargain import games, geometry
 from ftrl_bargain.games import FIRM, WORKER, ActionGrid, TwoRoundGame, build_treeplex
 from ftrl_bargain.geometry import (
     PLAN_FLOW_TOL,
@@ -94,34 +96,65 @@ class TestSimplexProjection:
         assert np.array_equal(project_simplex(v), batch)
 
 
+def integer_rows(rows):
+    """Fraction rows as (numerators, one denominator per row), the exact layers' input."""
+    dens = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    return [[int(v * d) for v in row] for row, d in zip(rows, dens)], dens
+
+
+def exact_projection(vals):
+    """``project_simplex_exact`` of one ``Fraction`` vector, as ``Fraction``s."""
+    (row,), (den,) = project_simplex_exact(*integer_rows([vals]))
+    return [Fraction(u, den) for u in row]
+
+
 class TestExactSimplexProjection:
     def test_symmetric(self):
-        assert project_simplex_exact([Fraction(0)] * 3).tolist() == [Fraction(1, 3)] * 3
+        assert exact_projection([Fraction(0)] * 3) == [Fraction(1, 3)] * 3
 
     def test_waterfilling_exact(self):
-        out = project_simplex_exact([Fraction(1, 2), Fraction(1, 5), Fraction(1, 5)])
-        assert out.tolist() == [Fraction(16, 30), Fraction(7, 30), Fraction(7, 30)]
+        out = exact_projection([Fraction(1, 2), Fraction(1, 5), Fraction(1, 5)])
+        assert out == [Fraction(16, 30), Fraction(7, 30), Fraction(7, 30)]
 
     def test_idempotent_on_simplex_point(self):
         point = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
-        assert project_simplex_exact(point).tolist() == point
+        assert exact_projection(point) == point
+
+    def test_threshold_denominator(self):
+        # two entries kept: numerators over den * 2, not reduced
+        assert project_simplex_exact([[5, 2, 2]], [10]) == ([[16, 7, 7]], [30])
+        assert project_simplex_exact([[0, 0, 0]], [7]) == ([[7, 7, 7]], [21])
 
     def test_agrees_with_float(self, rng):
         for _ in range(40):
             nums = rng.integers(-(2**31), 2**31, size=6)
             dens = rng.integers(1, 2**31, size=6)
             vals = [Fraction(int(n), int(d)) for n, d in zip(nums, dens)]
-            exact = project_simplex_exact(vals)
+            exact = exact_projection(vals)
             approx = project_simplex(np.array([float(v) for v in vals]))
             np.testing.assert_allclose([float(v) for v in exact], approx, atol=1e-12)
 
     def test_mass_difference_exact(self, rng):
         vals = [Fraction(int(n), 97) for n in rng.integers(-300, 300, size=7)]
-        out = project_simplex_exact(vals)
+        out = exact_projection(vals)
         pos = [i for i, x in enumerate(out) if x > 0]
         for i in pos:
             for j in pos:
                 assert out[i] - out[j] == vals[i] - vals[j]
+
+    @given(st.lists(st.lists(st.fractions(-5, 5, max_denominator=50), min_size=4, max_size=4),
+                    min_size=1, max_size=5), st.integers(1, 6))
+    def test_stack_matches_fraction_loop(self, rows, scale):
+        # rows of a stack, on unreduced denominators, project as the Fraction oracle does
+        nums, dens = integer_rows(rows)
+        out, out_dens = project_simplex_exact([[u * scale for u in row] for row in nums],
+                                              [d * scale for d in dens])
+        for row, got, den in zip(rows, out, out_dens):
+            assert [Fraction(u, den) for u in got] == oracles._project_simplex_exact_loop(row)
+
+    def test_rejects_empty_rows(self):
+        with pytest.raises(StructuralError):
+            project_simplex_exact([[]], [1])
 
 
 def small_treeplex():
@@ -273,7 +306,7 @@ class TestTreeplexProjection:
             proj = TreeplexProjector(tp)
             for scale in (0.1, 1.0, 30.0):
                 plan = proj.project(rng.normal(size=tp.n_sequences) * scale)
-                assert validate_plan(plan, tp, tol=1e-9)
+                assert validate_plan(plan, tp)
 
     @pytest.mark.slow
     def test_matches_first_order_oracle(self, rng):
@@ -291,8 +324,10 @@ class TestTreeplexProjection:
 
     @pytest.mark.parametrize("agent,D", [(a, d) for d in (3, 5, 8) for a in (FIRM, WORKER)]
                              + [("simplex", None)])
-    def test_variational_optimality(self, rng, agent, D):
-        # x = proj(v) iff <v - x, z - x> <= 0 for every plan z
+    def test_variational_optimality(self, rng, agent, D, monkeypatch):
+        # x = proj(v) iff <v - x, z - x> <= 0 for every plan z; outputs are
+        # checked as plans at a flow tolerance of 1e-12
+        monkeypatch.setattr(geometry, "PLAN_FLOW_TOL", 1e-12)
         tp = small_treeplex() if D is None else build_treeplex(TwoRoundGame(ActionGrid(D), 0.9), agent)
         proj = TreeplexProjector(tp)
         for scale in (0.1, 1.0, 3.0, 30.0):
@@ -301,7 +336,7 @@ class TestTreeplexProjection:
                     v = rng.normal(size=tp.n_sequences) * scale
                     v = np.round(v) if rounded else v
                     x = proj.project(v)
-                    assert validate_plan(x, tp, tol=1e-12)
+                    assert validate_plan(x, tp)
                     c = v - x
                     assert oracles.treeplex_best_response_value(c, tp) <= float(c @ x) + 1e-9
 

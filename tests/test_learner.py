@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
@@ -508,6 +508,37 @@ class TestExactKernel:
             for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
                 assert list(getattr(run, name)[k]) == getattr(ref, name)
             assert_matches_exact_oracle(run_dynamics(cfg, f, w), ref)
+
+
+    @settings(max_examples=25)
+    @given(st.data())
+    def test_integer_kernel_matches_fraction_loop(self, data):
+        # arbitrary draws: D, a rational eta, integer-weight initials, optional
+        # references; one two-row stack and the first row alone with history
+        d = data.draw(st.integers(3, 8), label="D")
+        eta = Fraction(data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40)))
+        refs = [data.draw(st.one_of(st.none(), st.integers(0, d).map(lambda j: Fraction(j, d))))
+                for _ in (FIRM, WORKER)]
+        cfg = g1_config(d=d, eta=eta, reference_f=refs[0], reference_w=refs[1],
+                        max_steps=data.draw(st.integers(1, 80), label="max_steps"),
+                        arithmetic="exact")
+        weights = st.lists(st.integers(0, 9), min_size=d + 1, max_size=d + 1).filter(any)
+
+        def mixture():
+            ws = data.draw(weights)
+            return [Fraction(w, sum(ws)) for w in ws]
+
+        inits = [(mixture(), mixture()) for _ in range(2)]
+        run = learner.run_lockstep(cfg, np.array([f for f, _ in inits], dtype=object),
+                                   np.array([w for _, w in inits], dtype=object))
+        for k, (f, w) in enumerate(inits):
+            ref = oracles.ftrl_exact_loop(cfg, f, w)
+            assert (int(run.converged_at[k]) or None) == ref.converged_at
+            for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
+                assert list(getattr(run, name)[k]) == getattr(ref, name)
+                assert all(type(v) is Fraction for v in getattr(run, name)[k])
+        assert_matches_exact_oracle(run_dynamics(cfg, *inits[0], keep_history=True),
+                                    oracles.ftrl_exact_loop(cfg, *inits[0], keep_history=True))
 
 
 def test_trajectory_contract_same_in_both_arithmetics():

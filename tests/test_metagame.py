@@ -155,6 +155,23 @@ class TestSweep:
                     np.testing.assert_allclose(ce.final_w, cf.final_w, rtol=0, atol=1e-12)
 
 
+    @pytest.mark.parametrize("refs", [(None, None), (Fraction(1, 2), Fraction(9, 10))],
+                             ids=["zero", "half_high"])
+    def test_exact_sweep_agrees_with_float_d10(self, refs):
+        # the exact and float dynamics stop at the same step in every cell,
+        # ties included, and certify the same worker utility
+        kw = dict(game=UltimatumGame(ActionGrid(10)), reference_f=refs[0], reference_w=refs[1])
+        for axes in (("pure", "pure"), ("uniform", "pure"), ("pure", "uniform")):
+            parallelism = 2 if axes == ("pure", "pure") and refs[0] is None else 1
+            exact = sweep_initials(LearnerConfig(eta=Fraction(1, 2), arithmetic="exact", **kw),
+                                   *axes, parallelism=parallelism)
+            fl = sweep_initials(LearnerConfig(eta=0.5, **kw), *axes)
+            assert exact.shape == fl.shape
+            for re_, rf in zip(exact.cells, fl.cells):
+                for ce, cf in zip(re_, rf):
+                    assert ce.converged_at == cf.converged_at
+                    assert abs(ce.u_w - cf.u_w) <= 1e-12
+
 class TestMinimax:
     def test_matching_pennies_value(self):
         sol = minimax_solve(np.array([[1.0, 0.0], [0.0, 1.0]]), tol=1e-12)

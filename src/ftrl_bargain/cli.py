@@ -58,6 +58,13 @@ class ExperimentConfig:
     output_dir: str = "."
     parallelism: int = 1             # worker processes of a sweep
 
+    def __post_init__(self):
+        """Check the sweep settings by the sweep's own rules, so a bad file fails at load."""
+        for kind in (self.sweep_firm, self.sweep_worker):
+            if kind is not None:
+                metagame._axis(self.learner.game, kind)
+        metagame._check_parallelism(self.parallelism)
+
 
 def _reference(text: str) -> Optional[float]:
     return None if text == "zero" else _parse_number(text)

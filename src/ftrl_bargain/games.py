@@ -90,12 +90,12 @@ class TwoRoundGame:
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"discount must lie in (0, 1), got {self.delta}")
+        if self.grid.D <= 2:
+            raise ValueError(f"two-round game needs D > 2, got D={self.grid.D}")
 
     @cached_property
     def _treeplexes(self) -> dict[str, Treeplex]:
         """Both sides' treeplexes, built once per game: see :func:`build_treeplex`."""
-        if self.grid.D <= 2:
-            raise ValueError(f"two-round game needs D > 2, got D={self.grid.D}")
         n = self.grid.size
         return {FIRM: Treeplex.pairs(n, n), WORKER: Treeplex.blocks(n, n + 1)}
 

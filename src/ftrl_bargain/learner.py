@@ -12,7 +12,9 @@ either game in lockstep, one row per run, each row exactly as it would run
 alone; :func:`run_dynamics` is its one-row case.  Exact-rational one-shot runs
 go through the same step loop on Python-int numerators over one denominator
 per row, reduced once per step; the certificate guard sees correctly rounded
-float casts, and ``Fraction``s are built only for the results.
+float casts, and ``Fraction``s are built only for the results.  The kernel
+reports only strategies to its observers: regret is derived after the run
+from the history, by one rule in both arithmetics.
 
 A :class:`MonitorSuite` passed to :func:`run_dynamics` buffers each step's
 projection inputs and new strategies and checks the structural laws on
@@ -128,9 +130,10 @@ class Trajectory:
     """History and endpoint of one run; ``converged_at`` unset means the cap hit.
 
     ``regret_*`` (one-shot runs with ``keep_history`` only) is the cumulative
-    regret against the best fixed action in hindsight after each step.  Both
-    arithmetics fill the same fields with the same shapes; exact runs hold
-    ``Fraction``s (object arrays and lists).
+    regret against the best fixed action in hindsight after each step,
+    derived from ``history`` by :func:`_regrets`.  Both arithmetics fill the
+    same fields with the same shapes; exact runs hold ``Fraction``s (object
+    arrays and lists).
     """
 
     converged_at: Optional[int]
@@ -344,12 +347,6 @@ class _FloatArithmetic:
     def values(x: np.ndarray) -> np.ndarray:
         return x
 
-    floats = values
-
-    @staticmethod
-    def offsets(U: np.ndarray, off: np.ndarray) -> np.ndarray:
-        return off
-
     @staticmethod
     def cumulative(U: np.ndarray, off: np.ndarray) -> np.ndarray:
         return U + off
@@ -376,8 +373,8 @@ class _ExactArithmetic:
 
     Each step reduces every row once per vector by ``math.gcd``.  The
     running offsets are numerators over their row's utility denominator, in
-    an object array.  ``Fraction``s are built only for rows that retire and
-    for the ``on_step`` hook.
+    an object array.  ``Fraction``s are built only for rows that retire, for
+    the certificate guard's candidate rows and for the ``on_step`` hook.
     """
 
     dtype = object
@@ -455,15 +452,6 @@ class _ExactArithmetic:
                         dtype=object)
 
     @staticmethod
-    def floats(x: _Ratios) -> np.ndarray:
-        """Correctly rounded casts: Python's int true division, as ``float(Fraction)``."""
-        return np.array([[u / d for u in row] for row, d in zip(x.num, x.den)])
-
-    @staticmethod
-    def offsets(U: _Ratios, off: np.ndarray) -> np.ndarray:
-        return np.array([[Fraction(o, d)] for o, d in zip(off.tolist(), U.den)], dtype=object)
-
-    @staticmethod
     def cumulative(U: _Ratios, off: np.ndarray) -> np.ndarray:
         return np.array([[Fraction(u + o, d) for u in row]
                          for row, o, d in zip(U.num, off.tolist(), U.den)], dtype=object)
@@ -499,6 +487,23 @@ def _check_initial(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray) -> None
             raise StructuralError(f"initial {agent} strategy is not on its polytope")
 
 
+def _regrets(arith, history: list) -> tuple[list, list]:
+    """Each agent's cumulative regret after each step, against the best fixed action.
+
+    Step ``t`` plays ``history[t - 2]`` against the feedback of the opponent's
+    row there: regret is the best action's cumulative feedback minus the
+    cumulative realized utility, in the run's arithmetic.
+    """
+    if len(history) < 2:
+        return [], []
+    played = [np.array([step[i] for step in history[:-1]]) for i in (0, 1)]
+    out = []
+    for agent, x, opponent in ((FIRM, *played), (WORKER, *played[::-1])):
+        fb = arith.values(arith.feedback(agent, arith.stack(opponent)))
+        out.append((fb.cumsum(axis=0).max(axis=1) - (x * fb).sum(axis=1).cumsum()).tolist())
+    return tuple(out)
+
+
 def run_dynamics(
     cfg: LearnerConfig,
     init_f,
@@ -520,29 +525,21 @@ def run_dynamics(
     x_f, x_w = (arith.values(arith.stack(np.asarray(x)[None]))[0] for x in (init_f, init_w))
     _check_initial(cfg, x_f, x_w)
     history = [(x_f.copy(), x_w.copy())] if keep_history else None
-    regret = ([], []) if keep_history and one_shot else None
-    # exact regrets stay Fractions; float ones are Python floats
-    scalar = Fraction if cfg.arithmetic == "exact" else float
-    realized = [scalar(0), scalar(0)]
-
     if monitors is not None:
         monitors._start(x_f, x_w)
 
-    def on_step(t, prev, fb, off, v, new):
+    def on_step(t, v, new):
         if monitors is not None:
             monitors._record(t, v, new)
         if keep_history:
             history.append((new[0][0].copy(), new[1][0].copy()))
-        if regret is not None:
-            for i in (0, 1):
-                realized[i] += scalar(prev[i][0] @ fb[i][0])
-                regret[i].append(scalar(off[i][0, 0]) - realized[i])
 
     hook = on_step if keep_history or monitors is not None else None
     run = run_lockstep(cfg, x_f[None], x_w[None], hook)
     if monitors is not None:
         monitors._check()
     converged_at = int(run.converged_at[0]) or None
+    regret = _regrets(arith, history) if keep_history and one_shot else None
     return Trajectory(
         converged_at=converged_at,
         steps=converged_at or cfg.steps_cap,
@@ -568,9 +565,9 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
     certificate guard (one stacked certificate per step over all such rows)
     leaves the stack; the rest run to the step cap.  Initial strategies are
     not checked here.
-    ``on_step(t, prev, fb, off, v, new)`` sees each step of the live rows, as
-    (firm, worker) pairs of stacks: strategies before the step, feedback,
-    running offsets, projection inputs and new strategies.
+    ``on_step(t, v, new)`` sees each step ``t = 2, 3, ...`` of the live rows:
+    the (firm, worker) pairs of stacks of projection inputs and of new
+    strategies.
     """
     arith = _arithmetic(cfg)
     x_f, x_w = arith.stack(init_f), arith.stack(init_w)
@@ -597,15 +594,12 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
         v_w, new_w = arith.update(WORKER, U_w)
         still = arith.still((x_f, x_w), (new_f, new_w))
         if on_step is not None:
-            on_step(t, (value(x_f), value(x_w)), (value(fb_f), value(fb_w)),
-                    (arith.offsets(U_f, off_f), arith.offsets(U_w, off_w)),
-                    (value(v_f), value(v_w)), (value(new_f), value(new_w)))
+            on_step(t, (value(v_f), value(v_w)), (value(new_f), value(new_w)))
         x_f, x_w = new_f, new_w
         if not still.any():
             continue
         stopped = np.flatnonzero(still)
-        stopped = stopped[_certified_rows(cfg, arith.floats(x_f[stopped]),
-                                          arith.floats(x_w[stopped]))]
+        stopped = stopped[_certified_rows(cfg, value(x_f[stopped]), value(x_w[stopped]))]
         if stopped.size:
             done = np.zeros(rows.size, dtype=bool)
             done[stopped] = True

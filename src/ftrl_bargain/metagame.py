@@ -161,6 +161,11 @@ def _sweep_chunk(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray) -> 
     return cells
 
 
+def _check_parallelism(parallelism) -> None:
+    if isinstance(parallelism, bool) or not isinstance(parallelism, int) or parallelism < 1:
+        raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
+
+
 def sweep_initials(
     cfg: LearnerConfig,
     axis_f: str = "pure",
@@ -174,8 +179,7 @@ def sweep_initials(
     Results never depend on it.  Individual non-converged cells are recorded
     in place and never abort the sweep.
     """
-    if isinstance(parallelism, bool) or not isinstance(parallelism, int) or parallelism < 1:
-        raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
+    _check_parallelism(parallelism)
     game = cfg.game
     firm_axis, worker_axis = _axis(game, axis_f), _axis(game, axis_w)
     rows, cols = len(firm_axis), len(worker_axis)

@@ -111,6 +111,22 @@ class TestConfigParsing:
             cli.load_config(path)
         assert str(exc.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("kv, message", [
+        (dict(game="g2", d=2, delta=0.9), "two-round game needs D > 2, got D=2"),
+        (dict(game="g1", d=3, sweep_firm="pure", sweep_worker="diagonal"),
+         "unknown axis kind 'diagonal'"),
+        (dict(game="g1", d=3, parallelism=0), "parallelism must be an integer >= 1, got 0"),
+    ], ids=["g2_tiny_grid", "axis_kind", "parallelism"])
+    def test_owner_rejection_names_file(self, tmp_path, capsys, kv, message):
+        # the game constructor and the sweep's own rules run at load time
+        path = write_config(tmp_path / "c.cfg", eta="1/2", **kv)
+        with pytest.raises(cli.ConfigError, match=message) as exc:
+            cli.load_config(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        for argv in (["run", path, "--init-f", "uniform", "--init-w", "uniform"], ["sweep", path]):
+            assert main(argv) == 2
+            assert f"error: {path}: " in capsys.readouterr().err
+
     def test_seed_is_a_flag_not_a_key(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.cfg", game="g1", d=5, eta=0.5, seed=7)
         with pytest.raises(cli.ConfigError, match="unknown key 'seed'"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -559,6 +560,48 @@ def test_trajectory_contract_same_in_both_arithmetics():
             assert all(isinstance(x, np.ndarray) and x.shape == (d + 1,) for x in step)
         for regret in (traj.regret_f, traj.regret_w):
             assert isinstance(regret, list) and len(regret) == traj.steps - 1
+
+
+ARITHMETICS = {
+    "float": (g1_config(d=4, eta=0.5),
+              (uniform_strategy(ActionGrid(4)), pure_strategy(ActionGrid(4), 0.5))),
+    "exact": (g1_config(d=4, eta=Fraction(1, 2), arithmetic="exact"),
+              ([Fraction(1, 5)] * 5, [Fraction(int(k == 2)) for k in range(5)])),
+}
+
+
+@pytest.mark.parametrize("arithmetic", ARITHMETICS)
+class TestRegretFromHistory:
+    """Regret is derived from the history; the kernel's hook sees only strategies."""
+
+    def test_no_step_no_regret(self, arithmetic):
+        cfg, inits = ARITHMETICS[arithmetic]
+        traj = run_dynamics(dataclasses.replace(cfg, max_steps=1), *inits, keep_history=True)
+        assert len(traj.history) == traj.steps == 1
+        assert traj.regret_f == traj.regret_w == []
+
+    def test_hook_sees_history_rows(self, arithmetic):
+        cfg, inits = ARITHMETICS[arithmetic]
+        seen = []
+
+        def on_step(t, v, new):
+            seen.append((t, new[0][0], new[1][0]))
+
+        traj = run_dynamics(cfg, *inits, keep_history=True)
+        assert traj.converged
+        learner.run_lockstep(cfg, *(np.array([x]) for x in inits), on_step)
+        assert [t for t, _, _ in seen] == list(range(2, traj.steps + 1))
+        for (_, f, w), (hf, hw) in zip(seen, traj.history[1:], strict=True):
+            assert list(f) == list(hf) and list(w) == list(hw)
+
+
+def test_two_round_history_has_no_regret():
+    game = TwoRoundGame(ActionGrid(3), 0.55)
+    traj = run_dynamics(LearnerConfig(game=game, eta=0.5, max_steps=40),
+                        firm_vertex_plan(game, 1.0, 1.0), worker_vertex_plan(game, 0.0, 1.0),
+                        keep_history=True)
+    assert len(traj.history) == traj.steps
+    assert traj.regret_f is None and traj.regret_w is None
 
 
 class TestTwoRoundDynamics:

@@ -143,8 +143,8 @@ class Trajectory:
     cum_util_f: np.ndarray
     cum_util_w: np.ndarray
     history: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
-    regret_f: Optional[list[float]] = None
-    regret_w: Optional[list[float]] = None
+    regret_f: Optional[list[Union[float, Fraction]]] = None
+    regret_w: Optional[list[Union[float, Fraction]]] = None
 
     @property
     def converged(self) -> bool:

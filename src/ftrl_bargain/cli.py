@@ -114,9 +114,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
     if raw.get("game") not in ("g1", "g2"):
-        raise ConfigError("config requires game = g1 | g2")
+        raise ConfigError(f"{path}: config requires game = g1 | g2")
     if "d" not in raw or "eta" not in raw:
-        raise ConfigError("config requires d and eta")
+        raise ConfigError(f"{path}: config requires d and eta")
     try:
         values = {k: _PARSERS.get(k, str)(v) for k, v in raw.items()}
         game = _game(values.pop("game"), values.pop("d"), values.pop("delta", None))
@@ -253,45 +253,82 @@ def _audit_draw(rng: np.random.Generator):
     return d, eta, weights_f, weights_w
 
 
+def _audit_inits(weights: np.ndarray, exact: bool) -> np.ndarray:
+    """A draw's integer weights as a mixture: floats, or ``Fraction``s in exact mode."""
+    total = int(weights.sum())
+    if exact:
+        return np.array([Fraction(int(v), total) for v in weights], dtype=object)
+    return weights.astype(float) / total
+
+
+def _audit_stacks(draws: list, runs: list[int], arithmetic: str) -> dict:
+    """The draws ``runs`` as one lockstep stack per grid size, each row at its own eta.
+
+    Checks each row's initial strategies as ``run_dynamics`` does, and arms a
+    :class:`MonitorSuite` on every float row.  Returns, per run index,
+    ``(converged_at or None, steps, final_f, final_w, monitor violations)``.
+    """
+    exact = arithmetic == "exact"
+    by_grid: dict[int, list[int]] = {}
+    for i in runs:
+        by_grid.setdefault(draws[i][0], []).append(i)
+    out = {}
+    for d, idx in by_grid.items():
+        cfg = LearnerConfig(game=UltimatumGame(ActionGrid(d)), eta=draws[idx[0]][1],
+                            arithmetic=arithmetic)
+        inits = [(_audit_inits(draws[i][2], exact), _audit_inits(draws[i][3], exact))
+                 for i in idx]
+        for init_f, init_w in inits:
+            learner._check_initial(cfg, init_f, init_w)
+        stacks = (np.array([pair[a] for pair in inits], dtype=object if exact else float)
+                  for a in (0, 1))
+        suites = None if exact else [MonitorSuite() for _ in idx]
+        run = learner.run_lockstep(cfg, *stacks, eta=[draws[i][1] for i in idx], monitors=suites)
+        for row, i in enumerate(idx):
+            converged_at = int(run.converged_at[row]) or None
+            out[i] = (converged_at, converged_at or cfg.steps_cap, run.final_f[row],
+                      run.final_w[row], [] if exact else suites[row].violations)
+    return out
+
+
 def run_audit(n_runs: int, seed: int, exact_compare: int = 20) -> AuditReport:
     """Randomized trajectories with every structural monitor armed.
 
     Draws D in [3, 30], a rational learning rate in (0, 1], and random initial
     mixtures.  The first ``exact_compare`` draws with D <= 10 are re-run in
     exact rational arithmetic and must match the float path to 1e-12.
+    All draws are drawn first; the float runs then go through one monitored
+    ``run_lockstep`` stack per grid size, with each row's own eta and
+    :class:`MonitorSuite`, and the exact reruns through one exact stack per
+    grid size.  The report lists each run's monitor violations, then its
+    exact comparison, in run order, as if the runs had gone one at a time.
     Negative counts raise ``ValueError``; ``n_runs = 0`` is a vacuous pass.
     """
     if n_runs < 0 or exact_compare < 0:
         raise ValueError(f"audit counts must be non-negative, got {n_runs} runs "
                          f"and {exact_compare} exact comparisons")
     rng = np.random.default_rng(seed)
-    report = AuditReport(seed=seed, n_runs=n_runs)
+    draws = [_audit_draw(rng) for _ in range(n_runs)]
+    floats = _audit_stacks(draws, list(range(n_runs)), "float")
+    rerun = [i for i, (d, *_) in enumerate(draws) if d <= 10][:exact_compare]
+    exacts = _audit_stacks(draws, rerun, "exact")
+    report = AuditReport(seed=seed, n_runs=n_runs, exact_compared=len(rerun))
     for run_idx in range(n_runs):
-        d, eta, wf, ww = _audit_draw(rng)
-        total_f, total_w = int(wf.sum()), int(ww.sum())
-        init_f = wf.astype(float) / total_f
-        init_w = ww.astype(float) / total_w
-        cfg = LearnerConfig(game=UltimatumGame(ActionGrid(d)), eta=eta)
-        monitors = MonitorSuite()
-        traj = learner.run_dynamics(cfg, init_f, init_w, monitors=monitors)
-        for monitor, step, detail in monitors.violations:
+        conv, steps, final_f, final_w, violations = floats[run_idx]
+        for monitor, step, detail in violations:
             report.violations.append((monitor, run_idx, step, detail))
-
-        if report.exact_compared < exact_compare and d <= 10:
-            cfg_exact = LearnerConfig(game=cfg.game, eta=eta, arithmetic="exact")
-            exact_init_f = [Fraction(int(v), total_f) for v in wf]
-            exact_init_w = [Fraction(int(v), total_w) for v in ww]
-            exact = learner.run_dynamics(cfg_exact, exact_init_f, exact_init_w)
-            report.exact_compared += 1
-            err = max(
-                max(abs(float(a) - b) for a, b in zip(exact.final_f, traj.final_f)),
-                max(abs(float(a) - b) for a, b in zip(exact.final_w, traj.final_w)),
+        if run_idx not in exacts:
+            continue
+        exact_conv, _, exact_f, exact_w, _ = exacts[run_idx]
+        err = max(
+            max(abs(float(a) - b) for a, b in zip(exact_f, final_f)),
+            max(abs(float(a) - b) for a, b in zip(exact_w, final_w)),
+        )
+        if err > 1e-12 or exact_conv != conv:
+            report.violations.append(
+                ("exact_float_agreement", run_idx, steps,
+                 f"max deviation {err:.3e}, converged {exact_conv} vs {conv}")
             )
-            if err > 1e-12 or exact.converged_at != traj.converged_at:
-                report.violations.append(
-                    ("exact_float_agreement", run_idx, traj.steps,
-                     f"max deviation {err:.3e}, converged {exact.converged_at} vs {traj.converged_at}")
-                )
     return report
 
 
@@ -341,7 +378,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     if not config.sweep_firm or not config.sweep_worker:
-        raise ConfigError("sweep requires sweep_firm and sweep_worker axes")
+        raise ConfigError(f"{args.config}: sweep requires sweep_firm and sweep_worker axes")
     sweep = metagame.sweep_initials(
         config.learner, axis_f=config.sweep_firm, axis_w=config.sweep_worker,
         parallelism=config.parallelism,
@@ -389,7 +426,7 @@ def cmd_metagame(args) -> int:
 def cmd_audit(args) -> int:
     # the audit draws its own D and eta, but the config must still be one `run` accepts
     if not isinstance(load_config(args.config).learner.game, UltimatumGame):
-        raise ConfigError("audit requires a g1 config")
+        raise ConfigError(f"{args.config}: audit requires a g1 config")
     report = run_audit(args.runs, args.seed, exact_compare=args.exact_compare)
     for line in report.lines():
         print(line)

@@ -9,16 +9,20 @@ float path stays well conditioned (an explicit offset restores true values).
 
 One kernel, :func:`run_lockstep`, advances a stack of independent runs of
 either game in lockstep, one row per run, each row exactly as it would run
-alone; :func:`run_dynamics` is its one-row case.  Exact-rational one-shot runs
-go through the same step loop on Python-int numerators over one denominator
-per row, reduced once per step; the certificate guard sees correctly rounded
-float casts, and ``Fraction``s are built only for the results.  The kernel
-reports only strategies to its observers: regret is derived after the run
-from the history, by one rule in both arithmetics.
+alone; :func:`run_dynamics` is its one-row case.  Each row may carry its own
+learning rate and its own monitor suite, so the randomized audit runs its
+draws as one stack per grid size and still reports them in run order.
+Exact-rational one-shot runs go through the same step loop on Python-int
+numerators over one denominator per row, reduced once per step; the
+certificate guard sees correctly rounded float casts, and ``Fraction``s are
+built only for the results.  The kernel reports only strategies to its
+observers: regret is derived after the run from the history, by one rule in
+both arithmetics.
 
-A :class:`MonitorSuite` passed to :func:`run_dynamics` buffers each step's
-projection inputs and new strategies and checks the structural laws on
-blocks of ``BLOCK`` steps at once, plus the remainder when the run ends.
+A :class:`MonitorSuite` per row of a float one-shot stack buffers that row's
+projection inputs and new strategies each step and checks the structural laws
+on blocks of ``BLOCK`` steps at once, plus the remainder when the row leaves
+the stack.
 """
 
 from __future__ import annotations
@@ -69,6 +73,12 @@ MONITORS = (
 _project_simplex = geometry.project_simplex
 
 
+def _check_eta(eta) -> None:
+    """The learning-rate rule: positive and finite (which also rejects NaN)."""
+    if not 0 < float(eta) < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
+
+
 @dataclass(frozen=True)
 class LearnerConfig:
     """Parameters of one two-agent learning run."""
@@ -82,8 +92,7 @@ class LearnerConfig:
     arithmetic: str = "float"             # "float" | "exact"
 
     def __post_init__(self):
-        if not 0 < float(self.eta) < math.inf:
-            raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
+        _check_eta(self.eta)
         if self.arithmetic not in ("float", "exact"):
             raise ValueError(f"unknown arithmetic mode {self.arithmetic!r}")
         if self.arithmetic == "exact" and not isinstance(self.game, UltimatumGame):
@@ -183,19 +192,21 @@ def _certified_stop(cfg: LearnerConfig, x_f, x_w) -> bool:
 def _updater(cfg: LearnerConfig, agent: str):
     """The agent's float update: cumulative utility -> (projection input, strategy).
 
-    Acts on one vector or row-wise on a stack of them.
+    Acts on one vector or row-wise on a stack of them; ``eta`` is the run's
+    rate or a ``(k, 1)`` column of per-row rates, each entry the same IEEE
+    product either way.
     """
     if isinstance(cfg.game, UltimatumGame):
-        eta, ref = float(cfg.eta), cfg.reference_vector(agent).astype(float)
+        ref = cfg.reference_vector(agent).astype(float)
 
-        def update(U):
+        def update(U, eta=float(cfg.eta)):
             v = ref + eta * U
             return v, _project_simplex(v)
     else:
-        eta, tp = float(cfg.eta), games.build_treeplex(cfg.game, agent)
+        tp = games.build_treeplex(cfg.game, agent)
         projector = geometry.TreeplexProjector(tp)
 
-        def update(U):
+        def update(U, eta=float(cfg.eta)):
             v = eta * tp.normalize_backward(U)
             return v, projector.project(v)
     return update
@@ -210,7 +221,7 @@ class MonitorSuite:
     identities (mass differences track input differences on the support, and
     output order follows input order).
 
-    ``run_dynamics`` starts the suite on a run's initial strategies and
+    :func:`run_lockstep` starts a row's suite on its initial strategies and
     appends each step's projection inputs and new strategies to a buffer.
     Every ``BLOCK`` steps, and once at the end of the run, the buffered
     ``(T, n)`` stacks are checked together against the carried previous row.
@@ -311,6 +322,7 @@ class _FloatArithmetic:
     def __init__(self, cfg: LearnerConfig):
         self.game, self.threshold = cfg.game, cfg.threshold
         self._update = {agent: _updater(cfg, agent) for agent in (FIRM, WORKER)}
+        self._shared = None   # the stack's one rate, when all its rows share it
 
     def feedback(self, agent: str, opponent: np.ndarray) -> np.ndarray:
         if isinstance(self.game, UltimatumGame):
@@ -320,6 +332,17 @@ class _FloatArithmetic:
     @staticmethod
     def stack(x) -> np.ndarray:
         return np.array(x, dtype=float)
+
+    def rates(self, eta: list) -> np.ndarray:
+        """Per-row learning rates as a ``(k, 1)`` column.
+
+        When every row has the same rate, :meth:`update` multiplies by it as
+        a scalar: the same products, without the broadcast column's ~3% of a
+        961-row one-shot step.
+        """
+        col = np.array([float(e) for e in eta])[:, None]
+        self._shared = float(col[0, 0]) if col.size and (col == col[0, 0]).all() else None
+        return col
 
     @staticmethod
     def zeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,8 +358,8 @@ class _FloatArithmetic:
         off += shift
         return U, off
 
-    def update(self, agent: str, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._update[agent](U)
+    def update(self, agent: str, U: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._update[agent](U, eta if self._shared is None else self._shared)
 
     def still(self, x: tuple, new: tuple) -> np.ndarray:
         """Rows whose step moved no entry of either agent by more than the threshold."""
@@ -380,7 +403,7 @@ class _ExactArithmetic:
     dtype = object
 
     def __init__(self, cfg: LearnerConfig):
-        self.grid, self.eta, self.threshold = cfg.grid, Fraction(cfg.eta), Fraction(cfg.threshold)
+        self.grid, self.threshold = cfg.grid, Fraction(cfg.threshold)
         self.refs = {agent: None if ref is None else self.grid.index_of(ref)
                      for agent, ref in ((FIRM, cfg.reference_f), (WORKER, cfg.reference_w))}
 
@@ -391,6 +414,11 @@ class _ExactArithmetic:
         den = [math.lcm(*(f.denominator for f in row)) for row in rows]
         return _Ratios([[f.numerator * (d // f.denominator) for f in row]
                         for row, d in zip(rows, den)], den)
+
+    @staticmethod
+    def rates(eta: list) -> np.ndarray:
+        """Per-row learning rates as an object array of ``Fraction``s."""
+        return np.array([Fraction(e) for e in eta], dtype=object)
 
     @staticmethod
     def zeros(x: _Ratios) -> tuple[_Ratios, np.ndarray]:
@@ -425,10 +453,14 @@ class _ExactArithmetic:
             offs.append(o)
         return _Ratios(nums, dens), np.array(offs, dtype=object)
 
-    def update(self, agent: str, U: _Ratios) -> tuple[_Ratios, _Ratios]:
-        """Project ``reference + eta * U``, numerators over ``eta``'s denominator times ``U``'s."""
-        p, q, ref = self.eta.numerator, self.eta.denominator, self.refs[agent]
-        v = _Ratios([[p * u for u in row] for row in U.num], [q * d for d in U.den])
+    def update(self, agent: str, U: _Ratios, eta: np.ndarray) -> tuple[_Ratios, _Ratios]:
+        """Project ``reference + eta * U``, numerators over ``eta``'s denominator times ``U``'s.
+
+        ``eta`` holds each row's rate.
+        """
+        ref, eta = self.refs[agent], eta.tolist()
+        v = _Ratios([[e.numerator * u for u in row] for row, e in zip(U.num, eta)],
+                    [e.denominator * d for d, e in zip(U.den, eta)])
         if ref is not None:
             for row, den in zip(v.num, v.den):
                 row[ref] += den
@@ -515,29 +547,21 @@ def run_dynamics(
 
     Non-convergence is reported through an unset ``converged_at``, never an
     exception.  Identical inputs produce bitwise-identical trajectories.
-    Monitors watch float one-shot runs only; passing them to any other run
-    raises ``ValueError``.
+    The initial strategies are checked here; ``monitors`` goes to the
+    kernel as the one row's suite, which accepts it on float one-shot runs
+    only and raises ``ValueError`` on any other run.
     """
     one_shot = isinstance(cfg.game, UltimatumGame)
-    if monitors is not None and not (one_shot and cfg.arithmetic == "float"):
-        raise ValueError("monitors apply to float one-shot runs only")
     arith = _arithmetic(cfg)
     x_f, x_w = (arith.values(arith.stack(np.asarray(x)[None]))[0] for x in (init_f, init_w))
     _check_initial(cfg, x_f, x_w)
     history = [(x_f.copy(), x_w.copy())] if keep_history else None
-    if monitors is not None:
-        monitors._start(x_f, x_w)
 
     def on_step(t, v, new):
-        if monitors is not None:
-            monitors._record(t, v, new)
-        if keep_history:
-            history.append((new[0][0].copy(), new[1][0].copy()))
+        history.append((new[0][0].copy(), new[1][0].copy()))
 
-    hook = on_step if keep_history or monitors is not None else None
-    run = run_lockstep(cfg, x_f[None], x_w[None], hook)
-    if monitors is not None:
-        monitors._check()
+    run = run_lockstep(cfg, x_f[None], x_w[None], on_step if keep_history else None,
+                       monitors=None if monitors is None else [monitors])
     converged_at = int(run.converged_at[0]) or None
     regret = _regrets(arith, history) if keep_history and one_shot else None
     return Trajectory(
@@ -554,7 +578,7 @@ def run_dynamics(
 
 
 def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
-                 on_step=None) -> Lockstep:
+                 on_step=None, eta=None, monitors=None) -> Lockstep:
     """Self-play of a stack of runs, one row of ``init_f``/``init_w`` each.
 
     All rows step together through one feedback, shift, update and projection
@@ -565,17 +589,41 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
     certificate guard (one stacked certificate per step over all such rows)
     leaves the stack; the rest run to the step cap.  Initial strategies are
     not checked here.
+    ``eta`` gives each row its own learning rate (``cfg.eta`` for every row by
+    default), checked by ``LearnerConfig``'s rule; float rows multiply by a
+    ``(k, 1)`` column and exact rows by their own ``Fraction``, so a row runs
+    bit for bit as it would alone at its rate.
+    ``monitors`` gives each row its own :class:`MonitorSuite` (float one-shot
+    runs only; ``ValueError`` otherwise).  The kernel starts each suite on its
+    row's initial strategies, records the live rows' ``(1, n)`` slices each
+    step and checks each suite's remaining steps when its row leaves the
+    stack, so a retired row holds no buffered steps.
     ``on_step(t, v, new)`` sees each step ``t = 2, 3, ...`` of the live rows:
     the (firm, worker) pairs of stacks of projection inputs and of new
     strategies.
     """
+    k = len(init_f)
+    eta = [cfg.eta] * k if eta is None else list(eta)
+    if len(eta) != k:
+        raise ValueError(f"{len(eta)} learning rates for a stack of {k} rows")
+    for e in eta:
+        _check_eta(e)
+    if monitors is not None:
+        if not (isinstance(cfg.game, UltimatumGame) and cfg.arithmetic == "float"):
+            raise ValueError("monitors apply to float one-shot runs only")
+        if len(monitors) != k:
+            raise ValueError(f"{len(monitors)} monitor suites for a stack of {k} rows")
     arith = _arithmetic(cfg)
     x_f, x_w = arith.stack(init_f), arith.stack(init_w)
-    out = Lockstep(np.zeros(len(x_f), dtype=np.int64),
+    out = Lockstep(np.zeros(k, dtype=np.int64),
                    *(np.empty(np.shape(x), dtype=arith.dtype) for x in (init_f, init_w) * 2))
-    rows = np.arange(len(x_f))
+    rows = np.arange(k)
+    eta = arith.rates(eta)
     (U_f, off_f), (U_w, off_w) = arith.zeros(x_f), arith.zeros(x_w)
     value = arith.values
+    if monitors is not None:
+        for suite, f, w in zip(monitors, x_f, x_w):
+            suite._start(f, w)
 
     def retire(mask):
         if not mask.any():
@@ -584,17 +632,24 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
         out.final_w[rows[mask]] = value(x_w[mask])
         out.cum_util_f[rows[mask]] = arith.cumulative(U_f[mask], off_f[mask])
         out.cum_util_w[rows[mask]] = arith.cumulative(U_w[mask], off_w[mask])
+        if monitors is not None:
+            for r in rows[mask].tolist():
+                monitors[r]._check()
 
     for t in range(2, cfg.steps_cap + 1):
         fb_f = arith.feedback(FIRM, x_w)
         fb_w = arith.feedback(WORKER, x_f)
         U_f, off_f = arith.accumulate(U_f, off_f, fb_f)
         U_w, off_w = arith.accumulate(U_w, off_w, fb_w)
-        v_f, new_f = arith.update(FIRM, U_f)
-        v_w, new_w = arith.update(WORKER, U_w)
+        v_f, new_f = arith.update(FIRM, U_f, eta)
+        v_w, new_w = arith.update(WORKER, U_w, eta)
         still = arith.still((x_f, x_w), (new_f, new_w))
         if on_step is not None:
             on_step(t, (value(v_f), value(v_w)), (value(new_f), value(new_w)))
+        if monitors is not None:
+            for i, r in enumerate(rows.tolist()):
+                row = slice(i, i + 1)
+                monitors[r]._record(t, (v_f[row], v_w[row]), (new_f[row], new_w[row]))
         x_f, x_w = new_f, new_w
         if not still.any():
             continue
@@ -606,8 +661,8 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
             out.converged_at[rows[done]] = t
             retire(done)
             live = ~done
-            rows, x_f, x_w, U_f, U_w, off_f, off_w = (
-                a[live] for a in (rows, x_f, x_w, U_f, U_w, off_f, off_w))
+            rows, x_f, x_w, U_f, U_w, off_f, off_w, eta = (
+                a[live] for a in (rows, x_f, x_w, U_f, U_w, off_f, off_w, eta))
             if rows.size == 0:
                 break
     retire(np.ones(rows.size, dtype=bool))

@@ -6,7 +6,8 @@ first-order iterations, the treeplex layout by naming every sequence in
 order, treeplex best responses and backward passes by infoset-by-infoset
 loops, sequence counts by a recursive tree walk, the recurrence by direct
 rational iteration, exact one-shot FTRL runs by a plain ``Fraction`` loop,
-and the structural monitors by checking one step at a time.
+the structural monitors by checking one step at a time, and the randomized
+audit by one ``run_dynamics`` call per draw.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from ftrl_bargain.analysis import SUPPORT_TOL
-from ftrl_bargain.games import ActionGrid, TwoRoundGame, utility_ultimatum
-from ftrl_bargain import learner
-from ftrl_bargain.learner import MONITOR_TOL
+from ftrl_bargain.games import ActionGrid, TwoRoundGame, UltimatumGame, utility_ultimatum
+from ftrl_bargain import cli, learner
+from ftrl_bargain.learner import MONITOR_TOL, LearnerConfig, MonitorSuite
 
 
 def feedback_bruteforce(agent: str, opponent: np.ndarray, grid: ActionGrid) -> np.ndarray:
@@ -419,3 +420,38 @@ def monitor_loop(init_f, init_w, steps) -> list[tuple[str, int, str]]:
         _monitor_step(t, x_f, x_w, new_f, new_w, i == 0, flag)
         x_f, x_w = new_f, new_w
     return out
+
+
+def audit_loop(n_runs: int, seed: int, exact_compare: int = 20):
+    """The randomized audit one draw at a time: a monitored ``run_dynamics``
+    per draw, then its exact rerun.  Returns the ``cli.AuditReport``.
+    """
+    rng = np.random.default_rng(seed)
+    report = cli.AuditReport(seed=seed, n_runs=n_runs)
+    for run_idx in range(n_runs):
+        d, eta, wf, ww = cli._audit_draw(rng)
+        total_f, total_w = int(wf.sum()), int(ww.sum())
+        init_f = wf.astype(float) / total_f
+        init_w = ww.astype(float) / total_w
+        cfg = LearnerConfig(game=UltimatumGame(ActionGrid(d)), eta=eta)
+        monitors = MonitorSuite()
+        traj = learner.run_dynamics(cfg, init_f, init_w, monitors=monitors)
+        for monitor, step, detail in monitors.violations:
+            report.violations.append((monitor, run_idx, step, detail))
+
+        if report.exact_compared < exact_compare and d <= 10:
+            cfg_exact = LearnerConfig(game=cfg.game, eta=eta, arithmetic="exact")
+            exact_init_f = [Fraction(int(v), total_f) for v in wf]
+            exact_init_w = [Fraction(int(v), total_w) for v in ww]
+            exact = learner.run_dynamics(cfg_exact, exact_init_f, exact_init_w)
+            report.exact_compared += 1
+            err = max(
+                max(abs(float(a) - b) for a, b in zip(exact.final_f, traj.final_f)),
+                max(abs(float(a) - b) for a, b in zip(exact.final_w, traj.final_w)),
+            )
+            if err > 1e-12 or exact.converged_at != traj.converged_at:
+                report.violations.append(
+                    ("exact_float_agreement", run_idx, traj.steps,
+                     f"max deviation {err:.3e}, converged {exact.converged_at} vs {traj.converged_at}")
+                )
+    return report

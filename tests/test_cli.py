@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ftrl_bargain import analysis, cli, games, learner, metagame
+from ftrl_bargain import analysis, cli, games, geometry, learner, metagame
 from ftrl_bargain.cli import main
 
 import oracles
@@ -126,6 +126,20 @@ class TestConfigParsing:
         for argv in (["run", path, "--init-f", "uniform", "--init-w", "uniform"], ["sweep", path]):
             assert main(argv) == 2
             assert f"error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kv, argv, message", [
+        (dict(d=3), ["run", "--init-f", "uniform", "--init-w", "uniform"],
+         "config requires game = g1 | g2"),
+        (dict(game="g1"), ["run", "--init-f", "uniform", "--init-w", "uniform"],
+         "config requires d and eta"),
+        (dict(game="g1", d=3), ["sweep"], "sweep requires sweep_firm and sweep_worker axes"),
+        (dict(game="g2", d=3, delta=0.9), ["audit", "--runs", "1"], "audit requires a g1 config"),
+    ], ids=["no_game", "no_d", "no_sweep_axes", "audit_g2"])
+    def test_missing_setting_names_file(self, tmp_path, capsys, kv, argv, message):
+        # settings a file lacks, or a subcommand cannot use, name the file too
+        path = write_config(tmp_path / "c.cfg", eta="1/2", **kv)
+        assert main([argv[0], path, *argv[1:]]) == 2
+        assert f"error: {path}: {message}\n" in capsys.readouterr().err
 
     def test_seed_is_a_flag_not_a_key(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.cfg", game="g1", d=5, eta=0.5, seed=7)
@@ -404,6 +418,30 @@ class TestAuditCommand:
     def test_requires_g1(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", game="g2", d=5, eta=0.5, delta=0.9)
         assert main(["audit", cfg, "--runs", "1"]) == 2
+
+    @pytest.mark.parametrize("n_runs, seed, exact_compare", [
+        (100, 42, 20), (60, 1, 10), (60, 7, 10), (60, 2024, 10),
+    ])
+    def test_stacks_match_one_run_per_draw(self, n_runs, seed, exact_compare):
+        # one stack per grid size reports what one run per draw reports
+        report = cli.run_audit(n_runs, seed, exact_compare)
+        expected = oracles.audit_loop(n_runs, seed, exact_compare)
+        assert report == expected
+        assert report.lines() == expected.lines()
+
+    def test_stacks_attribute_faults_to_runs(self, monkeypatch):
+        # a faulty float projection that acts on each row alone: violations
+        # land on the same run and step as one run per draw puts them
+        monkeypatch.setitem(learner.GAME_DEFAULTS, games.UltimatumGame,
+                            dict(conv_threshold=1e-7, max_steps=150))
+        monkeypatch.setattr(learner, "_project_simplex",
+                            lambda v: geometry.project_simplex(v)[:, ::-1])
+        report = cli.run_audit(30, 42, exact_compare=6)
+        expected = oracles.audit_loop(30, 42, exact_compare=6)
+        assert report == expected and report.lines() == expected.lines()
+        names = {name for name, *_ in report.violations}
+        assert {"claim2_order", "exact_float_agreement"} <= names
+        assert len({run for _, run, _, _ in report.violations}) == 30
 
 
 class TestOracleCommand:

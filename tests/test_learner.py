@@ -397,6 +397,87 @@ class TestMonitorBlocks:
         assert suite.violations == expected
 
 
+class TestPerRowInputs:
+    """Per-row learning rates and monitor suites: each row runs as it would alone."""
+
+    ETAS = [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(37, 100), 2.0]
+
+    @staticmethod
+    def stack(d=6, arithmetic="float"):
+        # at the step cap of 120 the rows stop at steps 36, 22, 42 and 10 and
+        # the first runs to the cap, so rows retire at five different times
+        rng = np.random.default_rng(7)
+        wf, ww = rng.integers(1, 10, size=(2, len(TestPerRowInputs.ETAS), d + 1))
+        cfg = g1_config(d=d, eta=0.5, max_steps=120, arithmetic=arithmetic)
+        if arithmetic == "exact":
+            inits = [np.array([[Fraction(int(v), int(row.sum())) for v in row] for row in w],
+                              dtype=object) for w in (wf, ww)]
+        else:
+            inits = [w / w.sum(axis=1, keepdims=True) for w in (wf, ww)]
+        return cfg, *inits
+
+    def test_float_rows_match_rows_alone(self):
+        cfg, init_f, init_w = self.stack()
+        run = learner.run_lockstep(cfg, init_f, init_w, eta=self.ETAS)
+        assert run.converged_at.tolist() == [0, 36, 22, 42, 10]
+        for k, eta in enumerate(self.ETAS):
+            traj = run_dynamics(dataclasses.replace(cfg, eta=eta), init_f[k], init_w[k])
+            assert (int(run.converged_at[k]) or None) == traj.converged_at
+            for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
+                assert np.array_equal(getattr(run, name)[k], getattr(traj, name)), name
+
+    def test_exact_rows_match_rows_alone(self):
+        cfg, init_f, init_w = self.stack(arithmetic="exact")
+        run = learner.run_lockstep(cfg, init_f, init_w, eta=self.ETAS)
+        assert run.converged_at.tolist() == [0, 36, 22, 42, 10]
+        for k, eta in enumerate(self.ETAS):
+            traj = run_dynamics(dataclasses.replace(cfg, eta=eta), init_f[k], init_w[k])
+            assert (int(run.converged_at[k]) or None) == traj.converged_at
+            for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
+                assert list(getattr(run, name)[k]) == list(getattr(traj, name)), name
+
+    @pytest.mark.parametrize("arithmetic", ["float", "exact"])
+    @pytest.mark.parametrize("bad", [0, -0.5, float("nan"), float("inf"), "short"])
+    def test_bad_rates_rejected(self, arithmetic, bad):
+        cfg, init_f, init_w = self.stack(arithmetic=arithmetic)
+        eta = self.ETAS[:-1] if bad == "short" else self.ETAS[:-1] + [bad]
+        with pytest.raises(ValueError, match="eta|learning rates"):
+            learner.run_lockstep(cfg, init_f, init_w, eta=eta)
+
+    def test_monitors_rejected_off_float_one_shot(self):
+        cfg, init_f, init_w = self.stack(arithmetic="exact")
+        with pytest.raises(ValueError, match="monitors"):
+            learner.run_lockstep(cfg, init_f, init_w, monitors=[MonitorSuite() for _ in init_f])
+        game = TwoRoundGame(ActionGrid(3), 0.9)
+        plans = [np.array([plan(game, 0.0, 0.0)]) for plan in (firm_vertex_plan, worker_vertex_plan)]
+        with pytest.raises(ValueError, match="monitors"):
+            learner.run_lockstep(LearnerConfig(game=game, eta=0.5), *plans,
+                                 monitors=[MonitorSuite()])
+
+    def test_monitor_count_must_match_rows(self):
+        cfg, init_f, init_w = self.stack()
+        with pytest.raises(ValueError, match="monitor suites"):
+            learner.run_lockstep(cfg, init_f, init_w, monitors=[MonitorSuite()])
+
+    @pytest.mark.parametrize("fault", [None, _dip, _softmax], ids=["clean", "dip", "softmax"])
+    def test_row_suites_match_one_suite_per_run(self, monkeypatch, fault):
+        # the faults act on each row alone, so a row's violations do not
+        # depend on the rows stacked with it
+        if fault is not None:
+            monkeypatch.setattr(learner, "_project_simplex", lambda v: fault(v, 0))
+        cfg, init_f, init_w = self.stack()
+        init_w = np.sort(init_w, axis=1)[:, ::-1]   # sorted: the firm-unimodality premise
+        suites = [MonitorSuite() for _ in init_f]
+        learner.run_lockstep(cfg, init_f, init_w, eta=self.ETAS, monitors=suites)
+        alone = []
+        for k, eta in enumerate(self.ETAS):
+            alone.append(MonitorSuite())
+            run_dynamics(dataclasses.replace(cfg, eta=eta), init_f[k], init_w[k],
+                         monitors=alone[-1])
+        assert [s.violations for s in suites] == [s.violations for s in alone]
+        assert any(s.violations for s in suites) == (fault is not None)
+
+
 class TestExactMode:
     def test_agrees_with_float(self):
         d = 6

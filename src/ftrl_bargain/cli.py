@@ -265,8 +265,8 @@ def _audit_stacks(draws: list, runs: list[int], arithmetic: str) -> dict:
     """The draws ``runs`` as one lockstep stack per grid size, each row at its own eta.
 
     Checks each row's initial strategies as ``run_dynamics`` does, and arms a
-    :class:`MonitorSuite` on every float row.  Returns, per run index,
-    ``(converged_at or None, steps, final_f, final_w, monitor violations)``.
+    :class:`MonitorSuite` on every float row.  Returns, by run index, the
+    run's :class:`Trajectory` and its monitor violations (none when exact).
     """
     exact = arithmetic == "exact"
     by_grid: dict[int, list[int]] = {}
@@ -284,10 +284,8 @@ def _audit_stacks(draws: list, runs: list[int], arithmetic: str) -> dict:
                   for a in (0, 1))
         suites = None if exact else [MonitorSuite() for _ in idx]
         run = learner.run_lockstep(cfg, *stacks, eta=[draws[i][1] for i in idx], monitors=suites)
-        for row, i in enumerate(idx):
-            converged_at = int(run.converged_at[row]) or None
-            out[i] = (converged_at, converged_at or cfg.steps_cap, run.final_f[row],
-                      run.final_w[row], [] if exact else suites[row].violations)
+        out.update((i, (run.trajectory(row, cfg.steps_cap), [] if exact else suites[row].violations))
+                   for row, i in enumerate(idx))
     return out
 
 
@@ -314,20 +312,20 @@ def run_audit(n_runs: int, seed: int, exact_compare: int = 20) -> AuditReport:
     exacts = _audit_stacks(draws, rerun, "exact")
     report = AuditReport(seed=seed, n_runs=n_runs, exact_compared=len(rerun))
     for run_idx in range(n_runs):
-        conv, steps, final_f, final_w, violations = floats[run_idx]
+        traj, violations = floats[run_idx]
         for monitor, step, detail in violations:
             report.violations.append((monitor, run_idx, step, detail))
         if run_idx not in exacts:
             continue
-        exact_conv, _, exact_f, exact_w, _ = exacts[run_idx]
+        exact, _ = exacts[run_idx]
         err = max(
-            max(abs(float(a) - b) for a, b in zip(exact_f, final_f)),
-            max(abs(float(a) - b) for a, b in zip(exact_w, final_w)),
+            max(abs(float(a) - b) for a, b in zip(exact.final_f, traj.final_f)),
+            max(abs(float(a) - b) for a, b in zip(exact.final_w, traj.final_w)),
         )
-        if err > 1e-12 or exact_conv != conv:
+        if err > 1e-12 or exact.converged_at != traj.converged_at:
             report.violations.append(
-                ("exact_float_agreement", run_idx, steps,
-                 f"max deviation {err:.3e}, converged {exact_conv} vs {conv}")
+                ("exact_float_agreement", run_idx, traj.steps,
+                 f"max deviation {err:.3e}, converged {exact.converged_at} vs {traj.converged_at}")
             )
     return report
 

@@ -28,7 +28,7 @@ the stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -169,6 +169,13 @@ class Lockstep:
     final_w: np.ndarray
     cum_util_f: np.ndarray
     cum_util_w: np.ndarray
+
+    def trajectory(self, row: int, steps_cap: int) -> Trajectory:
+        """Row ``row``'s run as a :class:`Trajectory` without history, capped at ``steps_cap``."""
+        converged_at = int(self.converged_at[row]) or None
+        return Trajectory(converged_at=converged_at, steps=converged_at or steps_cap,
+                          final_f=self.final_f[row], final_w=self.final_w[row],
+                          cum_util_f=self.cum_util_f[row], cum_util_w=self.cum_util_w[row])
 
 
 def _certified_rows(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray) -> np.ndarray:
@@ -322,7 +329,6 @@ class _FloatArithmetic:
     def __init__(self, cfg: LearnerConfig):
         self.game, self.threshold = cfg.game, cfg.threshold
         self._update = {agent: _updater(cfg, agent) for agent in (FIRM, WORKER)}
-        self._shared = None   # the stack's one rate, when all its rows share it
 
     def feedback(self, agent: str, opponent: np.ndarray) -> np.ndarray:
         if isinstance(self.game, UltimatumGame):
@@ -333,16 +339,10 @@ class _FloatArithmetic:
     def stack(x) -> np.ndarray:
         return np.array(x, dtype=float)
 
-    def rates(self, eta: list) -> np.ndarray:
-        """Per-row learning rates as a ``(k, 1)`` column.
-
-        When every row has the same rate, :meth:`update` multiplies by it as
-        a scalar: the same products, without the broadcast column's ~3% of a
-        961-row one-shot step.
-        """
-        col = np.array([float(e) for e in eta])[:, None]
-        self._shared = float(col[0, 0]) if col.size and (col == col[0, 0]).all() else None
-        return col
+    @staticmethod
+    def rates(eta: list) -> np.ndarray:
+        """Per-row learning rates as a ``(k, 1)`` column."""
+        return np.array([float(e) for e in eta])[:, None]
 
     @staticmethod
     def zeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +359,7 @@ class _FloatArithmetic:
         return U, off
 
     def update(self, agent: str, U: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._update[agent](U, eta if self._shared is None else self._shared)
+        return self._update[agent](U, eta)
 
     def still(self, x: tuple, new: tuple) -> np.ndarray:
         """Rows whose step moved no entry of either agent by more than the threshold."""
@@ -562,19 +562,10 @@ def run_dynamics(
 
     run = run_lockstep(cfg, x_f[None], x_w[None], on_step if keep_history else None,
                        monitors=None if monitors is None else [monitors])
-    converged_at = int(run.converged_at[0]) or None
     regret = _regrets(arith, history) if keep_history and one_shot else None
-    return Trajectory(
-        converged_at=converged_at,
-        steps=converged_at or cfg.steps_cap,
-        final_f=run.final_f[0],
-        final_w=run.final_w[0],
-        cum_util_f=run.cum_util_f[0],
-        cum_util_w=run.cum_util_w[0],
-        history=history,
-        regret_f=regret[0] if regret else None,
-        regret_w=regret[1] if regret else None,
-    )
+    return replace(run.trajectory(0, cfg.steps_cap), history=history,
+                   regret_f=regret[0] if regret else None,
+                   regret_w=regret[1] if regret else None)
 
 
 def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,

@@ -262,28 +262,33 @@ def _audit_inits(weights: np.ndarray, exact: bool) -> np.ndarray:
 
 
 def _audit_stacks(draws: list, runs: list[int], arithmetic: str) -> dict:
-    """The draws ``runs`` as one lockstep stack per grid size, each row at its own eta.
+    """The draws ``runs`` as lockstep stacks, each row at its own eta.
 
-    Checks each row's initial strategies as ``run_dynamics`` does, and arms a
+    Float draws of every grid size share one stack on the widest grid,
+    which ``run_lockstep`` pads row by row; exact draws run as one stack
+    per grid size, as the exact kernel does not pad and costs the same per
+    row however its rows are stacked.  Checks each row's initial strategies
+    on its own grid as ``run_dynamics`` does, and arms a
     :class:`MonitorSuite` on every float row.  Returns, by run index, the
     run's :class:`Trajectory` and its monitor violations (none when exact).
     """
     exact = arithmetic == "exact"
-    by_grid: dict[int, list[int]] = {}
+    stacks: dict[int, list[int]] = {}
     for i in runs:
-        by_grid.setdefault(draws[i][0], []).append(i)
+        stacks.setdefault(draws[i][0] if exact else 0, []).append(i)
     out = {}
-    for d, idx in by_grid.items():
-        cfg = LearnerConfig(game=UltimatumGame(ActionGrid(d)), eta=draws[idx[0]][1],
-                            arithmetic=arithmetic)
+    for idx in stacks.values():
+        cfgs = {d: LearnerConfig(game=UltimatumGame(ActionGrid(d)), eta=draws[idx[0]][1],
+                                 arithmetic=arithmetic)
+                for d in {draws[i][0] for i in idx}}
+        cfg = cfgs[max(cfgs)]
         inits = [(_audit_inits(draws[i][2], exact), _audit_inits(draws[i][3], exact))
                  for i in idx]
-        for init_f, init_w in inits:
-            learner._check_initial(cfg, init_f, init_w)
-        stacks = (np.array([pair[a] for pair in inits], dtype=object if exact else float)
-                  for a in (0, 1))
+        for i, (init_f, init_w) in zip(idx, inits):
+            learner._check_initial(cfgs[draws[i][0]], init_f, init_w)
         suites = None if exact else [MonitorSuite() for _ in idx]
-        run = learner.run_lockstep(cfg, *stacks, eta=[draws[i][1] for i in idx], monitors=suites)
+        run = learner.run_lockstep(cfg, *([pair[a] for pair in inits] for a in (0, 1)),
+                                   eta=[draws[i][1] for i in idx], monitors=suites)
         out.update((i, (run.trajectory(row, cfg.steps_cap), [] if exact else suites[row].violations))
                    for row, i in enumerate(idx))
     return out
@@ -296,10 +301,11 @@ def run_audit(n_runs: int, seed: int, exact_compare: int = 20) -> AuditReport:
     mixtures.  The first ``exact_compare`` draws with D <= 10 are re-run in
     exact rational arithmetic and must match the float path to 1e-12.
     All draws are drawn first; the float runs then go through one monitored
-    ``run_lockstep`` stack per grid size, with each row's own eta and
-    :class:`MonitorSuite`, and the exact reruns through one exact stack per
-    grid size.  The report lists each run's monitor violations, then its
-    exact comparison, in run order, as if the runs had gone one at a time.
+    ``run_lockstep`` stack across all grid sizes, each row padded to the
+    widest grid and run at its own eta with its own :class:`MonitorSuite`,
+    and the exact reruns through one exact stack per grid size.  The report
+    lists each run's monitor violations, then its exact comparison, in run
+    order, as if the runs had gone one at a time.
     Negative counts raise ``ValueError``; ``n_runs = 0`` is a vacuous pass.
     """
     if n_runs < 0 or exact_compare < 0:
@@ -406,7 +412,7 @@ def cmd_metagame(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         if not keep:
-            raise ConfigError("no fully converged firm rows remain")
+            raise ConfigError(f"{args.heatmap}: no fully converged firm rows remain")
         firm_inits, u = [firm_inits[i] for i in keep], u[keep]
     sol = metagame.minimax_solve(u, tol=args.tol)
     out = Path(args.out or "minimax.csv")

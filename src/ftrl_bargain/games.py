@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Literal, Union
+from typing import Literal, Optional, Union
 
 import numpy as np
 
@@ -125,19 +125,25 @@ def uniform_strategy(grid: ActionGrid) -> np.ndarray:
     return np.full(grid.size, 1.0 / grid.size)
 
 
-def ultimatum_feedback(agent: Agent, opponent_strategy: np.ndarray, grid: ActionGrid) -> np.ndarray:
+def ultimatum_feedback(agent: Agent, opponent_strategy: np.ndarray, grid: ActionGrid,
+                       actions: Optional[np.ndarray] = None) -> np.ndarray:
     """Single-step expected-utility vector against the opponent's mixture.
 
     Worker entry at threshold a: sum over offers p >= a of x_f(p) * p.
     Firm entry at offer a: (worker acceptance mass at or below a) * (1 - a).
     A 2-D ``opponent_strategy`` gives one feedback row per mixture row.
+    ``actions`` replaces ``grid.actions`` with a ``(k, grid.size)`` stack of
+    per-row action values.  A row of a narrower grid, padded with actions
+    1.0 where the opponent has no mass, gets feedback 0 on the pads and, on
+    its own entries, exactly its feedback on its own grid.
     """
     _check_agent(agent)
     x = np.asarray(opponent_strategy, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != grid.size:
         raise StructuralError("opponent strategy length does not match grid")
     x = np.where(x > NEGLIGIBLE_MASS, x, 0.0)
-    actions = grid.actions
+    if actions is None:
+        actions = grid.actions
     if agent == WORKER:
         return (x * actions)[..., ::-1].cumsum(axis=-1)[..., ::-1]
     return x.cumsum(axis=-1) * (1.0 - actions)

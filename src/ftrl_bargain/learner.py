@@ -10,8 +10,10 @@ float path stays well conditioned (an explicit offset restores true values).
 One kernel, :func:`run_lockstep`, advances a stack of independent runs of
 either game in lockstep, one row per run, each row exactly as it would run
 alone; :func:`run_dynamics` is its one-row case.  Each row may carry its own
-learning rate and its own monitor suite, so the randomized audit runs its
-draws as one stack per grid size and still reports them in run order.
+learning rate and its own monitor suite, and float one-shot rows may differ
+in grid size (narrower rows are padded with inert entries), so the randomized
+audit runs all its float draws as one stack and still reports them in run
+order.
 Exact-rational one-shot runs go through the same step loop on Python-int
 numerators over one denominator per row, reduced once per step; the
 certificate guard sees correctly rounded float casts, and ``Fraction``s are
@@ -61,6 +63,12 @@ BLOCK = 128           # steps the monitors buffer between checks
 # plateaus that later move, which a bare step-size test mistakes for
 # convergence.
 STOP_EPS = 1e-7
+
+# Cumulative utility of the pad entries that widen a narrower row of a
+# mixed-width float stack: finite, so projection inputs stay finite, and far
+# below every real entry, so a pad is never a row max and projects to 0.  A
+# rate above ~1e8 overflows eta * PAD_UTILITY, which the projection rejects.
+PAD_UTILITY = -1e300
 
 # The structural monitors' names, in report order.
 MONITORS = (
@@ -162,31 +170,51 @@ class Trajectory:
 
 @dataclass
 class Lockstep:
-    """Endpoints of a stack of runs, one row each; ``converged_at`` 0 means the cap hit."""
+    """Endpoints of a stack of runs, one row each; ``converged_at`` 0 means the cap hit.
+
+    ``widths`` holds each row's grid size when the stack mixed grid sizes;
+    its rows are then padded to the widest grid (see :func:`run_lockstep`).
+    """
 
     converged_at: np.ndarray
     final_f: np.ndarray
     final_w: np.ndarray
     cum_util_f: np.ndarray
     cum_util_w: np.ndarray
+    widths: Optional[np.ndarray] = None
 
     def trajectory(self, row: int, steps_cap: int) -> Trajectory:
-        """Row ``row``'s run as a :class:`Trajectory` without history, capped at ``steps_cap``."""
+        """Row ``row``'s run as a :class:`Trajectory` without history, capped at ``steps_cap``.
+
+        A padded row is trimmed back to its own grid size.
+        """
         converged_at = int(self.converged_at[row]) or None
+        cut = slice(None) if self.widths is None else slice(int(self.widths[row]))
         return Trajectory(converged_at=converged_at, steps=converged_at or steps_cap,
-                          final_f=self.final_f[row], final_w=self.final_w[row],
-                          cum_util_f=self.cum_util_f[row], cum_util_w=self.cum_util_w[row])
+                          final_f=self.final_f[row, cut], final_w=self.final_w[row, cut],
+                          cum_util_f=self.cum_util_f[row, cut], cum_util_w=self.cum_util_w[row, cut])
 
 
-def _certified_rows(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray) -> np.ndarray:
+def _certified_rows(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray,
+                    widths: Optional[np.ndarray] = None) -> np.ndarray:
     """Equilibrium guard, applied when the step-size test fires: a row mask.
 
     A row of the ``(k, n)`` profile stacks passes when both its best-response
-    gaps, certified on float casts, are within ``STOP_EPS``.
+    gaps, certified on float casts, are within ``STOP_EPS``.  With ``widths``
+    (padded one-shot rows of mixed grid sizes), the rows of each width are
+    certified together, trimmed, against their own grid's game.
     """
     x_f, x_w = np.asarray(x_f, dtype=float), np.asarray(x_w, dtype=float)
-    gap_f, gap_w, _, _ = analysis._gap_rows(cfg.game, x_f, x_w)
-    return np.maximum(gap_f, gap_w) <= STOP_EPS
+    if widths is None:
+        gap_f, gap_w, _, _ = analysis._gap_rows(cfg.game, x_f, x_w)
+        return np.maximum(gap_f, gap_w) <= STOP_EPS
+    ok = np.empty(len(widths), dtype=bool)
+    for w in np.unique(widths).tolist():
+        pick = widths == w
+        game = UltimatumGame(ActionGrid(w - 1))
+        gap_f, gap_w, _, _ = analysis._gap_rows(game, x_f[pick, :w], x_w[pick, :w])
+        ok[pick] = np.maximum(gap_f, gap_w) <= STOP_EPS
+    return ok
 
 
 # Unused by the package; kept because perfbench/tracer.py wraps it by name.
@@ -229,9 +257,11 @@ class MonitorSuite:
     output order follows input order).
 
     :func:`run_lockstep` starts a row's suite on its initial strategies and
-    appends each step's projection inputs and new strategies to a buffer.
-    Every ``BLOCK`` steps, and once at the end of the run, the buffered
-    ``(T, n)`` stacks are checked together against the carried previous row.
+    appends each step's projection inputs and new strategies to a buffer, as
+    one ``(4, n)`` copy of the row's own entries, so the buffer holds no view
+    of the kernel's stacks.  Every ``BLOCK`` steps, and once at the end of the run, the
+    buffered ``(T, n)`` stacks are checked together against the carried
+    previous row.
     ``violations`` lists ``(monitor, step, detail)`` in step order, and within
     a step in check order: firm then worker projection identities, the two
     shape laws, then the transition laws.  It accumulates across runs.
@@ -249,7 +279,9 @@ class MonitorSuite:
 
     def _record(self, t: int, v, new) -> None:
         """Buffer step ``t``: (firm, worker) projection inputs and outputs, one row each."""
-        self._buffer.append((t, v, new))
+        if not self._buffer:
+            self._t0 = t
+        self._buffer.append(np.concatenate((v[0], new[0], v[1], new[1])))
         if len(self._buffer) == BLOCK:
             self._check()
 
@@ -257,12 +289,12 @@ class MonitorSuite:
         """Check the buffered steps as ``(T, n)`` stacks and empty the buffer."""
         if not self._buffer:
             return
-        v_f, x_f, v_w, x_w = (np.concatenate(col) for col in
-                              zip(*((v[0], new[0], v[1], new[1]) for _, v, new in self._buffer)))
+        v_f, x_f, v_w, x_w = np.stack(self._buffer, axis=1)
         prev_f = np.concatenate((self._prev_f[None], x_f[:-1]))
         prev_w = np.concatenate((self._prev_w[None], x_w[:-1]))
-        t0, skip = self._buffer[0][0], self._fresh
-        self._buffer, self._prev_f, self._prev_w, self._fresh = [], x_f[-1], x_w[-1], False
+        t0, skip = self._t0, self._fresh
+        # copies, so the carried rows keep no block alive between checks
+        self._buffer, self._prev_f, self._prev_w, self._fresh = [], x_f[-1].copy(), x_w[-1].copy(), False
         sorted_w, unimodal_f, stationary_w, decays_w, monotone_w, mass_diff, order_kept = MONITORS
         tol, n = analysis.SUPPORT_TOL, x_f.shape[1]
         cols = np.arange(n)
@@ -330,9 +362,10 @@ class _FloatArithmetic:
         self.game, self.threshold = cfg.game, cfg.threshold
         self._update = {agent: _updater(cfg, agent) for agent in (FIRM, WORKER)}
 
-    def feedback(self, agent: str, opponent: np.ndarray) -> np.ndarray:
+    def feedback(self, agent: str, opponent: np.ndarray, actions=None) -> np.ndarray:
+        """One feedback row per opponent row; ``actions`` are padded rows' per-row grids."""
         if isinstance(self.game, UltimatumGame):
-            return games.ultimatum_feedback(agent, opponent, self.game.grid)
+            return games.ultimatum_feedback(agent, opponent, self.game.grid, actions)
         return games.two_round_feedback(agent, opponent, self.game)
 
     @staticmethod
@@ -426,7 +459,8 @@ class _ExactArithmetic:
         return (_Ratios([[0] * len(row) for row in x.num], [1] * len(x)),
                 np.zeros(len(x), dtype=object))
 
-    def feedback(self, agent: str, opponent: _Ratios) -> _Ratios:
+    def feedback(self, agent: str, opponent: _Ratios, actions=None) -> _Ratios:
+        """One feedback row per opponent row; ``actions`` is None, as exact stacks never mix grids."""
         return _Ratios(*games.ultimatum_feedback_exact(agent, opponent.num, opponent.den,
                                                        self.grid))
 
@@ -568,7 +602,34 @@ def run_dynamics(
                    regret_w=regret[1] if regret else None)
 
 
-def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
+def _mixed_widths(cfg: LearnerConfig, init_f, init_w, on_step) -> Optional[np.ndarray]:
+    """Each row's length when a stack's rows differ in length, else None.
+
+    Raises ``ValueError`` where mixed grid sizes do not apply, and
+    ``StructuralError`` for a row the config's grid cannot hold.
+    """
+    widths = [len(row) for row in init_f]
+    if len(set(widths)) <= 1 and len({len(row) for row in init_w}) <= 1:
+        return None
+    if not (isinstance(cfg.game, UltimatumGame) and cfg.arithmetic == "float"):
+        raise ValueError("mixed grid sizes apply to float one-shot runs only")
+    if cfg.reference_f is not None or cfg.reference_w is not None or on_step is not None:
+        raise ValueError("mixed grid sizes take no reference and no on_step hook")
+    if widths != [len(row) for row in init_w]:
+        raise StructuralError("a row's firm and worker strategies differ in length")
+    if min(widths) < 3 or max(widths) > cfg.grid.size:
+        raise StructuralError(f"row lengths must lie in [3, {cfg.grid.size}], got {widths}")
+    return np.array(widths)
+
+
+def _padded(rows, pad: np.ndarray) -> np.ndarray:
+    """The rows as one float stack, 0 where ``pad`` marks an entry past a row's end."""
+    out = np.zeros(pad.shape)
+    out[~pad] = np.concatenate([np.asarray(row, dtype=float) for row in rows])
+    return out
+
+
+def run_lockstep(cfg: LearnerConfig, init_f, init_w,
                  on_step=None, eta=None, monitors=None) -> Lockstep:
     """Self-play of a stack of runs, one row of ``init_f``/``init_w`` each.
 
@@ -584,11 +645,23 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
     default), checked by ``LearnerConfig``'s rule; float rows multiply by a
     ``(k, 1)`` column and exact rows by their own ``Fraction``, so a row runs
     bit for bit as it would alone at its rate.
+    A float one-shot stack may mix grid sizes: a row of d + 1 entries runs on
+    ``ActionGrid(d)``, and ``cfg`` carries a grid at least as wide as every
+    row.  Narrower rows are padded to that grid with inert entries: strategy
+    mass 0, action 1.0 (so both feedbacks are 0 there) and cumulative utility
+    ``PAD_UTILITY``, which never becomes a row max and projects to 0.  The
+    projection only sorts, cumsums, takes and clips, so a row's own entries
+    get bit for bit its own grid's arithmetic; the certificate guard checks
+    the rows of each width, trimmed, on their own game, and
+    :meth:`Lockstep.trajectory` trims each row back.  Mixed grid sizes raise
+    ``ValueError`` on exact and two-round runs, with a reference and with
+    ``on_step``; a stack whose rows all have one length runs unpadded.
     ``monitors`` gives each row its own :class:`MonitorSuite` (float one-shot
     runs only; ``ValueError`` otherwise).  The kernel starts each suite on its
-    row's initial strategies, records the live rows' ``(1, n)`` slices each
-    step and checks each suite's remaining steps when its row leaves the
-    stack, so a retired row holds no buffered steps.
+    row's initial strategies, hands it the live row's own entries each step
+    as ``(1, n)`` slices, which the suite copies, and checks each suite's
+    remaining steps when its row leaves the stack, so a retired row holds no
+    buffered steps.
     ``on_step(t, v, new)`` sees each step ``t = 2, 3, ...`` of the live rows:
     the (firm, worker) pairs of stacks of projection inputs and of new
     strategies.
@@ -604,17 +677,28 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
             raise ValueError("monitors apply to float one-shot runs only")
         if len(monitors) != k:
             raise ValueError(f"{len(monitors)} monitor suites for a stack of {k} rows")
+    widths = _mixed_widths(cfg, init_f, init_w, on_step)
+    actions = None
+    if widths is not None:
+        pad = np.arange(cfg.grid.size) >= widths[:, None]
+        init_f, init_w = _padded(init_f, pad), _padded(init_w, pad)
+        actions = np.where(pad, 1.0, np.arange(cfg.grid.size) / (widths - 1)[:, None])
     arith = _arithmetic(cfg)
     x_f, x_w = arith.stack(init_f), arith.stack(init_w)
     out = Lockstep(np.zeros(k, dtype=np.int64),
-                   *(np.empty(np.shape(x), dtype=arith.dtype) for x in (init_f, init_w) * 2))
+                   *(np.empty(np.shape(x), dtype=arith.dtype) for x in (init_f, init_w) * 2),
+                   widths=widths)
     rows = np.arange(k)
     eta = arith.rates(eta)
     (U_f, off_f), (U_w, off_w) = arith.zeros(x_f), arith.zeros(x_w)
+    if widths is not None:
+        U_f[pad] = U_w[pad] = PAD_UTILITY
     value = arith.values
     if monitors is not None:
-        for suite, f, w in zip(monitors, x_f, x_w):
-            suite._start(f, w)
+        # each row's own entries: all of them, or the first ``widths[r]``
+        own = [slice(None)] * k if widths is None else [slice(w) for w in widths.tolist()]
+        for r, suite in enumerate(monitors):
+            suite._start(x_f[r, own[r]], x_w[r, own[r]])
 
     def retire(mask):
         if not mask.any():
@@ -628,8 +712,8 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
                 monitors[r]._check()
 
     for t in range(2, cfg.steps_cap + 1):
-        fb_f = arith.feedback(FIRM, x_w)
-        fb_w = arith.feedback(WORKER, x_f)
+        fb_f = arith.feedback(FIRM, x_w, actions)
+        fb_w = arith.feedback(WORKER, x_f, actions)
         U_f, off_f = arith.accumulate(U_f, off_f, fb_f)
         U_w, off_w = arith.accumulate(U_w, off_w, fb_w)
         v_f, new_f = arith.update(FIRM, U_f, eta)
@@ -639,13 +723,14 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
             on_step(t, (value(v_f), value(v_w)), (value(new_f), value(new_w)))
         if monitors is not None:
             for i, r in enumerate(rows.tolist()):
-                row = slice(i, i + 1)
+                row = (slice(i, i + 1), own[r])
                 monitors[r]._record(t, (v_f[row], v_w[row]), (new_f[row], new_w[row]))
         x_f, x_w = new_f, new_w
         if not still.any():
             continue
         stopped = np.flatnonzero(still)
-        stopped = stopped[_certified_rows(cfg, value(x_f[stopped]), value(x_w[stopped]))]
+        stopped = stopped[_certified_rows(cfg, value(x_f[stopped]), value(x_w[stopped]),
+                                          None if widths is None else widths[rows[stopped]])]
         if stopped.size:
             done = np.zeros(rows.size, dtype=bool)
             done[stopped] = True
@@ -654,6 +739,8 @@ def run_lockstep(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray,
             live = ~done
             rows, x_f, x_w, U_f, U_w, off_f, off_w, eta = (
                 a[live] for a in (rows, x_f, x_w, U_f, U_w, off_f, off_w, eta))
+            if actions is not None:
+                actions = actions[live]
             if rows.size == 0:
                 break
     retire(np.ones(rows.size, dtype=bool))

@@ -367,6 +367,15 @@ class TestMetagameCommand:
         assert [r["init"] for r in rows if r["player"] == "firm"] == ["1"]
         assert float(rows[0]["value"]) == pytest.approx(0.4, abs=1e-12)
 
+    def test_no_converged_row_names_file(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text(
+            "firm_init,worker_init,u_w,eps,converged_at,status,credible_threat,noncredible_threat\n"
+            "0,0,0.25,0,,max_steps,,\n"
+        )
+        assert main(["metagame", str(path), "--allow-partial"]) == 2
+        assert f"{path}: no fully converged firm rows remain" in capsys.readouterr().err
+
     def test_negative_tol_exit_2(self, tmp_path, capsys):
         path = tmp_path / "h.csv"
         path.write_text(
@@ -430,12 +439,18 @@ class TestAuditCommand:
         assert report.lines() == expected.lines()
 
     def test_stacks_attribute_faults_to_runs(self, monkeypatch):
-        # a faulty float projection that acts on each row alone: violations
-        # land on the same run and step as one run per draw puts them
+        # a faulty float projection that acts on each row's own entries
+        # alone: violations land on the same run and step as one run per
+        # draw puts them.  It reverses the first four entries, which every
+        # audit grid has, so no mass moves into a narrower row's padding.
+        def reversed_head(v):
+            x = geometry.project_simplex(v)
+            x[:, :4] = x[:, 3::-1]
+            return x
+
         monkeypatch.setitem(learner.GAME_DEFAULTS, games.UltimatumGame,
                             dict(conv_threshold=1e-7, max_steps=150))
-        monkeypatch.setattr(learner, "_project_simplex",
-                            lambda v: geometry.project_simplex(v)[:, ::-1])
+        monkeypatch.setattr(learner, "_project_simplex", reversed_head)
         report = cli.run_audit(30, 42, exact_compare=6)
         expected = oracles.audit_loop(30, 42, exact_compare=6)
         assert report == expected and report.lines() == expected.lines()

@@ -170,6 +170,22 @@ class TestStackedFeedback:
             stacked = ultimatum_feedback(agent, X, grid)
             assert np.array_equal(stacked, [ultimatum_feedback(agent, x, grid) for x in X])
 
+    def test_padded_rows_match_own_grids(self, rng):
+        # rows of narrower grids padded with mass 0 and action 1.0: feedback
+        # 0 on the pads and, on each row's own entries, its own grid's bits
+        grid = ActionGrid(7)
+        widths = np.array([4, 8, 6, 4])
+        pad = np.arange(grid.size) >= widths[:, None]
+        X = np.zeros((len(widths), grid.size))
+        for x, w in zip(X, widths):
+            x[:w] = random_simplex(rng, w)
+        actions = np.where(pad, 1.0, np.arange(grid.size) / (widths - 1)[:, None])
+        for agent in (FIRM, WORKER):
+            stacked = ultimatum_feedback(agent, X, grid, actions)
+            assert (stacked[pad] == 0).all()
+            for row, x, w in zip(stacked, X, widths):
+                assert np.array_equal(row[:w], ultimatum_feedback(agent, x[:w], ActionGrid(w - 1)))
+
     @pytest.mark.parametrize("D", [3, 5])
     def test_two_round_stack_matches_rows(self, rng, D):
         game = TwoRoundGame(ActionGrid(D), 0.55)

@@ -478,6 +478,89 @@ class TestPerRowInputs:
         assert any(s.violations for s in suites) == (fault is not None)
 
 
+def _reversed_head(v):
+    """Reverse each row's first four entries: a fault within every row's own grid."""
+    x = geometry.project_simplex(v)
+    x[:, :4] = x[:, 3::-1]
+    return x
+
+
+class TestMixedWidths:
+    """Float one-shot stacks of mixed grid sizes: each row runs as on its own grid."""
+
+    # D=6 at eta 10: the guard rejects a step-size plateau, then the row
+    # converges at step 8
+    PLATEAU = (6, 10.0, np.array([69, 3, 81, 14, 54, 30, 80]),
+               np.array([95, 92, 74, 60, 42, 41, 18]))
+
+    @classmethod
+    def draws(cls):
+        rng = np.random.default_rng(42)
+        return [cli._audit_draw(rng) for _ in range(12)] + [cls.PLATEAU]
+
+    @pytest.mark.parametrize("fault, cap", [(None, None), (_reversed_head, 150)],
+                             ids=["clean", "reversed_head"])
+    def test_rows_match_per_grid_stacks(self, monkeypatch, fault, cap):
+        if fault is not None:
+            monkeypatch.setattr(learner, "_project_simplex", fault)
+        verdicts = []
+        gap_rows = analysis._gap_rows
+
+        def spy(game, x_f, x_w):
+            gap_f, gap_w, br, u_w = gap_rows(game, x_f, x_w)
+            verdicts.append(np.maximum(gap_f, gap_w) <= learner.STOP_EPS)
+            return gap_f, gap_w, br, u_w
+
+        monkeypatch.setattr(analysis, "_gap_rows", spy)
+        draws = self.draws()
+        sizes = sorted({d for d, *_ in draws})
+        inits = [(cli._audit_inits(wf, False), cli._audit_inits(ww, False)) for _, _, wf, ww in draws]
+        etas = [eta for _, eta, _, _ in draws]
+        cfg = g1_config(d=sizes[-1], max_steps=cap)
+        suites = [MonitorSuite() for _ in draws]
+        mixed = learner.run_lockstep(cfg, [f for f, _ in inits], [w for _, w in inits],
+                                     eta=etas, monitors=suites)
+        assert len(sizes) >= 8 and mixed.widths.tolist() == [d + 1 for d, *_ in draws]
+        if fault is None:
+            assert mixed.converged_at[-1] == 8 and any(not v.all() for v in verdicts)
+        else:
+            assert all(s.violations for s in suites)
+        for d in sizes:
+            idx = [i for i, (size, *_) in enumerate(draws) if size == d]
+            alone = [MonitorSuite() for _ in idx]
+            run = learner.run_lockstep(g1_config(d=d, max_steps=cap),
+                                       *(np.array([inits[i][a] for i in idx]) for a in (0, 1)),
+                                       eta=[etas[i] for i in idx], monitors=alone)
+            for row, i in enumerate(idx):
+                got, want = mixed.trajectory(i, cfg.steps_cap), run.trajectory(row, cfg.steps_cap)
+                assert (got.converged_at, got.steps) == (want.converged_at, want.steps)
+                for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
+                    assert getattr(got, name).shape == (d + 1,), name
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                assert suites[i].violations == alone[row].violations
+                assert suites[i]._prev_f.shape == (d + 1,)   # own-width monitor input
+
+    def test_mixed_widths_rejected_where_they_do_not_apply(self):
+        rows = [uniform_strategy(ActionGrid(d)) for d in (3, 5)]
+        exact_rows = [[Fraction(1, d + 1)] * (d + 1) for d in (3, 5)]
+        with pytest.raises(ValueError, match="mixed grid sizes"):
+            learner.run_lockstep(g1_config(eta=Fraction(1, 2), arithmetic="exact"),
+                                 exact_rows, exact_rows)
+        games2 = [TwoRoundGame(ActionGrid(d), 0.9) for d in (3, 5)]
+        plans = [[plan(g, 0.0, 0.0) for g in games2] for plan in (firm_vertex_plan, worker_vertex_plan)]
+        with pytest.raises(ValueError, match="mixed grid sizes"):
+            learner.run_lockstep(LearnerConfig(game=games2[1], eta=0.5), *plans)
+        with pytest.raises(ValueError, match="mixed grid sizes"):
+            learner.run_lockstep(g1_config(reference_w=0.4), rows, rows)
+        with pytest.raises(ValueError, match="mixed grid sizes"):
+            learner.run_lockstep(g1_config(), rows, rows, on_step=lambda t, v, new: None)
+        # a row wider than the config's grid, or firm and worker rows that differ
+        with pytest.raises(StructuralError):
+            learner.run_lockstep(g1_config(d=4), rows, rows)
+        with pytest.raises(StructuralError):
+            learner.run_lockstep(g1_config(), rows, rows[::-1])
+
+
 class TestExactMode:
     def test_agrees_with_float(self):
         d = 6

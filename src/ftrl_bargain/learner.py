@@ -65,9 +65,9 @@ BLOCK = 128           # steps the monitors buffer between checks
 STOP_EPS = 1e-7
 
 # Cumulative utility of the pad entries that widen a narrower row of a
-# mixed-width float stack: finite, so projection inputs stay finite, and far
-# below every real entry, so a pad is never a row max and projects to 0.  A
-# rate above ~1e8 overflows eta * PAD_UTILITY, which the projection rejects.
+# mixed-width float stack, divided by the row's rate when that exceeds 1:
+# so the projection input eta * pad stays finite at any rate, and far below
+# every real entry, so a pad is never a row max and projects to 0.
 PAD_UTILITY = -1e300
 
 # The structural monitors' names, in report order.
@@ -649,9 +649,10 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
     ``ActionGrid(d)``, and ``cfg`` carries a grid at least as wide as every
     row.  Narrower rows are padded to that grid with inert entries: strategy
     mass 0, action 1.0 (so both feedbacks are 0 there) and cumulative utility
-    ``PAD_UTILITY``, which never becomes a row max and projects to 0.  The
-    projection only sorts, cumsums, takes and clips, so a row's own entries
-    get bit for bit its own grid's arithmetic; the certificate guard checks
+    ``PAD_UTILITY`` over the row's rate where that exceeds 1, which never
+    becomes a row max and projects to 0.  The projection only sorts,
+    cumsums, takes and clips, so a row's own entries get bit for bit its own
+    grid's arithmetic; the certificate guard checks
     the rows of each width, trimmed, on their own game, and
     :meth:`Lockstep.trajectory` trims each row back.  Mixed grid sizes raise
     ``ValueError`` on exact and two-round runs, with a reference and with
@@ -692,7 +693,7 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
     eta = arith.rates(eta)
     (U_f, off_f), (U_w, off_w) = arith.zeros(x_f), arith.zeros(x_w)
     if widths is not None:
-        U_f[pad] = U_w[pad] = PAD_UTILITY
+        U_f[pad] = U_w[pad] = np.broadcast_to(PAD_UTILITY / np.maximum(eta, 1.0), pad.shape)[pad]
     value = arith.values
     if monitors is not None:
         # each row's own entries: all of them, or the first ``widths[r]``

@@ -2,8 +2,9 @@
 
 A sweep runs the learning dynamics from every initial profile on its axes and
 records the worker's converged payoff per cell.  Sweeps of either arithmetic
-stack all cells into the learner's lockstep kernel, split into
-``parallelism`` contiguous chunks (one process each).
+stack each distinct initial profile once into the learner's lockstep kernel,
+split into ``parallelism`` contiguous chunks (one process each); cells whose
+profiles are equal take that row's outcome.
 The resulting matrix is treated as a zero-sum game (worker maximizes, firm
 minimizes) and solved exactly by a dense tableau simplex, whose mixtures are
 certified by an explicit duality gap.
@@ -12,7 +13,7 @@ certified by an explicit duality gap.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -137,8 +138,24 @@ def _initial(game, agent: str, entry, exact: bool) -> np.ndarray:
     return games.worker_vertex_plan(game, threshold=first, counter=second)
 
 
+def _distinct(plans: list, exact: bool) -> tuple[list, list[int]]:
+    """The distinct plans in first-seen order, and each plan's index among them.
+
+    Float plans compare by their bytes, exact plans (which may hold
+    ``Fraction`` objects) by their values.
+    """
+    index, first, picks = {}, [], []
+    for plan in plans:
+        key = tuple(plan.tolist()) if exact else plan.tobytes()
+        if key not in index:
+            index[key] = len(first)
+            first.append(plan)
+        picks.append(index[key])
+    return first, picks
+
+
 def _sweep_chunk(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray) -> list[CellResult]:
-    """Cell results of one contiguous chunk of a sweep, in cell order.
+    """Results of one contiguous chunk of a sweep's distinct profiles, in row order.
 
     The chunk's final profiles, cast to float, are certified as one stack.
     """
@@ -174,27 +191,44 @@ def sweep_initials(
 ) -> SweepResult:
     """Run the dynamics from every initial profile on the requested axes.
 
+    Each distinct initial profile runs once: the distinct firm and worker
+    plans of the axes (``(0, b)`` is one worker plan for every counter ``b``,
+    as threshold 0 never counters) give one kernel row per pair, and every
+    cell takes its profile's result, with its own copies of the final plans.
+    A row runs exactly as it would alone, so no cell depends on the merging.
     ``parallelism`` (an integer >= 1) is the number of processes the sweep
-    is split over, one contiguous chunk of cells each, in either arithmetic.
-    Results never depend on it.  Individual non-converged cells are recorded
-    in place and never abort the sweep.
+    is split over, one contiguous chunk of distinct profiles each, in either
+    arithmetic.  Results never depend on it.  Individual non-converged cells
+    are recorded in place and never abort the sweep.
     """
     _check_parallelism(parallelism)
     game = cfg.game
     firm_axis, worker_axis = _axis(game, axis_f), _axis(game, axis_w)
-    rows, cols = len(firm_axis), len(worker_axis)
     exact = cfg.arithmetic == "exact"
-    init_f = np.repeat([_initial(game, FIRM, e, exact) for e in firm_axis], cols, axis=0)
-    init_w = np.tile([_initial(game, WORKER, e, exact) for e in worker_axis], (rows, 1))
-    chunks = min(parallelism, rows * cols)
+    plans_f, pick_f = _distinct([_initial(game, FIRM, e, exact) for e in firm_axis], exact)
+    plans_w, pick_w = _distinct([_initial(game, WORKER, e, exact) for e in worker_axis], exact)
+    init_f = np.repeat(plans_f, len(plans_w), axis=0)
+    init_w = np.tile(plans_w, (len(plans_f), 1))
+    chunks = min(parallelism, len(init_f))
     if chunks == 1:
-        cells = _sweep_chunk(cfg, init_f, init_w)
+        results = _sweep_chunk(cfg, init_f, init_w)
     else:
         with ProcessPoolExecutor(max_workers=chunks) as pool:
             parts = pool.map(_sweep_chunk, [cfg] * chunks, np.array_split(init_f, chunks),
                              np.array_split(init_w, chunks))
-            cells = [cell for part in parts for cell in part]
-    grid_cells = tuple(tuple(cells[i * cols:(i + 1) * cols]) for i in range(rows))
+            results = [cell for part in parts for cell in part]
+    taken = set()   # rows whose own result a cell already holds
+
+    def cell(i: int, j: int) -> CellResult:
+        row = pick_f[i] * len(plans_w) + pick_w[j]
+        out = results[row]
+        if row in taken:
+            return replace(out, final_f=out.final_f.copy(), final_w=out.final_w.copy())
+        taken.add(row)
+        return out
+
+    grid_cells = tuple(tuple(cell(i, j) for j in range(len(worker_axis)))
+                       for i in range(len(firm_axis)))
     return SweepResult(cfg, firm_axis, worker_axis, grid_cells)
 
 

@@ -540,6 +540,24 @@ class TestMixedWidths:
                 assert suites[i].violations == alone[row].violations
                 assert suites[i]._prev_f.shape == (d + 1,)   # own-width monitor input
 
+    def test_large_rates_keep_pads_finite(self):
+        # eta * PAD_UTILITY overflows above ~1e8 unless the pads scale with
+        # the row's rate (the suite turns the overflow warning into an
+        # error); the rows must still run as on their own grids
+        rng = np.random.default_rng(7)
+        sizes, etas = (3, 5, 3, 5, 4), [1e9, 1e9, 1e150, 0.5, 1e12]
+        inits = [[rng.dirichlet(np.ones(d + 1)) for d in sizes] for _ in (FIRM, WORKER)]
+        mixed = learner.run_lockstep(g1_config(), *inits, eta=etas)
+        for d in sorted(set(sizes)):
+            idx = [i for i, size in enumerate(sizes) if size == d]
+            run = learner.run_lockstep(g1_config(d=d), *(np.array([x[i] for i in idx]) for x in inits),
+                                       eta=[etas[i] for i in idx])
+            for row, i in enumerate(idx):
+                got, want = mixed.trajectory(i, 8000), run.trajectory(row, 8000)
+                assert got.converged_at == want.converged_at is not None
+                for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_mixed_widths_rejected_where_they_do_not_apply(self):
         rows = [uniform_strategy(ActionGrid(d)) for d in (3, 5)]
         exact_rows = [[Fraction(1, d + 1)] * (d + 1) for d in (3, 5)]

@@ -1,3 +1,4 @@
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,30 @@ def pure_initials(game, firm_entry, worker_entry):
     if isinstance(game, UltimatumGame):
         return games.pure_strategy(game.grid, firm_entry), games.pure_strategy(game.grid, worker_entry)
     return games.firm_vertex_plan(game, *firm_entry), games.worker_vertex_plan(game, *worker_entry)
+
+
+def assert_same_cells(a, b):
+    assert a.shape == b.shape
+    for ra, rb in zip(a.cells, b.cells):
+        for ca, cb in zip(ra, rb):
+            assert (ca.u_w, ca.eps, ca.gap_f, ca.gap_w, ca.converged_at, ca.threat) == \
+                (cb.u_w, cb.eps, cb.gap_f, cb.gap_w, cb.converged_at, cb.threat)
+            assert ca.final_f.tobytes() == cb.final_f.tobytes()
+            assert ca.final_w.tobytes() == cb.final_w.tobytes()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of each process pool a sweep opens, in order."""
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(metagame, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 class TestSweep:
@@ -121,19 +146,72 @@ class TestSweep:
         assert all(c.threat is not None for row in sweep.cells for c in row)
         assert max(c.eps for row in sweep.cells for c in row) <= 1e-7
 
-    def test_parallel_matches_serial(self):
-        for cfg in (LearnerConfig(game=UltimatumGame(ActionGrid(10)), eta=0.5),
-                    LearnerConfig(game=TwoRoundGame(ActionGrid(3), 0.9), eta=0.5),
-                    LearnerConfig(game=UltimatumGame(ActionGrid(4)), eta=Fraction(1, 2),
-                                  arithmetic="exact")):
-            serial = sweep_initials(cfg, parallelism=1)
-            parallel = sweep_initials(cfg, parallelism=2)
-            for ra, rb in zip(serial.cells, parallel.cells):
-                for ca, cb in zip(ra, rb):
-                    assert ca.u_w == cb.u_w and ca.converged_at == cb.converged_at
-                    assert ca.eps == cb.eps
-                    assert np.array_equal(ca.final_f, cb.final_f)
-                    assert np.array_equal(ca.final_w, cb.final_w)
+    def test_parallel_matches_serial(self, pool_sizes):
+        # a uniform firm against 16 pure two-round worker entries is 13
+        # distinct profiles, so 16 requested processes run 13 one-row chunks
+        two_round = LearnerConfig(game=TwoRoundGame(ActionGrid(3), 0.9), eta=0.5)
+        cases = [
+            (LearnerConfig(game=UltimatumGame(ActionGrid(10)), eta=0.5), "pure", 2, 2),
+            (two_round, "pure", 2, 2),
+            (LearnerConfig(game=UltimatumGame(ActionGrid(4)), eta=Fraction(1, 2),
+                           arithmetic="exact"), "pure", 2, 2),
+            (two_round, "uniform", 16, 13),
+        ]
+        for cfg, axis_f, parallelism, workers in cases:
+            serial = sweep_initials(cfg, axis_f, parallelism=1)
+            assert_same_cells(sweep_initials(cfg, axis_f, parallelism=parallelism), serial)
+        assert pool_sizes == [workers for *_, workers in cases]
+
+    def test_each_distinct_profile_runs_once(self, monkeypatch):
+        stacks = []
+        run_lockstep = learner.run_lockstep
+
+        def spy(cfg, init_f, init_w, *args, **kwargs):
+            stacks.append((np.array(init_f), np.array(init_w)))
+            return run_lockstep(cfg, init_f, init_w, *args, **kwargs)
+
+        monkeypatch.setattr(learner, "run_lockstep", spy)
+        game = TwoRoundGame(ActionGrid(3), 0.9)
+        cfg = LearnerConfig(game=game, eta=0.5)
+        sweep = sweep_initials(cfg)
+        # threshold 0 never counters, so (0, b) is one worker plan for all four b
+        [(init_f, init_w)] = stacks
+        assert len(init_f) == 208
+        assert len({f.tobytes() + w.tobytes() for f, w in zip(init_f, init_w)}) == 208
+        stacks.clear()
+        sweep_initials(LearnerConfig(game=UltimatumGame(ActionGrid(30)), eta=0.5))
+        assert [len(f) for f, _ in stacks] == [961]
+
+        groups = {}
+        for i, firm_entry in enumerate(sweep.firm_axis):
+            for j, worker_entry in enumerate(sweep.worker_axis):
+                f, w = pure_initials(game, firm_entry, worker_entry)
+                groups.setdefault(f.tobytes() + w.tobytes(), []).append((i, j))
+        twins = [group for group in groups.values() if len(group) > 1]
+        assert len(groups) == 208 and [len(group) for group in twins] == [4] * 16
+        for group in twins:
+            i, j = group[0]
+            traj = learner.run_dynamics(cfg, *pure_initials(game, sweep.firm_axis[i],
+                                                            sweep.worker_axis[j]))
+            profile = (traj.final_f, traj.final_w)
+            cert = analysis.certify_epsilon_ne(profile, game)
+            threat = analysis.detect_threats(profile, game, firm_cum_util=traj.cum_util_f)
+            u_w = float(traj.final_w @ games.two_round_feedback("worker", traj.final_f, game))
+            for i, j in group:
+                cell = sweep.cells[i][j]
+                assert (cell.u_w, cell.eps, cell.gap_f, cell.gap_w) == \
+                    (u_w, cert.eps, cert.gap_f, cert.gap_w)
+                assert cell.converged_at == traj.converged_at is not None
+                assert cell.threat == threat
+                assert np.array_equal(cell.final_f, traj.final_f)
+                assert np.array_equal(cell.final_w, traj.final_w)
+        # each cell owns its final plans: writing one leaves its twins alone
+        cells = [sweep.cells[i][j] for i, j in twins[0]]
+        kept = [(c.final_f.copy(), c.final_w.copy()) for c in cells[1:]]
+        cells[0].final_f[:] = -1.0
+        cells[0].final_w[:] = -1.0
+        for c, (f, w) in zip(cells[1:], kept):
+            assert np.array_equal(c.final_f, f) and np.array_equal(c.final_w, w)
 
     @pytest.mark.parametrize("parallelism", [0, -2, 1.5, None])
     def test_parallelism_must_be_positive_integer(self, parallelism):

@@ -268,9 +268,10 @@ def _audit_stacks(draws: list, runs: list[int], arithmetic: str) -> dict:
     which ``run_lockstep`` pads row by row; exact draws run as one stack
     per grid size, as the exact kernel does not pad and costs the same per
     row however its rows are stacked.  Checks each row's initial strategies
-    on its own grid as ``run_dynamics`` does, and arms a
-    :class:`MonitorSuite` on every float row.  Returns, by run index, the
-    run's :class:`Trajectory` and its monitor violations (none when exact).
+    on its own grid as ``run_dynamics`` does, and arms one
+    :class:`MonitorSuite` on each float stack.  Returns, by run index, the
+    run's :class:`Trajectory` and its monitor violations as
+    ``(monitor, run, step, detail)`` (none when exact).
     """
     exact = arithmetic == "exact"
     stacks: dict[int, list[int]] = {}
@@ -286,11 +287,13 @@ def _audit_stacks(draws: list, runs: list[int], arithmetic: str) -> dict:
                  for i in idx]
         for i, (init_f, init_w) in zip(idx, inits):
             learner._check_initial(cfgs[draws[i][0]], init_f, init_w)
-        suites = None if exact else [MonitorSuite() for _ in idx]
+        suite = None if exact else MonitorSuite()
         run = learner.run_lockstep(cfg, *([pair[a] for pair in inits] for a in (0, 1)),
-                                   eta=[draws[i][1] for i in idx], monitors=suites)
-        out.update((i, (run.trajectory(row, cfg.steps_cap), [] if exact else suites[row].violations))
-                   for row, i in enumerate(idx))
+                                   eta=[draws[i][1] for i in idx], monitors=suite)
+        found = {i: [] for i in idx}
+        for name, row, step, detail in [] if exact else suite.violations:
+            found[idx[row]].append((name, idx[row], step, detail))
+        out.update((i, (run.trajectory(row, cfg.steps_cap), found[i])) for row, i in enumerate(idx))
     return out
 
 
@@ -302,7 +305,7 @@ def run_audit(n_runs: int, seed: int, exact_compare: int = 20) -> AuditReport:
     exact rational arithmetic and must match the float path to 1e-12.
     All draws are drawn first; the float runs then go through one monitored
     ``run_lockstep`` stack across all grid sizes, each row padded to the
-    widest grid and run at its own eta with its own :class:`MonitorSuite`,
+    widest grid and run at its own eta, watched by one :class:`MonitorSuite`,
     and the exact reruns through one exact stack per grid size.  The report
     lists each run's monitor violations, then its exact comparison, in run
     order, as if the runs had gone one at a time.
@@ -319,8 +322,7 @@ def run_audit(n_runs: int, seed: int, exact_compare: int = 20) -> AuditReport:
     report = AuditReport(seed=seed, n_runs=n_runs, exact_compared=len(rerun))
     for run_idx in range(n_runs):
         traj, violations = floats[run_idx]
-        for monitor, step, detail in violations:
-            report.violations.append((monitor, run_idx, step, detail))
+        report.violations += violations
         if run_idx not in exacts:
             continue
         exact, _ = exacts[run_idx]

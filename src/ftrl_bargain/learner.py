@@ -10,10 +10,9 @@ float path stays well conditioned (an explicit offset restores true values).
 One kernel, :func:`run_lockstep`, advances a stack of independent runs of
 either game in lockstep, one row per run, each row exactly as it would run
 alone; :func:`run_dynamics` is its one-row case.  Each row may carry its own
-learning rate and its own monitor suite, and float one-shot rows may differ
-in grid size (narrower rows are padded with inert entries), so the randomized
-audit runs all its float draws as one stack and still reports them in run
-order.
+learning rate, and float one-shot rows may differ in grid size (narrower rows
+are padded with inert entries), so the randomized audit runs all its float
+draws as one monitored stack and still reports them in run order.
 Exact-rational one-shot runs go through the same step loop on Python-int
 numerators over one denominator per row, reduced once per step; the
 certificate guard sees correctly rounded float casts, and ``Fraction``s are
@@ -21,10 +20,10 @@ built only for the results.  The kernel reports only strategies to its
 observers: regret is derived after the run from the history, by one rule in
 both arithmetics.
 
-A :class:`MonitorSuite` per row of a float one-shot stack buffers that row's
-projection inputs and new strategies each step and checks the structural laws
-on blocks of ``BLOCK`` steps at once, plus the remainder when the row leaves
-the stack.
+One :class:`MonitorSuite` per float one-shot stack buffers the live rows'
+previous strategies, projection inputs and new strategies each step and checks
+the structural laws on blocks of ``BLOCK`` row-steps at once, plus the
+remainder after the run.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ GAME_DEFAULTS = {
 }
 
 MONITOR_TOL = 1e-10   # slack for the structural monitors
-BLOCK = 128           # steps the monitors buffer between checks
+BLOCK = 128           # row-steps the monitors buffer between checks
 
 # A small-step profile only counts as converged once it certifies as an
 # approximate equilibrium at this gap; exact dynamics hit step-size-zero
@@ -248,7 +247,7 @@ def _updater(cfg: LearnerConfig, agent: str):
 
 
 class MonitorSuite:
-    """Runtime checks of the one-shot game's structural laws, on blocks of steps.
+    """Runtime checks of the one-shot game's structural laws, on blocks of row-steps.
 
     Armed by the audit: worker vectors stay sorted, firm vectors stay unimodal,
     the top worker threshold never gains support, stationarity when the firm
@@ -256,56 +255,50 @@ class MonitorSuite:
     identities (mass differences track input differences on the support, and
     output order follows input order).
 
-    :func:`run_lockstep` starts a row's suite on its initial strategies and
-    appends each step's projection inputs and new strategies to a buffer, as
-    one ``(4, n)`` copy of the row's own entries, so the buffer holds no view
-    of the kernel's stacks.  Every ``BLOCK`` steps, and once at the end of the run, the
-    buffered ``(T, n)`` stacks are checked together against the carried
+    One suite watches a whole :func:`run_lockstep` stack.  Each step the
+    kernel hands it the live rows' indices with their previous strategies,
+    projection inputs and new strategies, which the suite copies; every
+    ``BLOCK`` buffered row-steps, and once after the run, it checks them
+    together as ``(N, n)`` stacks in which each entry carries its own
     previous row.
-    ``violations`` lists ``(monitor, step, detail)`` in step order, and within
-    a step in check order: firm then worker projection identities, the two
-    shape laws, then the transition laws.  It accumulates across runs.
+    ``violations`` lists ``(monitor, row, step, detail)`` in step order, within
+    a step in row order, and within a row in check order: firm then worker
+    projection identities, the two shape laws, then the transition laws.  It
+    accumulates across runs.
     """
 
     def __init__(self):
-        self.violations: list[tuple[str, int, str]] = []
+        self.violations: list[tuple[str, int, int, str]] = []
         self._buffer: list = []
+        self._pending = 0
 
-    def _start(self, x_f: np.ndarray, x_w: np.ndarray) -> None:
-        """Reset the per-run state on a run's initial strategies."""
-        self._buffer = []
-        self._prev_f, self._prev_w = x_f, x_w
-        self._fresh = True   # the run's first transition is still to come
-
-    def _record(self, t: int, v, new) -> None:
-        """Buffer step ``t``: (firm, worker) projection inputs and outputs, one row each."""
-        if not self._buffer:
-            self._t0 = t
-        self._buffer.append(np.concatenate((v[0], new[0], v[1], new[1])))
-        if len(self._buffer) == BLOCK:
+    def _record(self, t: int, rows: np.ndarray, x, v, new) -> None:
+        """Buffer step ``t`` of the live ``rows``: (firm, worker) pairs of ``(k, n)`` stacks."""
+        self._buffer.append((np.full(len(rows), t), rows.copy(),
+                             np.stack((x[0], v[0], new[0], x[1], v[1], new[1]))))
+        self._pending += len(rows)
+        if self._pending >= BLOCK:
             self._check()
 
     def _check(self) -> None:
-        """Check the buffered steps as ``(T, n)`` stacks and empty the buffer."""
+        """Check the buffered row-steps as ``(N, n)`` stacks and empty the buffer."""
         if not self._buffer:
             return
-        v_f, x_f, v_w, x_w = np.stack(self._buffer, axis=1)
-        prev_f = np.concatenate((self._prev_f[None], x_f[:-1]))
-        prev_w = np.concatenate((self._prev_w[None], x_w[:-1]))
-        t0, skip = self._t0, self._fresh
-        # copies, so the carried rows keep no block alive between checks
-        self._buffer, self._prev_f, self._prev_w, self._fresh = [], x_f[-1].copy(), x_w[-1].copy(), False
+        steps, ids, stacks = zip(*self._buffer)
+        steps, ids = np.concatenate(steps), np.concatenate(ids)
+        prev_f, v_f, x_f, prev_w, v_w, x_w = np.concatenate(stacks, axis=1)
+        self._buffer, self._pending = [], 0
         sorted_w, unimodal_f, stationary_w, decays_w, monotone_w, mass_diff, order_kept = MONITORS
         tol, n = analysis.SUPPORT_TOL, x_f.shape[1]
         cols = np.arange(n)
-        rows = np.arange(len(x_f))
+        entries = np.arange(len(x_f))
         checks = []
         for agent, v, x in ((FIRM, v_f, x_f), (WORKER, v_w, x_w)):
             # residuals off the support count as 0, so an empty support (where
             # argmax picks column 0) or a support of one entry is never flagged
             pos = x > tol
             first = pos.argmax(axis=1)
-            x0, v0 = x[rows, first][:, None], v[rows, first][:, None]
+            x0, v0 = x[entries, first][:, None], v[entries, first][:, None]
             resid = np.where(pos, np.abs((x - x0) - (v - v0)), 0.0).max(axis=1)
             # order preservation wherever at least one side keeps support
             xs = np.take_along_axis(x, np.argsort(-v, axis=1, kind="stable"), axis=1)
@@ -331,14 +324,13 @@ class MonitorSuite:
         wmax = np.where(w_sup.any(axis=1), n - 1 - w_sup[:, ::-1].argmax(axis=1), -1)
         new_wmax = np.where(new_w_sup.any(axis=1), n - 1 - new_w_sup[:, ::-1].argmax(axis=1), -1)
         fmin = np.where(f_sup.any(axis=1), f_sup.argmax(axis=1), -1)
-        law = (wmax >= 0) & (new_wmax >= 0) & (fmin >= 0)
-        law[0] &= not skip
+        law = (wmax >= 0) & (new_wmax >= 0) & (fmin >= 0) & (steps != 2)
         moved = np.abs(x_w - prev_w).max(axis=1)
         # decay needs firm mass on a strictly positive offer below the top
         # threshold; mass on offer 0 pays the worker nothing and leaves it
         # exactly indifferent
         paid = (f_sup & (cols >= 1) & (cols < wmax[:, None])).any(axis=1)
-        old, now = prev_w[rows, wmax], x_w[rows, wmax]
+        old, now = prev_w[entries, wmax], x_w[entries, wmax]
         checks += [
             (law & (new_wmax > wmax), monotone_w,
              lambda r: "top worker threshold gained support"),
@@ -350,7 +342,7 @@ class MonitorSuite:
         hits = sorted((int(r), order, name, detail(r))
                       for order, (mask, name, detail) in enumerate(checks)
                       for r in np.flatnonzero(mask))
-        self.violations += [(name, t0 + r, detail) for r, _, name, detail in hits]
+        self.violations += [(name, int(ids[r]), int(steps[r]), detail) for r, _, name, detail in hits]
 
 
 class _FloatArithmetic:
@@ -582,8 +574,8 @@ def run_dynamics(
     Non-convergence is reported through an unset ``converged_at``, never an
     exception.  Identical inputs produce bitwise-identical trajectories.
     The initial strategies are checked here; ``monitors`` goes to the
-    kernel as the one row's suite, which accepts it on float one-shot runs
-    only and raises ``ValueError`` on any other run.
+    kernel, which accepts it on float one-shot runs only and raises
+    ``ValueError`` on any other run.
     """
     one_shot = isinstance(cfg.game, UltimatumGame)
     arith = _arithmetic(cfg)
@@ -595,7 +587,7 @@ def run_dynamics(
         history.append((new[0][0].copy(), new[1][0].copy()))
 
     run = run_lockstep(cfg, x_f[None], x_w[None], on_step if keep_history else None,
-                       monitors=None if monitors is None else [monitors])
+                       monitors=monitors)
     regret = _regrets(arith, history) if keep_history and one_shot else None
     return replace(run.trajectory(0, cfg.steps_cap), history=history,
                    regret_f=regret[0] if regret else None,
@@ -657,12 +649,11 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
     :meth:`Lockstep.trajectory` trims each row back.  Mixed grid sizes raise
     ``ValueError`` on exact and two-round runs, with a reference and with
     ``on_step``; a stack whose rows all have one length runs unpadded.
-    ``monitors`` gives each row its own :class:`MonitorSuite` (float one-shot
-    runs only; ``ValueError`` otherwise).  The kernel starts each suite on its
-    row's initial strategies, hands it the live row's own entries each step
-    as ``(1, n)`` slices, which the suite copies, and checks each suite's
-    remaining steps when its row leaves the stack, so a retired row holds no
-    buffered steps.
+    ``monitors`` is one :class:`MonitorSuite` for the whole stack (float
+    one-shot runs only; ``ValueError`` otherwise).  Each step the kernel hands
+    it the live rows' indices with their previous strategies, projection
+    inputs and new strategies, padded as the kernel holds them, and after the
+    loop it checks the suite's remaining row-steps.
     ``on_step(t, v, new)`` sees each step ``t = 2, 3, ...`` of the live rows:
     the (firm, worker) pairs of stacks of projection inputs and of new
     strategies.
@@ -676,8 +667,6 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
     if monitors is not None:
         if not (isinstance(cfg.game, UltimatumGame) and cfg.arithmetic == "float"):
             raise ValueError("monitors apply to float one-shot runs only")
-        if len(monitors) != k:
-            raise ValueError(f"{len(monitors)} monitor suites for a stack of {k} rows")
     widths = _mixed_widths(cfg, init_f, init_w, on_step)
     actions = None
     if widths is not None:
@@ -695,11 +684,6 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
     if widths is not None:
         U_f[pad] = U_w[pad] = np.broadcast_to(PAD_UTILITY / np.maximum(eta, 1.0), pad.shape)[pad]
     value = arith.values
-    if monitors is not None:
-        # each row's own entries: all of them, or the first ``widths[r]``
-        own = [slice(None)] * k if widths is None else [slice(w) for w in widths.tolist()]
-        for r, suite in enumerate(monitors):
-            suite._start(x_f[r, own[r]], x_w[r, own[r]])
 
     def retire(mask):
         if not mask.any():
@@ -708,9 +692,6 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
         out.final_w[rows[mask]] = value(x_w[mask])
         out.cum_util_f[rows[mask]] = arith.cumulative(U_f[mask], off_f[mask])
         out.cum_util_w[rows[mask]] = arith.cumulative(U_w[mask], off_w[mask])
-        if monitors is not None:
-            for r in rows[mask].tolist():
-                monitors[r]._check()
 
     for t in range(2, cfg.steps_cap + 1):
         fb_f = arith.feedback(FIRM, x_w, actions)
@@ -723,9 +704,7 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
         if on_step is not None:
             on_step(t, (value(v_f), value(v_w)), (value(new_f), value(new_w)))
         if monitors is not None:
-            for i, r in enumerate(rows.tolist()):
-                row = (slice(i, i + 1), own[r])
-                monitors[r]._record(t, (v_f[row], v_w[row]), (new_f[row], new_w[row]))
+            monitors._record(t, rows, (x_f, x_w), (v_f, v_w), (new_f, new_w))
         x_f, x_w = new_f, new_w
         if not still.any():
             continue
@@ -745,4 +724,6 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
             if rows.size == 0:
                 break
     retire(np.ones(rows.size, dtype=bool))
+    if monitors is not None:
+        monitors._check()
     return out

@@ -436,7 +436,7 @@ def audit_loop(n_runs: int, seed: int, exact_compare: int = 20):
         cfg = LearnerConfig(game=UltimatumGame(ActionGrid(d)), eta=eta)
         monitors = MonitorSuite()
         traj = learner.run_dynamics(cfg, init_f, init_w, monitors=monitors)
-        for monitor, step, detail in monitors.violations:
+        for monitor, _, step, detail in monitors.violations:
             report.violations.append((monitor, run_idx, step, detail))
 
         if report.exact_compared < exact_compare and d <= 10:

@@ -234,16 +234,6 @@ def test_criterion6_invariant_audit():
     )
 
 
-def mpf_in_lowest_terms(num: int, den: int):
-    """``num / den`` as ``mpf(numerator) / denominator`` of its lowest terms.
-
-    Both conversions round, so the result depends on the representation; in
-    lowest terms it is the value a reduced ``Fraction`` gives.
-    """
-    g = math.gcd(num, den)
-    return mpmath.mpf(num // g) / (den // g)
-
-
 def test_criterion7_recurrence_oracle():
     rng = np.random.default_rng(20240817)
     n_draws = 1000
@@ -284,8 +274,8 @@ def test_criterion7_recurrence_oracle():
                 W, F, den = Q * W - a * (den - F), Q * F + b * W - c * den, Q * den
                 w_cl = a1w * s * up - a2w * s * down + ratio
                 f_cl = a1f * s * up - a2f * s * down + 1
-                dw = abs(w_cl - mpf_in_lowest_terms(W, den))
-                df = abs(f_cl - mpf_in_lowest_terms(F, den))
+                dw = abs(w_cl - mpmath.mpf(W) / den)
+                df = abs(f_cl - mpmath.mpf(F) / den)
                 max_diff = max(max_diff, float(dw), float(df))
                 up *= 1 + s
                 down *= 1 - s

@@ -109,7 +109,41 @@ def monitored_run(monkeypatch, cfg, init_f, init_w, fault=None, suite=None):
     run_dynamics(cfg, init_f, init_w, monitors=suite)
     steps = [(2 + i, *calls[2 * i], *calls[2 * i + 1]) for i in range(len(calls) // 2)]
     added = suite.violations[before:]
-    assert added == oracles.monitor_loop(init_f, init_w, steps)
+    assert added == [(m, 0, t, d) for m, t, d in oracles.monitor_loop(init_f, init_w, steps)]
+    return added
+
+
+def of_row(violations, row):
+    """The ``(monitor, step, detail)`` of the violations on stack row ``row``."""
+    return [(m, t, d) for m, r, t, d in violations if r == row]
+
+
+def monitored_stack(cfg, init_f, init_w, eta=None, suite=None):
+    """One monitored stack; asserts that each row's violations are the per-step
+    oracle's on that row's live steps.
+
+    The ``on_step`` hook records each step's live rows, which are the rows
+    that have not retired yet, in row order.  Returns the violations the
+    stack added to ``suite`` (a fresh one by default).
+    """
+    seen = []
+
+    def on_step(t, v, new):
+        seen.append((t, *v, *new))
+
+    if suite is None:
+        suite = MonitorSuite()
+    before = len(suite.violations)
+    run = learner.run_lockstep(cfg, init_f, init_w, on_step, eta=eta, monitors=suite)
+    added = suite.violations[before:]
+    for r in range(len(init_f)):
+        steps = []
+        for t, v_f, v_w, new_f, new_w in seen:
+            live = (run.converged_at == 0) | (run.converged_at >= t)
+            if live[r]:
+                i = int(live[:r].sum())
+                steps.append((t, v_f[i], new_f[i], v_w[i], new_w[i]))
+        assert of_row(added, r) == oracles.monitor_loop(init_f[r], init_w[r], steps)
     return added
 
 
@@ -358,47 +392,58 @@ class TestMonitorBlocks:
         cfg = g1_config(d=5, eta=0.5, max_steps=3 * learner.BLOCK + 20, conv_threshold=1e-300)
         found = monitored_run(monkeypatch, cfg, uniform_strategy(cfg.grid),
                               np.array([2, 1, 0, 0, 0, 0]) / 3, _tilted_worker)
-        steps = {v[1] for v in found}
+        steps = {v[2] for v in found}
         # blocks hold steps 2..BLOCK+1, BLOCK+2..2*BLOCK+1, ...
         assert {k * learner.BLOCK + e for k in (1, 2, 3) for e in (1, 2)} <= steps
 
-    def test_suite_reused_across_runs(self, monkeypatch):
-        # each run skips its own first transition, however many the suite saw
-        rng = np.random.default_rng(42)
-        runs = []
-        for _ in range(2):
-            d, eta, wf, ww = cli._audit_draw(rng)
-            runs.insert(0, (g1_config(d=d, eta=eta), wf / wf.sum(), ww / ww.sum()))
-        fresh = [v for cfg, f, w in runs for v in monitored_run(monkeypatch, cfg, f, w)]
+    def test_suite_reused_across_runs(self):
+        # each row of each stack skips its own first transition, however many
+        # steps the suite saw; unsorted worker inits make lemma2 fire
+        rng = np.random.default_rng(7)
+        stacks = []
+        for k in (3, 4):
+            d = int(rng.integers(3, 13))
+            wf, ww = rng.integers(1, 100, size=(2, k, d + 1))
+            stacks.append((g1_config(d=d, max_steps=200), wf / wf.sum(axis=1, keepdims=True),
+                           ww / ww.sum(axis=1, keepdims=True), list(rng.integers(20, 101, size=k) / 100)))
+        fresh = [v for cfg, f, w, eta in stacks for v in monitored_stack(cfg, f, w, eta)]
         suite = MonitorSuite()
-        for cfg, f, w in runs:
-            monitored_run(monkeypatch, cfg, f, w, suite=suite)
-        assert suite.violations == fresh
+        for cfg, f, w, eta in stacks:
+            monitored_stack(cfg, f, w, eta, suite=suite)
+        assert suite.violations == fresh and fresh
 
     @given(data=st.data())
     def test_arbitrary_stacks_match_oracle(self, data):
-        # empty and single-entry supports, ties, NaNs and one-step runs,
-        # checked on blocks of several sizes
+        # empty and single-entry supports, ties, NaNs and one-step runs, in
+        # stacks of 1 to 5 rows that leave at random steps, checked on blocks
+        # of several sizes, which may end between the rows of a step
         n = data.draw(st.integers(1, 6))
-        steps = data.draw(st.integers(1, 12))
+        lives = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+        k, steps = len(lives), max(lives)
         entry = st.one_of(st.sampled_from([0.0, 1e-11, 0.25, 0.5, 1.0, np.nan]), st.floats(-1, 1))
-        init_f, init_w, *stacks = (data.draw(arrays(float, (rows, n), elements=entry))
-                                   for rows in (1, 1, steps, steps, steps, steps))
-        v_f, x_f, v_w, x_w = stacks
+        init_f, init_w = (data.draw(arrays(float, (k, n), elements=entry)) for _ in range(2))
+        v_f, x_f, v_w, x_w = (data.draw(arrays(float, (steps, k, n), elements=entry)) for _ in range(4))
         suite = MonitorSuite()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(learner, "BLOCK", data.draw(st.sampled_from([1, 2, 5, learner.BLOCK])))
-            suite._start(init_f[0], init_w[0])
-            for r in range(steps):
-                suite._record(2 + r, (v_f[r:r + 1], v_w[r:r + 1]), (x_f[r:r + 1], x_w[r:r + 1]))
+            prev_f, prev_w = init_f, init_w
+            for s in range(steps):
+                rows = np.flatnonzero(np.array(lives) > s)
+                suite._record(2 + s, rows, (prev_f[rows], prev_w[rows]), (v_f[s, rows], v_w[s, rows]),
+                              (x_f[s, rows], x_w[s, rows]))
+                prev_f, prev_w = x_f[s], x_w[s]
             suite._check()
-        expected = oracles.monitor_loop(init_f[0], init_w[0],
-                                        [(2 + r, v_f[r], x_f[r], v_w[r], x_w[r]) for r in range(steps)])
-        assert suite.violations == expected
+        for r, life in enumerate(lives):
+            live = [(2 + s, v_f[s, r], x_f[s, r], v_w[s, r], x_w[s, r]) for s in range(life)]
+            assert of_row(suite.violations, r) == oracles.monitor_loop(init_f[r], init_w[r], live)
+        # a retired row gets no violation after its last live step, and the
+        # report runs in step order, then row order
+        assert all(t <= 1 + lives[r] for _, r, t, _ in suite.violations)
+        assert suite.violations == sorted(suite.violations, key=lambda v: (v[2], v[1]))
 
 
 class TestPerRowInputs:
-    """Per-row learning rates and monitor suites: each row runs as it would alone."""
+    """Per-row learning rates and one stack's monitor suite: each row runs as it would alone."""
 
     ETAS = [Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(37, 100), 2.0]
 
@@ -447,17 +492,12 @@ class TestPerRowInputs:
     def test_monitors_rejected_off_float_one_shot(self):
         cfg, init_f, init_w = self.stack(arithmetic="exact")
         with pytest.raises(ValueError, match="monitors"):
-            learner.run_lockstep(cfg, init_f, init_w, monitors=[MonitorSuite() for _ in init_f])
+            learner.run_lockstep(cfg, init_f, init_w, monitors=MonitorSuite())
         game = TwoRoundGame(ActionGrid(3), 0.9)
         plans = [np.array([plan(game, 0.0, 0.0)]) for plan in (firm_vertex_plan, worker_vertex_plan)]
         with pytest.raises(ValueError, match="monitors"):
             learner.run_lockstep(LearnerConfig(game=game, eta=0.5), *plans,
-                                 monitors=[MonitorSuite()])
-
-    def test_monitor_count_must_match_rows(self):
-        cfg, init_f, init_w = self.stack()
-        with pytest.raises(ValueError, match="monitor suites"):
-            learner.run_lockstep(cfg, init_f, init_w, monitors=[MonitorSuite()])
+                                 monitors=MonitorSuite())
 
     @pytest.mark.parametrize("fault", [None, _dip, _softmax], ids=["clean", "dip", "softmax"])
     def test_row_suites_match_one_suite_per_run(self, monkeypatch, fault):
@@ -467,15 +507,16 @@ class TestPerRowInputs:
             monkeypatch.setattr(learner, "_project_simplex", lambda v: fault(v, 0))
         cfg, init_f, init_w = self.stack()
         init_w = np.sort(init_w, axis=1)[:, ::-1]   # sorted: the firm-unimodality premise
-        suites = [MonitorSuite() for _ in init_f]
-        learner.run_lockstep(cfg, init_f, init_w, eta=self.ETAS, monitors=suites)
+        suite = MonitorSuite()
+        learner.run_lockstep(cfg, init_f, init_w, eta=self.ETAS, monitors=suite)
         alone = []
         for k, eta in enumerate(self.ETAS):
             alone.append(MonitorSuite())
             run_dynamics(dataclasses.replace(cfg, eta=eta), init_f[k], init_w[k],
                          monitors=alone[-1])
-        assert [s.violations for s in suites] == [s.violations for s in alone]
-        assert any(s.violations for s in suites) == (fault is not None)
+        assert [of_row(suite.violations, k) for k in range(len(alone))] == [
+            of_row(s.violations, 0) for s in alone]
+        assert bool(suite.violations) == (fault is not None)
 
 
 def _reversed_head(v):
@@ -517,17 +558,17 @@ class TestMixedWidths:
         inits = [(cli._audit_inits(wf, False), cli._audit_inits(ww, False)) for _, _, wf, ww in draws]
         etas = [eta for _, eta, _, _ in draws]
         cfg = g1_config(d=sizes[-1], max_steps=cap)
-        suites = [MonitorSuite() for _ in draws]
+        suite = MonitorSuite()
         mixed = learner.run_lockstep(cfg, [f for f, _ in inits], [w for _, w in inits],
-                                     eta=etas, monitors=suites)
+                                     eta=etas, monitors=suite)
         assert len(sizes) >= 8 and mixed.widths.tolist() == [d + 1 for d, *_ in draws]
         if fault is None:
             assert mixed.converged_at[-1] == 8 and any(not v.all() for v in verdicts)
         else:
-            assert all(s.violations for s in suites)
+            assert {row for _, row, _, _ in suite.violations} == set(range(len(draws)))
         for d in sizes:
             idx = [i for i, (size, *_) in enumerate(draws) if size == d]
-            alone = [MonitorSuite() for _ in idx]
+            alone = MonitorSuite()
             run = learner.run_lockstep(g1_config(d=d, max_steps=cap),
                                        *(np.array([inits[i][a] for i in idx]) for a in (0, 1)),
                                        eta=[etas[i] for i in idx], monitors=alone)
@@ -537,8 +578,7 @@ class TestMixedWidths:
                 for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
                     assert getattr(got, name).shape == (d + 1,), name
                     assert np.array_equal(getattr(got, name), getattr(want, name)), name
-                assert suites[i].violations == alone[row].violations
-                assert suites[i]._prev_f.shape == (d + 1,)   # own-width monitor input
+                assert of_row(suite.violations, i) == of_row(alone.violations, row)
 
     def test_large_rates_keep_pads_finite(self):
         # eta * PAD_UTILITY overflows above ~1e8 unless the pads scale with

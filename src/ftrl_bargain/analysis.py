@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -227,33 +227,62 @@ class RecurrenceParams:
     alpha2_f: float
 
 
-@functools.lru_cache(maxsize=64)
-def _alphas(A: Fraction, B: Fraction, c_w: Fraction, c_f: Fraction, dps: int):
-    """The four mode coefficients and s = sqrt(A*B), in ``dps``-digit arithmetic.
+def _alphas(A, B, c_w, c_f):
+    """The four mode coefficients and s = sqrt(A*B) of ``mpf`` inputs.
 
-    Cached because one oracle draw asks for the same values in
-    :func:`recurrence_params` and in every :func:`closed_form_mp` call; pass
-    ``dps`` positionally so those calls share one cache entry.
+    Each coefficient is ``h +- g``; the four halves ``h`` and ``g`` are
+    computed once each, at the working precision.
     """
+    s = mpmath.sqrt(A * B)
+    h_w, g_w = (c_w - c_f / B) / 2, (c_w - A * c_f) / (2 * s)
+    h_f, g_f = (c_w / A - c_f) / 2, (B * c_w - c_f) / (2 * s)
+    return h_w + g_w, h_w - g_w, h_f + g_f, h_f - g_f, s
+
+
+def _draw_key(A: Fraction, B: Fraction, C: Fraction, c_w: Fraction, c_f: Fraction):
+    """The numerators and denominators of one draw's rational constants."""
+    return (A.numerator, A.denominator, B.numerator, B.denominator, C.numerator,
+            C.denominator, c_w.numerator, c_w.denominator, c_f.numerator, c_f.denominator)
+
+
+@functools.lru_cache(maxsize=64)
+def _modes(key: tuple, dps: int):
+    """One draw's closed-form constants in ``dps``-digit arithmetic.
+
+    ``key`` is :func:`_draw_key` of the draw.  Returns the mode coefficients
+    ``(a1w, a2w, a1f, a2f)`` and the constants of the n-th iterate:
+    ``(a1w*s, a2w*s, a1f*s, a2f*s, 1 + s, 1 - s, C/B)``.  Cached because one
+    oracle draw asks for them in :func:`recurrence_params` and in every
+    :func:`closed_form_mp` call; it is keyed by integers because hashing a
+    ``Fraction`` costs a modular inverse.  Pass ``dps`` positionally so those
+    calls share one cache entry.
+    """
+    A_n, A_d, B_n, B_d, C_n, C_d, w_n, w_d, f_n, f_d = key
     with mpmath.workdps(dps):
-        Am, Bm = mpmath.mpf(A.numerator) / A.denominator, mpmath.mpf(B.numerator) / B.denominator
-        cw = mpmath.mpf(c_w.numerator) / c_w.denominator
-        cf = mpmath.mpf(c_f.numerator) / c_f.denominator
-        s = mpmath.sqrt(Am * Bm)
-        a1w = (cw - cf / Bm) / 2 + (cw - Am * cf) / (2 * s)
-        a2w = (cw - cf / Bm) / 2 - (cw - Am * cf) / (2 * s)
-        a1f = (cw / Am - cf) / 2 + (Bm * cw - cf) / (2 * s)
-        a2f = (cw / Am - cf) / 2 - (Bm * cw - cf) / (2 * s)
-        return a1w, a2w, a1f, a2f, s
+        A, B = mpmath.mpf(A_n) / A_d, mpmath.mpf(B_n) / B_d
+        a1w, a2w, a1f, a2f, s = _alphas(A, B, mpmath.mpf(w_n) / w_d, mpmath.mpf(f_n) / f_d)
+        ratio = mpmath.mpf(C_n * B_d) / (C_d * B_n)
+        return (a1w, a2w, a1f, a2f), (a1w * s, a2w * s, a1f * s, a2f * s, 1 + s, 1 - s, ratio)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int`` if ``operator.index`` accepts it; a ValueError naming ``name`` if not."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def recurrence_params(D: int, eta, k: int, w0, f0) -> RecurrenceParams:
     """Build the recurrence coefficients for top-threshold index ``k``.
 
-    Requires 2 <= k <= D, 0 < eta <= 1, w0 between the dominance threshold
-    1/(D-k+1) and 1, and f0 in [0, 1] (the boundary f0 = 1 is the fixed point).
+    Requires integers 2 <= k <= D with D > 2 (any type ``operator.index``
+    accepts, stored as ``int``), 0 < eta <= 1, w0 between the dominance
+    threshold 1/(D-k+1) and 1, and f0 in [0, 1] (the boundary f0 = 1 is the
+    fixed point).
     """
-    if not (isinstance(D, int) and D > 2):
+    D, k = _integer("D", D), _integer("k", k)
+    if D <= 2:
         raise ValueError("D must be an integer greater than 2")
     if not (2 <= k <= D):
         raise ValueError("k must satisfy 2 <= k <= D")
@@ -267,12 +296,14 @@ def recurrence_params(D: int, eta, k: int, w0, f0) -> RecurrenceParams:
         raise ValueError(f"w0 must lie in [{thresh}, 1]")
     if not (0 <= f0 <= 1):
         raise ValueError("f0 must lie in [0, 1]")
-    A = eta * (k - 1) * k / ((k + 1) * D)
-    B = eta * (D - k + 1) / (2 * D)
-    C = eta / (2 * D)
+    e_n, e_d = eta.numerator, eta.denominator
+    A = Fraction(e_n * (k - 1) * k, e_d * (k + 1) * D)
+    B = Fraction(e_n * (D - k + 1), e_d * 2 * D)
+    C = Fraction(e_n, e_d * 2 * D)
     c_w = w0 - thresh
     c_f = 1 - f0
-    a1w, a2w, a1f, a2f, _ = _alphas(A, B, c_w, c_f, 50)  # closed_form_mp's default dps
+    # closed_form_mp's default dps, so its calls find this cache entry
+    (a1w, a2w, a1f, a2f), _ = _modes(_draw_key(A, B, C, c_w, c_f), 50)
     return RecurrenceParams(
         D=D, eta=eta, k=k, w0=w0, f0=f0, A=A, B=B, C=C, c_w=c_w, c_f=c_f,
         alpha1_w=float(a1w), alpha2_w=float(a2w),
@@ -281,6 +312,12 @@ def recurrence_params(D: int, eta, k: int, w0, f0) -> RecurrenceParams:
 
 
 def closed_form_mp(p: RecurrenceParams, n: int, dps: int = 50):
+    """The closed-form ``(w_n, f_n)`` as ``mpf`` values in ``dps``-digit arithmetic.
+
+    Reads the draw's constants from the :func:`_modes` cache, so a call does
+    two integer powers and the products and sums of the closed form.
+    """
+    n = _integer("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
@@ -289,45 +326,55 @@ def closed_form_mp(p: RecurrenceParams, n: int, dps: int = 50):
                 mpmath.mpf(p.w0.numerator) / p.w0.denominator,
                 mpmath.mpf(p.f0.numerator) / p.f0.denominator,
             )
+    _, (a1ws, a2ws, a1fs, a2fs, grow, shrink, ratio) = _modes(
+        _draw_key(p.A, p.B, p.C, p.c_w, p.c_f), dps)
     with mpmath.workdps(dps):
-        a1w, a2w, a1f, a2f, s = _alphas(p.A, p.B, p.c_w, p.c_f, dps)
-        up = (1 + s) ** (n - 1)
-        down = (1 - s) ** (n - 1)
-        ratio = mpmath.mpf(p.C.numerator * p.B.denominator) / (p.C.denominator * p.B.numerator)
-        w = a1w * s * up - a2w * s * down + ratio
-        f = a1f * s * up - a2f * s * down + 1
-        return w, f
+        up = grow ** (n - 1)
+        down = shrink ** (n - 1)
+        return a1ws * up - a2ws * down + ratio, a1fs * up - a2fs * down + 1
 
 
-def _scaled_iterates(p: RecurrenceParams):
-    """Yield ``(W, F, den)`` with ``(w_n, f_n) = (W/den, F/den)`` for n = 0, 1, 2, ...
+def _square(m):
+    """``m @ m`` for the step matrix of :func:`iterate_recurrence` or a power of it.
 
-    The step w' = w - A*(1 - f), f' = f + B*w - C is done on integers: with
-    Q the lcm of the denominators of A, B and C, (a, b, c) = Q*(A, B, C) and
-    P the lcm of the denominators of w0 and f0, ``den = P * Q**n``.  Nothing
-    is reduced, so a step costs five integer products and no gcd.
+    ``m`` is ``(m11, m12, m13, m21, m22, m23, m33)``; its bottom row is
+    ``(0, 0, m33)``.
     """
-    Q = math.lcm(p.A.denominator, p.B.denominator, p.C.denominator)
-    a, b, c = (x.numerator * (Q // x.denominator) for x in (p.A, p.B, p.C))
-    den = math.lcm(p.w0.denominator, p.f0.denominator)
-    W = p.w0.numerator * (den // p.w0.denominator)
-    F = p.f0.numerator * (den // p.f0.denominator)
-    while True:
-        yield W, F, den
-        W, F = Q * W - a * (den - F), Q * F + b * W - c * den
-        den *= Q
+    m11, m12, m13, m21, m22, m23, m33 = m
+    trace = m11 + m22
+    return (m11 * m11 + m12 * m21, m12 * trace, m11 * m13 + m12 * m23 + m13 * m33,
+            m21 * trace, m21 * m12 + m22 * m22, m21 * m13 + m22 * m23 + m23 * m33,
+            m33 * m33)
 
 
 def iterate_recurrence(p: RecurrenceParams, n: int) -> tuple[Fraction, Fraction]:
     """Exact direct iteration of the coupled recurrence to step n.
 
-    w_n and f_n are kept as integer numerators over one common denominator
-    (see :func:`_scaled_iterates`) and reduced once, into two ``Fraction``
-    values equal to those of plain ``Fraction`` iteration.
+    The step w' = w - A*(1 - f), f' = f + B*w - C is done on integers: with
+    Q the lcm of the denominators of A, B and C, (a, b, c) = Q*(A, B, C) and
+    P the lcm of the denominators of w0 and f0, ``(w_n, f_n) = (W/den, F/den)``
+    for ``(W, F, den) = M^n (W0, F0, P)``, where M is the integer matrix
+    ``((Q, a, -a), (b, Q, -c), (0, 0, Q))``.  M^n is applied by repeated
+    squaring (O(log n) integer matrix products rather than n steps), and the
+    result is reduced once, into two ``Fraction`` values equal to those of
+    plain ``Fraction`` iteration.
     """
+    n = _integer("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
-    W, F, den = next(itertools.islice(_scaled_iterates(p), n, None))
+    Q = math.lcm(p.A.denominator, p.B.denominator, p.C.denominator)
+    a, b, c = (x.numerator * (Q // x.denominator) for x in (p.A, p.B, p.C))
+    den = math.lcm(p.w0.denominator, p.f0.denominator)
+    W = p.w0.numerator * (den // p.w0.denominator)
+    F = p.f0.numerator * (den // p.f0.denominator)
+    m = (Q, a, -a, b, Q, -c, Q)
+    while n:
+        if n & 1:
+            m11, m12, m13, m21, m22, m23, m33 = m
+            W, F, den = m11 * W + m12 * F + m13 * den, m21 * W + m22 * F + m23 * den, m33 * den
+        n >>= 1
+        if n:
+            m = _square(m)
     return Fraction(W, den), Fraction(F, den)
 
 
@@ -336,13 +383,17 @@ def classify_recurrence(p: RecurrenceParams) -> RecurrenceOutcome:
 
     Both growing-mode coefficients share the sign of c_w - sqrt(A/B) * c_f,
     so the sign test reduces to the exact rational discriminant
-    B*c_w^2 - A*c_f^2 (c_w and c_f are non-negative in the valid range).
+    B*c_w^2 - A*c_f^2 (c_w and c_f are non-negative in the valid range),
+    whose sign is that of an integer cross-product difference.
     A zero discriminant makes the growing mode vanish (alpha1_f = 0).
     """
-    disc = p.B * p.c_w * p.c_w - p.A * p.c_f * p.c_f
-    if disc > 0:
+    A, B, c_w, c_f = p.A, p.B, p.c_w, p.c_f
+    # both sides times the positive A.den * B.den * (c_w.den * c_f.den)**2
+    lhs = B.numerator * A.denominator * (c_w.numerator * c_f.denominator) ** 2
+    rhs = A.numerator * B.denominator * (c_f.numerator * c_w.denominator) ** 2
+    if lhs > rhs:
         return RecurrenceOutcome.EXACT_CONVERGENCE
-    if disc < 0:
+    if lhs < rhs:
         return RecurrenceOutcome.DECREASES
     return RecurrenceOutcome.ASYMPTOTIC_CONVERGENCE
 

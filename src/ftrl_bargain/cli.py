@@ -456,8 +456,8 @@ def cmd_oracle(args) -> int:
 
     print("n,w_closed,f_closed,w_iter,f_iter,abs_diff")
     max_diff = 0.0
-    for n, (W, F, den) in zip(range(args.n + 1), analysis._scaled_iterates(params)):
-        w_it, f_it = Fraction(W, den), Fraction(F, den)
+    for n in range(args.n + 1):
+        w_it, f_it = analysis.iterate_recurrence(params, n)
         w_cl, f_cl = analysis.closed_form_mp(params, n, dps=60)
         with mpmath.workdps(60):
             diff = float(max(

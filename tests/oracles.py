@@ -5,17 +5,20 @@ over the payoff function, projections by lattice search or long-run
 first-order iterations, the treeplex layout by naming every sequence in
 order, treeplex best responses and backward passes by infoset-by-infoset
 loops, sequence counts by a recursive tree walk, the recurrence by direct
-rational iteration, exact one-shot FTRL runs by a plain ``Fraction`` loop,
+rational iteration, its closed form by evaluating every mode coefficient and
+power in full on each call, exact one-shot FTRL runs by a plain ``Fraction`` loop,
 the structural monitors by checking one step at a time, and the randomized
 audit by one ``run_dynamics`` call per draw.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 
 from ftrl_bargain.analysis import SUPPORT_TOL
@@ -187,6 +190,39 @@ def iterate_mass_recurrence(A: Fraction, B: Fraction, C: Fraction,
         w, f = w - A * (1 - f), f + B * w - C
         out.append((w, f))
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def mode_coefficients(A: Fraction, B: Fraction, c_w: Fraction, c_f: Fraction, dps: int):
+    """The four mode coefficients and s = sqrt(A*B), each coefficient written out."""
+    with mpmath.workdps(dps):
+        Am, Bm = mpmath.mpf(A.numerator) / A.denominator, mpmath.mpf(B.numerator) / B.denominator
+        cw = mpmath.mpf(c_w.numerator) / c_w.denominator
+        cf = mpmath.mpf(c_f.numerator) / c_f.denominator
+        s = mpmath.sqrt(Am * Bm)
+        a1w = (cw - cf / Bm) / 2 + (cw - Am * cf) / (2 * s)
+        a2w = (cw - cf / Bm) / 2 - (cw - Am * cf) / (2 * s)
+        a1f = (cw / Am - cf) / 2 + (Bm * cw - cf) / (2 * s)
+        a2f = (cw / Am - cf) / 2 - (Bm * cw - cf) / (2 * s)
+        return a1w, a2w, a1f, a2f, s
+
+
+def closed_form_mp(p, n: int, dps: int = 50):
+    """The closed-form n-th iterate, every constant and power recomputed per call."""
+    if n == 0:
+        with mpmath.workdps(dps):
+            return (
+                mpmath.mpf(p.w0.numerator) / p.w0.denominator,
+                mpmath.mpf(p.f0.numerator) / p.f0.denominator,
+            )
+    with mpmath.workdps(dps):
+        a1w, a2w, a1f, a2f, s = mode_coefficients(p.A, p.B, p.c_w, p.c_f, dps)
+        up = (1 + s) ** (n - 1)
+        down = (1 - s) ** (n - 1)
+        ratio = mpmath.mpf(p.C.numerator * p.B.denominator) / (p.C.denominator * p.B.numerator)
+        w = a1w * s * up - a2w * s * down + ratio
+        f = a1f * s * up - a2f * s * down + 1
+        return w, f
 
 
 def iterate_to_event(A: float, B: float, C: float, w0: float, f0: float,

@@ -258,8 +258,9 @@ def test_criterion7_recurrence_oracle():
         with mpmath.workdps(60):
             Am = mpmath.mpf(p.A.numerator) / p.A.denominator
             Bm = mpmath.mpf(p.B.numerator) / p.B.denominator
-            s = mpmath.sqrt(Am * Bm)
-            a1w, a2w, a1f, a2f, _ = analysis._alphas(p.A, p.B, p.c_w, p.c_f, dps=60)
+            cw = mpmath.mpf(p.c_w.numerator) / p.c_w.denominator
+            cf = mpmath.mpf(p.c_f.numerator) / p.c_f.denominator
+            a1w, a2w, a1f, a2f, s = analysis._alphas(Am, Bm, cw, cf)
             ratio = mpmath.mpf(thresh.numerator) / thresh.denominator
             up = mpmath.mpf(1)
             down = mpmath.mpf(1)

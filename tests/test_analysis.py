@@ -266,6 +266,25 @@ def test_support_helpers_deleted():
     assert not {"w_max", "f_min"} & set(dir(analysis))
 
 
+def recurrence_inputs(n_random: int) -> list[tuple]:
+    """Criterion 7's ranges (``n_random`` draws), then the boundaries of the valid region."""
+    rng = np.random.default_rng(7)
+    inputs = []
+    for _ in range(n_random):
+        d = int(rng.integers(3, 31))
+        k = int(rng.integers(2, d + 1))
+        thresh = Fraction(1, d - k + 1)
+        inputs.append((d, Fraction(int(rng.integers(10, 1001)), 1000), k,
+                       thresh + (1 - thresh) * Fraction(int(rng.integers(0, 1001)), 1000),
+                       Fraction(int(rng.integers(0, 1001)), 1000)))
+    for d, k in ((3, 2), (5, 2), (5, 5), (17, 9), (30, 30)):
+        for f0 in (0, 1):
+            inputs.append((d, 1, k, Fraction(1, d - k + 1), f0))
+            inputs.append((d, Fraction(3, 7), k, Fraction(1, d - k + 1), f0))
+            inputs.append((d, 1, k, 1, f0))
+    return inputs
+
+
 class TestRecurrence:
     def test_constants_example(self):
         p = recurrence_params(5, Fraction(1, 2), 2, Fraction(1, 2), Fraction(1, 2))
@@ -304,21 +323,7 @@ class TestRecurrence:
         oracle = oracles.iterate_mass_recurrence(p.A, p.B, p.C, p.w0, p.f0, 40)[-1]
         assert ours == oracle
 
-        # criterion 7's ranges, then the boundaries of the valid region
-        rng = np.random.default_rng(7)
-        inputs = []
-        for _ in range(200):
-            d = int(rng.integers(3, 31))
-            k = int(rng.integers(2, d + 1))
-            thresh = Fraction(1, d - k + 1)
-            inputs.append((d, Fraction(int(rng.integers(10, 1001)), 1000), k,
-                           thresh + (1 - thresh) * Fraction(int(rng.integers(0, 1001)), 1000),
-                           Fraction(int(rng.integers(0, 1001)), 1000)))
-        for d, k in ((3, 2), (5, 2), (5, 5), (17, 9), (30, 30)):
-            for f0 in (0, 1):
-                inputs.append((d, 1, k, Fraction(1, d - k + 1), f0))
-                inputs.append((d, Fraction(3, 7), k, Fraction(1, d - k + 1), f0))
-                inputs.append((d, 1, k, 1, f0))
+        inputs = recurrence_inputs(200)
         for args in inputs:
             p = recurrence_params(*args)
             steps = oracles.iterate_mass_recurrence(p.A, p.B, p.C, p.w0, p.f0, 100)
@@ -327,9 +332,27 @@ class TestRecurrence:
                 assert type(w) is type(f) is Fraction
                 assert (w, f) == steps[n], (args, n)
 
+        # every bit pattern of n up to 130, and the powers of two around 256
+        for args in inputs[:3] + [(5, Fraction(1, 2), 2, Fraction(1, 2), Fraction(1, 2)),
+                                  (30, 1, 30, 1, 0)]:
+            p = recurrence_params(*args)
+            steps = oracles.iterate_mass_recurrence(p.A, p.B, p.C, p.w0, p.f0, 257)
+            for n in list(range(131)) + [255, 256, 257]:
+                assert iterate_recurrence(p, n) == steps[n], (args, n)
+
+    def test_closed_form_bits_match_oracle(self):
+        # the cached constants must give the bits of evaluating everything per call
+        for args in recurrence_inputs(20):
+            p = recurrence_params(*args)
+            for dps in (50, 60):
+                for n in range(101):
+                    ours = closed_form_mp(p, n, dps)
+                    ref = oracles.closed_form_mp(p, n, dps)
+                    assert [x._mpf_ for x in ours] == [x._mpf_ for x in ref], (args, dps, n)
+
     def test_iteration_rejects_negative_n(self):
         p = recurrence_params(5, Fraction(1, 2), 2, Fraction(1, 2), Fraction(1, 2))
-        for n in (-1, -5):
+        for n in (-1, -5, 2.5, 2.0):
             with pytest.raises(ValueError):
                 iterate_recurrence(p, n)
             with pytest.raises(ValueError):
@@ -337,13 +360,17 @@ class TestRecurrence:
 
     def test_cached_alphas_match_uncached(self):
         p = recurrence_params(11, Fraction(7, 10), 4, Fraction(1, 2), Fraction(1, 4))
+        key = analysis._draw_key(p.A, p.B, p.C, p.c_w, p.c_f)
         for dps in (50, 60):
-            cached = analysis._alphas(p.A, p.B, p.c_w, p.c_f, dps)
-            fresh = analysis._alphas.__wrapped__(p.A, p.B, p.c_w, p.c_f, dps)
-            assert len(cached) == 5
-            for c, u in zip(cached, fresh):
-                assert isinstance(c, mpmath.mpf) and c == u
-        assert analysis._alphas.cache_info().maxsize < 1000
+            cached = analysis._modes(key, dps)
+            fresh = analysis._modes.__wrapped__(key, dps)
+            assert [len(part) for part in cached] == [4, 7]
+            for c, u in zip(cached[0] + cached[1], fresh[0] + fresh[1]):
+                assert isinstance(c, mpmath.mpf) and c._mpf_ == u._mpf_
+        # the benchmark repeats its 1000 draws every pass: no cache may hold them all
+        caches = [f for f in vars(analysis).values() if hasattr(f, "cache_info")]
+        assert analysis._modes in caches
+        assert all(f.cache_info().maxsize < 1000 for f in caches)
 
     def test_classification_examples(self):
         # large c_w, tiny c_f: the growing mode pushes the firm mass to 1
@@ -356,6 +383,12 @@ class TestRecurrence:
         assert q.alpha1_f < 0
         assert classify_recurrence(q) is RecurrenceOutcome.DECREASES
         assert oracles.iterate_to_event(float(q.A), float(q.B), float(q.C), float(q.w0), 0.0) == "decreases"
+        # B*c_w^2 == A*c_f^2 == 3*eta/32 with c_w, c_f > 0: the growing mode vanishes
+        for eta in (Fraction(1, 2), Fraction(7, 10), Fraction(1)):
+            z = recurrence_params(4, eta, 2, Fraction(5, 6), Fraction(1, 4))
+            assert z.c_w > 0 and z.c_f > 0
+            assert z.B * z.c_w ** 2 == z.A * z.c_f ** 2 == 3 * eta / 32
+            assert classify_recurrence(z) is RecurrenceOutcome.ASYMPTOTIC_CONVERGENCE
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -366,6 +399,17 @@ class TestRecurrence:
             recurrence_params(5, Fraction(1, 2), 2, Fraction(1, 10), Fraction(1, 2))  # w0 below threshold
         with pytest.raises(ValueError):
             recurrence_params(2, Fraction(1, 2), 2, Fraction(1, 2), Fraction(1, 2))
+
+    @pytest.mark.parametrize("D, k", [(np.int64(5), 2), (5, np.int64(2))], ids=["D", "k"])
+    def test_numpy_integers_accepted(self, D, k):
+        p = recurrence_params(D, Fraction(1, 2), k, Fraction(1, 2), Fraction(1, 2))
+        assert type(p.D) is int and type(p.k) is int
+        assert p == recurrence_params(5, Fraction(1, 2), 2, Fraction(1, 2), Fraction(1, 2))
+
+    @pytest.mark.parametrize("name, D, k", [("D", 5.0, 2), ("k", 5, 2.0), ("k", 5, 2.5)])
+    def test_non_integers_rejected(self, name, D, k):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            recurrence_params(D, Fraction(1, 2), k, Fraction(1, 2), Fraction(1, 2))
 
     def test_sign_agreement_random(self, rng):
         for _ in range(200):

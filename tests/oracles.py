@@ -5,10 +5,10 @@ over the payoff function, projections by lattice search or long-run
 first-order iterations, the treeplex layout by naming every sequence in
 order, treeplex best responses and backward passes by infoset-by-infoset
 loops, sequence counts by a recursive tree walk, the recurrence by direct
-rational iteration, its closed form by evaluating every mode coefficient and
-power in full on each call, exact one-shot FTRL runs by a plain ``Fraction`` loop,
-the structural monitors by checking one step at a time, and the randomized
-audit by one ``run_dynamics`` call per draw.
+rational iteration, its closed form by the full formula with every constant
+and power recomputed on each call, exact one-shot FTRL runs by a plain
+``Fraction`` loop, the structural monitors by checking one step at a time,
+and the randomized audit by one ``run_dynamics`` call per draw.
 """
 
 from __future__ import annotations

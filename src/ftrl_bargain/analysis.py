@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -265,14 +264,6 @@ def _modes(key: tuple, dps: int):
         return (a1w, a2w, a1f, a2f), (a1w * s, a2w * s, a1f * s, a2f * s, 1 + s, 1 - s, ratio)
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int`` if ``operator.index`` accepts it; a ValueError naming ``name`` if not."""
-    try:
-        return int(operator.index(value))
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def recurrence_params(D: int, eta, k: int, w0, f0) -> RecurrenceParams:
     """Build the recurrence coefficients for top-threshold index ``k``.
 
@@ -281,7 +272,7 @@ def recurrence_params(D: int, eta, k: int, w0, f0) -> RecurrenceParams:
     threshold 1/(D-k+1) and 1, and f0 in [0, 1] (the boundary f0 = 1 is the
     fixed point).
     """
-    D, k = _integer("D", D), _integer("k", k)
+    D, k = games._integer("D", D), games._integer("k", k)
     if D <= 2:
         raise ValueError("D must be an integer greater than 2")
     if not (2 <= k <= D):
@@ -317,7 +308,7 @@ def closed_form_mp(p: RecurrenceParams, n: int, dps: int = 50):
     Reads the draw's constants from the :func:`_modes` cache, so a call does
     two integer powers and the products and sums of the closed form.
     """
-    n = _integer("n", n)
+    n = games._integer("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
@@ -359,7 +350,7 @@ def iterate_recurrence(p: RecurrenceParams, n: int) -> tuple[Fraction, Fraction]
     result is reduced once, into two ``Fraction`` values equal to those of
     plain ``Fraction`` iteration.
     """
-    n = _integer("n", n)
+    n = games._integer("n", n)
     if n < 0:
         raise ValueError("n must be non-negative")
     Q = math.lcm(p.A.denominator, p.B.denominator, p.C.denominator)

@@ -6,6 +6,12 @@ Two games over a shared discretized offer grid: the one-shot ultimatum game
 single-step expected-utility feedback vectors, pure strategies and plans, and
 which treeplex layout each side of the two-round game uses; the layout itself
 lives in :class:`geometry.Treeplex`.
+
+The two-round payoff matrix has at most one nonzero per own sequence: a
+sequence closes a deal against at most one opponent sequence.  So each game
+builds, once, one table per side that names that opponent sequence and its
+coefficient, and feedback is one gather and one product per entry.  Feedback
+in both games uses the opponent's masses as they are, however small.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+import operator
 from typing import Literal, Optional, Union
 
 import numpy as np
@@ -40,18 +47,26 @@ FIRM = "firm"
 WORKER = "worker"
 Agent = Literal["firm", "worker"]
 
-# Opponent masses below this are treated as exact zeros when building feedback,
-# so monotonicity monitors never see sign noise.
-NEGLIGIBLE_MASS = 1e-15
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int`` if ``operator.index`` accepts it; a ValueError naming ``name`` if not."""
+    try:
+        return int(operator.index(value))
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
 class ActionGrid:
-    """Uniform grid {0, 1/D, ..., 1} of offers / acceptance thresholds."""
+    """Uniform grid {0, 1/D, ..., 1} of offers / acceptance thresholds.
+
+    ``D`` is any integer ``operator.index`` accepts, stored as an ``int``.
+    """
 
     D: int
 
     def __post_init__(self):
+        object.__setattr__(self, "D", _integer("D", self.D))
         if self.D < 2:
             raise ValueError(f"grid needs D >= 2 subdivisions, got {self.D}")
 
@@ -99,6 +114,35 @@ class TwoRoundGame:
         n = self.grid.size
         return {FIRM: Treeplex.pairs(n, n), WORKER: Treeplex.blocks(n, n + 1)}
 
+    @cached_property
+    def _feedback_tables(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per side, read-only ``(src, coef)``: own sequence s earns ``coef[s] * r[src[s]]``.
+
+        ``r`` is the opponent's plan; see :func:`two_round_feedback` for the
+        terms.  The root and the firm's second-round rejects earn nothing:
+        coefficient 0, source the opponent's root.
+        """
+        acts, delta = self.grid.actions, self.delta
+        tables = {}
+        for agent, other in ((FIRM, WORKER), (WORKER, FIRM)):
+            own, opp = self._treeplexes[agent], self._treeplexes[other]
+            src = np.full(own.n_sequences, opp.root)
+            coef = np.zeros(own.n_sequences)
+            (src_head, src_below), (coef_head, coef_below) = own.views(src), own.views(coef)
+            opp_head, opp_below = opp.views(np.arange(opp.n_sequences))
+            src_head[...] = opp_head
+            if agent == FIRM:
+                coef_head[...] = 1.0 - acts
+                src_below[..., 0] = opp_below
+                coef_below[..., 0] = delta * acts
+            else:
+                coef_head[...] = acts
+                src_below[...] = opp_below[..., 0]
+                coef_below[...] = delta * (1.0 - acts)
+            src.flags.writeable = coef.flags.writeable = False
+            tables[agent] = src, coef
+        return tables
+
 
 Game = Union[UltimatumGame, TwoRoundGame]
 
@@ -141,7 +185,6 @@ def ultimatum_feedback(agent: Agent, opponent_strategy: np.ndarray, grid: Action
     x = np.asarray(opponent_strategy, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != grid.size:
         raise StructuralError("opponent strategy length does not match grid")
-    x = np.where(x > NEGLIGIBLE_MASS, x, 0.0)
     if actions is None:
         actions = grid.actions
     if agent == WORKER:
@@ -154,10 +197,10 @@ def ultimatum_feedback_exact(agent: Agent, nums: list[list[int]], dens: list[int
     """Exact-rational twin of :func:`ultimatum_feedback` on integer numerators.
 
     Row i of the opponent's mixtures is ``nums[i] / dens[i]`` (Python ints).
-    The same formula without mass clipping gives one feedback row per
-    mixture row, as numerators over ``dens[i] * D``: the worker's entry at
-    threshold j sums ``nums[i][p] * p`` over offers p >= j, the firm's entry
-    at offer j is the mass at or below j times ``D - j``.  Returns
+    The same formula gives one feedback row per mixture row, as numerators
+    over ``dens[i] * D``: the worker's entry at threshold j sums ``nums[i][p]
+    * p`` over offers p >= j, the firm's entry at offer j is the mass at or
+    below j times ``D - j``.  Returns
     ``(numerators, denominators)``.
     """
     _check_agent(agent)
@@ -192,30 +235,26 @@ def build_treeplex(game: TwoRoundGame, agent: Agent) -> Treeplex:
 
 
 def two_round_feedback(agent: Agent, opponent_plan: np.ndarray, game: TwoRoundGame) -> np.ndarray:
-    """Single-step expected utility per terminal sequence against a fixed plan.
+    """Single-step expected utility per own sequence against a fixed plan.
 
     Firm: (1-a) * r_w(accept a) at a first offer, delta * b * r_w(counter b
     after a) at a second-round accept, 0 at a second-round reject.  Worker:
     a * r_f(offer a) at an accept, delta * (1-b) * r_f(accept b after a) at a
     counter.  A 2-D ``opponent_plan`` gives one feedback row per plan row.
+    Each entry is one coefficient times one opponent realization, gathered
+    through the game's feedback table.  The coefficients ``1 - a``, ``a``,
+    ``delta * b`` and ``delta * (1 - b)`` are the IEEE values the formula
+    above rounds before its last product, so a finite plan gets the same
+    bits as a view-by-view evaluation.
     """
     _check_agent(agent)
     opponent = WORKER if agent == FIRM else FIRM
-    own, other = build_treeplex(game, agent), build_treeplex(game, opponent)
-    acts, delta = game.grid.actions, game.delta
     r = np.asarray(opponent_plan, dtype=float)
-    if r.ndim not in (1, 2) or r.shape[-1] != other.n_sequences:
+    if r.ndim not in (1, 2) or r.shape[-1] != build_treeplex(game, opponent).n_sequences:
         raise StructuralError(f"{opponent} plan length does not match game")
-    r = np.where(r > NEGLIGIBLE_MASS, r, 0.0)
-    out = np.zeros(r.shape[:-1] + (own.n_sequences,))
-    out_head, out_below = own.views(out)
-    r_head, r_below = other.views(r)
-    if agent == FIRM:
-        out_head[...] = (1.0 - acts) * r_head
-        out_below[..., 0] = delta * acts * r_below  # second-round rejects pay 0
-    else:
-        out_head[...] = acts * r_head
-        out_below[...] = delta * (1.0 - acts) * r_below[..., 0]
+    src, coef = game._feedback_tables[agent]
+    out = r.take(src, axis=-1)
+    out *= coef
     return out
 
 

@@ -100,6 +100,8 @@ class LearnerConfig:
 
     def __post_init__(self):
         _check_eta(self.eta)
+        if self.max_steps is not None:
+            object.__setattr__(self, "max_steps", games._integer("max_steps", self.max_steps))
         if self.arithmetic not in ("float", "exact"):
             raise ValueError(f"unknown arithmetic mode {self.arithmetic!r}")
         if self.arithmetic == "exact" and not isinstance(self.game, UltimatumGame):
@@ -631,8 +633,9 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
     per row (:class:`_ExactArithmetic`) and report ``Fraction``s.  A row
     whose step moves no entry by more than the threshold and that passes the
     certificate guard (one stacked certificate per step over all such rows)
-    leaves the stack; the rest run to the step cap.  Initial strategies are
-    not checked here.
+    leaves the stack; the rest run to the step cap.  A float stack holding
+    NaN or ±inf raises ``ValueError`` naming the first such row before the
+    first step; initial strategies are not otherwise checked here.
     ``eta`` gives each row its own learning rate (``cfg.eta`` for every row by
     default), checked by ``LearnerConfig``'s rule; float rows multiply by a
     ``(k, 1)`` column and exact rows by their own ``Fraction``, so a row runs
@@ -675,6 +678,11 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
         actions = np.where(pad, 1.0, np.arange(cfg.grid.size) / (widths - 1)[:, None])
     arith = _arithmetic(cfg)
     x_f, x_w = arith.stack(init_f), arith.stack(init_w)
+    if arith.dtype is float:
+        for agent, x in ((FIRM, x_f), (WORKER, x_w)):
+            bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+            if bad.size:
+                raise ValueError(f"initial {agent} row {bad[0]} is not finite")
     out = Lockstep(np.zeros(k, dtype=np.int64),
                    *(np.empty(np.shape(x), dtype=arith.dtype) for x in (init_f, init_w) * 2),
                    widths=widths)

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 These deliberately avoid the library's fast paths: feedback by double loops
-over the payoff function, projections by lattice search or long-run
+over the payoff function (two-round feedback by the payoff formula written
+view by view), projections by lattice search or long-run
 first-order iterations, the treeplex layout by naming every sequence in
 order, treeplex best responses and backward passes by infoset-by-infoset
 loops, sequence counts by a recursive tree walk, the recurrence by direct
@@ -274,6 +275,32 @@ def g2_best_response_value(agent: str, opp_plan: np.ndarray, game: TwoRoundGame)
             total += max(options)
         best = total
     return float(best)
+
+
+def two_round_feedback_loop(agent: str, opponent_plan: np.ndarray, game: TwoRoundGame) -> np.ndarray:
+    """Two-round feedback written view by view, as the payoff formula reads.
+
+    Firm: ``(1 - a) * r_w(accept a)`` at offer a and ``delta * b * r_w(counter
+    b after a)`` at a second-round accept.  Worker: ``a * r_f(offer a)`` at an
+    accept and ``delta * (1 - b) * r_f(accept b after a)`` at a counter.
+    Everything else stays 0.  A 2-D plan gives one row per plan row.
+    """
+    from ftrl_bargain import games
+
+    opponent = "worker" if agent == "firm" else "firm"
+    own, other = games.build_treeplex(game, agent), games.build_treeplex(game, opponent)
+    acts, delta = game.grid.actions, game.delta
+    r = np.asarray(opponent_plan, dtype=float)
+    out = np.zeros(r.shape[:-1] + (own.n_sequences,))
+    out_head, out_below = own.views(out)
+    r_head, r_below = other.views(r)
+    if agent == "firm":
+        out_head[...] = (1.0 - acts) * r_head
+        out_below[..., 0] = delta * acts * r_below
+    else:
+        out_head[...] = acts * r_head
+        out_below[...] = delta * (1.0 - acts) * r_below[..., 0]
+    return out
 
 
 def certify_gaps_loop(profile, game) -> tuple[float, float, float]:

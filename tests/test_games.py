@@ -17,7 +17,7 @@ from ftrl_bargain.games import (
     utility_ultimatum,
     worker_vertex_plan,
 )
-from ftrl_bargain.geometry import StructuralError, validate_plan
+from ftrl_bargain.geometry import StructuralError, TreeplexProjector, validate_plan
 
 import oracles
 
@@ -38,6 +38,19 @@ class TestActionGrid:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             ActionGrid(1)
+
+    def test_integer_sizes_stored_as_int(self):
+        for D in (np.int64(3), 3):
+            g = ActionGrid(D)
+            assert type(g.D) is int and type(g.size) is int and g.D == 3
+        game = TwoRoundGame(ActionGrid(np.int64(3)), 0.9)
+        assert build_treeplex(game, FIRM).n == 4
+
+    @pytest.mark.parametrize("D", [2.5, 3.0, "3", None])
+    def test_non_integer_sizes_rejected(self, D):
+        # unchecked, 2.5 builds offers above 1 and 3.0 a float size
+        with pytest.raises(ValueError, match="D must be an integer"):
+            ActionGrid(D)
 
     def test_index_of(self):
         g = ActionGrid(30)
@@ -165,10 +178,21 @@ class TestStackedFeedback:
     def test_ultimatum_stack_matches_rows(self, rng, D):
         grid = ActionGrid(D)
         X = np.array([random_simplex(rng, grid.size) for _ in range(6)])
-        X[0, 1] = 1e-16  # below NEGLIGIBLE_MASS
+        X[0, 1] = 1e-16
         for agent in (FIRM, WORKER):
             stacked = ultimatum_feedback(agent, X, grid)
             assert np.array_equal(stacked, [ultimatum_feedback(agent, x, grid) for x in X])
+
+    def test_tiny_mass_reaches_feedback(self):
+        # a 1e-16 mass at offer 1/D counts wherever no unit mass absorbs it
+        grid = ActionGrid(5)
+        acts = grid.actions
+        x = pure_strategy(grid, 0.0)
+        x[1] = 1e-16
+        assert ultimatum_feedback(WORKER, x, grid).tolist() == [1e-16 * acts[1]] * 2 + [0.0] * 4
+        x = pure_strategy(grid, 1.0)
+        x[1] = 1e-16
+        assert ultimatum_feedback(FIRM, x, grid).tolist() == [0.0, *(1e-16 * (1.0 - acts[1:5])), 0.0]
 
     def test_padded_rows_match_own_grids(self, rng):
         # rows of narrower grids padded with mass 0 and action 1.0: feedback
@@ -316,3 +340,60 @@ class TestTwoRoundFeedback:
             plan = proj.project(rng.normal(size=tp_w.n_sequences))
             fb = two_round_feedback(FIRM, plan, self.game)
             assert np.all(fb >= -1e-12)
+
+
+def _plans(rng, tp, game, agent):
+    """Vertex, uniform and projected random plans of one side, some entries below 1e-15."""
+    vertex = firm_vertex_plan if agent == FIRM else worker_vertex_plan
+    acts = game.grid.actions
+    plans = [vertex(game, acts[i], acts[j]) for i, j in rng.integers(0, len(acts), size=(4, 2))]
+    plans.append(tp.uniform_plan())
+    proj = TreeplexProjector(tp)
+    for scale in (0.5, 5.0, 50.0):
+        plans.append(proj.project(scale * rng.normal(size=tp.n_sequences)))
+    tiny = tp.uniform_plan()
+    tiny[1::2] *= 1e-15 * rng.uniform(0.01, 1.0, size=tiny[1::2].shape)
+    plans.append(tiny)
+    return np.array(plans)
+
+
+class TestFeedbackTables:
+    """Two-round feedback from the game's tables equals the payoff formula view by view."""
+
+    @pytest.mark.parametrize("D", [3, 5, 10])
+    def test_matches_view_formula(self, rng, D):
+        game = TwoRoundGame(ActionGrid(D), 0.9)
+        for agent, other in ((FIRM, WORKER), (WORKER, FIRM)):
+            R = _plans(rng, build_treeplex(game, other), game, other)
+            assert ((R > 0) & (R < 1e-15)).any()
+            stacked = two_round_feedback(agent, R, game)
+            assert np.array_equal(stacked, oracles.two_round_feedback_loop(agent, R, game))
+            for r, row in zip(R, stacked):
+                single = two_round_feedback(agent, r, game)
+                assert np.array_equal(single, oracles.two_round_feedback_loop(agent, r, game))
+                assert np.array_equal(single, row)
+
+    @pytest.mark.parametrize("D", [3, 5])
+    def test_tables_read_only_with_one_source_each(self, D):
+        game = TwoRoundGame(ActionGrid(D), 0.55)
+        for agent, other in ((FIRM, WORKER), (WORKER, FIRM)):
+            own, opp = build_treeplex(game, agent), build_treeplex(game, other)
+            src, coef = game._feedback_tables[agent]
+            assert src.shape == coef.shape == (own.n_sequences,)
+            for table in (src, coef):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 1
+            # the view formula on unit plans is the payoff matrix: each own
+            # sequence's column holds at most one nonzero, at its source
+            M = oracles.two_round_feedback_loop(agent, np.eye(opp.n_sequences), game)
+            for s in range(own.n_sequences):
+                nonzero = np.flatnonzero(M[:, s])
+                assert nonzero.tolist() in ([], [src[s]])
+                assert M[src[s], s] == coef[s]
+            # the root and the second-round rejects earn 0 from the root
+            assert src[own.root] == opp.root and coef[own.root] == 0.0
+            if agent == FIRM:
+                assert (own.views(src)[1][..., 1] == opp.root).all()
+                assert (own.views(coef)[1][..., 1] == 0.0).all()
+            assert game._feedback_tables is game._feedback_tables

@@ -178,6 +178,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             g1_config(**kw)
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, "3"])
+    def test_non_integer_max_steps_rejected(self, steps):
+        # unchecked, 2.5 fails only inside the step loop
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            g1_config(max_steps=steps)
+
+    def test_integer_max_steps_stored_as_int(self):
+        cfg = g1_config(max_steps=np.int64(3))
+        assert type(cfg.max_steps) is int and cfg.steps_cap == 3
+        assert run_dynamics(cfg, uniform_strategy(cfg.grid), uniform_strategy(cfg.grid)).steps == 3
+
     def test_stop_eps_bounds_accepted(self, monkeypatch):
         # the guard reads STOP_EPS when it runs: 0 stops only exact equilibria,
         # inf (the tests' way to turn the guard off) stops every row
@@ -498,6 +509,19 @@ class TestPerRowInputs:
         with pytest.raises(ValueError, match="monitors"):
             learner.run_lockstep(LearnerConfig(game=game, eta=0.5), *plans,
                                  monitors=MonitorSuite())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_initial_rows_rejected(self, bad):
+        # unchecked, such a row reaches the projection mid-run and aborts the whole stack
+        cfg, init_f, init_w = self.stack()
+        init_w[3, 2] = bad
+        with pytest.raises(ValueError, match="initial worker row 3 is not finite"):
+            learner.run_lockstep(cfg, init_f, init_w)
+        game = TwoRoundGame(ActionGrid(3), 0.9)
+        plans = [np.array([plan(game, 0.0, 0.0)] * 3) for plan in (firm_vertex_plan, worker_vertex_plan)]
+        plans[0][1, 0] = bad
+        with pytest.raises(ValueError, match="initial firm row 1 is not finite"):
+            learner.run_lockstep(LearnerConfig(game=game, eta=0.5), *plans)
 
     @pytest.mark.parametrize("fault", [None, _dip, _softmax], ids=["clean", "dip", "softmax"])
     def test_row_suites_match_one_suite_per_run(self, monkeypatch, fault):

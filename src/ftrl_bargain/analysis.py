@@ -20,6 +20,7 @@ import numpy as np
 
 from . import games, geometry
 from .games import FIRM, WORKER, ActionGrid, TwoRoundGame, UltimatumGame
+from .geometry import StructuralError
 
 __all__ = [
     "EquilibriumCertificate",
@@ -418,18 +419,20 @@ def _firm_accept_behavior(
     Reachable infosets use realization ratios.  Unreachable ones (the exact
     projection zeroes abandoned subtrees in finite time) use the limit of the
     update's tie-breaking: all mass on the larger cumulative utility, an even
-    split on ties.  Without utilities the uniform placeholder applies.
+    split on ties.  Without utilities the uniform placeholder applies.  A
+    ``(k, n_seq)`` stack of plans (and of utilities) gives one ``(n, m)``
+    block per row, each as on its own.
     """
     tp = games.build_treeplex(game, FIRM)
     offers, pairs = tp.views(r_f)
-    offers = offers[:, None]
+    offers = offers[..., None]
     reach = offers > geometry.UNREACHABLE_TOL
-    accept = np.full(pairs.shape[:2], 0.5)
-    accept_mass = np.clip(pairs[:, :, 0], 0.0, None)
+    accept = np.full(pairs.shape[:-1], 0.5)
+    accept_mass = np.clip(pairs[..., 0], 0.0, None)
     np.divide(accept_mass, offers, out=accept, where=reach)
     if firm_cum_util is not None:
         util = tp.views(np.asarray(firm_cum_util, dtype=float))[1]
-        gap = util[:, :, 0] - util[:, :, 1]
+        gap = util[..., 0] - util[..., 1]
         limit = np.where(gap > TIE_TOL, 1.0, np.where(gap < -TIE_TOL, 0.0, 0.5))
         accept = np.where(reach, accept, limit)
     return accept
@@ -439,70 +442,81 @@ def detect_threats(
     profile,
     game: TwoRoundGame,
     firm_cum_util: Optional[np.ndarray] = None,
-) -> ThreatReport:
+) -> ThreatReport | list[ThreatReport]:
     """Classify credible worker threats and non-credible firm threats.
 
     With ``tol = THREAT_TOL``, the equilibrium offer is the unique first-round
     offer with realization at least 1 - tol.  A worker threat at a lower offer
     is credible when the rejection happens with probability above tol and the
     counter-offer mass sits on best responses (within tol of the best counter
-    value) against the firm's second-round behavior.  The firm threatens
-    non-credibly when the accepted equilibrium offer is worth less than the
-    discounted second-worst split and it still rejects the minimal counter
-    with probability above tol.
+    value) against the firm's second-round behavior; the largest such offer
+    is the witness, with the first counter of largest mass.  The firm
+    threatens non-credibly when the accepted equilibrium offer is worth less
+    than the discounted second-worst split and it still rejects the minimal
+    counter with probability above tol.
+
+    One profile gives one :class:`ThreatReport`.  ``(k, n_seq)`` stacks of
+    firm and worker plans (and of ``firm_cum_util``) give a list of ``k``
+    reports, each equal to the report of its row on its own.
     """
     r_f, r_w = (np.asarray(v, dtype=float) for v in profile)
+    tp_f, tp_w = games.build_treeplex(game, FIRM), games.build_treeplex(game, WORKER)
+    if r_f.ndim not in (1, 2) or r_f.shape[-1] != tp_f.n_sequences:
+        raise StructuralError("firm plan length does not match game")
+    if r_w.shape != r_f.shape[:-1] + (tp_w.n_sequences,):
+        raise StructuralError("worker plan length does not match game")
+    if firm_cum_util is not None and np.shape(firm_cum_util) != r_f.shape:
+        raise StructuralError("firm cumulative utilities do not match the firm plan")
     grid, delta, tol = game.grid, game.delta, THREAT_TOL
     acts = grid.actions
+    stack_f = np.atleast_2d(r_f)
+    if firm_cum_util is not None:
+        firm_cum_util = np.atleast_2d(firm_cum_util)
+    firm_accept = _firm_accept_behavior(stack_f, game, firm_cum_util)
+    offers = tp_f.views(stack_f)[0]
+    accepts, counters = tp_w.views(np.atleast_2d(r_w))
+    rows = np.arange(len(stack_f))
 
-    offers = games.build_treeplex(game, FIRM).views(r_f)[0]
-    eq_candidates = np.nonzero(offers >= 1.0 - tol)[0]
-    if eq_candidates.size != 1:
-        return ThreatReport(
-            status="undefined-equilibrium-offer",
-            equilibrium_offer=None,
-            worker_accepts_eq=False,
-            credible_worker_threat=False,
-            noncredible_firm_threat=False,
-        )
-    eq = int(eq_candidates[0])
-    eq_offer = float(acts[eq])
-
-    accepts, counters = games.build_treeplex(game, WORKER).views(r_w)
-    worker_accepts_eq = bool(accepts[eq] >= 1.0 - tol)
-
-    firm_accept = _firm_accept_behavior(r_f, game, firm_cum_util)
+    at_eq = offers >= 1.0 - tol
+    defined = (at_eq.sum(axis=-1) == 1).tolist()
+    eq = at_eq.argmax(axis=-1)
+    eq_offer = acts[eq]
+    worker_accepts_eq = accepts[rows, eq] >= 1.0 - tol
 
     # Credible worker threats below the equilibrium offer; report the largest.
-    credible = False
-    witness_offer = witness_counter = None
-    for a in range(eq - 1, -1, -1):
-        reject_mass = float(counters[a].sum())
-        if reject_mass <= tol:
-            continue
-        counter_dist = counters[a] / reject_mass
-        values = delta * (1.0 - acts) * firm_accept[a]
-        best = float(values.max())
-        supported = np.nonzero(counter_dist > tol)[0]
-        if supported.size and bool(np.all(values[supported] >= best - tol)):
-            credible = True
-            witness_offer = float(acts[a])
-            witness_counter = float(acts[int(supported[np.argmax(counter_dist[supported])])])
-            break
+    reject_mass = counters.sum(axis=-1)
+    live = (reject_mass > tol) & (np.arange(grid.size) < eq[:, None])
+    counter_dist = np.divide(counters, reject_mass[..., None], out=np.zeros_like(counters),
+                             where=live[..., None])
+    values = delta * (1.0 - acts) * firm_accept
+    best = values.max(axis=-1, keepdims=True)
+    supported = counter_dist > tol
+    threat = live & supported.any(axis=-1) & np.all(~supported | (values >= best - tol), axis=-1)
+    credible = threat.any(axis=-1).tolist()
+    witness = grid.size - 1 - threat[:, ::-1].argmax(axis=-1)
+    top_counter = np.where(supported, counter_dist, -np.inf)[rows, witness].argmax(axis=-1)
 
-    noncredible = False
-    reject_prob = None
-    if worker_accepts_eq and delta * (grid.D - 1) / grid.D > eq_offer:
-        reject_prob = 1.0 - float(firm_accept[eq, 1])
-        noncredible = bool(reject_prob > tol)
+    checked = worker_accepts_eq & (delta * (grid.D - 1) / grid.D > eq_offer)
+    reject_prob = 1.0 - firm_accept[rows, eq, 1]
+    noncredible = (checked & (reject_prob > tol)).tolist()
 
-    return ThreatReport(
-        status="ok",
-        equilibrium_offer=eq_offer,
-        worker_accepts_eq=worker_accepts_eq,
-        credible_worker_threat=credible,
-        credible_witness_offer=witness_offer,
-        credible_witness_counter=witness_counter,
-        noncredible_firm_threat=noncredible,
-        noncredible_reject_prob=reject_prob,
-    )
+    undefined = ThreatReport(status="undefined-equilibrium-offer", equilibrium_offer=None,
+                             worker_accepts_eq=False, credible_worker_threat=False,
+                             noncredible_firm_threat=False)
+    reports = [
+        ThreatReport(
+            status="ok",
+            equilibrium_offer=offer,
+            worker_accepts_eq=accepts_eq,
+            credible_worker_threat=cred,
+            credible_witness_offer=w_offer if cred else None,
+            credible_witness_counter=w_counter if cred else None,
+            noncredible_firm_threat=noncred,
+            noncredible_reject_prob=prob if check else None,
+        ) if ok else undefined
+        for ok, offer, accepts_eq, cred, w_offer, w_counter, noncred, prob, check in zip(
+            defined, eq_offer.tolist(), worker_accepts_eq.tolist(), credible,
+            acts[witness].tolist(), acts[top_counter].tolist(), noncredible,
+            reject_prob.tolist(), checked.tolist())
+    ]
+    return reports if r_f.ndim == 2 else reports[0]

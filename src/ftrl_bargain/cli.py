@@ -56,14 +56,14 @@ class ExperimentConfig:
     sweep_firm: Optional[str] = None
     sweep_worker: Optional[str] = None
     output_dir: str = "."
-    parallelism: int = 1             # worker processes of a sweep
+    parallelism: int = 1             # processes of a sweep
 
     def __post_init__(self):
         """Check the sweep settings by the sweep's own rules, so a bad file fails at load."""
         for kind in (self.sweep_firm, self.sweep_worker):
             if kind is not None:
                 metagame._axis(self.learner.game, kind)
-        metagame._check_parallelism(self.parallelism)
+        object.__setattr__(self, "parallelism", metagame._check_parallelism(self.parallelism))
 
 
 def _reference(text: str) -> Optional[float]:

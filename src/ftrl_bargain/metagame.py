@@ -3,8 +3,9 @@
 A sweep runs the learning dynamics from every initial profile on its axes and
 records the worker's converged payoff per cell.  Sweeps of either arithmetic
 stack each distinct initial profile once into the learner's lockstep kernel,
-split into ``parallelism`` contiguous chunks (one process each); cells whose
-profiles are equal take that row's outcome.
+split into ``parallelism`` contiguous chunks (the calling process runs the
+first, a process pool the rest); cells whose profiles are equal take that
+row's outcome.
 The resulting matrix is treated as a zero-sum game (worker maximizes, firm
 minimizes) and solved exactly by a dense tableau simplex, whose mixtures are
 certified by an explicit duality gap.
@@ -157,7 +158,8 @@ def _distinct(plans: list, exact: bool) -> tuple[list, list[int]]:
 def _sweep_chunk(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray) -> list[CellResult]:
     """Results of one contiguous chunk of a sweep's distinct profiles, in row order.
 
-    The chunk's final profiles, cast to float, are certified as one stack.
+    The chunk's final profiles, cast to float, are certified as one stack,
+    and two-round finals have their threats classified as one stack.
     """
     game = cfg.game
     run = learner.run_lockstep(cfg, init_f, init_w)
@@ -166,21 +168,20 @@ def _sweep_chunk(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray) -> 
     gap_f, gap_w, _, u_w = analysis._gap_rows(game, final_f, final_w)
     eps = np.maximum(gap_f, gap_w).tolist()
     gap_f, gap_w, u_w = gap_f.tolist(), gap_w.tolist(), u_w.tolist()
-    cells = []
-    for i, t in enumerate(converged_at):
-        threat = None
-        if not isinstance(game, UltimatumGame):
-            threat = analysis.detect_threats((final_f[i], final_w[i]), game,
-                                             firm_cum_util=run.cum_util_f[i])
-        cells.append(CellResult(u_w=u_w[i], eps=eps[i], gap_f=gap_f[i], gap_w=gap_w[i],
-                                converged_at=t, final_f=final_f[i], final_w=final_w[i],
-                                threat=threat))
-    return cells
+    threats = [None] * len(converged_at)
+    if not isinstance(game, UltimatumGame):
+        threats = analysis.detect_threats((final_f, final_w), game, firm_cum_util=run.cum_util_f)
+    return [CellResult(u_w=u_w[i], eps=eps[i], gap_f=gap_f[i], gap_w=gap_w[i], converged_at=t,
+                       final_f=final_f[i], final_w=final_w[i], threat=threats[i])
+            for i, t in enumerate(converged_at)]
 
 
-def _check_parallelism(parallelism) -> None:
-    if isinstance(parallelism, bool) or not isinstance(parallelism, int) or parallelism < 1:
-        raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
+def _check_parallelism(parallelism) -> int:
+    """``parallelism`` as an ``int``: an integer >= 1 of any type but ``bool`` that
+    ``operator.index`` accepts.  Anything else raises a ValueError naming it."""
+    if not isinstance(parallelism, bool) and (n := games._integer("parallelism", parallelism)) >= 1:
+        return n
+    raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
 
 
 def sweep_initials(
@@ -196,12 +197,16 @@ def sweep_initials(
     as threshold 0 never counters) give one kernel row per pair, and every
     cell takes its profile's result, with its own copies of the final plans.
     A row runs exactly as it would alone, so no cell depends on the merging.
-    ``parallelism`` (an integer >= 1) is the number of processes the sweep
-    is split over, one contiguous chunk of distinct profiles each, in either
-    arithmetic.  Results never depend on it.  Individual non-converged cells
-    are recorded in place and never abort the sweep.
+    ``parallelism`` (an integer >= 1, any type ``operator.index`` accepts
+    but ``bool``) is the number of processes the sweep is split over, one
+    contiguous chunk of distinct profiles each, in either arithmetic: the
+    calling process runs the first chunk while a pool of ``chunks - 1``
+    processes, started before it, runs the rest, and the pool is shut down
+    before the sweep returns or raises.  Results never depend on it.
+    Individual non-converged cells are recorded in place and never abort
+    the sweep.
     """
-    _check_parallelism(parallelism)
+    parallelism = _check_parallelism(parallelism)
     game = cfg.game
     firm_axis, worker_axis = _axis(game, axis_f), _axis(game, axis_w)
     exact = cfg.arithmetic == "exact"
@@ -213,10 +218,12 @@ def sweep_initials(
     if chunks == 1:
         results = _sweep_chunk(cfg, init_f, init_w)
     else:
-        with ProcessPoolExecutor(max_workers=chunks) as pool:
-            parts = pool.map(_sweep_chunk, [cfg] * chunks, np.array_split(init_f, chunks),
-                             np.array_split(init_w, chunks))
-            results = [cell for part in parts for cell in part]
+        parts_f, parts_w = np.array_split(init_f, chunks), np.array_split(init_w, chunks)
+        with ProcessPoolExecutor(max_workers=chunks - 1) as pool:
+            # the first submission forks the pool's processes, before this one computes
+            rest = pool.map(_sweep_chunk, [cfg] * (chunks - 1), parts_f[1:], parts_w[1:])
+            results = _sweep_chunk(cfg, parts_f[0], parts_w[0])
+            results += [cell for part in rest for cell in part]
     taken = set()   # rows whose own result a cell already holds
 
     def cell(i: int, j: int) -> CellResult:

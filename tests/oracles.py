@@ -5,7 +5,8 @@ over the payoff function (two-round feedback by the payoff formula written
 view by view), projections by lattice search or long-run
 first-order iterations, the treeplex layout by naming every sequence in
 order, treeplex best responses and backward passes by infoset-by-infoset
-loops, sequence counts by a recursive tree walk, the recurrence by direct
+loops, threat classification by one offer-by-offer walk per profile,
+sequence counts by a recursive tree walk, the recurrence by direct
 rational iteration, its closed form by the full formula with every constant
 and power recomputed on each call, exact one-shot FTRL runs by a plain
 ``Fraction`` loop, the structural monitors by checking one step at a time,
@@ -165,6 +166,73 @@ def firm_accept_behavior_loop(r_f, game: TwoRoundGame, firm_cum_util=None,
                 elif gap < -tie_tol:
                     accept[a, b] = 0.0
     return accept
+
+
+def threat_loop(profile, game: TwoRoundGame, firm_cum_util=None):
+    """One profile's ``analysis.detect_threats`` report, offer by offer.
+
+    The report as classified one profile at a time, with the firm's second-round
+    behaviour from :func:`firm_accept_behavior_loop`: the credible-threat
+    search walks down from the equilibrium offer and stops at the first
+    witness.  The stacked classifier must reproduce it on every row.
+    """
+    from ftrl_bargain import games
+    from ftrl_bargain.analysis import THREAT_TOL, ThreatReport
+
+    r_f, r_w = (np.asarray(v, dtype=float) for v in profile)
+    grid, delta, tol = game.grid, game.delta, THREAT_TOL
+    acts = grid.actions
+
+    offers = games.build_treeplex(game, "firm").views(r_f)[0]
+    eq_candidates = np.nonzero(offers >= 1.0 - tol)[0]
+    if eq_candidates.size != 1:
+        return ThreatReport(
+            status="undefined-equilibrium-offer",
+            equilibrium_offer=None,
+            worker_accepts_eq=False,
+            credible_worker_threat=False,
+            noncredible_firm_threat=False,
+        )
+    eq = int(eq_candidates[0])
+    eq_offer = float(acts[eq])
+
+    accepts, counters = games.build_treeplex(game, "worker").views(r_w)
+    worker_accepts_eq = bool(accepts[eq] >= 1.0 - tol)
+
+    firm_accept = firm_accept_behavior_loop(r_f, game, firm_cum_util)
+
+    credible = False
+    witness_offer = witness_counter = None
+    for a in range(eq - 1, -1, -1):
+        reject_mass = float(counters[a].sum())
+        if reject_mass <= tol:
+            continue
+        counter_dist = counters[a] / reject_mass
+        values = delta * (1.0 - acts) * firm_accept[a]
+        best = float(values.max())
+        supported = np.nonzero(counter_dist > tol)[0]
+        if supported.size and bool(np.all(values[supported] >= best - tol)):
+            credible = True
+            witness_offer = float(acts[a])
+            witness_counter = float(acts[int(supported[np.argmax(counter_dist[supported])])])
+            break
+
+    noncredible = False
+    reject_prob = None
+    if worker_accepts_eq and delta * (grid.D - 1) / grid.D > eq_offer:
+        reject_prob = 1.0 - float(firm_accept[eq, 1])
+        noncredible = bool(reject_prob > tol)
+
+    return ThreatReport(
+        status="ok",
+        equilibrium_offer=eq_offer,
+        worker_accepts_eq=worker_accepts_eq,
+        credible_worker_threat=credible,
+        credible_witness_offer=witness_offer,
+        credible_witness_counter=witness_counter,
+        noncredible_firm_threat=noncredible,
+        noncredible_reject_prob=reject_prob,
+    )
 
 
 def count_sequences_tree_walk(D: int) -> tuple[int, int]:

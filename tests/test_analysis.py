@@ -3,6 +3,8 @@ import pytest
 from fractions import Fraction
 
 import mpmath
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ftrl_bargain import analysis, games, geometry
 from ftrl_bargain.analysis import (
@@ -26,7 +28,9 @@ from ftrl_bargain.games import (
     pure_strategy,
     worker_vertex_plan,
 )
-from ftrl_bargain.geometry import TreeplexProjector
+from ftrl_bargain.geometry import StructuralError, TreeplexProjector
+from ftrl_bargain.learner import LearnerConfig, run_lockstep
+from ftrl_bargain.metagame import sweep_initials
 
 import oracles
 
@@ -449,6 +453,41 @@ def make_fig_profile(game, eq_offer, reject_offer=None, counter=None, firm_rejec
     return r_f, r_w
 
 
+@st.composite
+def threat_stacks(draw):
+    """A two-round game and ``(k, n_seq)`` stacks of firm plans, worker plans
+    and firm cumulative utilities (or None) that reach every branch of the
+    threat classifier: rows with no, one or two first-round offers near 1,
+    reachable and unreachable firm infosets, utility gaps at and beyond the
+    tie tolerance, and counter masses with ties."""
+    D = draw(st.integers(3, 10))
+    game = TwoRoundGame(ActionGrid(D), draw(st.sampled_from([0.1, 0.55, 0.9, 0.99])))
+    n, k = D + 1, draw(st.integers(1, 5))
+    tp_f, tp_w = games.build_treeplex(game, "firm"), games.build_treeplex(game, "worker")
+    r_f, r_w = np.zeros((k, tp_f.n_sequences)), np.zeros((k, tp_w.n_sequences))
+    r_f[:, 0] = r_w[:, 0] = 1.0
+    offers, pairs = tp_f.views(r_f)
+    accepts, counters = tp_w.views(r_w)
+    offers[...] = draw(arrays(float, (k, n), elements=st.sampled_from([0.0, 1e-13, 1e-4, 0.3])))
+    for i in range(k):
+        near_one = draw(st.sampled_from([1, 1, 2, 0]))
+        for a in draw(st.lists(st.integers(0, D), min_size=near_one, max_size=near_one, unique=True)):
+            offers[i, a] = draw(st.sampled_from([1.0, 1.0 - 1e-3, 1.0 - 1e-4]))
+    accept_share = draw(arrays(float, (k, n, n), elements=st.sampled_from([1.0, 0.5, 0.0, 0.9995])))
+    # offers whose counters all tie, or are worth less than the tolerance apart
+    accept_share[draw(arrays(bool, (k, n)))] = draw(st.sampled_from([0.0, 1e-4]))
+    pairs[..., 0] = offers[..., None] * accept_share
+    pairs[..., 1] = offers[..., None] - pairs[..., 0]
+    reject = draw(arrays(float, (k, n), elements=st.sampled_from([0.0, 1.0, 5e-4, 1e-3, 0.5])))
+    accepts[...] = 1.0 - reject
+    weights = draw(arrays(float, (k, n, n), elements=st.sampled_from([0.0, 0.0, 1.0, 2.0])))
+    weights[..., 0] += weights.sum(axis=-1) == 0
+    counters[...] = reject[..., None] * weights / weights.sum(axis=-1, keepdims=True)
+    util = draw(st.none() | arrays(float, r_f.shape, elements=st.sampled_from(
+        [0.0, 1e-9, -1e-9, 2e-9, -2e-9, 1.0, -1.0])))
+    return game, r_f, r_w, util
+
+
 class TestThreats:
     def setup_method(self):
         self.game = TwoRoundGame(ActionGrid(5), 0.9)
@@ -526,6 +565,53 @@ class TestThreats:
                 for util in (U, None):
                     expected = oracles.firm_accept_behavior_loop(r_f, game, util)
                     assert np.array_equal(analysis._firm_accept_behavior(r_f, game, util), expected)
+
+    @given(threat_stacks())
+    def test_stack_matches_per_profile_loop(self, case):
+        game, r_f, r_w, util = case
+        reports = detect_threats((r_f, r_w), game, firm_cum_util=util)
+        rows = [None] * len(r_f) if util is None else util
+        expected = [oracles.threat_loop((f, w), game, u) for f, w, u in zip(r_f, r_w, rows)]
+        assert reports == expected
+        # one profile keeps its single report, a stack of one is a list of one
+        assert detect_threats((r_f[0], r_w[0]), game, rows[0]) == expected[0]
+        assert detect_threats((r_f[:1], r_w[:1]), game,
+                              None if util is None else util[:1]) == expected[:1]
+        accept = analysis._firm_accept_behavior(r_f, game, util)
+        for f, u, block in zip(r_f, rows, accept):
+            assert np.array_equal(analysis._firm_accept_behavior(f, game, u), block)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.55, 0.9])
+    def test_sweep_stacks_match_per_profile_loop(self, delta):
+        # every cell of a D=3 pure x pure sweep: the finals of all 256 profiles
+        # classified as one stack equal the per-profile loop, and the sweep's
+        # chunk-by-chunk reports equal both
+        game = TwoRoundGame(ActionGrid(3), delta)
+        cfg = LearnerConfig(game=game, eta=0.5)
+        sweep = sweep_initials(cfg, parallelism=2)
+        cells = [(i, j) for i in range(sweep.shape[0]) for j in range(sweep.shape[1])]
+        init_f = np.array([firm_vertex_plan(game, *sweep.firm_axis[i]) for i, _ in cells])
+        init_w = np.array([worker_vertex_plan(game, *sweep.worker_axis[j]) for _, j in cells])
+        run = run_lockstep(cfg, init_f, init_w)
+        reports = detect_threats((run.final_f, run.final_w), game, firm_cum_util=run.cum_util_f)
+        assert reports == [oracles.threat_loop((f, w), game, u)
+                           for f, w, u in zip(run.final_f, run.final_w, run.cum_util_f)]
+        assert reports == [sweep.cells[i][j].threat for i, j in cells]
+
+    def test_row_length_must_match_treeplex(self):
+        r_f, r_w = make_fig_profile(self.game, eq_offer=0.4)
+        stack_f, stack_w = np.stack([r_f, r_f]), np.stack([r_w, r_w])
+        cases = [
+            ((stack_f[:, :-1], stack_w), None, "firm plan"),
+            ((stack_f, stack_w[:, 1:]), None, "worker plan"),
+            ((stack_f, stack_w[:1]), None, "worker plan"),
+            ((stack_f[None], stack_w[None]), None, "firm plan"),
+            ((stack_f, stack_w), np.zeros(r_f.size), "cumulative utilities"),
+            ((r_f, r_w[:-1]), None, "worker plan"),
+        ]
+        for profile, util, message in cases:
+            with pytest.raises(StructuralError, match=message):
+                detect_threats(profile, self.game, firm_cum_util=util)
 
     def test_report_invariant(self):
         for kwargs in (

@@ -105,6 +105,22 @@ class TestConfigParsing:
         kv[key] = text
         assert read(cli.load_config(write_config(tmp_path / "c.cfg", **kv))) == expected
 
+    def test_parallelism_follows_the_integer_rule(self, tmp_path):
+        # a config takes any integer operator.index accepts and stores an int;
+        # a bool, an integral float and a value below 1 are refused
+        learner_cfg = cli.load_config(write_config(tmp_path / "c.cfg", game="g1", d=3,
+                                                   eta="1/2")).learner
+        config = cli.ExperimentConfig(learner_cfg, parallelism=np.int64(2))
+        assert config.parallelism == 2 and type(config.parallelism) is int
+        for value in (True, 2.0, 0, np.int64(0)):
+            with pytest.raises(ValueError, match="parallelism"):
+                cli.ExperimentConfig(learner_cfg, parallelism=value)
+        for text in ("2.0", "true"):
+            path = write_config(tmp_path / "c.cfg", game="g1", d=3, eta="1/2", parallelism=text)
+            with pytest.raises(cli.ConfigError) as exc:
+                cli.load_config(path)
+            assert str(exc.value).startswith(f"{path}: ")
+
     def test_learner_rejection_names_file(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", game="g1", d=3, eta="1/2", reference_f=0.123)
         with pytest.raises(cli.ConfigError, match="0.123 is not on the 1/3 grid") as exc:

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -49,6 +51,23 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(metagame, "ProcessPoolExecutor", RecordingPool)
     return sizes
+
+
+_real_sweep_chunk = metagame._sweep_chunk
+_CALLER_PID = os.getpid()
+PARENT_CHUNKS = []   # the (init_f, init_w) of every chunk run in this process
+
+
+def caller_chunk_spy(cfg, init_f, init_w):
+    if os.getpid() == _CALLER_PID:
+        PARENT_CHUNKS.append((np.array(init_f), np.array(init_w)))
+    return _real_sweep_chunk(cfg, init_f, init_w)
+
+
+def failing_caller_chunk(cfg, init_f, init_w):
+    if os.getpid() == _CALLER_PID:
+        raise RuntimeError("caller chunk failed")
+    return _real_sweep_chunk(cfg, init_f, init_w)
 
 
 class TestSweep:
@@ -147,15 +166,16 @@ class TestSweep:
         assert max(c.eps for row in sweep.cells for c in row) <= 1e-7
 
     def test_parallel_matches_serial(self, pool_sizes):
-        # a uniform firm against 16 pure two-round worker entries is 13
-        # distinct profiles, so 16 requested processes run 13 one-row chunks
+        # the calling process runs the first chunk and a pool the others; a
+        # uniform firm against 16 pure two-round worker entries is 13 distinct
+        # profiles, so 16 requested processes run 13 one-row chunks, 12 pooled
         two_round = LearnerConfig(game=TwoRoundGame(ActionGrid(3), 0.9), eta=0.5)
         cases = [
-            (LearnerConfig(game=UltimatumGame(ActionGrid(10)), eta=0.5), "pure", 2, 2),
-            (two_round, "pure", 2, 2),
+            (LearnerConfig(game=UltimatumGame(ActionGrid(10)), eta=0.5), "pure", 2, 1),
+            (two_round, "pure", 2, 1),
             (LearnerConfig(game=UltimatumGame(ActionGrid(4)), eta=Fraction(1, 2),
-                           arithmetic="exact"), "pure", 2, 2),
-            (two_round, "uniform", 16, 13),
+                           arithmetic="exact"), "pure", 2, 1),
+            (two_round, "uniform", 16, 12),
         ]
         for cfg, axis_f, parallelism, workers in cases:
             serial = sweep_initials(cfg, axis_f, parallelism=1)
@@ -213,11 +233,57 @@ class TestSweep:
         for c, (f, w) in zip(cells[1:], kept):
             assert np.array_equal(c.final_f, f) and np.array_equal(c.final_w, w)
 
-    @pytest.mark.parametrize("parallelism", [0, -2, 1.5, None])
+    @pytest.mark.parametrize("parallelism", [0, -2, 1.5, 2.0, None, True, np.int64(0)])
     def test_parallelism_must_be_positive_integer(self, parallelism):
         cfg = LearnerConfig(game=UltimatumGame(ActionGrid(3)), eta=0.5)
         with pytest.raises(ValueError, match="parallelism"):
             sweep_initials(cfg, parallelism=parallelism)
+
+    def test_numpy_integer_parallelism(self, pool_sizes):
+        cfg = LearnerConfig(game=UltimatumGame(ActionGrid(4)), eta=0.5)
+        assert_same_cells(sweep_initials(cfg, parallelism=np.int64(2)),
+                          sweep_initials(cfg, parallelism=1))
+        assert pool_sizes == [1]
+        assert metagame._check_parallelism(np.int64(2)) == 2
+        assert type(metagame._check_parallelism(np.int64(2))) is int
+
+    def test_caller_runs_first_chunk(self, monkeypatch, pool_sizes):
+        # the pool runs picklable module-level functions, so the spy is one:
+        # it records (and may fail) only in this process, not in pool workers
+        game = TwoRoundGame(ActionGrid(3), 0.55)
+        cfg = LearnerConfig(game=game, eta=0.5)
+        monkeypatch.setattr(metagame, "_sweep_chunk", caller_chunk_spy)
+        PARENT_CHUNKS.clear()
+        sweep = sweep_initials(cfg, parallelism=3)
+        [(init_f, init_w)] = PARENT_CHUNKS
+        plans_f = [games.firm_vertex_plan(game, *e) for e in sweep.firm_axis]
+        plans_w = [games.worker_vertex_plan(game, *e) for e in sweep.worker_axis]
+        distinct_w = list({w.tobytes(): w for w in plans_w}.values())
+        rows = [(f, w) for f in plans_f for w in distinct_w]
+        assert len(rows) == 208 and len(init_f) == len(init_w) == 70   # 70 + 69 + 69
+        assert np.array_equal(init_f, np.array([f for f, _ in rows[:70]]))
+        assert np.array_equal(init_w, np.array([w for _, w in rows[:70]]))
+        assert pool_sizes == [2]
+
+    def test_failing_caller_chunk_still_joins_pool(self, monkeypatch):
+        # the pool has forked before the calling process fails its chunk,
+        # and the sweep waits for the pool's processes before it raises
+        shutdowns = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def shutdown(self, wait=True, **kwargs):
+                shutdowns.append((wait, list(self._processes.values())))
+                super().shutdown(wait=wait, **kwargs)
+
+        monkeypatch.setattr(metagame, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(metagame, "_sweep_chunk", failing_caller_chunk)
+        cfg = LearnerConfig(game=TwoRoundGame(ActionGrid(3), 0.9), eta=0.5)
+        with pytest.raises(RuntimeError, match="caller chunk failed"):
+            sweep_initials(cfg, parallelism=2)
+        [(wait, workers)] = shutdowns
+        assert wait and len(workers) == 1
+        assert not any(proc.is_alive() for proc in workers)
+        assert not multiprocessing.active_children()
 
     def test_exact_sweep_matches_float(self):
         grid = ActionGrid(4)

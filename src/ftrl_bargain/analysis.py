@@ -119,8 +119,11 @@ def _gap_rows(game, x_f: np.ndarray, x_w: np.ndarray):
     ``np.vecdot``, sums and maxes along the last axis.  For the two-round game
     best responses enumerate pure plans by backward induction against the
     opponent's fixed plan; a best response to a fixed plan always sits at a
-    vertex.  A row holding NaN gets NaN gaps.
+    vertex.  A row holding NaN gets NaN gaps.  The stacks may be of any memory
+    order: the gaps are taken on C-ordered copies, whose row sums and dot
+    products round the same way whatever order the caller's arrays had.
     """
+    x_f, x_w = (np.ascontiguousarray(x, dtype=float) for x in (x_f, x_w))
     if isinstance(game, UltimatumGame):
         fb_f = games.ultimatum_feedback(FIRM, x_w, game.grid)
         fb_w = games.ultimatum_feedback(WORKER, x_f, game.grid)

@@ -14,6 +14,7 @@ import csv
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -48,6 +49,14 @@ def _parse_number(text: str) -> float:
     return float(Fraction(text))
 
 
+def _parse_integer(key: str, text: str) -> int:
+    """The text of an ``int``, or a ValueError naming ``key`` as the integer rule does."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A config file: the run it describes, plus the settings of the subcommands."""
@@ -73,7 +82,8 @@ def _reference(text: str) -> Optional[float]:
 # Value parser per config key; keys not listed stay strings.  ``eta`` stays
 # rational so that exact-mode runs share the float path's rate.
 _PARSERS = {
-    "d": int, "max_steps": int, "parallelism": int, "eta": Fraction,
+    **{key: partial(_parse_integer, key) for key in ("d", "max_steps", "parallelism")},
+    "eta": Fraction,
     "delta": _parse_number, "conv_threshold": _parse_number,
     "reference_f": _reference, "reference_w": _reference,
 }

@@ -12,6 +12,12 @@ sequence closes a deal against at most one opponent sequence.  So each game
 builds, once, one table per side that names that opponent sequence and its
 coefficient, and feedback is one gather and one product per entry.  Feedback
 in both games uses the opponent's masses as they are, however small.
+
+Feedback takes one vector or a ``(k, n)`` stack of rows in any memory order.
+Its body works down axis 0 of the stack's ``.T`` view, so the float kernel,
+which holds its state entries-major, passes the ``.T`` views of its C-ordered
+``(n, k)`` stacks and gets its own layout back; a C-ordered stack of rows gets
+C-ordered rows back.
 """
 
 from __future__ import annotations
@@ -185,11 +191,13 @@ def ultimatum_feedback(agent: Agent, opponent_strategy: np.ndarray, grid: Action
     x = np.asarray(opponent_strategy, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != grid.size:
         raise StructuralError("opponent strategy length does not match grid")
-    if actions is None:
-        actions = grid.actions
+    cols = x.reshape(-1, grid.size).T
+    acts = grid.actions[:, None] if actions is None else np.asarray(actions, dtype=float).T
     if agent == WORKER:
-        return (x * actions)[..., ::-1].cumsum(axis=-1)[..., ::-1]
-    return x.cumsum(axis=-1) * (1.0 - actions)
+        out = (cols * acts)[::-1].cumsum(axis=0)[::-1]
+    else:
+        out = cols.cumsum(axis=0) * (1.0 - acts)
+    return out.T.reshape(x.shape)
 
 
 def ultimatum_feedback_exact(agent: Agent, nums: list[list[int]], dens: list[int],
@@ -253,9 +261,12 @@ def two_round_feedback(agent: Agent, opponent_plan: np.ndarray, game: TwoRoundGa
     if r.ndim not in (1, 2) or r.shape[-1] != build_treeplex(game, opponent).n_sequences:
         raise StructuralError(f"{opponent} plan length does not match game")
     src, coef = game._feedback_tables[agent]
-    out = r.take(src, axis=-1)
-    out *= coef
-    return out
+    cols = r.reshape(-1, r.shape[-1]).T
+    # the gather keeps the caller's memory order, so C-ordered rows stay C-ordered
+    out = np.empty_like(cols, shape=(src.size, cols.shape[1]))
+    cols.take(src, axis=0, out=out, mode="clip")
+    out *= coef[:, None]
+    return out.T.reshape(r.shape[:-1] + src.shape)
 
 
 def firm_vertex_plan(game: TwoRoundGame, offer: float, threshold: float) -> np.ndarray:

@@ -8,6 +8,15 @@ one simplex of offers with a binary choice per (offer, counter) pair below
 it (firm).  It is a value of three sizes whose ``views`` give every other
 module the heads and what hangs below them; backward normalization, plan
 validation and the closed-form projection all work on those views.
+
+The float projections and backward normalization take one vector or a
+``(k, n)`` stack of rows in any memory order.  Each body works down axis 0 of
+the stack's ``.T`` view (through :meth:`Treeplex.entry_views` on the
+treeplex), so on the ``.T`` view of the kernel's entries-major state every
+sort, scan and reduction runs across the rows at once.  Sorts, maxes,
+argmaxes and cumulative sums round the same in either order; the one sum that
+may take numpy's pairwise path, over a firm offer's pairs, is taken along a
+contiguous axis as a row-major stack takes it.
 """
 
 from __future__ import annotations
@@ -86,8 +95,19 @@ class Treeplex:
         Below is ``(..., n, m)`` tails (blocks) or ``(..., n, m, 2)`` (first,
         second) pairs.  Writing to a view writes to ``x``.
         """
-        below = (self.n, self.m, 2) if self.paired else (self.n, self.m)
-        return x[..., 1 : 1 + self.n], x[..., 1 + self.n :].reshape(x.shape[:-1] + below)
+        return x[..., 1 : 1 + self.n], x[..., 1 + self.n :].reshape(x.shape[:-1] + self._below)
+
+    def entry_views(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`views` of an entries-major ``(n_sequences, ...)`` array.
+
+        Heads are ``(n, ...)`` and what hangs below ``(n, m, ...)`` or
+        ``(n, m, 2, ...)``.  Writing to a view writes to ``x``.
+        """
+        return x[1 : 1 + self.n], x[1 + self.n :].reshape(self._below + x.shape[1:])
+
+    @cached_property
+    def _below(self) -> tuple[int, ...]:
+        return (self.n, self.m, 2) if self.paired else (self.n, self.m)
 
     def uniform_plan(self) -> np.ndarray:
         """Feasible plan splitting every infoset uniformly."""
@@ -109,24 +129,25 @@ class Treeplex:
         invariant under such translations, but the shifted vector keeps the
         numerically active entries at unit scale however large the raw
         cumulative utilities grow.  A 2-D ``u`` is shifted row by row, each row
-        exactly as on its own.
+        exactly as on its own.  The pass runs down axis 0 of an entries-major
+        copy, which the ``(k, n_sequences)`` view of an entries-major stack
+        makes without a transpose, and returns that copy's ``.T`` view.
         """
-        out = np.array(u, dtype=float)
-        rows = out.reshape(-1, self.n_sequences)
-        head, below = self.views(rows)
+        out = np.array(np.asarray(u, dtype=float).T, order="C")
+        head, below = self.entry_views(out)
         if self.paired:
-            top = np.maximum(below[..., 0], below[..., 1])
-            below -= top[..., None]
+            top = np.maximum(below[:, :, 0], below[:, :, 1])
+            below -= top[:, :, None]
             # last pair first: the summation order of an infoset-by-infoset walk
             for b in range(self.m - 1, -1, -1):
-                head += top[:, :, b]
-            head -= head.max(axis=1, keepdims=True)
+                head += top[:, b]
+            head -= head.max(axis=0)
         else:
-            top = np.maximum(head, below.max(axis=2))
+            top = np.maximum(head, below.max(axis=1))
             head -= top
-            below -= top[..., None]
-        rows[:, self.root] = 0.0
-        return out
+            below -= top[:, None]
+        out[self.root] = 0.0
+        return out.T
 
 
 def check_simplex(x: np.ndarray) -> bool:
@@ -136,19 +157,24 @@ def check_simplex(x: np.ndarray) -> bool:
 
 
 def _threshold_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort-and-threshold along the last axis: (projection, threshold per row)."""
-    rows = v.reshape(-1, v.shape[-1])
-    u = -rows
-    u.sort(axis=1)
+    """Sort-and-threshold of each vector down axis 0: (projection, threshold per vector).
+
+    ``v`` is entries-major, ``(n, ...)``: every sort, scan and broadcast runs
+    across all the vectors at once.
+    """
+    n = len(v)
+    cols = v.reshape(n, -1)
+    u = -cols
+    u.sort(axis=0)
     u *= -1.0
-    css = u.cumsum(axis=1)
+    css = u.cumsum(axis=0)
     css -= 1.0
-    cond = u * np.arange(1.0, u.shape[1] + 1.0) > css
-    rho = u.shape[1] - 1 - cond[:, ::-1].argmax(axis=1)
-    theta = css.take(rho + np.arange(0, css.size, css.shape[1])) / (rho + 1.0)
-    x = rows - theta[:, None]
+    cond = u * np.arange(1.0, n + 1.0)[:, None] > css
+    rho = n - 1 - cond[::-1].argmax(axis=0)
+    theta = css[rho, np.arange(len(rho))] / (rho + 1.0)
+    x = cols - theta
     np.maximum(x, 0.0, out=x)
-    return x.reshape(v.shape), theta.reshape(v.shape[:-1])
+    return x.reshape(v.shape), theta.reshape(v.shape[1:])
 
 
 def project_simplex(v) -> np.ndarray:
@@ -156,19 +182,21 @@ def project_simplex(v) -> np.ndarray:
 
     A 2-D ``v`` is projected row by row.  The rule sorts values, not
     indices, so ties cannot change the result: runs are bit-reproducible and
-    a row of a stack projects exactly as it does on its own.
+    a row of a stack projects exactly as it does on its own.  The rule runs
+    down axis 0 of ``v.T``, so the ``(k, n)`` view of an entries-major stack
+    projects across its rows; the result has ``v``'s memory order.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] == 0:
         raise StructuralError("projection input must be a non-empty vector or stack of vectors")
     if not np.isfinite(v).all():
         raise ValueError("projection input must be finite (no NaN/inf)")
-    return _threshold_rows(v)[0]
+    return _threshold_rows(v.T)[0].T
 
 
 def project_simplex_batch(v: np.ndarray) -> np.ndarray:
     """:func:`project_simplex` of every vector along the last axis, without input checks."""
-    return _threshold_rows(np.asarray(v, dtype=float))[0]
+    return _threshold_rows(np.asarray(v, dtype=float).T)[0].T
 
 
 def project_simplex_exact(nums: list[list[int]],
@@ -233,13 +261,17 @@ class TreeplexProjector:
     def __init__(self, t: Treeplex):
         self.treeplex = t
         n, m = t.n, t.m
-        self._slope = 1.0 + m - 0.5 * np.arange(m + 1)
-        self._rate_steps = np.tile(np.diff(1.0 / self._slope, prepend=0.0), n)
+        slope = 1.0 + m - 0.5 * np.arange(m + 1)
+        self._slope = slope[:, None]
+        self._rate_steps = np.tile(np.diff(1.0 / slope, prepend=0.0), n)
 
     def project(self, v) -> np.ndarray:
         """Nearest realization plan to ``v``; the root entry of ``v`` is ignored.
 
         A 2-D ``v`` is projected row by row, each row exactly as on its own.
+        The projection runs down axis 0 of ``v.T``, so the ``(k, n_sequences)``
+        view of an entries-major stack projects across its rows; the result
+        has ``v``'s memory order.
         """
         v = np.asarray(v, dtype=float)
         tp = self.treeplex
@@ -247,40 +279,47 @@ class TreeplexProjector:
             raise StructuralError("projection input length does not match treeplex")
         if not np.isfinite(v).all():
             raise ValueError("projection input must be finite (no NaN/inf)")
-        x = np.zeros(v.shape)
-        rows, out = v.reshape(-1, tp.n_sequences), x.reshape(-1, tp.n_sequences)
-        out[:, tp.root] = 1.0
-        head, below = tp.views(rows)
-        out_head, out_below = tp.views(out)
+        cols = v.reshape(-1, tp.n_sequences).T
+        k = cols.shape[1]
+        # every entry is written below, in the memory order of v.T
+        x = np.empty_like(cols)
+        x[tp.root] = 1.0
+        head, below = tp.entry_views(cols)
+        out_head, out_below = tp.entry_views(x)
         if not tp.paired:
-            blocks = project_simplex_batch(np.concatenate([head[:, :, None], below], axis=2))
-            out_head[...] = blocks[:, :, 0]
-            out_below[...] = blocks[:, :, 1:]
-            return x
+            blocks = np.concatenate([head[None], below.swapaxes(0, 1)])
+            blocks = project_simplex_batch(blocks.T).T
+            out_head[...] = blocks[0]
+            out_below[...] = blocks[1:].swapaxes(0, 1)
+            return x.T.reshape(v.shape)
 
-        p, q = below[..., 0], below[..., 1]
+        p, q = below[:, :, 0], below[:, :, 1]
         # breakpoints t (ascending per offer, led by s = 0) and g_a at each
-        t = np.zeros(p.shape[:2] + (p.shape[2] + 1,))
-        gaps = t[:, :, 1:]
+        t = np.zeros((tp.n, tp.m + 1, k))
+        gaps = t[:, 1:]
         np.subtract(p, q, out=gaps)
         np.abs(gaps, out=gaps)
-        gaps.sort(axis=2)
-        g0 = -head - np.maximum(p, q).sum(axis=2)
-        g = g0[:, :, None] + self._slope * t + 0.5 * np.cumsum(t, axis=2)
+        gaps.sort(axis=1)
+        # each offer's sum over its pairs runs along a contiguous last axis,
+        # so it is rounded as a row-major stack rounds it
+        top = np.empty((tp.n, k, tp.m))
+        np.maximum(p, q, out=top.transpose(0, 2, 1))
+        g0 = -head - top.sum(axis=2)
+        g = g0[:, None] + self._slope * t + 0.5 * np.cumsum(t, axis=1)
         # S at the sorted breakpoints; its slope in lam grows by the change of
         # 1/slope as lam passes each breakpoint of each offer
-        g_flat = g.reshape(len(rows), -1)
-        lam = np.sort(g_flat, axis=1)
-        rate = np.cumsum(self._rate_steps[np.argsort(g_flat, axis=1, kind="stable")], axis=1)
+        g_flat = g.reshape(-1, k)
+        lam = np.sort(g_flat, axis=0)
+        rate = np.cumsum(self._rate_steps[np.argsort(g_flat, axis=0, kind="stable")], axis=0)
         total = np.zeros(lam.shape)
-        total[:, 1:] = np.cumsum(rate[:, :-1] * (lam[:, 1:] - lam[:, :-1]), axis=1)
-        # total is nondecreasing along a row: lam_star follows its last entry <= 1
-        k = np.arange(lam.shape[1] - 1, lam.size, lam.shape[1]) - (total > 1.0).sum(axis=1)
-        lam_star = lam.take(k) + (1.0 - total.take(k)) / rate.take(k)
+        total[1:] = np.cumsum(rate[:-1] * (lam[1:] - lam[:-1]), axis=0)
+        # total is nondecreasing down a column: lam_star follows its last entry <= 1
+        last = (len(lam) - 1 - (total > 1.0).sum(axis=0)) * k + np.arange(k)
+        lam_star = lam.take(last) + (1.0 - total.take(last)) / rate.take(last)
         # s_a is convex, so it is the largest of its affine pieces
-        s = np.maximum((t + (lam_star[:, None, None] - g) / self._slope).max(axis=2), 0.0)
-        y = np.minimum(np.maximum((s[:, :, None] + p - q) / 2.0, 0.0), s[:, :, None])
+        s = np.maximum((t + (lam_star - g) / self._slope).max(axis=1), 0.0)
+        y = np.minimum(np.maximum((s[:, None] + p - q) / 2.0, 0.0), s[:, None])
         out_head[...] = s
-        out_below[..., 0] = y
-        out_below[..., 1] = s[:, :, None] - y
-        return x
+        out_below[:, :, 0] = y
+        out_below[:, :, 1] = s[:, None] - y
+        return x.T.reshape(v.shape)

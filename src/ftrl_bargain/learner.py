@@ -24,11 +24,21 @@ One :class:`MonitorSuite` per float one-shot stack buffers the live rows'
 previous strategies, projection inputs and new strategies each step and checks
 the structural laws on blocks of ``BLOCK`` row-steps at once, plus the
 remainder after the run.
+
+The float kernel holds its state entries-major: a stack of k runs over n
+entries is a C-ordered ``(n, k)`` array, one run per column, so each
+reduction, scan and broadcast over a vector's entries runs across all the
+runs at once rather than once per row.  The layers (feedback, normalization,
+projection) take row stacks and get the ``(k, n)`` ``.T`` views of the state.
+Row sums and dot products round by memory order, so the certificate guard,
+the monitors and the results get C-ordered row copies, and every run keeps
+the bits it had when the kernel held its state row by row.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -80,10 +90,18 @@ MONITORS = (
 _project_simplex = geometry.project_simplex
 
 
-def _check_eta(eta) -> None:
-    """The learning-rate rule: positive and finite (which also rejects NaN)."""
+def _check_eta(eta, exact: bool = False) -> None:
+    """The learning-rate rule: positive and finite (which also rejects NaN).
+
+    An exact run computes with ``Fraction(eta)``, so there a rate that is not
+    a rational type must be the rational its text reads as: 0.5 is 1/2, but
+    0.1 is 3602879701896397/2**55.
+    """
     if not 0 < float(eta) < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta!r}")
+    if exact and not isinstance(eta, numbers.Rational) and Fraction(eta) != Fraction(repr(float(eta))):
+        raise ValueError(f"exact-mode eta {eta!r} is {Fraction(eta)}, not the rational it "
+                         f"reads as; pass a Fraction")
 
 
 @dataclass(frozen=True)
@@ -99,7 +117,7 @@ class LearnerConfig:
     arithmetic: str = "float"             # "float" | "exact"
 
     def __post_init__(self):
-        _check_eta(self.eta)
+        _check_eta(self.eta, self.arithmetic == "exact")
         if self.max_steps is not None:
             object.__setattr__(self, "max_steps", games._integer("max_steps", self.max_steps))
         if self.arithmetic not in ("float", "exact"):
@@ -228,23 +246,25 @@ def _certified_stop(cfg: LearnerConfig, x_f, x_w) -> bool:
 def _updater(cfg: LearnerConfig, agent: str):
     """The agent's float update: cumulative utility -> (projection input, strategy).
 
-    Acts on one vector or row-wise on a stack of them; ``eta`` is the run's
-    rate or a ``(k, 1)`` column of per-row rates, each entry the same IEEE
-    product either way.
+    Acts on one vector or on an entries-major ``(n, k)`` stack, one run per
+    column, and returns entries-major stacks; ``eta`` is the run's rate or a
+    ``(k,)`` row of per-column rates, each entry the same IEEE product either
+    way.  The row functions it calls get ``.T`` views.
     """
     if isinstance(cfg.game, UltimatumGame):
         ref = cfg.reference_vector(agent).astype(float)
 
         def update(U, eta=float(cfg.eta)):
-            v = ref + eta * U
-            return v, _project_simplex(v)
+            v = eta * U
+            np.add(ref, v.T, out=v.T)
+            return v, _project_simplex(v.T).T
     else:
         tp = games.build_treeplex(cfg.game, agent)
         projector = geometry.TreeplexProjector(tp)
 
         def update(U, eta=float(cfg.eta)):
-            v = eta * tp.normalize_backward(U)
-            return v, projector.project(v)
+            v = eta * tp.normalize_backward(U.T).T
+            return v, projector.project(v.T).T
     return update
 
 
@@ -275,9 +295,12 @@ class MonitorSuite:
         self._pending = 0
 
     def _record(self, t: int, rows: np.ndarray, x, v, new) -> None:
-        """Buffer step ``t`` of the live ``rows``: (firm, worker) pairs of ``(k, n)`` stacks."""
+        """Buffer step ``t`` of the live ``rows``: (firm, worker) pairs of ``(k, n)`` stacks.
+
+        The stacks may be views of any memory order; the buffer holds C-ordered copies.
+        """
         self._buffer.append((np.full(len(rows), t), rows.copy(),
-                             np.stack((x[0], v[0], new[0], x[1], v[1], new[1]))))
+                             np.array((x[0], v[0], new[0], x[1], v[1], new[1]), order="C")))
         self._pending += len(rows)
         if self._pending >= BLOCK:
             self._check()
@@ -348,7 +371,13 @@ class MonitorSuite:
 
 
 class _FloatArithmetic:
-    """The kernel's float arithmetic on ``(k, n)`` float stacks, updated in place."""
+    """The kernel's float arithmetic on entries-major stacks, updated in place.
+
+    A stack of k runs over n entries is a C-ordered ``(n, k)`` array, one run
+    per column, so every reduction, scan and broadcast along the entries runs
+    across the rows at once; :meth:`values` gives its ``(k, n)`` rows as a
+    ``.T`` view.  Running offsets and rates are ``(k,)`` rows.
+    """
 
     dtype = float
 
@@ -357,30 +386,36 @@ class _FloatArithmetic:
         self._update = {agent: _updater(cfg, agent) for agent in (FIRM, WORKER)}
 
     def feedback(self, agent: str, opponent: np.ndarray, actions=None) -> np.ndarray:
-        """One feedback row per opponent row; ``actions`` are padded rows' per-row grids."""
+        """One feedback column per opponent column; ``actions`` are padded runs' grids, as rows."""
         if isinstance(self.game, UltimatumGame):
-            return games.ultimatum_feedback(agent, opponent, self.game.grid, actions)
-        return games.two_round_feedback(agent, opponent, self.game)
+            return games.ultimatum_feedback(agent, opponent.T, self.game.grid, actions).T
+        return games.two_round_feedback(agent, opponent.T, self.game).T
 
     @staticmethod
     def stack(x) -> np.ndarray:
-        return np.array(x, dtype=float)
+        """``(k, n)`` rows as an entries-major ``(n, k)`` stack."""
+        return np.array(np.asarray(x, dtype=float).T, order="C")
+
+    @staticmethod
+    def take(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The runs a mask or an index array picks."""
+        return x[:, rows]
 
     @staticmethod
     def rates(eta: list) -> np.ndarray:
-        """Per-row learning rates as a ``(k, 1)`` column."""
-        return np.array([float(e) for e in eta])[:, None]
+        """Per-run learning rates as a ``(k,)`` row."""
+        return np.array([float(e) for e in eta])
 
     @staticmethod
     def zeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Zero cumulative utilities and zero running offsets (a column)."""
-        return np.zeros(x.shape), np.zeros((len(x), 1))
+        """Zero cumulative utilities and zero running offsets (a row)."""
+        return np.zeros(x.shape), np.zeros(x.shape[1])
 
     @staticmethod
     def accumulate(U: np.ndarray, off: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``U + fb`` shifted by its row max, which moves into the offsets ``off``."""
+        """``U + fb`` shifted by each run's max, which moves into the offsets ``off``."""
         U += fb
-        shift = U.max(axis=1, keepdims=True)
+        shift = U.max(axis=0)
         U -= shift
         off += shift
         return U, off
@@ -389,17 +424,18 @@ class _FloatArithmetic:
         return self._update[agent](U, eta)
 
     def still(self, x: tuple, new: tuple) -> np.ndarray:
-        """Rows whose step moved no entry of either agent by more than the threshold."""
-        moved = np.maximum(abs(new[0] - x[0]).max(axis=1), abs(new[1] - x[1]).max(axis=1))
+        """Runs whose step moved no entry of either agent by more than the threshold."""
+        moved = np.maximum(abs(new[0] - x[0]).max(axis=0), abs(new[1] - x[1]).max(axis=0))
         return moved <= self.threshold
 
     @staticmethod
     def values(x: np.ndarray) -> np.ndarray:
-        return x
+        """The runs as ``(k, n)`` rows: a view."""
+        return x.T
 
     @staticmethod
     def cumulative(U: np.ndarray, off: np.ndarray) -> np.ndarray:
-        return U + off
+        return (U + off).T
 
 
 @dataclass(frozen=True)
@@ -443,9 +479,20 @@ class _ExactArithmetic:
                         for row, d in zip(rows, den)], den)
 
     @staticmethod
+    def take(x: _Ratios, rows: np.ndarray) -> _Ratios:
+        """The rows a mask or an index array picks."""
+        return x[rows]
+
+    @staticmethod
     def rates(eta: list) -> np.ndarray:
-        """Per-row learning rates as an object array of ``Fraction``s."""
-        return np.array([Fraction(e) for e in eta], dtype=object)
+        """Per-row learning rates as an object array of ``Fraction``s of Python ints.
+
+        ``Fraction(np.int64(2))`` keeps a numpy numerator, which would overflow
+        in the kernel's integer products.
+        """
+        fracs = [Fraction(e) for e in eta]
+        return np.array([Fraction(int(f.numerator), int(f.denominator)) for f in fracs],
+                        dtype=object)
 
     @staticmethod
     def zeros(x: _Ratios) -> tuple[_Ratios, np.ndarray]:
@@ -559,7 +606,7 @@ def _regrets(arith, history: list) -> tuple[list, list]:
     played = [np.array([step[i] for step in history[:-1]]) for i in (0, 1)]
     out = []
     for agent, x, opponent in ((FIRM, *played), (WORKER, *played[::-1])):
-        fb = arith.values(arith.feedback(agent, arith.stack(opponent)))
+        fb = np.ascontiguousarray(arith.values(arith.feedback(agent, arith.stack(opponent))))
         out.append((fb.cumsum(axis=0).max(axis=1) - (x * fb).sum(axis=1).cumsum()).tolist())
     return tuple(out)
 
@@ -637,9 +684,9 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
     NaN or ±inf raises ``ValueError`` naming the first such row before the
     first step; initial strategies are not otherwise checked here.
     ``eta`` gives each row its own learning rate (``cfg.eta`` for every row by
-    default), checked by ``LearnerConfig``'s rule; float rows multiply by a
-    ``(k, 1)`` column and exact rows by their own ``Fraction``, so a row runs
-    bit for bit as it would alone at its rate.
+    default), checked by ``LearnerConfig``'s rule; float runs multiply by a
+    ``(k,)`` row of rates and exact rows by their own ``Fraction``, so a row
+    runs bit for bit as it would alone at its rate.
     A float one-shot stack may mix grid sizes: a row of d + 1 entries runs on
     ``ActionGrid(d)``, and ``cfg`` carries a grid at least as wide as every
     row.  Narrower rows are padded to that grid with inert entries: strategy
@@ -666,7 +713,7 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
     if len(eta) != k:
         raise ValueError(f"{len(eta)} learning rates for a stack of {k} rows")
     for e in eta:
-        _check_eta(e)
+        _check_eta(e, cfg.arithmetic == "exact")
     if monitors is not None:
         if not (isinstance(cfg.game, UltimatumGame) and cfg.arithmetic == "float"):
             raise ValueError("monitors apply to float one-shot runs only")
@@ -677,10 +724,11 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
         init_f, init_w = _padded(init_f, pad), _padded(init_w, pad)
         actions = np.where(pad, 1.0, np.arange(cfg.grid.size) / (widths - 1)[:, None])
     arith = _arithmetic(cfg)
+    value, take = arith.values, arith.take
     x_f, x_w = arith.stack(init_f), arith.stack(init_w)
     if arith.dtype is float:
         for agent, x in ((FIRM, x_f), (WORKER, x_w)):
-            bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+            bad = np.flatnonzero(~np.isfinite(value(x)).all(axis=1))
             if bad.size:
                 raise ValueError(f"initial {agent} row {bad[0]} is not finite")
     out = Lockstep(np.zeros(k, dtype=np.int64),
@@ -690,16 +738,17 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
     eta = arith.rates(eta)
     (U_f, off_f), (U_w, off_w) = arith.zeros(x_f), arith.zeros(x_w)
     if widths is not None:
-        U_f[pad] = U_w[pad] = np.broadcast_to(PAD_UTILITY / np.maximum(eta, 1.0), pad.shape)[pad]
-    value = arith.values
+        for U in (U_f, U_w):
+            np.copyto(U, PAD_UTILITY / np.maximum(eta, 1.0), where=pad.T)
 
     def retire(mask):
+        # C-ordered row copies: each output row holds its run's entries
         if not mask.any():
             return
-        out.final_f[rows[mask]] = value(x_f[mask])
-        out.final_w[rows[mask]] = value(x_w[mask])
-        out.cum_util_f[rows[mask]] = arith.cumulative(U_f[mask], off_f[mask])
-        out.cum_util_w[rows[mask]] = arith.cumulative(U_w[mask], off_w[mask])
+        out.final_f[rows[mask]] = value(take(x_f, mask))
+        out.final_w[rows[mask]] = value(take(x_w, mask))
+        out.cum_util_f[rows[mask]] = arith.cumulative(take(U_f, mask), off_f[mask])
+        out.cum_util_w[rows[mask]] = arith.cumulative(take(U_w, mask), off_w[mask])
 
     for t in range(2, cfg.steps_cap + 1):
         fb_f = arith.feedback(FIRM, x_w, actions)
@@ -712,12 +761,13 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
         if on_step is not None:
             on_step(t, (value(v_f), value(v_w)), (value(new_f), value(new_w)))
         if monitors is not None:
-            monitors._record(t, rows, (x_f, x_w), (v_f, v_w), (new_f, new_w))
+            monitors._record(t, rows, (value(x_f), value(x_w)), (value(v_f), value(v_w)),
+                             (value(new_f), value(new_w)))
         x_f, x_w = new_f, new_w
         if not still.any():
             continue
         stopped = np.flatnonzero(still)
-        stopped = stopped[_certified_rows(cfg, value(x_f[stopped]), value(x_w[stopped]),
+        stopped = stopped[_certified_rows(cfg, value(take(x_f, stopped)), value(take(x_w, stopped)),
                                           None if widths is None else widths[rows[stopped]])]
         if stopped.size:
             done = np.zeros(rows.size, dtype=bool)
@@ -725,8 +775,8 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
             out.converged_at[rows[done]] = t
             retire(done)
             live = ~done
-            rows, x_f, x_w, U_f, U_w, off_f, off_w, eta = (
-                a[live] for a in (rows, x_f, x_w, U_f, U_w, off_f, off_w, eta))
+            rows, off_f, off_w, eta = (a[live] for a in (rows, off_f, off_w, eta))
+            x_f, x_w, U_f, U_w = (take(a, live) for a in (x_f, x_w, U_f, U_w))
             if actions is not None:
                 actions = actions[live]
             if rows.size == 0:

@@ -11,6 +11,13 @@ rational iteration, its closed form by the full formula with every constant
 and power recomputed on each call, exact one-shot FTRL runs by a plain
 ``Fraction`` loop, the structural monitors by checking one step at a time,
 and the randomized audit by one ``run_dynamics`` call per draw.
+
+The ``*_rows`` functions are the row-major bodies of the float kernel's
+layers (feedback, backward normalization, simplex and treeplex projection):
+each reduces, scans and broadcasts along the last axis of a C-ordered
+``(k, n)`` stack, as the package did before its kernel held its state
+entries-major.  The entries-major bodies must reproduce them bit for bit
+whatever the memory order of their input.
 """
 
 from __future__ import annotations
@@ -586,3 +593,100 @@ def audit_loop(n_runs: int, seed: int, exact_compare: int = 20):
                      f"max deviation {err:.3e}, converged {exact.converged_at} vs {traj.converged_at}")
                 )
     return report
+
+
+# ---------------------------------------------------------------------------
+# Row-major bodies of the float kernel's layers, on C-ordered (k, n) stacks.
+# ---------------------------------------------------------------------------
+
+
+def ultimatum_feedback_rows(agent: str, x: np.ndarray, grid: ActionGrid, actions=None) -> np.ndarray:
+    """One-shot feedback along the last axis; ``actions`` replaces the grid per row."""
+    x = np.ascontiguousarray(x, dtype=float)
+    if actions is None:
+        actions = grid.actions
+    if agent == "worker":
+        return (x * actions)[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    return x.cumsum(axis=-1) * (1.0 - actions)
+
+
+def two_round_feedback_rows(agent: str, r: np.ndarray, game: TwoRoundGame) -> np.ndarray:
+    """Two-round feedback as one gather along the last axis through the game's table."""
+    src, coef = game._feedback_tables[agent]
+    out = np.ascontiguousarray(r, dtype=float).take(src, axis=-1)
+    out *= coef
+    return out
+
+
+def normalize_backward_rows(u: np.ndarray, t) -> np.ndarray:
+    """:meth:`Treeplex.normalize_backward` on the row views of a C-ordered copy."""
+    out = np.array(u, dtype=float, order="C")
+    rows = out.reshape(-1, t.n_sequences)
+    head, below = t.views(rows)
+    if t.paired:
+        top = np.maximum(below[..., 0], below[..., 1])
+        below -= top[..., None]
+        for b in range(t.m - 1, -1, -1):
+            head += top[:, :, b]
+        head -= head.max(axis=1, keepdims=True)
+    else:
+        top = np.maximum(head, below.max(axis=2))
+        head -= top
+        below -= top[..., None]
+    rows[:, t.root] = 0.0
+    return out
+
+
+def project_simplex_rows(v: np.ndarray) -> np.ndarray:
+    """Sort-and-threshold along the last axis of a C-ordered copy of ``v``."""
+    v = np.ascontiguousarray(v, dtype=float)
+    rows = v.reshape(-1, v.shape[-1])
+    u = -rows
+    u.sort(axis=1)
+    u *= -1.0
+    css = u.cumsum(axis=1)
+    css -= 1.0
+    cond = u * np.arange(1.0, u.shape[1] + 1.0) > css
+    rho = u.shape[1] - 1 - cond[:, ::-1].argmax(axis=1)
+    theta = css.take(rho + np.arange(0, css.size, css.shape[1])) / (rho + 1.0)
+    x = rows - theta[:, None]
+    np.maximum(x, 0.0, out=x)
+    return x.reshape(v.shape)
+
+
+def treeplex_project_rows(v: np.ndarray, t) -> np.ndarray:
+    """The closed-form treeplex projection on the row views of a C-ordered copy."""
+    v = np.ascontiguousarray(v, dtype=float)
+    x = np.zeros(v.shape)
+    rows, out = v.reshape(-1, t.n_sequences), x.reshape(-1, t.n_sequences)
+    out[:, t.root] = 1.0
+    head, below = t.views(rows)
+    out_head, out_below = t.views(out)
+    if not t.paired:
+        blocks = project_simplex_rows(np.concatenate([head[:, :, None], below], axis=2))
+        out_head[...] = blocks[:, :, 0]
+        out_below[...] = blocks[:, :, 1:]
+        return x
+    slope = 1.0 + t.m - 0.5 * np.arange(t.m + 1)
+    rate_steps = np.tile(np.diff(1.0 / slope, prepend=0.0), t.n)
+    p, q = below[..., 0], below[..., 1]
+    tt = np.zeros(p.shape[:2] + (p.shape[2] + 1,))
+    gaps = tt[:, :, 1:]
+    np.subtract(p, q, out=gaps)
+    np.abs(gaps, out=gaps)
+    gaps.sort(axis=2)
+    g0 = -head - np.maximum(p, q).sum(axis=2)
+    g = g0[:, :, None] + slope * tt + 0.5 * np.cumsum(tt, axis=2)
+    g_flat = g.reshape(len(rows), -1)
+    lam = np.sort(g_flat, axis=1)
+    rate = np.cumsum(rate_steps[np.argsort(g_flat, axis=1, kind="stable")], axis=1)
+    total = np.zeros(lam.shape)
+    total[:, 1:] = np.cumsum(rate[:, :-1] * (lam[:, 1:] - lam[:, :-1]), axis=1)
+    k = np.arange(lam.shape[1] - 1, lam.size, lam.shape[1]) - (total > 1.0).sum(axis=1)
+    lam_star = lam.take(k) + (1.0 - total.take(k)) / rate.take(k)
+    s = np.maximum((tt + (lam_star[:, None, None] - g) / slope).max(axis=2), 0.0)
+    y = np.minimum(np.maximum((s[:, :, None] + p - q) / 2.0, 0.0), s[:, :, None])
+    out_head[...] = s
+    out_below[..., 0] = y
+    out_below[..., 1] = s[:, :, None] - y
+    return x

@@ -121,6 +121,22 @@ class TestConfigParsing:
                 cli.load_config(path)
             assert str(exc.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("key", ["d", "max_steps", "parallelism"])
+    @pytest.mark.parametrize("text", ["3.0", "3.5", "1/2", "three", "1e3"])
+    def test_integer_keys_name_themselves(self, tmp_path, capsys, key, text):
+        # each integer key parses by the integer rule, and a value that is not
+        # an integer's text names its key (not int()'s "invalid literal")
+        kv = dict(game="g1", d=3, eta="1/2")
+        kv[key] = text
+        path = write_config(tmp_path / "c.cfg", **kv)
+        with pytest.raises(cli.ConfigError, match=f"^{path}: {key} must be an integer, got "):
+            cli.load_config(path)
+        assert main(["run", path, "--init-f", "0", "--init-w", "0"]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be an integer" in err and "invalid literal" not in err
+        kv[key] = "3"
+        assert cli.load_config(write_config(tmp_path / "c.cfg", **kv)) is not None
+
     def test_learner_rejection_names_file(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", game="g1", d=3, eta="1/2", reference_f=0.123)
         with pytest.raises(cli.ConfigError, match="0.123 is not on the 1/3 grid") as exc:

@@ -682,6 +682,28 @@ class TestExactMode:
         with pytest.raises(ValueError, match="monitors"):
             run_dynamics(cfg, init, init, monitors=MonitorSuite())
 
+    @pytest.mark.parametrize("eta", [0.1, 0.3, np.float64(0.1), 1 / 3])
+    def test_eta_must_be_the_rational_it_reads_as(self, eta):
+        # Fraction(0.1) is 3602879701896397/2**55, which an exact run would
+        # silently use; float mode takes the same value as it is
+        with pytest.raises(ValueError, match="eta"):
+            g1_config(d=4, eta=eta, arithmetic="exact")
+        cfg = g1_config(d=4, eta=Fraction(1, 2), arithmetic="exact")
+        init = np.array([[Fraction(1, 5)] * 5], dtype=object)
+        with pytest.raises(ValueError, match="eta"):
+            learner.run_lockstep(cfg, init, init, eta=[eta])
+        assert g1_config(d=4, eta=eta).eta == eta
+
+    @pytest.mark.parametrize("eta", [0.5, 0.25, 2.0, 3, np.int64(2), np.float64(0.5),
+                                     Fraction(1, 3), Fraction(1, 10)])
+    def test_eta_that_reads_as_its_value_accepted(self, eta):
+        cfg = g1_config(d=4, eta=eta, arithmetic="exact")
+        init = np.array([[Fraction(1, 5)] * 5], dtype=object)
+        run = learner.run_lockstep(cfg, init, init, eta=[eta])
+        ref = learner.run_lockstep(dataclasses.replace(cfg, eta=Fraction(eta)), init, init)
+        assert run.converged_at.tolist() == ref.converged_at.tolist()
+        assert list(run.final_f[0]) == list(ref.final_f[0])
+
     def test_exact_invariants(self):
         cfg = g1_config(d=4, eta=Fraction(3, 10), arithmetic="exact")
         init = [Fraction(1, 5)] * 5

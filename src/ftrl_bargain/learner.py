@@ -31,8 +31,8 @@ reduction, scan and broadcast over a vector's entries runs across all the
 runs at once rather than once per row.  The layers (feedback, normalization,
 projection) take row stacks and get the ``(k, n)`` ``.T`` views of the state.
 Row sums and dot products round by memory order, so the certificate guard,
-the monitors and the results get C-ordered row copies, and every run keeps
-the bits it had when the kernel held its state row by row.
+the monitors and the results get C-ordered row copies: every run gets the
+bits it would get on a row-major stack.
 """
 
 from __future__ import annotations

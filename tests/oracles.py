@@ -12,11 +12,10 @@ and power recomputed on each call, exact one-shot FTRL runs by a plain
 ``Fraction`` loop, the structural monitors by checking one step at a time,
 and the randomized audit by one ``run_dynamics`` call per draw.
 
-The ``*_rows`` functions are the row-major bodies of the float kernel's
-layers (feedback, backward normalization, simplex and treeplex projection):
-each reduces, scans and broadcasts along the last axis of a C-ordered
-``(k, n)`` stack, as the package did before its kernel held its state
-entries-major.  The entries-major bodies must reproduce them bit for bit
+The ``*_rows`` functions are row-major bodies of the float kernel's layers
+(feedback, backward normalization, simplex and treeplex projection): each
+reduces, scans and broadcasts along the last axis of a C-ordered ``(k, n)``
+stack.  The package's entries-major bodies must reproduce them bit for bit
 whatever the memory order of their input.
 """
 

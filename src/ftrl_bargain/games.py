@@ -192,7 +192,8 @@ def ultimatum_feedback(agent: Agent, opponent_strategy: np.ndarray, grid: Action
     if x.ndim not in (1, 2) or x.shape[-1] != grid.size:
         raise StructuralError("opponent strategy length does not match grid")
     cols = x.reshape(-1, grid.size).T
-    acts = grid.actions[:, None] if actions is None else np.asarray(actions, dtype=float).T
+    acts = grid.actions if actions is None else np.asarray(actions, dtype=float)
+    acts = acts.reshape(-1, grid.size).T
     if agent == WORKER:
         out = (cols * acts)[::-1].cumsum(axis=0)[::-1]
     else:

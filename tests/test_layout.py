@@ -103,6 +103,10 @@ class TestLayoutIndependence:
         for v in layouts(x):
             for acts in [None] if actions is None else layouts(actions):
                 assert_same_bits(games.ultimatum_feedback(agent, v, grid, acts), want)
+        # one row of actions applies to every row of the stack
+        row = np.linspace(0.0, 1.0, grid.size) ** 2
+        assert_same_bits(games.ultimatum_feedback(agent, x, grid, row),
+                         oracles.ultimatum_feedback_rows(agent, x, grid, row))
 
     @settings(max_examples=40)
     @given(stacks, st.sampled_from([FIRM, WORKER]))

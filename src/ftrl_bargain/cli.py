@@ -214,6 +214,8 @@ def read_heatmap_csv(path: Path) -> HeatmapTable:
             wkey = row["worker_init"] + ("|" + row["worker_counter"] if is_g2 else "")
             i = firm.setdefault(fkey, len(firm))
             j = worker.setdefault(wkey, len(worker))
+            if (i, j) in records:
+                raise ConfigError(f"{path}: cell (firm {fkey}, worker {wkey}) is listed twice")
             records[i, j] = float(row["u_w"]), row["status"]
     u = np.full((len(firm), len(worker)), np.nan)
     status = [["missing"] * len(worker) for _ in firm]

@@ -680,9 +680,10 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
     per row (:class:`_ExactArithmetic`) and report ``Fraction``s.  A row
     whose step moves no entry by more than the threshold and that passes the
     certificate guard (one stacked certificate per step over all such rows)
-    leaves the stack; the rest run to the step cap.  A float stack holding
-    NaN or ±inf raises ``ValueError`` naming the first such row before the
-    first step; initial strategies are not otherwise checked here.
+    leaves the stack; the rest run to the step cap.  A stack of zero rows
+    returns an empty :class:`Lockstep` before the first step.  A float stack
+    holding NaN or ±inf raises ``ValueError`` naming the first such row
+    before the first step; initial strategies are not otherwise checked here.
     ``eta`` gives each row its own learning rate (``cfg.eta`` for every row by
     default), checked by ``LearnerConfig``'s rule; float runs multiply by a
     ``(k,)`` row of rates and exact rows by their own ``Fraction``, so a row
@@ -751,6 +752,8 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
         out.cum_util_w[rows[mask]] = arith.cumulative(take(U_w, mask), off_w[mask])
 
     for t in range(2, cfg.steps_cap + 1):
+        if rows.size == 0:      # every row retired, or the stack was empty
+            break
         fb_f = arith.feedback(FIRM, x_w, actions)
         fb_w = arith.feedback(WORKER, x_f, actions)
         U_f, off_f = arith.accumulate(U_f, off_f, fb_f)
@@ -779,8 +782,6 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
             x_f, x_w, U_f, U_w = (take(a, live) for a in (x_f, x_w, U_f, U_w))
             if actions is not None:
                 actions = actions[live]
-            if rows.size == 0:
-                break
     retire(np.ones(rows.size, dtype=bool))
     if monitors is not None:
         monitors._check()

@@ -4,8 +4,8 @@ A sweep runs the learning dynamics from every initial profile on its axes and
 records the worker's converged payoff per cell.  Sweeps of either arithmetic
 stack each distinct initial profile once into the learner's lockstep kernel,
 split into ``parallelism`` contiguous chunks (the calling process runs the
-first, a process pool the rest); cells whose profiles are equal take that
-row's outcome.
+first, one process per extra chunk the rest); cells whose profiles are equal
+take that row's outcome.
 The resulting matrix is treated as a zero-sum game (worker maximizes, firm
 minimizes) and solved exactly by a dense tableau simplex, whose mixtures are
 certified by an explicit duality gap.
@@ -13,9 +13,11 @@ certified by an explicit duality gap.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import traceback
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from multiprocessing import Pipe, Process
 from typing import Optional
 
 import numpy as np
@@ -184,6 +186,68 @@ def _check_parallelism(parallelism) -> int:
     raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
 
 
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in a chunk process."""
+
+
+def _chunk_worker(conn, cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray) -> None:
+    """Body of a chunk process: sends ``(True, cells)`` or ``(False, (exception,
+    formatted traceback))`` over ``conn``, the write end of a one-way pipe."""
+    try:
+        message = (True, _sweep_chunk(cfg, init_f, init_w))
+    except Exception as exc:
+        message = (False, (exc, traceback.format_exc()))
+    with conn:
+        conn.send(message)
+
+
+def _chunk_cells(proc: Process, conn) -> list[CellResult]:
+    """The cells a chunk process sends; its exception re-raises here."""
+    try:
+        ok, payload = conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"{proc.name} exited with code {proc.exitcode} "
+                           f"without a result") from None
+    finally:
+        conn.close()
+    if not ok:
+        exc, formatted = payload
+        raise exc from _ChildTraceback(formatted)
+    return payload
+
+
+def _run_chunks(cfg: LearnerConfig, parts_f: list, parts_w: list) -> list[CellResult]:
+    """Cells of every chunk in order: one process per chunk after the first,
+    started before the calling process runs the first chunk itself.
+
+    Each process sends its cells over its own pipe.  A child also holds the
+    read ends of its own pipe and of every earlier one, so closing the
+    caller's read end would not release a child blocked writing a message
+    larger than the pipe's buffer: on every path each child's message is
+    received or drained before the child is joined.
+    """
+    links = []
+    try:
+        for k in range(1, len(parts_f)):
+            conn, child_conn = Pipe(duplex=False)
+            proc = Process(target=_chunk_worker, name=f"sweep chunk {k}",
+                           args=(child_conn, cfg, parts_f[k], parts_w[k]))
+            with child_conn:
+                proc.start()
+            links.append((proc, conn))
+        results = _sweep_chunk(cfg, parts_f[0], parts_w[0])
+        for proc, conn in links:
+            results += _chunk_cells(proc, conn)
+        return results
+    finally:
+        for proc, conn in links:
+            if not conn.closed:
+                with conn, suppress(EOFError):
+                    conn.recv_bytes()
+            proc.join()
+
+
 def sweep_initials(
     cfg: LearnerConfig,
     axis_f: str = "pure",
@@ -200,9 +264,13 @@ def sweep_initials(
     ``parallelism`` (an integer >= 1, any type ``operator.index`` accepts
     but ``bool``) is the number of processes the sweep is split over, one
     contiguous chunk of distinct profiles each, in either arithmetic: the
-    calling process runs the first chunk while a pool of ``chunks - 1``
-    processes, started before it, runs the rest, and the pool is shut down
-    before the sweep returns or raises.  Results never depend on it.
+    calling process runs the first chunk while one process per extra chunk
+    (``chunks - 1``, started before it) runs the rest, and every such process
+    is joined before the sweep returns or raises.  An exception in a chunk
+    process re-raises in the caller with its type and message, chained to
+    its formatted traceback; a chunk process that exits without a result
+    raises ``RuntimeError`` naming the chunk and its exit code.  Results
+    never depend on ``parallelism``.
     Individual non-converged cells are recorded in place and never abort
     the sweep.
     """
@@ -215,15 +283,7 @@ def sweep_initials(
     init_f = np.repeat(plans_f, len(plans_w), axis=0)
     init_w = np.tile(plans_w, (len(plans_f), 1))
     chunks = min(parallelism, len(init_f))
-    if chunks == 1:
-        results = _sweep_chunk(cfg, init_f, init_w)
-    else:
-        parts_f, parts_w = np.array_split(init_f, chunks), np.array_split(init_w, chunks)
-        with ProcessPoolExecutor(max_workers=chunks - 1) as pool:
-            # the first submission forks the pool's processes, before this one computes
-            rest = pool.map(_sweep_chunk, [cfg] * (chunks - 1), parts_f[1:], parts_w[1:])
-            results = _sweep_chunk(cfg, parts_f[0], parts_w[0])
-            results += [cell for part in rest for cell in part]
+    results = _run_chunks(cfg, np.array_split(init_f, chunks), np.array_split(init_w, chunks))
     taken = set()   # rows whose own result a cell already holds
 
     def cell(i: int, j: int) -> CellResult:

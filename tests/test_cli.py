@@ -399,6 +399,21 @@ class TestMetagameCommand:
         assert [r["init"] for r in rows if r["player"] == "firm"] == ["1"]
         assert float(rows[0]["value"]) == pytest.approx(0.4, abs=1e-12)
 
+    def test_repeated_cell_refused(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text(
+            "firm_init,worker_init,u_w,eps,converged_at,status,credible_threat,noncredible_threat\n"
+            "0,0,0.5,0,10,converged,,\n"
+            "0,1,0.5,0,10,converged,,\n"
+            "1,0,0.3,0,9,converged,,\n"
+            "1,1,0.4,0,9,converged,,\n"
+            "0,0,0.9,0,10,converged,,\n"
+        )
+        assert main(["metagame", str(path), "--out", str(tmp_path / "m.csv")]) == 2
+        assert f"{path}: cell (firm 0, worker 0) is listed twice" in capsys.readouterr().err
+        with pytest.raises(cli.ConfigError, match=r"cell \(firm 0, worker 0\) is listed twice"):
+            cli.read_heatmap_csv(path)
+
     def test_no_converged_row_names_file(self, tmp_path, capsys):
         path = tmp_path / "h.csv"
         path.write_text(

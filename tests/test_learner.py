@@ -550,6 +550,35 @@ def _reversed_head(v):
     return x
 
 
+class TestEmptyStack:
+    """A stack of zero rows returns an empty ``Lockstep`` before the first step."""
+
+    @pytest.mark.parametrize("case", ["float_g1", "float_g2", "exact_g1", "float_g1_monitored"])
+    def test_returns_before_first_step(self, case):
+        arithmetic, game_name = case.split("_")[:2]
+        if game_name == "g1":
+            game = UltimatumGame(ActionGrid(4))
+            n_f = n_w = game.grid.size
+        else:
+            game = TwoRoundGame(ActionGrid(3), 0.9)
+            n_f, n_w = (games.build_treeplex(game, agent).n_sequences for agent in (FIRM, WORKER))
+        eta = Fraction(1, 2) if arithmetic == "exact" else 0.5
+        cfg = LearnerConfig(game=game, eta=eta, arithmetic=arithmetic)
+        dtype = object if arithmetic == "exact" else float
+        monitors = MonitorSuite() if case.endswith("monitored") else None
+
+        def on_step(t, v, new):
+            raise AssertionError(f"an empty stack took step {t}")
+
+        run = learner.run_lockstep(cfg, np.zeros((0, n_f), dtype=dtype), np.zeros((0, n_w), dtype=dtype),
+                                   on_step=on_step, monitors=monitors)
+        assert run.converged_at.shape == (0,) and run.converged_at.dtype == np.int64
+        for out, n in ((run.final_f, n_f), (run.final_w, n_w), (run.cum_util_f, n_f), (run.cum_util_w, n_w)):
+            assert out.shape == (0, n) and out.dtype == dtype
+        if monitors is not None:
+            assert monitors.violations == []
+
+
 class TestMixedWidths:
     """Float one-shot stacks of mixed grid sizes: each row runs as on its own grid."""
 

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -39,18 +40,64 @@ def assert_same_cells(a, b):
             assert ca.final_w.tobytes() == cb.final_w.tobytes()
 
 
+JOIN_TIMEOUT_S = 120
+
+
+class RecordingProcess(multiprocessing.Process):
+    """A chunk process that records its start and its join in ``LOG``."""
+
+    LOG = []   # ("start" | "join", process), in call order
+
+    def start(self):
+        super().start()
+        self.LOG.append(("start", self))
+
+    def join(self, timeout=None):
+        super().join(timeout)
+        self.LOG.append(("join", self))
+
+
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The worker count of each process pool a sweep opens, in order."""
-    sizes = []
+def chunk_processes(monkeypatch):
+    """The chunk processes of each sweep that starts any, one list per sweep in order.
 
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    A test that has not ended after ``JOIN_TIMEOUT_S`` kills its chunk
+    processes and fails, so a sweep that never joins them does not hang.
+    """
+    RecordingProcess.LOG.clear()
+    monkeypatch.setattr(metagame, "Process", RecordingProcess)
 
-    monkeypatch.setattr(metagame, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+    def time_out(signum, frame):
+        for _, proc in RecordingProcess.LOG:
+            proc.kill()
+        pytest.fail(f"the test did not end within {JOIN_TIMEOUT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, time_out)
+    signal.alarm(JOIN_TIMEOUT_S)
+
+    def per_sweep():
+        sweeps = []
+        for event, proc in RecordingProcess.LOG:
+            if event == "start":
+                if proc.name == "sweep chunk 1":
+                    sweeps.append([])
+                sweeps[-1].append(proc)
+        return sweeps
+
+    try:
+        yield per_sweep
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_all_joined(chunk_processes):
+    """Every chunk process was joined and has exited."""
+    procs = [proc for sweep in chunk_processes() for proc in sweep]
+    joined = [proc for event, proc in RecordingProcess.LOG if event == "join"]
+    assert all(proc in joined for proc in procs)
+    assert all(proc.exitcode is not None and not proc.is_alive() for proc in procs)
+    assert not multiprocessing.active_children()
 
 
 _real_sweep_chunk = metagame._sweep_chunk
@@ -67,6 +114,18 @@ def caller_chunk_spy(cfg, init_f, init_w):
 def failing_caller_chunk(cfg, init_f, init_w):
     if os.getpid() == _CALLER_PID:
         raise RuntimeError("caller chunk failed")
+    return _real_sweep_chunk(cfg, init_f, init_w)
+
+
+def failing_child_chunk(cfg, init_f, init_w):
+    if os.getpid() != _CALLER_PID:
+        raise KeyError(f"child chunk of {len(init_f)} rows failed")
+    return _real_sweep_chunk(cfg, init_f, init_w)
+
+
+def exiting_child_chunk(cfg, init_f, init_w):
+    if os.getpid() != _CALLER_PID:
+        os._exit(3)
     return _real_sweep_chunk(cfg, init_f, init_w)
 
 
@@ -165,10 +224,11 @@ class TestSweep:
         assert all(c.threat is not None for row in sweep.cells for c in row)
         assert max(c.eps for row in sweep.cells for c in row) <= 1e-7
 
-    def test_parallel_matches_serial(self, pool_sizes):
-        # the calling process runs the first chunk and a pool the others; a
-        # uniform firm against 16 pure two-round worker entries is 13 distinct
-        # profiles, so 16 requested processes run 13 one-row chunks, 12 pooled
+    def test_parallel_matches_serial(self, chunk_processes):
+        # the calling process runs the first chunk and one process each of the
+        # others; a uniform firm against 16 pure two-round worker entries is 13
+        # distinct profiles, so 16 requested processes run 13 one-row chunks,
+        # 12 of them in chunk processes
         two_round = LearnerConfig(game=TwoRoundGame(ActionGrid(3), 0.9), eta=0.5)
         cases = [
             (LearnerConfig(game=UltimatumGame(ActionGrid(10)), eta=0.5), "pure", 2, 1),
@@ -180,7 +240,8 @@ class TestSweep:
         for cfg, axis_f, parallelism, workers in cases:
             serial = sweep_initials(cfg, axis_f, parallelism=1)
             assert_same_cells(sweep_initials(cfg, axis_f, parallelism=parallelism), serial)
-        assert pool_sizes == [workers for *_, workers in cases]
+        assert [len(procs) for procs in chunk_processes()] == [workers for *_, workers in cases]
+        assert_all_joined(chunk_processes)
 
     def test_each_distinct_profile_runs_once(self, monkeypatch):
         stacks = []
@@ -239,17 +300,18 @@ class TestSweep:
         with pytest.raises(ValueError, match="parallelism"):
             sweep_initials(cfg, parallelism=parallelism)
 
-    def test_numpy_integer_parallelism(self, pool_sizes):
+    def test_numpy_integer_parallelism(self, chunk_processes):
         cfg = LearnerConfig(game=UltimatumGame(ActionGrid(4)), eta=0.5)
         assert_same_cells(sweep_initials(cfg, parallelism=np.int64(2)),
                           sweep_initials(cfg, parallelism=1))
-        assert pool_sizes == [1]
+        assert [len(procs) for procs in chunk_processes()] == [1]
         assert metagame._check_parallelism(np.int64(2)) == 2
         assert type(metagame._check_parallelism(np.int64(2))) is int
 
-    def test_caller_runs_first_chunk(self, monkeypatch, pool_sizes):
-        # the pool runs picklable module-level functions, so the spy is one:
-        # it records (and may fail) only in this process, not in pool workers
+    def test_caller_runs_first_chunk(self, monkeypatch, chunk_processes):
+        # the spy is a module-level function, as a chunk process may need to
+        # pickle it: it records (and may fail) only in this process, not in
+        # the chunk processes
         game = TwoRoundGame(ActionGrid(3), 0.55)
         cfg = LearnerConfig(game=game, eta=0.5)
         monkeypatch.setattr(metagame, "_sweep_chunk", caller_chunk_spy)
@@ -263,27 +325,19 @@ class TestSweep:
         assert len(rows) == 208 and len(init_f) == len(init_w) == 70   # 70 + 69 + 69
         assert np.array_equal(init_f, np.array([f for f, _ in rows[:70]]))
         assert np.array_equal(init_w, np.array([w for _, w in rows[:70]]))
-        assert pool_sizes == [2]
+        assert [len(procs) for procs in chunk_processes()] == [2]
+        assert_all_joined(chunk_processes)
 
-    def test_failing_caller_chunk_still_joins_pool(self, monkeypatch):
-        # the pool has forked before the calling process fails its chunk,
-        # and the sweep waits for the pool's processes before it raises
-        shutdowns = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def shutdown(self, wait=True, **kwargs):
-                shutdowns.append((wait, list(self._processes.values())))
-                super().shutdown(wait=wait, **kwargs)
-
-        monkeypatch.setattr(metagame, "ProcessPoolExecutor", RecordingPool)
+    def test_failing_caller_chunk_still_joins_pool(self, monkeypatch, chunk_processes):
+        # the chunk process has forked before the calling process fails its
+        # chunk, and the sweep waits for it before it raises
         monkeypatch.setattr(metagame, "_sweep_chunk", failing_caller_chunk)
         cfg = LearnerConfig(game=TwoRoundGame(ActionGrid(3), 0.9), eta=0.5)
         with pytest.raises(RuntimeError, match="caller chunk failed"):
             sweep_initials(cfg, parallelism=2)
-        [(wait, workers)] = shutdowns
-        assert wait and len(workers) == 1
-        assert not any(proc.is_alive() for proc in workers)
-        assert not multiprocessing.active_children()
+        [[proc]] = chunk_processes()
+        assert proc.exitcode == 0
+        assert_all_joined(chunk_processes)
 
     def test_exact_sweep_matches_float(self):
         grid = ActionGrid(4)
@@ -315,6 +369,55 @@ class TestSweep:
                 for ce, cf in zip(re_, rf):
                     assert ce.converged_at == cf.converged_at
                     assert abs(ce.u_w - cf.u_w) <= 1e-12
+
+class TestChunkProcesses:
+    """The failure paths of a sweep's chunk processes, at two and three processes."""
+
+    D30 = LearnerConfig(game=UltimatumGame(ActionGrid(30)), eta=0.5)
+
+    @pytest.mark.parametrize("parallelism", [2, 3])
+    def test_child_exception_reraises_in_caller(self, monkeypatch, chunk_processes, parallelism):
+        monkeypatch.setattr(metagame, "_sweep_chunk", failing_child_chunk)
+        cfg = LearnerConfig(game=UltimatumGame(ActionGrid(4)), eta=0.5)
+        with pytest.raises(KeyError, match=r"child chunk of \d+ rows failed") as info:
+            sweep_initials(cfg, parallelism=parallelism)
+        assert type(info.value) is KeyError
+        cause = info.value.__cause__
+        assert isinstance(cause, metagame._ChildTraceback)
+        assert "in failing_child_chunk" in str(cause) and "KeyError" in str(cause)
+        assert [len(procs) for procs in chunk_processes()] == [parallelism - 1]
+        assert_all_joined(chunk_processes)
+
+    @pytest.mark.parametrize("parallelism", [2, 3])
+    def test_child_without_result_raises(self, monkeypatch, chunk_processes, parallelism):
+        monkeypatch.setattr(metagame, "_sweep_chunk", exiting_child_chunk)
+        cfg = LearnerConfig(game=UltimatumGame(ActionGrid(4)), eta=0.5)
+        with pytest.raises(RuntimeError, match="sweep chunk 1 exited with code 3 without a result"):
+            sweep_initials(cfg, parallelism=parallelism)
+        [procs] = chunk_processes()
+        assert [proc.exitcode for proc in procs] == [3] * (parallelism - 1)
+        assert_all_joined(chunk_processes)
+
+    @pytest.mark.parametrize("parallelism", [2, 3])
+    def test_failing_caller_chunk_drains_children(self, monkeypatch, chunk_processes, parallelism):
+        # each child's cells outgrow a pipe's buffer, so a child the caller
+        # did not drain would block in its send and never exit
+        monkeypatch.setattr(metagame, "_sweep_chunk", failing_caller_chunk)
+        with pytest.raises(RuntimeError, match="caller chunk failed"):
+            sweep_initials(self.D30, parallelism=parallelism)
+        [procs] = chunk_processes()
+        assert [proc.exitcode for proc in procs] == [0] * (parallelism - 1)
+        assert_all_joined(chunk_processes)
+
+    def test_large_chunks_match_serial(self, chunk_processes):
+        serial = sweep_initials(self.D30, parallelism=1)
+        cells = [cell for row in serial.cells for cell in row]
+        assert len(pickle.dumps(cells[-len(cells) // 3:])) > 1 << 17   # a pipe holds 64 KiB
+        for parallelism in (2, 3):
+            assert_same_cells(sweep_initials(self.D30, parallelism=parallelism), serial)
+        assert [len(procs) for procs in chunk_processes()] == [1, 2]
+        assert_all_joined(chunk_processes)
+
 
 class TestMinimax:
     def test_matching_pennies_value(self):

@@ -4,7 +4,7 @@ Subcommands: ``run`` (one trajectory plus certificate), ``sweep`` (heatmap and
 summary over initial strategies), ``metagame`` (minimax of a heatmap),
 ``audit`` (randomized invariant monitors), and ``oracle`` (closed-form vs
 iterated recurrence table).  Exit codes: 0 success, 1 audit violation or a
-sweep in which no cell converged, 2 usage or config error.
+sweep in which no cell converged, 2 usage, config or file error.
 """
 
 from __future__ import annotations
@@ -107,8 +107,6 @@ def _game(kind: str, d: int, delta: Optional[float]):
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a config file; any bad value raises ``ConfigError``."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
     raw: dict[str, str] = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         text = line.strip()
@@ -209,7 +207,13 @@ def read_heatmap_csv(path: Path) -> HeatmapTable:
         if reader.fieldnames is None or "firm_init" not in reader.fieldnames:
             raise ConfigError(f"{path}: not a heatmap file")
         is_g2 = "worker_counter" in reader.fieldnames
+        needed = ["worker_init", "u_w", "status"] + (["firm_threshold"] if is_g2 else [])
+        missing = [name for name in needed if name not in reader.fieldnames]
+        if missing:
+            raise ConfigError(f"{path}: heatmap lacks columns {', '.join(missing)}")
         for row in reader:
+            if None in row.values():
+                raise ConfigError(f"{path}:{reader.line_num}: row has fewer fields than the header")
             fkey = row["firm_init"] + ("|" + row["firm_threshold"] if is_g2 else "")
             wkey = row["worker_init"] + ("|" + row["worker_counter"] if is_g2 else "")
             i = firm.setdefault(fkey, len(firm))
@@ -279,8 +283,8 @@ def _audit_stacks(draws: list, runs: list[int], arithmetic: str) -> dict:
     Float draws of every grid size share one stack on the widest grid,
     which ``run_lockstep`` pads row by row; exact draws run as one stack
     per grid size, as the exact kernel does not pad and costs the same per
-    row however its rows are stacked.  Checks each row's initial strategies
-    on its own grid as ``run_dynamics`` does, and arms one
+    row however its rows are stacked.  :func:`_audit_inits` makes every
+    row a valid mixture, so no row is checked here.  Arms one
     :class:`MonitorSuite` on each float stack.  Returns, by run index, the
     run's :class:`Trajectory` and its monitor violations as
     ``(monitor, run, step, detail)`` (none when exact).
@@ -291,14 +295,10 @@ def _audit_stacks(draws: list, runs: list[int], arithmetic: str) -> dict:
         stacks.setdefault(draws[i][0] if exact else 0, []).append(i)
     out = {}
     for idx in stacks.values():
-        cfgs = {d: LearnerConfig(game=UltimatumGame(ActionGrid(d)), eta=draws[idx[0]][1],
-                                 arithmetic=arithmetic)
-                for d in {draws[i][0] for i in idx}}
-        cfg = cfgs[max(cfgs)]
+        cfg = LearnerConfig(game=UltimatumGame(ActionGrid(max(draws[i][0] for i in idx))),
+                            eta=draws[idx[0]][1], arithmetic=arithmetic)
         inits = [(_audit_inits(draws[i][2], exact), _audit_inits(draws[i][3], exact))
                  for i in idx]
-        for i, (init_f, init_w) in zip(idx, inits):
-            learner._check_initial(cfgs[draws[i][0]], init_f, init_w)
         suite = None if exact else MonitorSuite()
         run = learner.run_lockstep(cfg, *([pair[a] for pair in inits] for a in (0, 1)),
                                    eta=[draws[i][1] for i in idx], monitors=suite)
@@ -456,14 +456,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        if args.n < 0:
-            raise ValueError(f"n must be non-negative, got {args.n}")
-        params = analysis.recurrence_params(args.D, Fraction(args.eta), args.k,
-                                            Fraction(args.w0), Fraction(args.f0))
-    except ValueError as exc:
-        print(f"oracle: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.n < 0:
+        raise ValueError(f"n must be non-negative, got {args.n}")
+    params = analysis.recurrence_params(args.D, Fraction(args.eta), args.k,
+                                        Fraction(args.w0), Fraction(args.f0))
     import mpmath
 
     print("n,w_closed,f_closed,w_iter,f_iter,abs_diff")
@@ -539,7 +535,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,8 +17,8 @@ Exact-rational one-shot runs go through the same step loop on Python-int
 numerators over one denominator per row, reduced once per step; the
 certificate guard sees correctly rounded float casts, and ``Fraction``s are
 built only for the results.  The kernel reports only strategies to its
-observers: regret is derived after the run from the history, by one rule in
-both arithmetics.
+observers: :func:`regret` computes a one-shot run's regret on request from its
+history, by one rule in both arithmetics.
 
 One :class:`MonitorSuite` per float one-shot stack buffers the live rows'
 previous strategies, projection inputs and new strategies each step and checks
@@ -152,24 +152,19 @@ class LearnerConfig:
             return self.max_steps
         return GAME_DEFAULTS[type(self.game)]["max_steps"]
 
-    def reference_vector(self, agent: str) -> np.ndarray:
-        """The agent's reference as 0/1 integers, which add exactly in both arithmetics."""
+    def reference_index(self, agent: str) -> Optional[int]:
+        """The grid index of the agent's pure reference, or None for the zero reference."""
         ref = self.reference_f if agent == FIRM else self.reference_w
-        out = np.zeros(self.grid.size, dtype=int)
-        if ref is not None:
-            out[self.grid.index_of(ref)] = 1
-        return out
+        return None if ref is None else self.grid.index_of(ref)
 
 
 @dataclass
 class Trajectory:
     """History and endpoint of one run; ``converged_at`` unset means the cap hit.
 
-    ``regret_*`` (one-shot runs with ``keep_history`` only) is the cumulative
-    regret against the best fixed action in hindsight after each step,
-    derived from ``history`` by :func:`_regrets`.  Both arithmetics fill the
-    same fields with the same shapes; exact runs hold ``Fraction``s (object
-    arrays and lists).
+    Both games and both arithmetics fill the same fields with the same
+    shapes; exact runs hold ``Fraction``s (object arrays).  A one-shot
+    run's regret is computed on request from ``history`` by :func:`regret`.
     """
 
     converged_at: Optional[int]
@@ -179,8 +174,6 @@ class Trajectory:
     cum_util_f: np.ndarray
     cum_util_w: np.ndarray
     history: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
-    regret_f: Optional[list[Union[float, Fraction]]] = None
-    regret_w: Optional[list[Union[float, Fraction]]] = None
 
     @property
     def converged(self) -> bool:
@@ -223,7 +216,6 @@ def _certified_rows(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray,
     (padded one-shot rows of mixed grid sizes), the rows of each width are
     certified together, trimmed, against their own grid's game.
     """
-    x_f, x_w = np.asarray(x_f, dtype=float), np.asarray(x_w, dtype=float)
     if widths is None:
         gap_f, gap_w, _, _ = analysis._gap_rows(cfg.game, x_f, x_w)
         return np.maximum(gap_f, gap_w) <= STOP_EPS
@@ -252,11 +244,12 @@ def _updater(cfg: LearnerConfig, agent: str):
     way.  The row functions it calls get ``.T`` views.
     """
     if isinstance(cfg.game, UltimatumGame):
-        ref = cfg.reference_vector(agent).astype(float)
+        ref = cfg.reference_index(agent)
 
         def update(U, eta=float(cfg.eta)):
             v = eta * U
-            np.add(ref, v.T, out=v.T)
+            if ref is not None:
+                v[ref] += 1.0
             return v, _project_simplex(v.T).T
     else:
         tp = games.build_treeplex(cfg.game, agent)
@@ -467,8 +460,7 @@ class _ExactArithmetic:
 
     def __init__(self, cfg: LearnerConfig):
         self.grid, self.threshold = cfg.grid, Fraction(cfg.threshold)
-        self.refs = {agent: None if ref is None else self.grid.index_of(ref)
-                     for agent, ref in ((FIRM, cfg.reference_f), (WORKER, cfg.reference_w))}
+        self.refs = {agent: cfg.reference_index(agent) for agent in (FIRM, WORKER)}
 
     @staticmethod
     def stack(x) -> _Ratios:
@@ -594,15 +586,21 @@ def _check_initial(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray) -> None
             raise StructuralError(f"initial {agent} strategy is not on its polytope")
 
 
-def _regrets(arith, history: list) -> tuple[list, list]:
-    """Each agent's cumulative regret after each step, against the best fixed action.
+def regret(cfg: LearnerConfig, history: list) -> tuple[list, list]:
+    """Each agent's cumulative regret after each step of a one-shot run's ``history``.
 
-    Step ``t`` plays ``history[t - 2]`` against the feedback of the opponent's
-    row there: regret is the best action's cumulative feedback minus the
-    cumulative realized utility, in the run's arithmetic.
+    Regret is against the best fixed action in hindsight: step ``t`` plays
+    ``history[t - 2]`` against the feedback of the opponent's row there, and
+    regret is the best action's cumulative feedback minus the cumulative
+    realized utility, in the run's arithmetic (``Fraction``s when exact).
+    Returns ``(firm, worker)`` lists of ``len(history) - 1`` entries.  A
+    two-round config raises ``ValueError``.
     """
+    if not isinstance(cfg.game, UltimatumGame):
+        raise ValueError("regret applies to one-shot runs only")
     if len(history) < 2:
         return [], []
+    arith = _arithmetic(cfg)
     played = [np.array([step[i] for step in history[:-1]]) for i in (0, 1)]
     out = []
     for agent, x, opponent in ((FIRM, *played), (WORKER, *played[::-1])):
@@ -626,7 +624,6 @@ def run_dynamics(
     kernel, which accepts it on float one-shot runs only and raises
     ``ValueError`` on any other run.
     """
-    one_shot = isinstance(cfg.game, UltimatumGame)
     arith = _arithmetic(cfg)
     x_f, x_w = (arith.values(arith.stack(np.asarray(x)[None]))[0] for x in (init_f, init_w))
     _check_initial(cfg, x_f, x_w)
@@ -637,10 +634,7 @@ def run_dynamics(
 
     run = run_lockstep(cfg, x_f[None], x_w[None], on_step if keep_history else None,
                        monitors=monitors)
-    regret = _regrets(arith, history) if keep_history and one_shot else None
-    return replace(run.trajectory(0, cfg.steps_cap), history=history,
-                   regret_f=regret[0] if regret else None,
-                   regret_w=regret[1] if regret else None)
+    return replace(run.trajectory(0, cfg.steps_cap), history=history)
 
 
 def _mixed_widths(cfg: LearnerConfig, init_f, init_w, on_step) -> Optional[np.ndarray]:

@@ -442,7 +442,9 @@ def ftrl_exact_loop(cfg, init_f, init_w, keep_history: bool = False) -> SimpleNa
 
     The same running-max shift, step-size test and certificate guard (on float
     casts, through :func:`certify_gaps_loop`) as the library's kernel, written
-    out one vector at a time.  Returns the ``Trajectory`` fields as lists.
+    out one vector at a time.  Returns the ``Trajectory`` fields as lists, and
+    with ``keep_history`` the regret lists that :func:`learner.regret` derives
+    from the history (``regret_f``, ``regret_w``; None without it).
     """
     grid = cfg.grid
     x_f, x_w = [Fraction(v) for v in init_f], [Fraction(v) for v in init_w]

@@ -11,6 +11,20 @@ from ftrl_bargain.cli import main
 import oracles
 
 
+def assert_one_error_line(capsys) -> str:
+    """The captured stderr is one ``error: ...`` line and no traceback; returns it."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", [["run", "--init-f", "0", "--init-w", "0"], ["sweep"],
+                                     ["metagame"]])
+def test_directory_as_input_file_exit_2(tmp_path, capsys, command):
+    assert main([command[0], str(tmp_path), *command[1:]]) == 2
+    assert str(tmp_path) in assert_one_error_line(capsys)
+
+
 def write_config(path, **kv):
     lines = [f"{k} = {v}" for k, v in kv.items()]
     path.write_text("\n".join(lines) + "\n")
@@ -198,6 +212,18 @@ class TestRunCommand:
         code = main(["run", str(tmp_path / "nope.cfg"), "--init-f", "0", "--init-w", "0"])
         assert code == 2
         assert "nope.cfg" in capsys.readouterr().err
+
+    def test_zero_denominator_initial_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "g1.cfg", game="g1", d=5, eta=0.5)
+        assert main(["run", cfg, "--init-f", "1/0", "--init-w", "0"]) == 2
+        assert_one_error_line(capsys)
+
+    def test_out_dir_naming_a_file_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "g1.cfg", game="g1", d=5, eta=0.5)
+        (tmp_path / "taken").write_text("")
+        assert main(["run", cfg, "--init-f", "0", "--init-w", "0",
+                     "--out-dir", str(tmp_path / "taken")]) == 2
+        assert "taken" in assert_one_error_line(capsys)
 
     def test_trajectory_row_count(self, tmp_path):
         d = 5
@@ -423,6 +449,22 @@ class TestMetagameCommand:
         assert main(["metagame", str(path), "--allow-partial"]) == 2
         assert f"{path}: no fully converged firm rows remain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("firm_init,worker_init,worker_counter,u_w,eps,converged_at,status\n0,0,0,0.25,0,10,converged\n",
+         ": heatmap lacks columns firm_threshold"),
+        ("firm_init,worker_init,eps,converged_at,status\n0,0,0,10,converged\n",
+         ": heatmap lacks columns u_w"),
+        ("firm_init,worker_init,u_w,eps,converged_at,status\n0,0,0.25,0,10,converged\n0,1,0.5\n",
+         ":3: row has fewer fields than the header"),
+    ], ids=["no_firm_threshold", "no_u_w", "short_row"])
+    def test_malformed_heatmap_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "h.csv"
+        path.write_text(text)
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.read_heatmap_csv(path)
+        assert main(["metagame", str(path), "--out", str(tmp_path / "m.csv")]) == 2
+        assert f"{path}{message}" in assert_one_error_line(capsys)
+
     def test_negative_tol_exit_2(self, tmp_path, capsys):
         path = tmp_path / "h.csv"
         path.write_text(
@@ -474,6 +516,18 @@ class TestAuditCommand:
     def test_requires_g1(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", game="g2", d=5, eta=0.5, delta=0.9)
         assert main(["audit", cfg, "--runs", "1"]) == 2
+
+    def test_draws_are_valid_initial_strategies(self):
+        # the audit's stacks are not checked before they run: every draw's
+        # mixture is valid by construction from positive integer weights
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            for _ in range(100):
+                d, _, *weights = cli._audit_draw(rng)
+                for w in weights:
+                    x = cli._audit_inits(w, exact=False)
+                    assert x.shape == (d + 1,) and (x > 0).all() and geometry.check_simplex(x)
+                    assert sum(cli._audit_inits(w, exact=True)) == 1
 
     @pytest.mark.parametrize("n_runs, seed, exact_compare", [
         (100, 42, 20), (60, 1, 10), (60, 7, 10), (60, 2024, 10),
@@ -533,6 +587,12 @@ class TestOracleCommand:
         assert main(["oracle", "5", "1/2", "2", "1/2", "1/2", "-2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "non-negative" in captured.err
+
+    @pytest.mark.parametrize("argv", [["5", "1/0", "2", "1/2", "1/2", "5"],
+                                      ["5", "1/2", "2", "1/0", "1/2", "5"]])
+    def test_zero_denominator_exit_2(self, capsys, argv):
+        assert main(["oracle", *argv]) == 2
+        assert_one_error_line(capsys)
 
     def test_table_matches_fraction_iteration(self, capsys):
         # The table as printed from plain Fraction iteration, byte for byte.

@@ -200,10 +200,12 @@ class TestConfig:
         monkeypatch.setattr(learner, "STOP_EPS", math.inf)
         assert learner._certified_rows(cfg, x, x).tolist() == [True, True]
 
-    def test_reference_vectors(self):
+    def test_reference_index(self):
         cfg = g1_config(reference_f=0.4)
-        np.testing.assert_allclose(cfg.reference_vector(FIRM), [0, 0, 1, 0, 0, 0])
-        np.testing.assert_allclose(cfg.reference_vector(WORKER), np.zeros(6))
+        assert cfg.reference_index(FIRM) == 2
+        assert cfg.reference_index(WORKER) is None
+        cfg = g1_config(d=30, reference_f=Fraction(1, 6), reference_w=29 / 30)
+        assert (cfg.reference_index(FIRM), cfg.reference_index(WORKER)) == (5, 29)
 
 
 class TestFtrlStep:
@@ -345,7 +347,7 @@ class TestUltimatumDynamics:
         y = rng.exponential(size=11)
         traj = run_dynamics(cfg, x / x.sum(), y / y.sum(), keep_history=True)
         checkpoints = [500, 1000, 2000, 4000, 8000]
-        for reg in (traj.regret_f, traj.regret_w):
+        for reg in learner.regret(cfg, traj.history):
             rates = [reg[min(t, len(reg)) - 1] / min(t, len(reg)) for t in checkpoints]
             for a, b in zip(rates, rates[1:]):
                 assert b <= a + 1e-9
@@ -701,9 +703,10 @@ class TestExactMode:
         assert tf.steps == te.steps
         np.testing.assert_allclose([float(u) for u in te.cum_util_f], tf.cum_util_f, rtol=0, atol=1e-9)
         np.testing.assert_allclose([float(u) for u in te.cum_util_w], tf.cum_util_w, rtol=0, atol=1e-9)
-        assert len(te.regret_f) == len(tf.regret_f) == tf.steps - 1
-        np.testing.assert_allclose([float(r) for r in te.regret_f], tf.regret_f, rtol=0, atol=1e-9)
-        np.testing.assert_allclose([float(r) for r in te.regret_w], tf.regret_w, rtol=0, atol=1e-9)
+        (ef, ew), (ff, fw) = learner.regret(cfg_e, te.history), learner.regret(cfg_f, tf.history)
+        assert len(ef) == len(ff) == tf.steps - 1
+        np.testing.assert_allclose([float(r) for r in ef], ff, rtol=0, atol=1e-9)
+        np.testing.assert_allclose([float(r) for r in ew], fw, rtol=0, atol=1e-9)
 
     def test_monitors_rejected(self):
         cfg = g1_config(d=4, eta=Fraction(1, 2), arithmetic="exact")
@@ -742,17 +745,18 @@ class TestExactMode:
             assert min(x_f) >= 0 and min(x_w) >= 0
 
 
-def assert_matches_exact_oracle(traj, ref):
-    """Every ``Trajectory`` field ``==`` the Fraction loop's, entries typed ``Fraction``."""
+def assert_matches_exact_oracle(cfg, traj, ref):
+    """Every ``Trajectory`` field and the regret ``==`` the Fraction loop's, entries typed ``Fraction``."""
     assert (traj.converged_at, traj.steps) == (ref.converged_at, ref.steps)
     vectors = ["final_f", "final_w", "cum_util_f", "cum_util_w"]
     pairs = [(getattr(traj, k), getattr(ref, k)) for k in vectors]
     if ref.history is not None:
         assert len(traj.history) == len(ref.history)
         pairs += [(a, b) for got, want in zip(traj.history, ref.history) for a, b in zip(got, want)]
-        pairs += [(traj.regret_f, ref.regret_f), (traj.regret_w, ref.regret_w)]
+        regret_f, regret_w = learner.regret(cfg, traj.history)
+        pairs += [(regret_f, ref.regret_f), (regret_w, ref.regret_w)]
     else:
-        assert traj.history is traj.regret_f is traj.regret_w is None
+        assert traj.history is None
     for got, want in pairs:
         assert list(got) == want
         assert all(type(v) is Fraction for v in got)
@@ -773,7 +777,7 @@ class TestExactKernel:
             init_w = [Fraction(int(v), int(ww.sum())) for v in ww]
             traj = run_dynamics(cfg, init_f, init_w)
             assert traj.converged
-            assert_matches_exact_oracle(traj, oracles.ftrl_exact_loop(cfg, init_f, init_w))
+            assert_matches_exact_oracle(cfg, traj, oracles.ftrl_exact_loop(cfg, init_f, init_w))
             checked += 1
 
     def test_references_and_history_match_oracle(self):
@@ -782,9 +786,9 @@ class TestExactKernel:
         init_f = [Fraction(1, 7)] * 7
         init_w = [Fraction(k + 1, 28) for k in range(7)]
         traj = run_dynamics(cfg, init_f, init_w, keep_history=True)
-        assert traj.converged and len(traj.regret_f) == traj.steps - 1
-        assert_matches_exact_oracle(traj, oracles.ftrl_exact_loop(cfg, init_f, init_w,
-                                                                  keep_history=True))
+        assert traj.converged and len(learner.regret(cfg, traj.history)[0]) == traj.steps - 1
+        assert_matches_exact_oracle(cfg, traj, oracles.ftrl_exact_loop(cfg, init_f, init_w,
+                                                                       keep_history=True))
 
     def test_stack_rows_match_rows_alone(self):
         # At D=10 with references (1/2, 1) the first and third rows pass
@@ -805,7 +809,7 @@ class TestExactKernel:
             assert (int(run.converged_at[k]) or None) == ref.converged_at
             for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
                 assert list(getattr(run, name)[k]) == getattr(ref, name)
-            assert_matches_exact_oracle(run_dynamics(cfg, f, w), ref)
+            assert_matches_exact_oracle(cfg, run_dynamics(cfg, f, w), ref)
 
 
     @settings(max_examples=25)
@@ -835,7 +839,7 @@ class TestExactKernel:
             for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
                 assert list(getattr(run, name)[k]) == getattr(ref, name)
                 assert all(type(v) is Fraction for v in getattr(run, name)[k])
-        assert_matches_exact_oracle(run_dynamics(cfg, *inits[0], keep_history=True),
+        assert_matches_exact_oracle(cfg, run_dynamics(cfg, *inits[0], keep_history=True),
                                     oracles.ftrl_exact_loop(cfg, *inits[0], keep_history=True))
 
 
@@ -843,11 +847,11 @@ def test_trajectory_contract_same_in_both_arithmetics():
     d = 5
     inits = (uniform_strategy(ActionGrid(d)), pure_strategy(ActionGrid(d), 0.6))
     exact_inits = ([Fraction(1, d + 1)] * (d + 1), [Fraction(int(k == 3)) for k in range(d + 1)])
-    tf = run_dynamics(g1_config(d=d, eta=0.5), *inits, keep_history=True)
-    te = run_dynamics(g1_config(d=d, eta=Fraction(1, 2), arithmetic="exact"), *exact_inits,
-                      keep_history=True)
+    cfg_f, cfg_e = g1_config(d=d, eta=0.5), g1_config(d=d, eta=Fraction(1, 2), arithmetic="exact")
+    tf = run_dynamics(cfg_f, *inits, keep_history=True)
+    te = run_dynamics(cfg_e, *exact_inits, keep_history=True)
     assert tf.converged and (te.steps, te.converged_at) == (tf.steps, tf.converged_at)
-    for traj in (tf, te):
+    for cfg, traj in ((cfg_f, tf), (cfg_e, te)):
         for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
             value = getattr(traj, name)
             assert isinstance(value, np.ndarray) and value.shape == (d + 1,), name
@@ -855,7 +859,7 @@ def test_trajectory_contract_same_in_both_arithmetics():
         for step in traj.history:
             assert isinstance(step, tuple) and len(step) == 2
             assert all(isinstance(x, np.ndarray) and x.shape == (d + 1,) for x in step)
-        for regret in (traj.regret_f, traj.regret_w):
+        for regret in learner.regret(cfg, traj.history):
             assert isinstance(regret, list) and len(regret) == traj.steps - 1
 
 
@@ -875,7 +879,7 @@ class TestRegretFromHistory:
         cfg, inits = ARITHMETICS[arithmetic]
         traj = run_dynamics(dataclasses.replace(cfg, max_steps=1), *inits, keep_history=True)
         assert len(traj.history) == traj.steps == 1
-        assert traj.regret_f == traj.regret_w == []
+        assert learner.regret(cfg, traj.history) == ([], [])
 
     def test_hook_sees_history_rows(self, arithmetic):
         cfg, inits = ARITHMETICS[arithmetic]
@@ -894,11 +898,12 @@ class TestRegretFromHistory:
 
 def test_two_round_history_has_no_regret():
     game = TwoRoundGame(ActionGrid(3), 0.55)
-    traj = run_dynamics(LearnerConfig(game=game, eta=0.5, max_steps=40),
-                        firm_vertex_plan(game, 1.0, 1.0), worker_vertex_plan(game, 0.0, 1.0),
+    cfg = LearnerConfig(game=game, eta=0.5, max_steps=40)
+    traj = run_dynamics(cfg, firm_vertex_plan(game, 1.0, 1.0), worker_vertex_plan(game, 0.0, 1.0),
                         keep_history=True)
     assert len(traj.history) == traj.steps
-    assert traj.regret_f is None and traj.regret_w is None
+    with pytest.raises(ValueError, match="one-shot"):
+        learner.regret(cfg, traj.history)
 
 
 class TestTwoRoundDynamics:

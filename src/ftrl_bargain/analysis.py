@@ -54,8 +54,7 @@ def best_response_firm(x_w: np.ndarray, grid: ActionGrid):
 
     Row-wise on a ``(k, n)`` stack of mixtures: one offer and value per row.
     """
-    values = np.cumsum(np.asarray(x_w, dtype=float), axis=-1) * (1.0 - grid.actions)
-    return _best_offer(grid.actions, values)
+    return _best_offer(grid.actions, games.ultimatum_feedback(FIRM, x_w, grid))
 
 
 def _best_offer(acts: np.ndarray, offer_values: np.ndarray):
@@ -96,9 +95,8 @@ def check_eq3(a_f: float, x_w: np.ndarray, grid: ActionGrid) -> bool:
     sup = np.nonzero(x_w > SUPPORT_TOL)[0]
     if sup.size == 0 or int(sup[-1]) != k:
         return False
-    cum = np.cumsum(x_w)
-    lower = np.arange(k)
-    return bool(np.all((1.0 - grid.actions[lower]) * cum[lower] <= (1.0 - grid.actions[k]) + 1e-12))
+    lower = games.ultimatum_feedback(FIRM, x_w, grid)[:k]
+    return bool(np.all(lower <= (1.0 - grid.actions[k]) + 1e-12))
 
 
 def _clip_gap(gap):
@@ -127,7 +125,7 @@ def _gap_rows(game, x_f: np.ndarray, x_w: np.ndarray):
     if isinstance(game, UltimatumGame):
         fb_f = games.ultimatum_feedback(FIRM, x_w, game.grid)
         fb_w = games.ultimatum_feedback(WORKER, x_f, game.grid)
-        br_offer, best_f = best_response_firm(x_w, game.grid)
+        br_offer, best_f = _best_offer(game.grid.actions, fb_f)
         _, best_w = best_response_worker(x_f, game.grid)
     else:
         assert isinstance(game, TwoRoundGame)
@@ -412,40 +410,30 @@ class ThreatReport:
     noncredible_reject_prob: Optional[float] = None
 
 
-def _firm_accept_behavior(
-    r_f: np.ndarray,
-    game: TwoRoundGame,
-    firm_cum_util: Optional[np.ndarray],
-) -> np.ndarray:
+def _firm_accept_behavior(r_f: np.ndarray, game: TwoRoundGame,
+                          firm_cum_util: np.ndarray) -> np.ndarray:
     """Firm's accept probability at every (first offer, counter) infoset.
 
     Reachable infosets use realization ratios.  Unreachable ones (the exact
     projection zeroes abandoned subtrees in finite time) use the limit of the
-    update's tie-breaking: all mass on the larger cumulative utility, an even
-    split on ties.  Without utilities the uniform placeholder applies.  A
-    ``(k, n_seq)`` stack of plans (and of utilities) gives one ``(n, m)``
+    update's tie-breaking on ``firm_cum_util``: all mass on the larger
+    cumulative utility, an even split on ties (zero utilities tie everywhere).
+    A ``(k, n_seq)`` stack of plans and of utilities gives one ``(n, m)``
     block per row, each as on its own.
     """
     tp = games.build_treeplex(game, FIRM)
     offers, pairs = tp.views(r_f)
     offers = offers[..., None]
-    reach = offers > geometry.UNREACHABLE_TOL
-    accept = np.full(pairs.shape[:-1], 0.5)
-    accept_mass = np.clip(pairs[..., 0], 0.0, None)
-    np.divide(accept_mass, offers, out=accept, where=reach)
-    if firm_cum_util is not None:
-        util = tp.views(np.asarray(firm_cum_util, dtype=float))[1]
-        gap = util[..., 0] - util[..., 1]
-        limit = np.where(gap > TIE_TOL, 1.0, np.where(gap < -TIE_TOL, 0.0, 0.5))
-        accept = np.where(reach, accept, limit)
+    util = tp.views(np.asarray(firm_cum_util, dtype=float))[1]
+    gap = util[..., 0] - util[..., 1]
+    accept = np.where(gap > TIE_TOL, 1.0, np.where(gap < -TIE_TOL, 0.0, 0.5))
+    np.divide(np.clip(pairs[..., 0], 0.0, None), offers, out=accept,
+              where=offers > geometry.UNREACHABLE_TOL)
     return accept
 
 
-def detect_threats(
-    profile,
-    game: TwoRoundGame,
-    firm_cum_util: Optional[np.ndarray] = None,
-) -> ThreatReport | list[ThreatReport]:
+def detect_threats(profile, game: TwoRoundGame,
+                   firm_cum_util: np.ndarray) -> ThreatReport | list[ThreatReport]:
     """Classify credible worker threats and non-credible firm threats.
 
     With ``tol = THREAT_TOL``, the equilibrium offer is the unique first-round
@@ -456,10 +444,11 @@ def detect_threats(
     is the witness, with the first counter of largest mass.  The firm
     threatens non-credibly when the accepted equilibrium offer is worth less
     than the discounted second-worst split and it still rejects the minimal
-    counter with probability above tol.
+    counter with probability above tol.  At infosets its plan no longer
+    reaches, the firm plays by its cumulative utility ``firm_cum_util``.
 
     One profile gives one :class:`ThreatReport`.  ``(k, n_seq)`` stacks of
-    firm and worker plans (and of ``firm_cum_util``) give a list of ``k``
+    firm and worker plans and of ``firm_cum_util`` give a list of ``k``
     reports, each equal to the report of its row on its own.
     """
     r_f, r_w = (np.asarray(v, dtype=float) for v in profile)
@@ -468,14 +457,12 @@ def detect_threats(
         raise StructuralError("firm plan length does not match game")
     if r_w.shape != r_f.shape[:-1] + (tp_w.n_sequences,):
         raise StructuralError("worker plan length does not match game")
-    if firm_cum_util is not None and np.shape(firm_cum_util) != r_f.shape:
+    if np.shape(firm_cum_util) != r_f.shape:
         raise StructuralError("firm cumulative utilities do not match the firm plan")
     grid, delta, tol = game.grid, game.delta, THREAT_TOL
     acts = grid.actions
     stack_f = np.atleast_2d(r_f)
-    if firm_cum_util is not None:
-        firm_cum_util = np.atleast_2d(firm_cum_util)
-    firm_accept = _firm_accept_behavior(stack_f, game, firm_cum_util)
+    firm_accept = _firm_accept_behavior(stack_f, game, np.atleast_2d(firm_cum_util))
     offers = tp_f.views(stack_f)[0]
     accepts, counters = tp_w.views(np.atleast_2d(r_w))
     rows = np.arange(len(stack_f))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
@@ -45,16 +46,19 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _parse_number(text: str) -> float:
-    return float(Fraction(text))
+def _number(name: str, text: str, kind: type = float):
+    """``text`` as an ``int``, ``float`` or ``Fraction``, or a ConfigError naming ``name``.
 
-
-def _parse_integer(key: str, text: str) -> int:
-    """The text of an ``int``, or a ValueError naming ``key`` as the integer rule does."""
+    A float or a Fraction takes a rational's text (``0.5``, ``1e-5``, ``1/6``);
+    a float is its nearest double.  NaN and infinities are refused.
+    """
     try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{key} must be an integer, got {text!r}") from None
+        if kind is float and "/" not in text and math.isfinite(value := float(text)):
+            return value   # rounds as float(Fraction(text)) does, ~15x faster
+        return int(text) if kind is int else kind(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -75,17 +79,17 @@ class ExperimentConfig:
         object.__setattr__(self, "parallelism", metagame._check_parallelism(self.parallelism))
 
 
-def _reference(text: str) -> Optional[float]:
-    return None if text == "zero" else _parse_number(text)
+def _reference(key: str, text: str) -> Optional[float]:
+    return None if text == "zero" else _number(key, text)
 
 
 # Value parser per config key; keys not listed stay strings.  ``eta`` stays
 # rational so that exact-mode runs share the float path's rate.
 _PARSERS = {
-    **{key: partial(_parse_integer, key) for key in ("d", "max_steps", "parallelism")},
-    "eta": Fraction,
-    "delta": _parse_number, "conv_threshold": _parse_number,
-    "reference_f": _reference, "reference_w": _reference,
+    **{key: partial(_number, key, kind=int) for key in ("d", "max_steps", "parallelism")},
+    "eta": partial(_number, "eta", kind=Fraction),
+    **{key: partial(_number, key) for key in ("delta", "conv_threshold")},
+    **{key: partial(_reference, key) for key in ("reference_f", "reference_w")},
 }
 # Config keys: the three that pick the game, then the other fields of
 # LearnerConfig and of ExperimentConfig.
@@ -131,7 +135,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         learner = LearnerConfig(game=game, **{k: values.pop(k) for k in _LEARNER_KEYS
                                               if k in values})
         return ExperimentConfig(learner, **values)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -212,6 +216,8 @@ def read_heatmap_csv(path: Path) -> HeatmapTable:
         if missing:
             raise ConfigError(f"{path}: heatmap lacks columns {', '.join(missing)}")
         for row in reader:
+            if None in row:   # DictReader files the extra fields under the key None
+                raise ConfigError(f"{path}:{reader.line_num}: row has more fields than the header")
             if None in row.values():
                 raise ConfigError(f"{path}:{reader.line_num}: row has fewer fields than the header")
             fkey = row["firm_init"] + ("|" + row["firm_threshold"] if is_g2 else "")
@@ -220,7 +226,7 @@ def read_heatmap_csv(path: Path) -> HeatmapTable:
             j = worker.setdefault(wkey, len(worker))
             if (i, j) in records:
                 raise ConfigError(f"{path}: cell (firm {fkey}, worker {wkey}) is listed twice")
-            records[i, j] = float(row["u_w"]), row["status"]
+            records[i, j] = _number(f"{path}:{reader.line_num}: u_w", row["u_w"]), row["status"]
     u = np.full((len(firm), len(worker)), np.nan)
     status = [["missing"] * len(worker) for _ in firm]
     for (i, j), (uw, st) in records.items():
@@ -357,17 +363,16 @@ def run_audit(n_runs: int, seed: int, exact_compare: int = 20) -> AuditReport:
 
 def _parse_initial(cfg: LearnerConfig, text: str, agent: str):
     """Initial strategy from its CLI text, through the sweeps' axis-entry mapping."""
+    flag = f"--init-{agent[0]}"
     if text == "uniform":
         entry = text
     elif isinstance(cfg.game, UltimatumGame):
-        entry = _parse_number(text)
+        entry = _number(flag, text)
     else:
         parts = text.split(",")
         if len(parts) != 2:
-            raise ConfigError(
-                f"two-round initial strategy must be 'first,second', got {text!r}"
-            )
-        entry = tuple(_parse_number(p) for p in parts)
+            raise ConfigError(f"{flag} must be 'first,second' in the two-round game, got {text!r}")
+        entry = tuple(_number(flag, p) for p in parts)
     return metagame._initial(cfg.game, agent, entry, cfg.arithmetic == "exact")
 
 
@@ -458,8 +463,8 @@ def cmd_audit(args) -> int:
 def cmd_oracle(args) -> int:
     if args.n < 0:
         raise ValueError(f"n must be non-negative, got {args.n}")
-    params = analysis.recurrence_params(args.D, Fraction(args.eta), args.k,
-                                        Fraction(args.w0), Fraction(args.f0))
+    eta, w0, f0 = (_number(name, getattr(args, name), Fraction) for name in ("eta", "w0", "f0"))
+    params = analysis.recurrence_params(args.D, eta, args.k, w0, f0)
     import mpmath
 
     print("n,w_closed,f_closed,w_iter,f_iter,abs_diff")
@@ -535,7 +540,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (OSError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -156,8 +156,8 @@ def check_simplex(x: np.ndarray) -> bool:
     return bool(np.all(x >= -1e-9) and abs(float(x.sum()) - 1.0) <= 1e-9)
 
 
-def _threshold_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort-and-threshold of each vector down axis 0: (projection, threshold per vector).
+def _threshold_rows(v: np.ndarray) -> np.ndarray:
+    """Sort-and-threshold projection of each vector down axis 0.
 
     ``v`` is entries-major, ``(n, ...)``: every sort, scan and broadcast runs
     across all the vectors at once.
@@ -174,7 +174,7 @@ def _threshold_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     theta = css[rho, np.arange(len(rho))] / (rho + 1.0)
     x = cols - theta
     np.maximum(x, 0.0, out=x)
-    return x.reshape(v.shape), theta.reshape(v.shape[1:])
+    return x.reshape(v.shape)
 
 
 def project_simplex(v) -> np.ndarray:
@@ -191,12 +191,12 @@ def project_simplex(v) -> np.ndarray:
         raise StructuralError("projection input must be a non-empty vector or stack of vectors")
     if not np.isfinite(v).all():
         raise ValueError("projection input must be finite (no NaN/inf)")
-    return _threshold_rows(v.T)[0].T
+    return _threshold_rows(v.T).T
 
 
 def project_simplex_batch(v: np.ndarray) -> np.ndarray:
     """:func:`project_simplex` of every vector along the last axis, without input checks."""
-    return _threshold_rows(np.asarray(v, dtype=float).T)[0].T
+    return _threshold_rows(np.asarray(v, dtype=float).T).T
 
 
 def project_simplex_exact(nums: list[list[int]],

@@ -4,11 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  The expensive sweeps are
 computed once per session and shared across criteria.
 
 Three sub-checks are expected to fail and are left failing deliberately; they
-pin heatmap statistics of the reference experiments that are artifacts of that
-solver's noise path on razor-tie cells, which an exact-arithmetic
-implementation provably cannot reproduce (see README, "Known deviations", and
-the crit 1 tie table under ROADMAP.md open item 1).  All measured values are
-printed so the margins are visible.
+pin statistics of the reference experiments that this implementation does not
+reproduce (README, "Known deviations", gives what is measured about each and
+what is not explained).  All measured values are printed so the margins are
+visible.
 """
 
 import math

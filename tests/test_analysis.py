@@ -456,7 +456,7 @@ def make_fig_profile(game, eq_offer, reject_offer=None, counter=None, firm_rejec
 @st.composite
 def threat_stacks(draw):
     """A two-round game and ``(k, n_seq)`` stacks of firm plans, worker plans
-    and firm cumulative utilities (or None) that reach every branch of the
+    and firm cumulative utilities (or zeros) that reach every branch of the
     threat classifier: rows with no, one or two first-round offers near 1,
     reachable and unreachable firm infosets, utility gaps at and beyond the
     tie tolerance, and counter masses with ties."""
@@ -483,7 +483,7 @@ def threat_stacks(draw):
     weights = draw(arrays(float, (k, n, n), elements=st.sampled_from([0.0, 0.0, 1.0, 2.0])))
     weights[..., 0] += weights.sum(axis=-1) == 0
     counters[...] = reject[..., None] * weights / weights.sum(axis=-1, keepdims=True)
-    util = draw(st.none() | arrays(float, r_f.shape, elements=st.sampled_from(
+    util = draw(st.just(np.zeros_like(r_f)) | arrays(float, r_f.shape, elements=st.sampled_from(
         [0.0, 1e-9, -1e-9, 2e-9, -2e-9, 1.0, -1.0])))
     return game, r_f, r_w, util
 
@@ -496,7 +496,7 @@ class TestThreats:
 
     def test_no_threats_when_everyone_accepts(self):
         r_f, r_w = make_fig_profile(self.game, eq_offer=0.4)
-        rep = detect_threats((r_f, r_w), self.game)
+        rep = detect_threats((r_f, r_w), self.game, np.zeros_like(r_f))
         assert rep.status == "ok"
         assert rep.equilibrium_offer == 0.4
         assert rep.worker_accepts_eq
@@ -507,7 +507,7 @@ class TestThreats:
         # worker accepts the 0.6 equilibrium offer; firm rejects the minimal
         # counter half the time although 0.9 * 0.8 beats 0.6
         r_f, r_w = make_fig_profile(self.game, eq_offer=0.6, firm_reject_eqcounter=True)
-        rep = detect_threats((r_f, r_w), self.game)
+        rep = detect_threats((r_f, r_w), self.game, np.zeros_like(r_f))
         assert rep.noncredible_firm_threat
         assert rep.noncredible_reject_prob == pytest.approx(0.5, abs=1e-9)
         assert rep.worker_accepts_eq
@@ -515,7 +515,7 @@ class TestThreats:
     def test_noncredible_needs_discount_margin(self):
         # equilibrium offer 0.8 exceeds 0.9 * 0.8, so rejecting 0.2 is not flagged
         r_f, r_w = make_fig_profile(self.game, eq_offer=0.8, firm_reject_eqcounter=True)
-        rep = detect_threats((r_f, r_w), self.game)
+        rep = detect_threats((r_f, r_w), self.game, np.zeros_like(r_f))
         assert not rep.noncredible_firm_threat
 
     def test_credible_worker_threat_with_limit_behavior(self):
@@ -545,7 +545,7 @@ class TestThreats:
         r_f, r_w = make_fig_profile(self.game, eq_offer=0.4)
         r_f[self.firm["head", 2]] = 0.5
         r_f[self.firm["head", 3]] = 0.5
-        rep = detect_threats((r_f, r_w), self.game)
+        rep = detect_threats((r_f, r_w), self.game, np.zeros_like(r_f))
         assert rep.status == "undefined-equilibrium-offer"
         assert not rep.credible_worker_threat and not rep.noncredible_firm_threat
 
@@ -562,23 +562,22 @@ class TestThreats:
                     pairs = U[1 + n:].reshape(n, n, 2)
                     pairs[..., 0] = rng.choice([0.0, 1e-9, -1e-9, 2e-9, -2e-9], size=(n, n))
                     pairs[..., 1] = 0.0
-                for util in (U, None):
-                    expected = oracles.firm_accept_behavior_loop(r_f, game, util)
+                # zero utilities give the reference's placeholder, 0.5, at every dead infoset
+                for util, reference in ((U, U), (np.zeros_like(U), None)):
+                    expected = oracles.firm_accept_behavior_loop(r_f, game, reference)
                     assert np.array_equal(analysis._firm_accept_behavior(r_f, game, util), expected)
 
     @given(threat_stacks())
     def test_stack_matches_per_profile_loop(self, case):
         game, r_f, r_w, util = case
         reports = detect_threats((r_f, r_w), game, firm_cum_util=util)
-        rows = [None] * len(r_f) if util is None else util
-        expected = [oracles.threat_loop((f, w), game, u) for f, w, u in zip(r_f, r_w, rows)]
+        expected = [oracles.threat_loop((f, w), game, u) for f, w, u in zip(r_f, r_w, util)]
         assert reports == expected
         # one profile keeps its single report, a stack of one is a list of one
-        assert detect_threats((r_f[0], r_w[0]), game, rows[0]) == expected[0]
-        assert detect_threats((r_f[:1], r_w[:1]), game,
-                              None if util is None else util[:1]) == expected[:1]
+        assert detect_threats((r_f[0], r_w[0]), game, util[0]) == expected[0]
+        assert detect_threats((r_f[:1], r_w[:1]), game, util[:1]) == expected[:1]
         accept = analysis._firm_accept_behavior(r_f, game, util)
-        for f, u, block in zip(r_f, rows, accept):
+        for f, u, block in zip(r_f, util, accept):
             assert np.array_equal(analysis._firm_accept_behavior(f, game, u), block)
 
     @pytest.mark.parametrize("delta", [0.1, 0.55, 0.9])
@@ -601,13 +600,14 @@ class TestThreats:
     def test_row_length_must_match_treeplex(self):
         r_f, r_w = make_fig_profile(self.game, eq_offer=0.4)
         stack_f, stack_w = np.stack([r_f, r_f]), np.stack([r_w, r_w])
+        zeros = np.zeros_like(stack_f)
         cases = [
-            ((stack_f[:, :-1], stack_w), None, "firm plan"),
-            ((stack_f, stack_w[:, 1:]), None, "worker plan"),
-            ((stack_f, stack_w[:1]), None, "worker plan"),
-            ((stack_f[None], stack_w[None]), None, "firm plan"),
+            ((stack_f[:, :-1], stack_w), zeros, "firm plan"),
+            ((stack_f, stack_w[:, 1:]), zeros, "worker plan"),
+            ((stack_f, stack_w[:1]), zeros, "worker plan"),
+            ((stack_f[None], stack_w[None]), zeros, "firm plan"),
             ((stack_f, stack_w), np.zeros(r_f.size), "cumulative utilities"),
-            ((r_f, r_w[:-1]), None, "worker plan"),
+            ((r_f, r_w[:-1]), np.zeros_like(r_f), "worker plan"),
         ]
         for profile, util, message in cases:
             with pytest.raises(StructuralError, match=message):
@@ -620,7 +620,7 @@ class TestThreats:
             dict(eq_offer=0.8, reject_offer=0.6, counter=0.2),
         ):
             r_f, r_w = make_fig_profile(self.game, **kwargs)
-            rep = detect_threats((r_f, r_w), self.game)
+            rep = detect_threats((r_f, r_w), self.game, np.zeros_like(r_f))
             if rep.noncredible_firm_threat:
                 assert rep.worker_accepts_eq
                 assert self.game.delta * (self.grid.D - 1) / self.grid.D > rep.equilibrium_offer

@@ -151,6 +151,18 @@ class TestConfigParsing:
         kv[key] = "3"
         assert cli.load_config(write_config(tmp_path / "c.cfg", **kv)) is not None
 
+    @pytest.mark.parametrize("key", ["eta", "delta", "reference_w", "conv_threshold"])
+    def test_zero_denominator_names_key(self, tmp_path, capsys, key):
+        # every number of a config parses by one rule, which names the key
+        kv = dict(game="g2", d=3, eta="1/2", delta="0.9")
+        kv[key] = "1/0"
+        path = write_config(tmp_path / "c.cfg", **kv)
+        message = f"{path}: {key} must be a number, got '1/0'"
+        with pytest.raises(cli.ConfigError, match=f"^{message}$"):
+            cli.load_config(path)
+        assert main(["run", path, "--init-f", "uniform", "--init-w", "uniform"]) == 2
+        assert assert_one_error_line(capsys) == f"error: {message}\n"
+
     def test_learner_rejection_names_file(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", game="g1", d=3, eta="1/2", reference_f=0.123)
         with pytest.raises(cli.ConfigError, match="0.123 is not on the 1/3 grid") as exc:
@@ -214,9 +226,17 @@ class TestRunCommand:
         assert "nope.cfg" in capsys.readouterr().err
 
     def test_zero_denominator_initial_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "g1.cfg", game="g1", d=5, eta=0.5)
-        assert main(["run", cfg, "--init-f", "1/0", "--init-w", "0"]) == 2
-        assert_one_error_line(capsys)
+        # a bad initial strategy names its flag, in both games
+        g1 = write_config(tmp_path / "g1.cfg", game="g1", d=5, eta=0.5)
+        g2 = write_config(tmp_path / "g2.cfg", game="g2", d=5, eta=0.5, delta=0.9)
+        for cfg, init_f, init_w, message in [
+            (g1, "1/0", "0", "--init-f must be a number, got '1/0'"),
+            (g1, "0", "1e400", "--init-w must be a number, got '1e400'"),  # beyond a float
+            (g2, "0.6,0", "0.6,1/0", "--init-w must be a number, got '1/0'"),
+            (g2, "0.6,0", "0.6", "--init-w must be 'first,second' in the two-round game, got '0.6'"),
+        ]:
+            assert main(["run", cfg, "--init-f", init_f, "--init-w", init_w]) == 2
+            assert assert_one_error_line(capsys) == f"error: {message}\n"
 
     def test_out_dir_naming_a_file_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "g1.cfg", game="g1", d=5, eta=0.5)
@@ -456,7 +476,11 @@ class TestMetagameCommand:
          ": heatmap lacks columns u_w"),
         ("firm_init,worker_init,u_w,eps,converged_at,status\n0,0,0.25,0,10,converged\n0,1,0.5\n",
          ":3: row has fewer fields than the header"),
-    ], ids=["no_firm_threshold", "no_u_w", "short_row"])
+        ("firm_init,worker_init,u_w,eps,converged_at,status\n0,0,0.25,0,10,converged,extra\n",
+         ":2: row has more fields than the header"),
+        ("firm_init,worker_init,u_w,eps,converged_at,status\n0,0,0.25,0,10,converged\n0,1,abc,0,10,converged\n",
+         ":3: u_w must be a number, got 'abc'"),
+    ], ids=["no_firm_threshold", "no_u_w", "short_row", "long_row", "non_numeric_u_w"])
     def test_malformed_heatmap_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "h.csv"
         path.write_text(text)
@@ -589,10 +613,12 @@ class TestOracleCommand:
         assert captured.out == "" and "non-negative" in captured.err
 
     @pytest.mark.parametrize("argv", [["5", "1/0", "2", "1/2", "1/2", "5"],
-                                      ["5", "1/2", "2", "1/0", "1/2", "5"]])
+                                      ["5", "1/2", "2", "1/0", "1/2", "5"],
+                                      ["5", "1/2", "2", "1/2", "1/0", "5"]])
     def test_zero_denominator_exit_2(self, capsys, argv):
+        name = ["D", "eta", "k", "w0", "f0", "n"][argv.index("1/0")]
         assert main(["oracle", *argv]) == 2
-        assert_one_error_line(capsys)
+        assert assert_one_error_line(capsys) == f"error: {name} must be a number, got '1/0'\n"
 
     def test_table_matches_fraction_iteration(self, capsys):
         # The table as printed from plain Fraction iteration, byte for byte.

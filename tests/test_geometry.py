@@ -40,12 +40,9 @@ class TestSimplexProjection:
         assert ((x - np.array([0.5, 0.2, 0.2])) ** 2).sum() <= lattice_d + 1e-12
 
     def test_certificate(self):
-        # threshold and active support of the sort-and-threshold rule
-        x, theta = _threshold_rows(np.array([0.5, 0.2, 0.2]))
-        assert theta == pytest.approx(-1 / 30, abs=1e-15)
-        assert (x > 0.0).all()
-        y, theta2 = _threshold_rows(np.array([2.0, 0.0, 0.0]))
-        assert theta2 == pytest.approx(1.0, abs=1e-15)
+        # active support of the sort-and-threshold rule
+        assert (_threshold_rows(np.array([0.5, 0.2, 0.2])) > 0.0).all()
+        y = _threshold_rows(np.array([2.0, 0.0, 0.0]))
         assert list(y > 0.0) == [True, False, False]
 
     def test_nan_rejected(self):

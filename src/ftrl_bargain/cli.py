@@ -290,8 +290,8 @@ def _audit_stacks(draws: list, runs: list[int], arithmetic: str) -> dict:
     which ``run_lockstep`` pads row by row; exact draws run as one stack
     per grid size, as the exact kernel does not pad and costs the same per
     row however its rows are stacked.  :func:`_audit_inits` makes every
-    row a valid mixture, so no row is checked here.  Arms one
-    :class:`MonitorSuite` on each float stack.  Returns, by run index, the
+    row a valid mixture, so no row is checked here.  Each float stack's
+    observer is one :class:`MonitorSuite`.  Returns, by run index, the
     run's :class:`Trajectory` and its monitor violations as
     ``(monitor, run, step, detail)`` (none when exact).
     """
@@ -305,9 +305,9 @@ def _audit_stacks(draws: list, runs: list[int], arithmetic: str) -> dict:
                             eta=draws[idx[0]][1], arithmetic=arithmetic)
         inits = [(_audit_inits(draws[i][2], exact), _audit_inits(draws[i][3], exact))
                  for i in idx]
-        suite = None if exact else MonitorSuite()
+        suite = None if exact else MonitorSuite(cfg)
         run = learner.run_lockstep(cfg, *([pair[a] for pair in inits] for a in (0, 1)),
-                                   eta=[draws[i][1] for i in idx], monitors=suite)
+                                   observe=suite, eta=[draws[i][1] for i in idx])
         found = {i: [] for i in idx}
         for name, row, step, detail in [] if exact else suite.violations:
             found[idx[row]].append((name, idx[row], step, detail))
@@ -485,8 +485,14 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is a ``ValueError``, which :func:`main` reports as one ``error: ...`` line."""
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ftrl-bargain",
         description="Regularized-leader learning dynamics in discretized bargaining games",
     )
@@ -533,13 +539,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:   # --help
+        return exc.code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

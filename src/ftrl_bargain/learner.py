@@ -20,10 +20,10 @@ built only for the results.  The kernel reports only strategies to its
 observers: :func:`regret` computes a one-shot run's regret on request from its
 history, by one rule in both arithmetics.
 
-One :class:`MonitorSuite` per float one-shot stack buffers the live rows'
-previous strategies, projection inputs and new strategies each step and checks
-the structural laws on blocks of ``BLOCK`` row-steps at once, plus the
-remainder after the run.
+The kernel calls one observer per step with the live rows' previous
+strategies, projection inputs and new strategies: :func:`run_dynamics` keeps
+a history through one, and a :class:`MonitorSuite`, which checks the
+structural laws on blocks of ``BLOCK`` row-steps at once, is one.
 
 The float kernel holds its state entries-major: a stack of k runs over n
 entries is a C-ordered ``(n, k)`` array, one run per column, so each
@@ -270,28 +270,38 @@ class MonitorSuite:
     identities (mass differences track input differences on the support, and
     output order follows input order).
 
-    One suite watches a whole :func:`run_lockstep` stack.  Each step the
-    kernel hands it the live rows' indices with their previous strategies,
-    projection inputs and new strategies, which the suite copies; every
-    ``BLOCK`` buffered row-steps, and once after the run, it checks them
-    together as ``(N, n)`` stacks in which each entry carries its own
-    previous row.
+    A suite is a :func:`run_lockstep` observer of float one-shot runs on
+    ``cfg``'s grid; another config, or rows not ``cfg.grid.size`` wide, raise
+    ``ValueError``.  It copies each step, and every ``BLOCK`` row-steps and
+    before ``violations`` is read it checks the copies as ``(N, n)`` stacks in
+    which each entry carries its own previous row.
     ``violations`` lists ``(monitor, row, step, detail)`` in step order, within
     a step in row order, and within a row in check order: firm then worker
     projection identities, the two shape laws, then the transition laws.  It
     accumulates across runs.
     """
 
-    def __init__(self):
-        self.violations: list[tuple[str, int, int, str]] = []
+    def __init__(self, cfg: LearnerConfig):
+        if not (isinstance(cfg.game, UltimatumGame) and cfg.arithmetic == "float"):
+            raise ValueError("monitors apply to float one-shot runs only")
+        self._width = cfg.grid.size
+        self._violations: list[tuple[str, int, int, str]] = []
         self._buffer: list = []
         self._pending = 0
 
-    def _record(self, t: int, rows: np.ndarray, x, v, new) -> None:
+    @property
+    def violations(self) -> list[tuple[str, int, int, str]]:
+        self._check()
+        return self._violations
+
+    def __call__(self, t: int, rows: np.ndarray, x, v, new) -> None:
         """Buffer step ``t`` of the live ``rows``: (firm, worker) pairs of ``(k, n)`` stacks.
 
         The stacks may be views of any memory order; the buffer holds C-ordered copies.
         """
+        widths = (x[0].shape[1], x[1].shape[1])
+        if widths != (self._width,) * 2:
+            raise ValueError(f"monitors check rows of {self._width} entries, got {widths}")
         self._buffer.append((np.full(len(rows), t), rows.copy(),
                              np.array((x[0], v[0], new[0], x[1], v[1], new[1]), order="C")))
         self._pending += len(rows)
@@ -360,7 +370,7 @@ class MonitorSuite:
         hits = sorted((int(r), order, name, detail(r))
                       for order, (mask, name, detail) in enumerate(checks)
                       for r in np.flatnonzero(mask))
-        self.violations += [(name, int(ids[r]), int(steps[r]), detail) for r, _, name, detail in hits]
+        self._violations += [(name, int(ids[r]), int(steps[r]), detail) for r, _, name, detail in hits]
 
 
 class _FloatArithmetic:
@@ -453,7 +463,7 @@ class _ExactArithmetic:
     Each step reduces every row once per vector by ``math.gcd``.  The
     running offsets are numerators over their row's utility denominator, in
     an object array.  ``Fraction``s are built only for rows that retire, for
-    the certificate guard's candidate rows and for the ``on_step`` hook.
+    the certificate guard's candidate rows and for the observer.
     """
 
     dtype = object
@@ -609,35 +619,28 @@ def regret(cfg: LearnerConfig, history: list) -> tuple[list, list]:
     return tuple(out)
 
 
-def run_dynamics(
-    cfg: LearnerConfig,
-    init_f,
-    init_w,
-    keep_history: bool = False,
-    monitors: Optional[MonitorSuite] = None,
-) -> Trajectory:
+def run_dynamics(cfg: LearnerConfig, init_f, init_w, keep_history: bool = False) -> Trajectory:
     """Simultaneous FTRL self-play until convergence or the step cap.
 
     Non-convergence is reported through an unset ``converged_at``, never an
     exception.  Identical inputs produce bitwise-identical trajectories.
-    The initial strategies are checked here; ``monitors`` goes to the
-    kernel, which accepts it on float one-shot runs only and raises
-    ``ValueError`` on any other run.
+    The initial strategies are checked here.  The run is a one-row
+    :func:`run_lockstep` stack; an observer keeps its history.  To monitor
+    a run, call :func:`run_lockstep` with a :class:`MonitorSuite`.
     """
     arith = _arithmetic(cfg)
     x_f, x_w = (arith.values(arith.stack(np.asarray(x)[None]))[0] for x in (init_f, init_w))
     _check_initial(cfg, x_f, x_w)
     history = [(x_f.copy(), x_w.copy())] if keep_history else None
 
-    def on_step(t, v, new):
+    def observe(t, rows, x, v, new):
         history.append((new[0][0].copy(), new[1][0].copy()))
 
-    run = run_lockstep(cfg, x_f[None], x_w[None], on_step if keep_history else None,
-                       monitors=monitors)
+    run = run_lockstep(cfg, x_f[None], x_w[None], observe if keep_history else None)
     return replace(run.trajectory(0, cfg.steps_cap), history=history)
 
 
-def _mixed_widths(cfg: LearnerConfig, init_f, init_w, on_step) -> Optional[np.ndarray]:
+def _mixed_widths(cfg: LearnerConfig, init_f, init_w) -> Optional[np.ndarray]:
     """Each row's length when a stack's rows differ in length, else None.
 
     Raises ``ValueError`` where mixed grid sizes do not apply, and
@@ -648,8 +651,8 @@ def _mixed_widths(cfg: LearnerConfig, init_f, init_w, on_step) -> Optional[np.nd
         return None
     if not (isinstance(cfg.game, UltimatumGame) and cfg.arithmetic == "float"):
         raise ValueError("mixed grid sizes apply to float one-shot runs only")
-    if cfg.reference_f is not None or cfg.reference_w is not None or on_step is not None:
-        raise ValueError("mixed grid sizes take no reference and no on_step hook")
+    if cfg.reference_f is not None or cfg.reference_w is not None:
+        raise ValueError("mixed grid sizes take no reference")
     if widths != [len(row) for row in init_w]:
         raise StructuralError("a row's firm and worker strategies differ in length")
     if min(widths) < 3 or max(widths) > cfg.grid.size:
@@ -664,8 +667,7 @@ def _padded(rows, pad: np.ndarray) -> np.ndarray:
     return out
 
 
-def run_lockstep(cfg: LearnerConfig, init_f, init_w,
-                 on_step=None, eta=None, monitors=None) -> Lockstep:
+def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> Lockstep:
     """Self-play of a stack of runs, one row of ``init_f``/``init_w`` each.
 
     All rows step together through one feedback, shift, update and projection
@@ -692,16 +694,15 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
     grid's arithmetic; the certificate guard checks
     the rows of each width, trimmed, on their own game, and
     :meth:`Lockstep.trajectory` trims each row back.  Mixed grid sizes raise
-    ``ValueError`` on exact and two-round runs, with a reference and with
-    ``on_step``; a stack whose rows all have one length runs unpadded.
-    ``monitors`` is one :class:`MonitorSuite` for the whole stack (float
-    one-shot runs only; ``ValueError`` otherwise).  Each step the kernel hands
-    it the live rows' indices with their previous strategies, projection
-    inputs and new strategies, padded as the kernel holds them, and after the
-    loop it checks the suite's remaining row-steps.
-    ``on_step(t, v, new)`` sees each step ``t = 2, 3, ...`` of the live rows:
-    the (firm, worker) pairs of stacks of projection inputs and of new
-    strategies.
+    ``ValueError`` on exact and two-round runs and with a reference; a stack
+    whose rows all have one length runs unpadded.
+    ``observe(t, rows, x, v, new)`` is called at each step ``t = 2, 3, ...``
+    with the live rows' indices into the stack, in row order, and the
+    (firm, worker) pairs of ``(k, n)`` stacks of their previous strategies,
+    projection inputs and new strategies, padded as the kernel holds them.
+    Float stacks are views of the kernel's state and exact ones ``Fraction``
+    arrays; an observer must not write to them, and copies what it keeps.
+    A :class:`MonitorSuite` is one observer; an empty stack calls none.
     """
     k = len(init_f)
     eta = [cfg.eta] * k if eta is None else list(eta)
@@ -709,10 +710,7 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
         raise ValueError(f"{len(eta)} learning rates for a stack of {k} rows")
     for e in eta:
         _check_eta(e, cfg.arithmetic == "exact")
-    if monitors is not None:
-        if not (isinstance(cfg.game, UltimatumGame) and cfg.arithmetic == "float"):
-            raise ValueError("monitors apply to float one-shot runs only")
-    widths = _mixed_widths(cfg, init_f, init_w, on_step)
+    widths = _mixed_widths(cfg, init_f, init_w)
     actions = None
     if widths is not None:
         pad = np.arange(cfg.grid.size) >= widths[:, None]
@@ -755,11 +753,9 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
         v_f, new_f = arith.update(FIRM, U_f, eta)
         v_w, new_w = arith.update(WORKER, U_w, eta)
         still = arith.still((x_f, x_w), (new_f, new_w))
-        if on_step is not None:
-            on_step(t, (value(v_f), value(v_w)), (value(new_f), value(new_w)))
-        if monitors is not None:
-            monitors._record(t, rows, (value(x_f), value(x_w)), (value(v_f), value(v_w)),
-                             (value(new_f), value(new_w)))
+        if observe is not None:
+            observe(t, rows, (value(x_f), value(x_w)), (value(v_f), value(v_w)),
+                    (value(new_f), value(new_w)))
         x_f, x_w = new_f, new_w
         if not still.any():
             continue
@@ -777,6 +773,4 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w,
             if actions is not None:
                 actions = actions[live]
     retire(np.ones(rows.size, dtype=bool))
-    if monitors is not None:
-        monitors._check()
     return out

@@ -10,7 +10,8 @@ sequence counts by a recursive tree walk, the recurrence by direct
 rational iteration, its closed form by the full formula with every constant
 and power recomputed on each call, exact one-shot FTRL runs by a plain
 ``Fraction`` loop, the structural monitors by checking one step at a time,
-and the randomized audit by one ``run_dynamics`` call per draw.
+and the randomized audit by one monitored one-row ``run_lockstep`` stack per
+draw.
 
 The ``*_rows`` functions are row-major bodies of the float kernel's layers
 (feedback, backward normalization, simplex and treeplex projection): each
@@ -562,8 +563,9 @@ def monitor_loop(init_f, init_w, steps) -> list[tuple[str, int, str]]:
 
 
 def audit_loop(n_runs: int, seed: int, exact_compare: int = 20):
-    """The randomized audit one draw at a time: a monitored ``run_dynamics``
-    per draw, then its exact rerun.  Returns the ``cli.AuditReport``.
+    """The randomized audit one draw at a time: a monitored one-row
+    ``run_lockstep`` stack per draw, then its exact rerun.  Returns the
+    ``cli.AuditReport``.
     """
     rng = np.random.default_rng(seed)
     report = cli.AuditReport(seed=seed, n_runs=n_runs)
@@ -573,8 +575,9 @@ def audit_loop(n_runs: int, seed: int, exact_compare: int = 20):
         init_f = wf.astype(float) / total_f
         init_w = ww.astype(float) / total_w
         cfg = LearnerConfig(game=UltimatumGame(ActionGrid(d)), eta=eta)
-        monitors = MonitorSuite()
-        traj = learner.run_dynamics(cfg, init_f, init_w, monitors=monitors)
+        monitors = MonitorSuite(cfg)
+        traj = learner.run_lockstep(cfg, init_f[None], init_w[None],
+                                    observe=monitors).trajectory(0, cfg.steps_cap)
         for monitor, _, step, detail in monitors.violations:
             report.violations.append((monitor, run_idx, step, detail))
 

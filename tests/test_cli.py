@@ -645,8 +645,27 @@ class TestOracleCommand:
 
 
 class TestExitCodes:
-    def test_usage_error(self):
+    def test_usage_error(self, capsys):
         assert main(["not-a-command"]) == 2
+        assert assert_one_error_line(capsys).startswith("error: argument command: invalid choice")
 
-    def test_no_args(self):
+    def test_no_args(self, capsys):
         assert main([]) == 2
+        assert "command" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv, name, value", [
+        (["oracle", "5", "1/2", "2.5", "1/2", "1/2", "5"], "k", "2.5"),
+        (["metagame", "heatmap.csv", "--tol", "abc"], "--tol", "abc"),
+        (["audit", "experiment.cfg", "--runs", "1.5"], "--runs", "1.5"),
+    ], ids=["oracle_k", "metagame_tol", "audit_runs"])
+    def test_unparsable_argument_is_one_error_line(self, capsys, argv, name, value):
+        # argparse's own errors print one line naming the argument, no usage line
+        assert main(argv) == 2
+        err = assert_one_error_line(capsys)
+        assert err.startswith(f"error: argument {name}: ") and f"'{value}'" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: ") and captured.err == ""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,9 +105,9 @@ def monitored_run(monkeypatch, cfg, init_f, init_w, fault=None, suite=None):
 
     monkeypatch.setattr(learner, "_project_simplex", project)
     if suite is None:
-        suite = MonitorSuite()
+        suite = MonitorSuite(cfg)
     before = len(suite.violations)
-    run_dynamics(cfg, init_f, init_w, monitors=suite)
+    learner.run_lockstep(cfg, np.array([init_f]), np.array([init_w]), suite)
     steps = [(2 + i, *calls[2 * i], *calls[2 * i + 1]) for i in range(len(calls) // 2)]
     added = suite.violations[before:]
     assert added == [(m, 0, t, d) for m, t, d in oracles.monitor_loop(init_f, init_w, steps)]
@@ -118,31 +119,42 @@ def of_row(violations, row):
     return [(m, t, d) for m, r, t, d in violations if r == row]
 
 
+def recorder(log, then=None):
+    """A ``run_lockstep`` observer that appends each step's ``(t, rows, stacks)`` to ``log``.
+
+    ``stacks`` are copies of ``x_f, x_w, v_f, v_w, new_f, new_w``; the call
+    is then passed on to the observer ``then``, if any.
+    """
+    def observe(t, rows, x, v, new):
+        log.append((t, rows.copy(), [np.array(a) for a in (*x, *v, *new)]))
+        if then is not None:
+            then(t, rows, x, v, new)
+    return observe
+
+
+def observed_row(log, row):
+    """``(t, stacks)`` of the steps in ``log`` where stack row ``row`` was live, its rows only."""
+    return [(t, [a[rows.tolist().index(row)] for a in stacks]) for t, rows, stacks in log if row in rows]
+
+
 def monitored_stack(cfg, init_f, init_w, eta=None, suite=None):
     """One monitored stack; asserts that each row's violations are the per-step
     oracle's on that row's live steps.
 
-    The ``on_step`` hook records each step's live rows, which are the rows
-    that have not retired yet, in row order.  Returns the violations the
-    stack added to ``suite`` (a fresh one by default).
+    A recording observer in front of the suite checks that each step's live
+    rows are the rows that have not retired yet, in row order.  Returns the
+    violations the stack added to ``suite`` (a fresh one by default).
     """
     seen = []
-
-    def on_step(t, v, new):
-        seen.append((t, *v, *new))
-
     if suite is None:
-        suite = MonitorSuite()
+        suite = MonitorSuite(cfg)
     before = len(suite.violations)
-    run = learner.run_lockstep(cfg, init_f, init_w, on_step, eta=eta, monitors=suite)
+    run = learner.run_lockstep(cfg, init_f, init_w, recorder(seen, suite), eta=eta)
     added = suite.violations[before:]
+    for t, rows, _ in seen:
+        assert rows.tolist() == np.flatnonzero((run.converged_at == 0) | (run.converged_at >= t)).tolist()
     for r in range(len(init_f)):
-        steps = []
-        for t, v_f, v_w, new_f, new_w in seen:
-            live = (run.converged_at == 0) | (run.converged_at >= t)
-            if live[r]:
-                i = int(live[:r].sum())
-                steps.append((t, v_f[i], new_f[i], v_w[i], new_w[i]))
+        steps = [(t, v_f, new_f, v_w, new_w) for t, (_, _, v_f, v_w, new_f, new_w) in observed_row(seen, r)]
         assert of_row(added, r) == oracles.monitor_loop(init_f[r], init_w[r], steps)
     return added
 
@@ -354,21 +366,21 @@ class TestUltimatumDynamics:
 
     def test_monitor_suite_clean_on_valid_run(self):
         cfg = g1_config(d=9, eta=0.8)
-        monitors = MonitorSuite()
+        monitors = MonitorSuite(cfg)
         rng = np.random.default_rng(5)
         x = rng.exponential(size=10)
         # worker init sorted: the firm-unimodality law conditions on it
         y = np.sort(rng.exponential(size=10))[::-1]
-        run_dynamics(cfg, x / x.sum(), y / y.sum(), monitors=monitors)
+        learner.run_lockstep(cfg, np.array([x / x.sum()]), np.array([y / y.sum()]), monitors)
         assert monitors.violations == []
 
     def test_lemma2_premise_needs_sorted_worker_init(self, no_guard):
         # with an unsorted worker initial mixture the firm's second iterate
         # can legitimately dip and rise again, so the audit draws sorted ones
         cfg = g1_config(d=5, eta=0.8, max_steps=6)
-        monitors = MonitorSuite()
+        monitors = MonitorSuite(cfg)
         init_w = np.array([0.5, 0.0, 0.0, 0.5, 0.0, 0.0])
-        run_dynamics(cfg, uniform_strategy(cfg.grid), init_w, monitors=monitors)
+        learner.run_lockstep(cfg, np.array([uniform_strategy(cfg.grid)]), np.array([init_w]), monitors)
         assert any(v[0] == "lemma2_firm_unimodal" for v in monitors.violations)
 
     @pytest.mark.parametrize("monitor", learner.MONITORS)
@@ -411,17 +423,20 @@ class TestMonitorBlocks:
 
     def test_suite_reused_across_runs(self):
         # each row of each stack skips its own first transition, however many
-        # steps the suite saw; unsorted worker inits make lemma2 fire
+        # steps the suite saw, and the first stack's unchecked remainder is
+        # checked with the second's steps; unsorted worker inits make lemma2
+        # fire.  A suite watches one grid, so both stacks share one D.
         rng = np.random.default_rng(7)
+        d = int(rng.integers(3, 13))
+        cfg = g1_config(d=d, max_steps=200)
         stacks = []
         for k in (3, 4):
-            d = int(rng.integers(3, 13))
             wf, ww = rng.integers(1, 100, size=(2, k, d + 1))
-            stacks.append((g1_config(d=d, max_steps=200), wf / wf.sum(axis=1, keepdims=True),
-                           ww / ww.sum(axis=1, keepdims=True), list(rng.integers(20, 101, size=k) / 100)))
-        fresh = [v for cfg, f, w, eta in stacks for v in monitored_stack(cfg, f, w, eta)]
-        suite = MonitorSuite()
-        for cfg, f, w, eta in stacks:
+            stacks.append((wf / wf.sum(axis=1, keepdims=True), ww / ww.sum(axis=1, keepdims=True),
+                           list(rng.integers(20, 101, size=k) / 100)))
+        fresh = [v for f, w, eta in stacks for v in monitored_stack(cfg, f, w, eta)]
+        suite = MonitorSuite(cfg)
+        for f, w, eta in stacks:
             monitored_stack(cfg, f, w, eta, suite=suite)
         assert suite.violations == fresh and fresh
 
@@ -436,16 +451,17 @@ class TestMonitorBlocks:
         entry = st.one_of(st.sampled_from([0.0, 1e-11, 0.25, 0.5, 1.0, np.nan]), st.floats(-1, 1))
         init_f, init_w = (data.draw(arrays(float, (k, n), elements=entry)) for _ in range(2))
         v_f, x_f, v_w, x_w = (data.draw(arrays(float, (steps, k, n), elements=entry)) for _ in range(4))
-        suite = MonitorSuite()
+        # no ActionGrid has fewer than 3 entries: a stand-in config gives the width
+        suite = MonitorSuite(SimpleNamespace(game=UltimatumGame(ActionGrid(2)), arithmetic="float",
+                                             grid=SimpleNamespace(size=n)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(learner, "BLOCK", data.draw(st.sampled_from([1, 2, 5, learner.BLOCK])))
             prev_f, prev_w = init_f, init_w
             for s in range(steps):
                 rows = np.flatnonzero(np.array(lives) > s)
-                suite._record(2 + s, rows, (prev_f[rows], prev_w[rows]), (v_f[s, rows], v_w[s, rows]),
-                              (x_f[s, rows], x_w[s, rows]))
+                suite(2 + s, rows, (prev_f[rows], prev_w[rows]), (v_f[s, rows], v_w[s, rows]),
+                      (x_f[s, rows], x_w[s, rows]))
                 prev_f, prev_w = x_f[s], x_w[s]
-            suite._check()
         for r, life in enumerate(lives):
             live = [(2 + s, v_f[s, r], x_f[s, r], v_w[s, r], x_w[s, r]) for s in range(life)]
             assert of_row(suite.violations, r) == oracles.monitor_loop(init_f[r], init_w[r], live)
@@ -502,15 +518,22 @@ class TestPerRowInputs:
         with pytest.raises(ValueError, match="eta|learning rates"):
             learner.run_lockstep(cfg, init_f, init_w, eta=eta)
 
-    def test_monitors_rejected_off_float_one_shot(self):
-        cfg, init_f, init_w = self.stack(arithmetic="exact")
-        with pytest.raises(ValueError, match="monitors"):
-            learner.run_lockstep(cfg, init_f, init_w, monitors=MonitorSuite())
-        game = TwoRoundGame(ActionGrid(3), 0.9)
-        plans = [np.array([plan(game, 0.0, 0.0)]) for plan in (firm_vertex_plan, worker_vertex_plan)]
-        with pytest.raises(ValueError, match="monitors"):
-            learner.run_lockstep(LearnerConfig(game=game, eta=0.5), *plans,
-                                 monitors=MonitorSuite())
+    @pytest.mark.parametrize("arithmetic", ["float", "exact"])
+    def test_rows_observe_what_they_observe_alone(self, arithmetic):
+        # each row's previous strategies, projection inputs and new
+        # strategies, at each of its live steps, are its solo run's
+        cfg, init_f, init_w = self.stack(arithmetic=arithmetic)
+        stacked = []
+        learner.run_lockstep(cfg, init_f, init_w, recorder(stacked), eta=self.ETAS)
+        for k, eta in enumerate(self.ETAS):
+            alone = []
+            learner.run_lockstep(dataclasses.replace(cfg, eta=eta), init_f[k:k + 1], init_w[k:k + 1],
+                                 recorder(alone))
+            assert all(rows.tolist() == [0] for _, rows, _ in alone)
+            mine, solo = observed_row(stacked, k), observed_row(alone, 0)
+            assert [t for t, _ in mine] == [t for t, _ in solo] and len(solo) > 1
+            for (_, got), (_, want) in zip(mine, solo):
+                assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_initial_rows_rejected(self, bad):
@@ -533,13 +556,13 @@ class TestPerRowInputs:
             monkeypatch.setattr(learner, "_project_simplex", lambda v: fault(v, 0))
         cfg, init_f, init_w = self.stack()
         init_w = np.sort(init_w, axis=1)[:, ::-1]   # sorted: the firm-unimodality premise
-        suite = MonitorSuite()
-        learner.run_lockstep(cfg, init_f, init_w, eta=self.ETAS, monitors=suite)
+        suite = MonitorSuite(cfg)
+        learner.run_lockstep(cfg, init_f, init_w, suite, eta=self.ETAS)
         alone = []
         for k, eta in enumerate(self.ETAS):
-            alone.append(MonitorSuite())
-            run_dynamics(dataclasses.replace(cfg, eta=eta), init_f[k], init_w[k],
-                         monitors=alone[-1])
+            alone.append(MonitorSuite(cfg))
+            learner.run_lockstep(dataclasses.replace(cfg, eta=eta), init_f[k:k + 1], init_w[k:k + 1],
+                                 alone[-1])
         assert [of_row(suite.violations, k) for k in range(len(alone))] == [
             of_row(s.violations, 0) for s in alone]
         assert bool(suite.violations) == (fault is not None)
@@ -552,8 +575,40 @@ def _reversed_head(v):
     return x
 
 
+class TestMonitorSuite:
+    """A suite is an observer of float one-shot stacks of its config's grid."""
+
+    def test_rejects_exact_and_two_round_configs(self):
+        with pytest.raises(ValueError, match="monitors apply to float one-shot runs only"):
+            MonitorSuite(g1_config(d=4, eta=Fraction(1, 2), arithmetic="exact"))
+        with pytest.raises(ValueError, match="monitors apply to float one-shot runs only"):
+            MonitorSuite(LearnerConfig(game=TwoRoundGame(ActionGrid(3), 0.9), eta=0.5))
+
+    def test_one_shot_suite_on_two_round_stack_raises_at_step_2(self):
+        game = TwoRoundGame(ActionGrid(3), 0.9)
+        plans = [np.array([plan(game, 0.0, 0.0)]) for plan in (firm_vertex_plan, worker_vertex_plan)]
+        seen = []
+        with pytest.raises(ValueError, match="monitors check rows of 4 entries"):
+            learner.run_lockstep(LearnerConfig(game=game, eta=0.5), *plans,
+                                 recorder(seen, MonitorSuite(g1_config(d=3))))
+        assert [t for t, _, _ in seen] == [2]
+
+    def test_remainder_checked_when_read(self, monkeypatch, no_guard):
+        # fewer than BLOCK row-steps stay in the buffer after the run; reading
+        # the violations checks them, so the injected fault is reported
+        monkeypatch.setattr(learner, "_project_simplex", lambda v: _dip(v, 0))
+        cfg = g1_config(d=5, eta=0.5, max_steps=21, conv_threshold=1e-300)
+        suite = MonitorSuite(cfg)
+        learner.run_lockstep(cfg, np.array([uniform_strategy(cfg.grid)]),
+                             np.array([[2, 1, 0, 0, 0, 0]]) / 3, suite)
+        assert 0 < suite._pending < learner.BLOCK
+        assert "lemma2_firm_unimodal" in {v[0] for v in suite.violations}
+        assert suite._pending == 0
+
+
 class TestEmptyStack:
-    """A stack of zero rows returns an empty ``Lockstep`` before the first step."""
+    """A stack of zero rows returns an empty ``Lockstep`` before the first step,
+    without calling its observer."""
 
     @pytest.mark.parametrize("case", ["float_g1", "float_g2", "exact_g1", "float_g1_monitored"])
     def test_returns_before_first_step(self, case):
@@ -567,17 +622,18 @@ class TestEmptyStack:
         eta = Fraction(1, 2) if arithmetic == "exact" else 0.5
         cfg = LearnerConfig(game=game, eta=eta, arithmetic=arithmetic)
         dtype = object if arithmetic == "exact" else float
-        monitors = MonitorSuite() if case.endswith("monitored") else None
+        monitors = MonitorSuite(cfg) if case.endswith("monitored") else None
 
-        def on_step(t, v, new):
+        def observe(t, rows, x, v, new):
             raise AssertionError(f"an empty stack took step {t}")
 
         run = learner.run_lockstep(cfg, np.zeros((0, n_f), dtype=dtype), np.zeros((0, n_w), dtype=dtype),
-                                   on_step=on_step, monitors=monitors)
+                                   monitors or observe)
         assert run.converged_at.shape == (0,) and run.converged_at.dtype == np.int64
         for out, n in ((run.final_f, n_f), (run.final_w, n_w), (run.cum_util_f, n_f), (run.cum_util_w, n_w)):
             assert out.shape == (0, n) and out.dtype == dtype
         if monitors is not None:
+            assert monitors._buffer == []   # a call, even on zero rows, would buffer a step
             assert monitors.violations == []
 
 
@@ -613,9 +669,9 @@ class TestMixedWidths:
         inits = [(cli._audit_inits(wf, False), cli._audit_inits(ww, False)) for _, _, wf, ww in draws]
         etas = [eta for _, eta, _, _ in draws]
         cfg = g1_config(d=sizes[-1], max_steps=cap)
-        suite = MonitorSuite()
-        mixed = learner.run_lockstep(cfg, [f for f, _ in inits], [w for _, w in inits],
-                                     eta=etas, monitors=suite)
+        suite = MonitorSuite(cfg)
+        mixed = learner.run_lockstep(cfg, [f for f, _ in inits], [w for _, w in inits], suite,
+                                     eta=etas)
         assert len(sizes) >= 8 and mixed.widths.tolist() == [d + 1 for d, *_ in draws]
         if fault is None:
             assert mixed.converged_at[-1] == 8 and any(not v.all() for v in verdicts)
@@ -623,10 +679,10 @@ class TestMixedWidths:
             assert {row for _, row, _, _ in suite.violations} == set(range(len(draws)))
         for d in sizes:
             idx = [i for i, (size, *_) in enumerate(draws) if size == d]
-            alone = MonitorSuite()
+            alone = MonitorSuite(g1_config(d=d))
             run = learner.run_lockstep(g1_config(d=d, max_steps=cap),
                                        *(np.array([inits[i][a] for i in idx]) for a in (0, 1)),
-                                       eta=[etas[i] for i in idx], monitors=alone)
+                                       alone, eta=[etas[i] for i in idx])
             for row, i in enumerate(idx):
                 got, want = mixed.trajectory(i, cfg.steps_cap), run.trajectory(row, cfg.steps_cap)
                 assert (got.converged_at, got.steps) == (want.converged_at, want.steps)
@@ -653,6 +709,27 @@ class TestMixedWidths:
                 for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
+    def test_observer_sees_padded_rows(self):
+        # a row of D=3 in a D=5 stack shows the observer six entries: its own
+        # four, as it observes them alone on its own grid, then pads of mass
+        # 0 whose projection inputs lie far below every real entry
+        rng = np.random.default_rng(7)
+        sizes = (3, 5, 3)
+        inits = [[rng.dirichlet(np.ones(d + 1)) for d in sizes] for _ in (FIRM, WORKER)]
+        mixed = []
+        learner.run_lockstep(g1_config(), *inits, recorder(mixed))
+        for i, d in enumerate(sizes):
+            alone = []
+            learner.run_lockstep(g1_config(d=d), *(np.array([x[i]]) for x in inits), recorder(alone))
+            mine, solo = observed_row(mixed, i), observed_row(alone, 0)
+            assert [t for t, _ in mine] == [t for t, _ in solo] and len(solo) > 1
+            for (_, got), (_, want) in zip(mine, solo):
+                assert all(a.shape == (6,) for a in got)
+                assert all(np.array_equal(a[:d + 1], b) for a, b in zip(got, want))
+                x_f, x_w, v_f, v_w, new_f, new_w = (a[d + 1:] for a in got)
+                assert not np.concatenate([x_f, x_w, new_f, new_w]).any()
+                assert (np.concatenate([v_f, v_w]) < -1e200).all()
+
     def test_mixed_widths_rejected_where_they_do_not_apply(self):
         rows = [uniform_strategy(ActionGrid(d)) for d in (3, 5)]
         exact_rows = [[Fraction(1, d + 1)] * (d + 1) for d in (3, 5)]
@@ -665,8 +742,6 @@ class TestMixedWidths:
             learner.run_lockstep(LearnerConfig(game=games2[1], eta=0.5), *plans)
         with pytest.raises(ValueError, match="mixed grid sizes"):
             learner.run_lockstep(g1_config(reference_w=0.4), rows, rows)
-        with pytest.raises(ValueError, match="mixed grid sizes"):
-            learner.run_lockstep(g1_config(), rows, rows, on_step=lambda t, v, new: None)
         # a row wider than the config's grid, or firm and worker rows that differ
         with pytest.raises(StructuralError):
             learner.run_lockstep(g1_config(d=4), rows, rows)
@@ -707,12 +782,6 @@ class TestExactMode:
         assert len(ef) == len(ff) == tf.steps - 1
         np.testing.assert_allclose([float(r) for r in ef], ff, rtol=0, atol=1e-9)
         np.testing.assert_allclose([float(r) for r in ew], fw, rtol=0, atol=1e-9)
-
-    def test_monitors_rejected(self):
-        cfg = g1_config(d=4, eta=Fraction(1, 2), arithmetic="exact")
-        init = [Fraction(1, 5)] * 5
-        with pytest.raises(ValueError, match="monitors"):
-            run_dynamics(cfg, init, init, monitors=MonitorSuite())
 
     @pytest.mark.parametrize("eta", [0.1, 0.3, np.float64(0.1), 1 / 3])
     def test_eta_must_be_the_rational_it_reads_as(self, eta):
@@ -873,7 +942,7 @@ ARITHMETICS = {
 
 @pytest.mark.parametrize("arithmetic", ARITHMETICS)
 class TestRegretFromHistory:
-    """Regret is derived from the history; the kernel's hook sees only strategies."""
+    """Regret is derived from the history; the kernel's observer sees only strategies."""
 
     def test_no_step_no_regret(self, arithmetic):
         cfg, inits = ARITHMETICS[arithmetic]
@@ -882,18 +951,18 @@ class TestRegretFromHistory:
         assert learner.regret(cfg, traj.history) == ([], [])
 
     def test_hook_sees_history_rows(self, arithmetic):
+        # the observer's previous and new strategies are consecutive history rows
         cfg, inits = ARITHMETICS[arithmetic]
         seen = []
-
-        def on_step(t, v, new):
-            seen.append((t, new[0][0], new[1][0]))
-
         traj = run_dynamics(cfg, *inits, keep_history=True)
         assert traj.converged
-        learner.run_lockstep(cfg, *(np.array([x]) for x in inits), on_step)
+        learner.run_lockstep(cfg, *(np.array([x]) for x in inits), recorder(seen))
         assert [t for t, _, _ in seen] == list(range(2, traj.steps + 1))
-        for (_, f, w), (hf, hw) in zip(seen, traj.history[1:], strict=True):
-            assert list(f) == list(hf) and list(w) == list(hw)
+        for (_, rows, (x_f, x_w, _, _, f, w)), (pf, pw), (hf, hw) in zip(
+                seen, traj.history[:-1], traj.history[1:], strict=True):
+            assert rows.tolist() == [0]
+            assert list(x_f[0]) == list(pf) and list(x_w[0]) == list(pw)
+            assert list(f[0]) == list(hf) and list(w[0]) == list(hw)
 
 
 def test_two_round_history_has_no_regret():
@@ -940,13 +1009,6 @@ class TestTwoRoundDynamics:
         assert a.converged_at == b.converged_at
         assert np.array_equal(a.final_f, b.final_f)
         assert np.array_equal(a.final_w, b.final_w)
-
-    def test_monitors_rejected(self):
-        game = TwoRoundGame(ActionGrid(3), 0.9)
-        cfg = LearnerConfig(game=game, eta=0.5)
-        with pytest.raises(ValueError, match="monitors"):
-            run_dynamics(cfg, firm_vertex_plan(game, 0.0, 0.0), worker_vertex_plan(game, 0.0, 0.0),
-                         monitors=MonitorSuite())
 
     def test_invalid_plan_rejected(self):
         game = TwoRoundGame(ActionGrid(5), 0.9)

@@ -535,6 +535,15 @@ class TestPerRowInputs:
             for (_, got), (_, want) in zip(mine, solo):
                 assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
+    def test_monitors_rejected_off_float_one_shot(self):
+        # a suite refuses, at construction, the stacks it cannot check
+        cfg, _, _ = self.stack(arithmetic="exact")
+        with pytest.raises(ValueError, match="monitors apply to float one-shot runs only"):
+            MonitorSuite(cfg)
+        game = TwoRoundGame(ActionGrid(3), 0.9)
+        with pytest.raises(ValueError, match="monitors apply to float one-shot runs only"):
+            MonitorSuite(LearnerConfig(game=game, eta=0.5))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_initial_rows_rejected(self, bad):
         # unchecked, such a row reaches the projection mid-run and aborts the whole stack
@@ -577,12 +586,6 @@ def _reversed_head(v):
 
 class TestMonitorSuite:
     """A suite is an observer of float one-shot stacks of its config's grid."""
-
-    def test_rejects_exact_and_two_round_configs(self):
-        with pytest.raises(ValueError, match="monitors apply to float one-shot runs only"):
-            MonitorSuite(g1_config(d=4, eta=Fraction(1, 2), arithmetic="exact"))
-        with pytest.raises(ValueError, match="monitors apply to float one-shot runs only"):
-            MonitorSuite(LearnerConfig(game=TwoRoundGame(ActionGrid(3), 0.9), eta=0.5))
 
     def test_one_shot_suite_on_two_round_stack_raises_at_step_2(self):
         game = TwoRoundGame(ActionGrid(3), 0.9)
@@ -782,6 +785,11 @@ class TestExactMode:
         assert len(ef) == len(ff) == tf.steps - 1
         np.testing.assert_allclose([float(r) for r in ef], ff, rtol=0, atol=1e-9)
         np.testing.assert_allclose([float(r) for r in ew], fw, rtol=0, atol=1e-9)
+
+    def test_monitors_rejected(self):
+        cfg = g1_config(d=4, eta=Fraction(1, 2), arithmetic="exact")
+        with pytest.raises(ValueError, match="monitors apply to float one-shot runs only"):
+            MonitorSuite(cfg)
 
     @pytest.mark.parametrize("eta", [0.1, 0.3, np.float64(0.1), 1 / 3])
     def test_eta_must_be_the_rational_it_reads_as(self, eta):
@@ -1009,6 +1017,11 @@ class TestTwoRoundDynamics:
         assert a.converged_at == b.converged_at
         assert np.array_equal(a.final_f, b.final_f)
         assert np.array_equal(a.final_w, b.final_w)
+
+    def test_monitors_rejected(self):
+        game = TwoRoundGame(ActionGrid(3), 0.9)
+        with pytest.raises(ValueError, match="monitors apply to float one-shot runs only"):
+            MonitorSuite(LearnerConfig(game=game, eta=0.5))
 
     def test_invalid_plan_rejected(self):
         game = TwoRoundGame(ActionGrid(5), 0.9)

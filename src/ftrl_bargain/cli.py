@@ -227,6 +227,8 @@ def read_heatmap_csv(path: Path) -> HeatmapTable:
             if (i, j) in records:
                 raise ConfigError(f"{path}: cell (firm {fkey}, worker {wkey}) is listed twice")
             records[i, j] = _number(f"{path}:{reader.line_num}: u_w", row["u_w"]), row["status"]
+    if not records:
+        raise ConfigError(f"{path}: heatmap has no cells")
     u = np.full((len(firm), len(worker)), np.nan)
     status = [["missing"] * len(worker) for _ in firm]
     for (i, j), (uw, st) in records.items():
@@ -290,9 +292,9 @@ def _audit_stacks(draws: list, runs: list[int], arithmetic: str) -> dict:
     which ``run_lockstep`` pads row by row; exact draws run as one stack
     per grid size, as the exact kernel does not pad and costs the same per
     row however its rows are stacked.  :func:`_audit_inits` makes every
-    row a valid mixture, so no row is checked here.  Each float stack's
-    observer is one :class:`MonitorSuite`.  Returns, by run index, the
-    run's :class:`Trajectory` and its monitor violations as
+    row a valid mixture.  Each float stack's observer is one
+    :class:`MonitorSuite`.  Returns, by run index, the run's
+    :class:`Trajectory` and its monitor violations as
     ``(monitor, run, step, detail)`` (none when exact).
     """
     exact = arithmetic == "exact"
@@ -427,9 +429,8 @@ def cmd_metagame(args) -> int:
     keep = [i for i, row in enumerate(table.status) if all(st == "converged" for st in row)]
     if len(keep) < len(firm_inits):
         if not args.allow_partial:
-            print("metagame: heatmap has non-converged cells; pass --allow-partial to drop them",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ConfigError(f"{args.heatmap}: heatmap has non-converged cells; "
+                              "pass --allow-partial to drop them")
         if not keep:
             raise ConfigError(f"{args.heatmap}: no fully converged firm rows remain")
         firm_inits, u = [firm_inits[i] for i in keep], u[keep]

@@ -150,10 +150,11 @@ class Treeplex:
         return out.T
 
 
-def check_simplex(x: np.ndarray) -> bool:
-    """Whether ``x`` is a probability vector, within 1e-9 per entry and in its sum."""
+def check_simplex(x: np.ndarray) -> bool | np.ndarray:
+    """Whether ``x``, or each row of a stack, is a probability vector to 1e-9 per entry and in sum."""
     x = np.asarray(x, dtype=float)
-    return bool(np.all(x >= -1e-9) and abs(float(x.sum()) - 1.0) <= 1e-9)
+    ok = (x >= -1e-9).all(axis=-1) & (np.abs(x.sum(axis=-1) - 1.0) <= 1e-9)
+    return ok if x.ndim == 2 else bool(ok)
 
 
 def _threshold_rows(v: np.ndarray) -> np.ndarray:
@@ -225,23 +226,24 @@ def project_simplex_exact(nums: list[list[int]],
     return out, scale
 
 
-def validate_plan(r: np.ndarray, t: Treeplex) -> bool:
-    """Whether ``r`` is a realization plan of ``t``.
+def validate_plan(r: np.ndarray, t: Treeplex) -> bool | np.ndarray:
+    """Whether ``r``, or each row of a stack, is a realization plan of ``t``.
 
     The root is 1 and every flow holds within ``PLAN_FLOW_TOL``; no entry is
-    below ``-PLAN_NEG_TOL``.
+    below ``-PLAN_NEG_TOL``.  A row of another length raises ``StructuralError``.
     """
     r = np.asarray(r, dtype=float)
-    if r.shape != (t.n_sequences,):
+    if r.ndim not in (1, 2) or r.shape[-1] != t.n_sequences:
         raise StructuralError("plan length does not match treeplex")
-    if abs(float(r[t.root]) - 1.0) > PLAN_FLOW_TOL or float(r.min()) < -PLAN_NEG_TOL:
-        return False
+    root = r[..., t.root]
     head, below = t.views(r)
     if t.paired:
-        flows = np.append(below.sum(axis=2) - head[:, None], head.sum() - r[t.root])
+        flow = np.maximum(np.abs(below.sum(axis=-1) - head[..., None]).max(axis=(-2, -1)),
+                          np.abs(head.sum(axis=-1) - root))
     else:
-        flows = head + below.sum(axis=1) - r[t.root]
-    return float(np.abs(flows).max()) <= PLAN_FLOW_TOL
+        flow = np.abs(head + below.sum(axis=-1) - root[..., None]).max(axis=-1)
+    ok = (np.maximum(flow, np.abs(root - 1.0)) <= PLAN_FLOW_TOL) & (r.min(axis=-1) >= -PLAN_NEG_TOL)
+    return ok if r.ndim == 2 else bool(ok)
 
 
 class TreeplexProjector:

@@ -388,6 +388,18 @@ class _FloatArithmetic:
         self.game, self.threshold = cfg.game, cfg.threshold
         self._update = {agent: _updater(cfg, agent) for agent in (FIRM, WORKER)}
 
+    def check(self, agent: str, x: np.ndarray) -> None:
+        """Refuse the first initial row that is not finite, then the first off its polytope."""
+        finite = np.isfinite(x).all(axis=0)
+        if not finite.all():
+            raise ValueError(f"initial {agent} row {np.argmin(finite)} is not finite")
+        if isinstance(self.game, UltimatumGame):
+            ok = geometry.check_simplex(x.T) & (len(x) == self.game.grid.size)
+        else:
+            ok = geometry.validate_plan(x.T, games.build_treeplex(self.game, agent))
+        if not ok.all():
+            raise StructuralError(f"initial {agent} row {np.argmin(ok)} is not on its polytope")
+
     def feedback(self, agent: str, opponent: np.ndarray, actions=None) -> np.ndarray:
         """One feedback column per opponent column; ``actions`` are padded runs' grids, as rows."""
         if isinstance(self.game, UltimatumGame):
@@ -502,6 +514,13 @@ class _ExactArithmetic:
         return (_Ratios([[0] * len(row) for row in x.num], [1] * len(x)),
                 np.zeros(len(x), dtype=object))
 
+    def check(self, agent: str, x: _Ratios) -> None:
+        """Refuse the first initial row that is not an exact point of the grid's simplex."""
+        ok = [len(row) == self.grid.size and min(row) >= 0 and sum(row) == d
+              for row, d in zip(x.num, x.den)]
+        if not all(ok):
+            raise StructuralError(f"initial {agent} row {ok.index(False)} is not an exact simplex point")
+
     def feedback(self, agent: str, opponent: _Ratios, actions=None) -> _Ratios:
         """One feedback row per opponent row; ``actions`` is None, as exact stacks never mix grids."""
         return _Ratios(*games.ultimatum_feedback_exact(agent, opponent.num, opponent.den,
@@ -581,21 +600,6 @@ def _arithmetic(cfg: LearnerConfig) -> Union[_FloatArithmetic, _ExactArithmetic]
     return _ExactArithmetic(cfg) if cfg.arithmetic == "exact" else _FloatArithmetic(cfg)
 
 
-def _check_initial(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray) -> None:
-    game = cfg.game
-    for agent, x in ((FIRM, x_f), (WORKER, x_w)):
-        if cfg.arithmetic == "exact":
-            if x.shape != (game.grid.size,) or sum(x) != 1 or min(x) < 0:
-                raise StructuralError(f"initial {agent} strategy is not an exact simplex point")
-            continue
-        if isinstance(game, UltimatumGame):
-            ok = x.shape == (game.grid.size,) and geometry.check_simplex(x)
-        else:
-            ok = geometry.validate_plan(x, games.build_treeplex(game, agent))
-        if not ok:
-            raise StructuralError(f"initial {agent} strategy is not on its polytope")
-
-
 def regret(cfg: LearnerConfig, history: list) -> tuple[list, list]:
     """Each agent's cumulative regret after each step of a one-shot run's ``history``.
 
@@ -624,20 +628,18 @@ def run_dynamics(cfg: LearnerConfig, init_f, init_w, keep_history: bool = False)
 
     Non-convergence is reported through an unset ``converged_at``, never an
     exception.  Identical inputs produce bitwise-identical trajectories.
-    The initial strategies are checked here.  The run is a one-row
-    :func:`run_lockstep` stack; an observer keeps its history.  To monitor
-    a run, call :func:`run_lockstep` with a :class:`MonitorSuite`.
+    The run is a one-row :func:`run_lockstep` stack, which checks the
+    initial strategies; an observer keeps its history.  To monitor a run,
+    call :func:`run_lockstep` with a :class:`MonitorSuite`.
     """
-    arith = _arithmetic(cfg)
-    x_f, x_w = (arith.values(arith.stack(np.asarray(x)[None]))[0] for x in (init_f, init_w))
-    _check_initial(cfg, x_f, x_w)
-    history = [(x_f.copy(), x_w.copy())] if keep_history else None
+    history = []
 
     def observe(t, rows, x, v, new):
-        history.append((new[0][0].copy(), new[1][0].copy()))
+        history.append((x[0][0].copy(), x[1][0].copy()))
 
-    run = run_lockstep(cfg, x_f[None], x_w[None], observe if keep_history else None)
-    return replace(run.trajectory(0, cfg.steps_cap), history=history)
+    run = run_lockstep(cfg, [init_f], [init_w], observe if keep_history else None)
+    traj = run.trajectory(0, cfg.steps_cap)
+    return replace(traj, history=history + [(traj.final_f, traj.final_w)] if keep_history else None)
 
 
 def _mixed_widths(cfg: LearnerConfig, init_f, init_w) -> Optional[np.ndarray]:
@@ -677,9 +679,9 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> 
     whose step moves no entry by more than the threshold and that passes the
     certificate guard (one stacked certificate per step over all such rows)
     leaves the stack; the rest run to the step cap.  A stack of zero rows
-    returns an empty :class:`Lockstep` before the first step.  A float stack
-    holding NaN or ±inf raises ``ValueError`` naming the first such row
-    before the first step; initial strategies are not otherwise checked here.
+    returns an empty :class:`Lockstep` before the first step.  Before it, the
+    first float row holding NaN or ±inf raises ``ValueError``, then the first
+    row off its polytope ``StructuralError``, each naming its agent and row.
     ``eta`` gives each row its own learning rate (``cfg.eta`` for every row by
     default), checked by ``LearnerConfig``'s rule; float runs multiply by a
     ``(k,)`` row of rates and exact rows by their own ``Fraction``, so a row
@@ -719,15 +721,13 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> 
     arith = _arithmetic(cfg)
     value, take = arith.values, arith.take
     x_f, x_w = arith.stack(init_f), arith.stack(init_w)
-    if arith.dtype is float:
-        for agent, x in ((FIRM, x_f), (WORKER, x_w)):
-            bad = np.flatnonzero(~np.isfinite(value(x)).all(axis=1))
-            if bad.size:
-                raise ValueError(f"initial {agent} row {bad[0]} is not finite")
+    for agent, x in ((FIRM, x_f), (WORKER, x_w)):
+        arith.check(agent, x)
     out = Lockstep(np.zeros(k, dtype=np.int64),
                    *(np.empty(np.shape(x), dtype=arith.dtype) for x in (init_f, init_w) * 2),
                    widths=widths)
     rows = np.arange(k)
+    shown = None    # the observer's previous strategies: its last call's new ones, converted once
     eta = arith.rates(eta)
     (U_f, off_f), (U_w, off_w) = arith.zeros(x_f), arith.zeros(x_w)
     if widths is not None:
@@ -754,8 +754,8 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> 
         v_w, new_w = arith.update(WORKER, U_w, eta)
         still = arith.still((x_f, x_w), (new_f, new_w))
         if observe is not None:
-            observe(t, rows, (value(x_f), value(x_w)), (value(v_f), value(v_w)),
-                    (value(new_f), value(new_w)))
+            prev, shown = shown or (value(x_f), value(x_w)), (value(new_f), value(new_w))
+            observe(t, rows, prev, (value(v_f), value(v_w)), shown)
         x_f, x_w = new_f, new_w
         if not still.any():
             continue
@@ -770,6 +770,7 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> 
             live = ~done
             rows, off_f, off_w, eta = (a[live] for a in (rows, off_f, off_w, eta))
             x_f, x_w, U_f, U_w = (take(a, live) for a in (x_f, x_w, U_f, U_w))
+            shown = None
             if actions is not None:
                 actions = actions[live]
     retire(np.ones(rows.size, dtype=bool))

@@ -438,6 +438,8 @@ class TestMetagameCommand:
             "1,1,0.4,0,9,converged,,\n"
         )
         assert main(["metagame", str(path)]) == 2
+        assert assert_one_error_line(capsys) == (
+            f"error: {path}: heatmap has non-converged cells; pass --allow-partial to drop them\n")
         # allow-partial drops the incomplete row
         out = tmp_path / "m.csv"
         assert main(["metagame", str(path), "--allow-partial", "--out", str(out)]) == 0
@@ -480,7 +482,8 @@ class TestMetagameCommand:
          ":2: row has more fields than the header"),
         ("firm_init,worker_init,u_w,eps,converged_at,status\n0,0,0.25,0,10,converged\n0,1,abc,0,10,converged\n",
          ":3: u_w must be a number, got 'abc'"),
-    ], ids=["no_firm_threshold", "no_u_w", "short_row", "long_row", "non_numeric_u_w"])
+        ("firm_init,worker_init,u_w,eps,converged_at,status\n", ": heatmap has no cells"),
+    ], ids=["no_firm_threshold", "no_u_w", "short_row", "long_row", "non_numeric_u_w", "header_only"])
     def test_malformed_heatmap_exit_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "h.csv"
         path.write_text(text)

@@ -51,6 +51,22 @@ class TestSimplexProjection:
         with pytest.raises(ValueError):
             project_simplex(np.array([np.inf, 0.0]))
 
+    @pytest.mark.parametrize("n", [3, 9, 31])
+    def test_check_simplex_stack_matches_rows(self, rng, n):
+        # a point, then its sum moved and an entry made negative, just inside
+        # and just outside the 1e-9 tolerance
+        x = rng.dirichlet(np.ones(n))
+        rows = [x]
+        for step in (0.9e-9, 1.1e-9):
+            for sign in (1.0, -1.0):
+                rows.append(x + np.eye(n)[0] * sign * step)
+            rows.append(x + np.eye(n)[1] * -(x[1] + step) + np.eye(n)[2] * (x[1] + step))
+        rows = np.array(rows)
+        want = [geometry.check_simplex(r) for r in rows]
+        assert want == [True] * 4 + [False] * 3 and all(type(v) is bool for v in want)
+        for view in (rows, np.array(rows.T, order="C").T):
+            assert geometry.check_simplex(view).tolist() == want
+
     @given(finite_vec)
     def test_idempotent(self, v):
         x = project_simplex(v)
@@ -213,7 +229,7 @@ class TestTreeplex:
         vertex = games.firm_vertex_plan if agent == FIRM else games.worker_vertex_plan
         plans = [tp.uniform_plan(), vertex(game, 1 / 3, 2 / 3), vertex(game, 0.0, 1.0),
                  TreeplexProjector(tp).project(rng.normal(size=tp.n_sequences))]
-        verdicts = set()
+        verdicts, stack = set(), []
         for plan in plans:
             assert validate_plan(plan, tp)
             for step in (0.9, 1.1, -0.9, -1.1):
@@ -222,13 +238,22 @@ class TestTreeplex:
                 for i in range(tp.n_sequences):
                     perturbed.append(plan.copy())
                     perturbed[-1][i] += step * PLAN_FLOW_TOL
+                # scaling the whole plan keeps every flow and moves only the root
+                perturbed.append(plan * (1.0 + step * PLAN_FLOW_TOL))
                 for i, r in enumerate(perturbed):
                     verdict = validate_plan(r, tp)
                     assert verdict == oracles.plan_feasible_dense(r, tp, PLAN_FLOW_TOL, PLAN_NEG_TOL)
-                    if i == 0 or r[i - 1] > 0.0:  # just inside the tolerance passes, just outside fails
+                    # just inside the tolerance passes, just outside fails
+                    if i == 0 or i > tp.n_sequences or r[i - 1] > 0.0:
                         assert verdict == (abs(step) < 1.0)
                     verdicts.add(verdict)
+                    stack.append((r, verdict))
         assert verdicts == {True, False}
+        # a stack gets each row's verdict, in either memory order
+        rows, want = np.array([r for r, _ in stack]), [v for _, v in stack]
+        assert all(type(v) is bool for v in want)
+        for view in (rows, np.array(rows.T, order="C").T):
+            assert validate_plan(view, tp).tolist() == want
 
     def test_uniform_plan_feasible(self):
         game = TwoRoundGame(ActionGrid(5), 0.9)

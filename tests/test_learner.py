@@ -535,6 +535,25 @@ class TestPerRowInputs:
             for (_, got), (_, want) in zip(mine, solo):
                 assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
+    @pytest.mark.parametrize("arithmetic", ["float", "exact"])
+    def test_previous_strategies_are_last_new_ones(self, arithmetic):
+        # each stack is converted for the observer once per step: its previous
+        # strategies are the arrays it got as new ones a step before, and after
+        # a row retires, the live rows of those
+        cfg, init_f, init_w = self.stack(arithmetic=arithmetic)
+        calls = []
+        learner.run_lockstep(cfg, init_f, init_w, lambda t, rows, x, v, new: calls.append((rows, x, new)),
+                             eta=self.ETAS)
+        retired = 0
+        for (rows, _, new), (now, x, _) in zip(calls, calls[1:]):
+            if now.tolist() == rows.tolist():
+                assert x[0] is new[0] and x[1] is new[1]
+            else:
+                retired += 1
+                live = np.isin(rows, now)
+                assert all(a.tolist() == b[live].tolist() for a, b in zip(x, new))
+        assert retired == 4   # rows retire at steps 10, 22, 36 and 42
+
     def test_monitors_rejected_off_float_one_shot(self):
         # a suite refuses, at construction, the stacks it cannot check
         cfg, _, _ = self.stack(arithmetic="exact")
@@ -638,6 +657,56 @@ class TestEmptyStack:
         if monitors is not None:
             assert monitors._buffer == []   # a call, even on zero rows, would buffer a step
             assert monitors.violations == []
+
+
+class TestInitialRows:
+    """``run_lockstep`` refuses the first initial row off its polytope before the
+    first step, naming its agent and row; ``run_dynamics`` refuses it alone."""
+
+    TWO_ROUND = TwoRoundGame(ActionGrid(3), 0.9)
+    # case: (config, the agent whose row is broken, how the row breaks)
+    CASES = {
+        "one_shot_sum_2": (g1_config(), FIRM, lambda row: 2 * row),
+        "negative_entry": (g1_config(), WORKER, lambda row: row + np.r_[-0.5, 0.5, [0] * (len(row) - 2)]),
+        "wider_than_grid": (g1_config(), FIRM, lambda row: np.append(row, 0.0)),
+        "padded_mixed_width": (g1_config(), FIRM, lambda row: 1.5 * row),
+        "exact_sum_2": (g1_config(eta=Fraction(1, 2), arithmetic="exact"), FIRM, lambda row: 2 * row),
+        "two_round_doubled_plan": (LearnerConfig(game=TWO_ROUND, eta=0.5), FIRM, lambda row: 2 * row),
+    }
+
+    @classmethod
+    def stack(cls, case: str, k: int) -> tuple[list, list]:
+        """``k`` valid initial rows per agent; padded ones are one-shot rows of grid sizes 3-5."""
+        cfg = cls.CASES[case][0]
+        if case == "two_round_doubled_plan":
+            return ([firm_vertex_plan(cls.TWO_ROUND, 2 / 3, 1 / 3)] * k,
+                    [worker_vertex_plan(cls.TWO_ROUND, 1 / 3, 0.0)] * k)
+        if case == "exact_sum_2":
+            return [[np.full(cfg.grid.size, Fraction(1, cfg.grid.size), dtype=object)] * k] * 2
+        sizes = (3, 4, 5, 3, 4)[:k] if case == "padded_mixed_width" else (cfg.grid.D,) * k
+        return [[uniform_strategy(ActionGrid(d)) for d in sizes]] * 2
+
+    @pytest.mark.parametrize("case, k", [(case, k) for case in CASES for k in (1, 5)
+                                         if (case, k) != ("padded_mixed_width", 1)])
+    def test_refused_before_first_step(self, case, k):
+        # a uniform-width stack one entry too wide breaks every row, so row 0 is named
+        cfg, agent, breaks = self.CASES[case]
+        valid = self.stack(case, k)
+        assert learner.run_lockstep(cfg, *valid).converged_at.all()
+        bad = 0 if case == "wider_than_grid" or k == 1 else 3
+        a = 0 if agent == FIRM else 1
+        init = [list(x) for x in valid]
+        init[a] = [breaks(row) if case == "wider_than_grid" or i == bad else row
+                   for i, row in enumerate(init[a])]
+        what = "an exact simplex point" if cfg.arithmetic == "exact" else "on its polytope"
+        message = f"^initial {agent} row {bad} is not {what}$"
+        seen = []
+        with pytest.raises(StructuralError, match=message):
+            learner.run_lockstep(cfg, *init, recorder(seen))
+        assert seen == []
+        alone = g1_config(d=len(valid[0][bad]) - 1) if case == "padded_mixed_width" else cfg
+        with pytest.raises(StructuralError, match=message.replace(f"row {bad}", "row 0")):
+            run_dynamics(alone, init[0][bad], init[1][bad])
 
 
 class TestMixedWidths:

@@ -269,8 +269,8 @@ def _modes(key: tuple, dps: int):
 def recurrence_params(D: int, eta, k: int, w0, f0) -> RecurrenceParams:
     """Build the recurrence coefficients for top-threshold index ``k``.
 
-    Requires integers 2 <= k <= D with D > 2 (any type ``operator.index``
-    accepts, stored as ``int``), 0 < eta <= 1, w0 between the dominance
+    Requires integers 2 <= k <= D with D > 2 (by ``games._integer``'s rule,
+    stored as ``int``), 0 < eta <= 1, w0 between the dominance
     threshold 1/(D-k+1) and 1, and f0 in [0, 1] (the boundary f0 = 1 is the
     fixed point).
     """

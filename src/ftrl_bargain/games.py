@@ -55,9 +55,10 @@ Agent = Literal["firm", "worker"]
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an ``int`` if ``operator.index`` accepts it; a ValueError naming ``name`` if not."""
+    """``value`` as an ``int`` if it is no ``bool`` (``operator.index`` takes True as 1)
+    and ``operator.index`` accepts it; a ValueError naming ``name`` if not."""
     try:
-        return int(operator.index(value))
+        return int(operator.index(None if isinstance(value, bool) else value))
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
@@ -66,7 +67,7 @@ def _integer(name: str, value) -> int:
 class ActionGrid:
     """Uniform grid {0, 1/D, ..., 1} of offers / acceptance thresholds.
 
-    ``D`` is any integer ``operator.index`` accepts, stored as an ``int``.
+    ``D`` is an integer by :func:`_integer`'s rule, stored as an ``int``.
     """
 
     D: int

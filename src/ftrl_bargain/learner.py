@@ -3,9 +3,10 @@
 Both agents accumulate full-feedback expected-utility vectors and apply the
 Euclidean-regularized update (a nearest-point projection of
 ``reference + eta * cumulative_utility``) simultaneously each step.  The
-cumulative vectors are shifted by their running maximum every step; the
-projection is translation invariant, so iterates are unchanged while the
-float path stays well conditioned (an explicit offset restores true values).
+float path shifts each cumulative vector by its running maximum every step
+into an explicit offset, which restores true values; the projection is
+translation invariant, so iterates are unchanged while its input stays well
+conditioned.  Exact rows need no shift.
 
 One kernel, :func:`run_lockstep`, advances a stack of independent runs of
 either game in lockstep, one row per run, each row exactly as it would run
@@ -235,32 +236,6 @@ def _certified_stop(cfg: LearnerConfig, x_f, x_w) -> bool:
     return bool(_certified_rows(cfg, x_f, x_w)[0])
 
 
-def _updater(cfg: LearnerConfig, agent: str):
-    """The agent's float update: cumulative utility -> (projection input, strategy).
-
-    Acts on one vector or on an entries-major ``(n, k)`` stack, one run per
-    column, and returns entries-major stacks; ``eta`` is the run's rate or a
-    ``(k,)`` row of per-column rates, each entry the same IEEE product either
-    way.  The row functions it calls get ``.T`` views.
-    """
-    if isinstance(cfg.game, UltimatumGame):
-        ref = cfg.reference_index(agent)
-
-        def update(U, eta=float(cfg.eta)):
-            v = eta * U
-            if ref is not None:
-                v[ref] += 1.0
-            return v, _project_simplex(v.T).T
-    else:
-        tp = games.build_treeplex(cfg.game, agent)
-        projector = geometry.TreeplexProjector(tp)
-
-        def update(U, eta=float(cfg.eta)):
-            v = eta * tp.normalize_backward(U.T).T
-            return v, projector.project(v.T).T
-    return update
-
-
 class MonitorSuite:
     """Runtime checks of the one-shot game's structural laws, on blocks of row-steps.
 
@@ -379,14 +354,19 @@ class _FloatArithmetic:
     A stack of k runs over n entries is a C-ordered ``(n, k)`` array, one run
     per column, so every reduction, scan and broadcast along the entries runs
     across the rows at once; :meth:`values` gives its ``(k, n)`` rows as a
-    ``.T`` view.  Running offsets and rates are ``(k,)`` rows.
+    ``.T`` view.  Rates are a ``(k,)`` row.  Cumulative utilities are a pair
+    ``(U, off)``: ``U`` shifted by each run's running max and the ``(k,)``
+    offsets that restore it.
     """
 
     dtype = float
 
     def __init__(self, cfg: LearnerConfig):
         self.game, self.threshold = cfg.game, cfg.threshold
-        self._update = {agent: _updater(cfg, agent) for agent in (FIRM, WORKER)}
+        self.refs = {agent: cfg.reference_index(agent) for agent in (FIRM, WORKER)}
+        if isinstance(cfg.game, TwoRoundGame):
+            self.projectors = {agent: geometry.TreeplexProjector(games.build_treeplex(cfg.game, agent))
+                               for agent in (FIRM, WORKER)}
 
     def check(self, agent: str, x: np.ndarray) -> None:
         """Refuse the first initial row that is not finite, then the first off its polytope."""
@@ -412,9 +392,9 @@ class _FloatArithmetic:
         return np.array(np.asarray(x, dtype=float).T, order="C")
 
     @staticmethod
-    def take(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The runs a mask or an index array picks."""
-        return x[:, rows]
+    def take(x, rows: np.ndarray):
+        """The runs a mask or an index array picks, of a stack or a cumulative pair."""
+        return (x[0][:, rows], x[1][rows]) if isinstance(x, tuple) else x[:, rows]
 
     @staticmethod
     def rates(eta: list) -> np.ndarray:
@@ -427,16 +407,28 @@ class _FloatArithmetic:
         return np.zeros(x.shape), np.zeros(x.shape[1])
 
     @staticmethod
-    def accumulate(U: np.ndarray, off: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def accumulate(cum: tuple, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``U + fb`` shifted by each run's max, which moves into the offsets ``off``."""
+        U, off = cum
         U += fb
         shift = U.max(axis=0)
         U -= shift
         off += shift
-        return U, off
+        return cum
 
-    def update(self, agent: str, U: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._update[agent](U, eta)
+    def update(self, agent: str, cum: tuple, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Project ``reference + eta * U`` (offsets aside): the projection input and strategy.
+
+        ``eta`` is one rate or a ``(k,)`` row of per-run rates: the same IEEE products.
+        """
+        if isinstance(self.game, UltimatumGame):
+            v = eta * cum[0]
+            if self.refs[agent] is not None:
+                v[self.refs[agent]] += 1.0
+            return v, _project_simplex(v.T).T
+        projector = self.projectors[agent]
+        v = eta * projector.treeplex.normalize_backward(cum[0].T).T
+        return v, projector.project(v.T).T
 
     def still(self, x: tuple, new: tuple) -> np.ndarray:
         """Runs whose step moved no entry of either agent by more than the threshold."""
@@ -449,8 +441,8 @@ class _FloatArithmetic:
         return x.T
 
     @staticmethod
-    def cumulative(U: np.ndarray, off: np.ndarray) -> np.ndarray:
-        return (U + off).T
+    def cumulative(cum: tuple) -> np.ndarray:
+        return (cum[0] + cum[1]).T
 
 
 @dataclass(frozen=True)
@@ -472,9 +464,9 @@ class _Ratios:
 class _ExactArithmetic:
     """The kernel's exact arithmetic on :class:`_Ratios` stacks (one-shot game).
 
-    Each step reduces every row once per vector by ``math.gcd``.  The
-    running offsets are numerators over their row's utility denominator, in
-    an object array.  ``Fraction``s are built only for rows that retire, for
+    Each step reduces every row once per vector by ``math.gcd``.  Rows hold
+    their true cumulative utilities, with no offsets: no translation changes an
+    exact projection.  ``Fraction``s are built only for rows that retire, for
     the certificate guard's candidate rows and for the observer.
     """
 
@@ -509,10 +501,9 @@ class _ExactArithmetic:
                         dtype=object)
 
     @staticmethod
-    def zeros(x: _Ratios) -> tuple[_Ratios, np.ndarray]:
-        """Zero cumulative utilities and zero offset numerators."""
-        return (_Ratios([[0] * len(row) for row in x.num], [1] * len(x)),
-                np.zeros(len(x), dtype=object))
+    def zeros(x: _Ratios) -> _Ratios:
+        """Zero cumulative utilities."""
+        return _Ratios([[0] * len(row) for row in x.num], [1] * len(x))
 
     def check(self, agent: str, x: _Ratios) -> None:
         """Refuse the first initial row that is not an exact point of the grid's simplex."""
@@ -527,27 +518,19 @@ class _ExactArithmetic:
                                                        self.grid))
 
     @staticmethod
-    def accumulate(U: _Ratios, off: np.ndarray, fb: _Ratios) -> tuple[_Ratios, np.ndarray]:
-        """``U + fb`` on the lcm of their denominators, shifted by its integer row max.
-
-        The shift moves into the offset numerators ``off``, which share the
-        row's denominator and its reduction.
-        """
-        nums, dens, offs = [], [], []
-        for u_row, u_den, o, f_row, f_den in zip(U.num, U.den, off.tolist(), fb.num, fb.den):
+    def accumulate(U: _Ratios, fb: _Ratios) -> _Ratios:
+        """``U + fb`` on the lcm of their denominators, each row reduced by its gcd."""
+        nums, dens = [], []
+        for u_row, u_den, f_row, f_den in zip(U.num, U.den, fb.num, fb.den):
             den = math.lcm(u_den, f_den)
             a, b = den // u_den, den // f_den
             row = [u * a + f * b for u, f in zip(u_row, f_row)]
-            top = max(row)
-            row = [v - top for v in row]
-            o = o * a + top
-            g = math.gcd(*row, o, den)
+            g = math.gcd(*row, den)
             if g > 1:
-                row, o, den = [v // g for v in row], o // g, den // g
+                row, den = [v // g for v in row], den // g
             nums.append(row)
             dens.append(den)
-            offs.append(o)
-        return _Ratios(nums, dens), np.array(offs, dtype=object)
+        return _Ratios(nums, dens)
 
     def update(self, agent: str, U: _Ratios, eta: np.ndarray) -> tuple[_Ratios, _Ratios]:
         """Project ``reference + eta * U``, numerators over ``eta``'s denominator times ``U``'s.
@@ -579,10 +562,7 @@ class _ExactArithmetic:
         return np.array([[Fraction(u, d) for u in row] for row, d in zip(x.num, x.den)],
                         dtype=object)
 
-    @staticmethod
-    def cumulative(U: _Ratios, off: np.ndarray) -> np.ndarray:
-        return np.array([[Fraction(u + o, d) for u in row]
-                         for row, o, d in zip(U.num, off.tolist(), U.den)], dtype=object)
+    cumulative = values     # the rows hold their true cumulative utilities
 
 
 def _reduced(nums: list[list[int]], dens: list[int]) -> _Ratios:
@@ -646,7 +626,7 @@ def _mixed_widths(cfg: LearnerConfig, init_f, init_w) -> Optional[np.ndarray]:
     """Each row's length when a stack's rows differ in length, else None.
 
     Raises ``ValueError`` where mixed grid sizes do not apply, and
-    ``StructuralError`` for a row the config's grid cannot hold.
+    ``StructuralError`` naming the first row the config's grid cannot hold.
     """
     widths = [len(row) for row in init_f]
     if len(set(widths)) <= 1 and len({len(row) for row in init_w}) <= 1:
@@ -655,10 +635,10 @@ def _mixed_widths(cfg: LearnerConfig, init_f, init_w) -> Optional[np.ndarray]:
         raise ValueError("mixed grid sizes apply to float one-shot runs only")
     if cfg.reference_f is not None or cfg.reference_w is not None:
         raise ValueError("mixed grid sizes take no reference")
-    if widths != [len(row) for row in init_w]:
-        raise StructuralError("a row's firm and worker strategies differ in length")
-    if min(widths) < 3 or max(widths) > cfg.grid.size:
-        raise StructuralError(f"row lengths must lie in [3, {cfg.grid.size}], got {widths}")
+    for i, (n_f, n_w) in enumerate(zip(widths, map(len, init_w))):
+        if n_f != n_w or not 3 <= n_f <= cfg.grid.size:
+            raise StructuralError(f"initial row {i} has {n_f} firm and {n_w} worker entries; "
+                                  f"both must be one length in [3, {cfg.grid.size}]")
     return np.array(widths)
 
 
@@ -672,16 +652,17 @@ def _padded(rows, pad: np.ndarray) -> np.ndarray:
 def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> Lockstep:
     """Self-play of a stack of runs, one row of ``init_f``/``init_w`` each.
 
-    All rows step together through one feedback, shift, update and projection
-    per agent on the whole stack; every row does exactly the arithmetic it
-    would do alone.  Exact runs hold integer numerators over one denominator
+    All rows step together through one feedback, accumulation, update and
+    projection per agent on the whole stack; every row does exactly the arithmetic
+    it would do alone.  Exact runs hold integer numerators over one denominator
     per row (:class:`_ExactArithmetic`) and report ``Fraction``s.  A row
     whose step moves no entry by more than the threshold and that passes the
     certificate guard (one stacked certificate per step over all such rows)
     leaves the stack; the rest run to the step cap.  A stack of zero rows
-    returns an empty :class:`Lockstep` before the first step.  Before it, the
-    first float row holding NaN or ±inf raises ``ValueError``, then the first
-    row off its polytope ``StructuralError``, each naming its agent and row.
+    returns an empty :class:`Lockstep` before the first step.  Before it,
+    stacks of unequal row counts raise ``ValueError``; then the first float
+    row holding NaN or ±inf raises ``ValueError``, then the first row off its
+    polytope ``StructuralError``, each naming its agent and row.
     ``eta`` gives each row its own learning rate (``cfg.eta`` for every row by
     default), checked by ``LearnerConfig``'s rule; float runs multiply by a
     ``(k,)`` row of rates and exact rows by their own ``Fraction``, so a row
@@ -702,11 +683,15 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> 
     with the live rows' indices into the stack, in row order, and the
     (firm, worker) pairs of ``(k, n)`` stacks of their previous strategies,
     projection inputs and new strategies, padded as the kernel holds them.
-    Float stacks are views of the kernel's state and exact ones ``Fraction``
-    arrays; an observer must not write to them, and copies what it keeps.
+    Float projection inputs take cumulative utilities shifted by their running
+    max, exact ones the true sums.  Float stacks are views of the kernel's state
+    and exact ones ``Fraction`` arrays; an observer must not write to them, and
+    copies what it keeps.
     A :class:`MonitorSuite` is one observer; an empty stack calls none.
     """
     k = len(init_f)
+    if len(init_w) != k:
+        raise ValueError(f"a stack of {k} firm rows and {len(init_w)} worker rows")
     eta = [cfg.eta] * k if eta is None else list(eta)
     if len(eta) != k:
         raise ValueError(f"{len(eta)} learning rates for a stack of {k} rows")
@@ -729,9 +714,9 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> 
     rows = np.arange(k)
     shown = None    # the observer's previous strategies: its last call's new ones, converted once
     eta = arith.rates(eta)
-    (U_f, off_f), (U_w, off_w) = arith.zeros(x_f), arith.zeros(x_w)
-    if widths is not None:
-        for U in (U_f, U_w):
+    U_f, U_w = arith.zeros(x_f), arith.zeros(x_w)
+    if widths is not None:      # float: fill the pads of each (U, off) pair's U
+        for U, _ in (U_f, U_w):
             np.copyto(U, PAD_UTILITY / np.maximum(eta, 1.0), where=pad.T)
 
     def retire(mask):
@@ -740,16 +725,16 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> 
             return
         out.final_f[rows[mask]] = value(take(x_f, mask))
         out.final_w[rows[mask]] = value(take(x_w, mask))
-        out.cum_util_f[rows[mask]] = arith.cumulative(take(U_f, mask), off_f[mask])
-        out.cum_util_w[rows[mask]] = arith.cumulative(take(U_w, mask), off_w[mask])
+        out.cum_util_f[rows[mask]] = arith.cumulative(take(U_f, mask))
+        out.cum_util_w[rows[mask]] = arith.cumulative(take(U_w, mask))
 
     for t in range(2, cfg.steps_cap + 1):
         if rows.size == 0:      # every row retired, or the stack was empty
             break
         fb_f = arith.feedback(FIRM, x_w, actions)
         fb_w = arith.feedback(WORKER, x_f, actions)
-        U_f, off_f = arith.accumulate(U_f, off_f, fb_f)
-        U_w, off_w = arith.accumulate(U_w, off_w, fb_w)
+        U_f = arith.accumulate(U_f, fb_f)
+        U_w = arith.accumulate(U_w, fb_w)
         v_f, new_f = arith.update(FIRM, U_f, eta)
         v_w, new_w = arith.update(WORKER, U_w, eta)
         still = arith.still((x_f, x_w), (new_f, new_w))
@@ -768,7 +753,7 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> 
             out.converged_at[rows[done]] = t
             retire(done)
             live = ~done
-            rows, off_f, off_w, eta = (a[live] for a in (rows, off_f, off_w, eta))
+            rows, eta = rows[live], eta[live]
             x_f, x_w, U_f, U_w = (take(a, live) for a in (x_f, x_w, U_f, U_w))
             shown = None
             if actions is not None:

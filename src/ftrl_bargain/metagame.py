@@ -179,9 +179,8 @@ def _sweep_chunk(cfg: LearnerConfig, init_f: np.ndarray, init_w: np.ndarray) -> 
 
 
 def _check_parallelism(parallelism) -> int:
-    """``parallelism`` as an ``int``: an integer >= 1 of any type but ``bool`` that
-    ``operator.index`` accepts.  Anything else raises a ValueError naming it."""
-    if not isinstance(parallelism, bool) and (n := games._integer("parallelism", parallelism)) >= 1:
+    """``parallelism`` as an ``int`` by the integer rule, and at least 1."""
+    if (n := games._integer("parallelism", parallelism)) >= 1:
         return n
     raise ValueError(f"parallelism must be an integer >= 1, got {parallelism!r}")
 

@@ -441,11 +441,13 @@ def _project_simplex_exact_loop(v: list) -> list:
 def ftrl_exact_loop(cfg, init_f, init_w, keep_history: bool = False) -> SimpleNamespace:
     """One exact one-shot FTRL run as a plain ``Fraction`` loop, one list per vector.
 
-    The same running-max shift, step-size test and certificate guard (on float
-    casts, through :func:`certify_gaps_loop`) as the library's kernel, written
-    out one vector at a time.  Returns the ``Trajectory`` fields as lists, and
-    with ``keep_history`` the regret lists that :func:`learner.regret` derives
-    from the history (``regret_f``, ``regret_w``; None without it).
+    The float kernel's running-max shift, which the exact kernel leaves out
+    as no translation changes an exact projection, and the library kernel's
+    step-size test and certificate guard (on float casts, through
+    :func:`certify_gaps_loop`), written out one vector at a time.  Returns
+    the ``Trajectory`` fields as lists, and with ``keep_history`` the regret
+    lists that :func:`learner.regret` derives from the history
+    (``regret_f``, ``regret_w``; None without it).
     """
     grid = cfg.grid
     x_f, x_w = [Fraction(v) for v in init_f], [Fraction(v) for v in init_w]

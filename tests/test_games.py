@@ -3,11 +3,13 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
+from ftrl_bargain import analysis, metagame
 from ftrl_bargain.games import (
     FIRM,
     WORKER,
     ActionGrid,
     TwoRoundGame,
+    UltimatumGame,
     build_treeplex,
     firm_vertex_plan,
     pure_strategy,
@@ -18,6 +20,7 @@ from ftrl_bargain.games import (
     worker_vertex_plan,
 )
 from ftrl_bargain.geometry import StructuralError, TreeplexProjector, validate_plan
+from ftrl_bargain.learner import LearnerConfig
 
 import oracles
 
@@ -58,6 +61,25 @@ class TestActionGrid:
         assert g.index_of(29 / 30) == 29
         with pytest.raises(ValueError):
             g.index_of(0.11)
+
+
+def _recurrence(**kw):
+    args = dict(D=5, eta=Fraction(1, 2), k=2, w0=Fraction(1, 2), f0=Fraction(1, 2)) | kw
+    return analysis.recurrence_params(**args)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("max_steps", lambda: LearnerConfig(game=UltimatumGame(ActionGrid(3)), eta=0.5, max_steps=True)),
+    ("D", lambda: ActionGrid(True)),
+    ("k", lambda: _recurrence(k=True)),
+    ("n", lambda: analysis.iterate_recurrence(_recurrence(), True)),
+    ("n", lambda: analysis.closed_form_mp(_recurrence(), True)),
+    ("parallelism", lambda: metagame._check_parallelism(True)),
+], ids=["max_steps", "D", "k", "iterate_n", "closed_form_n", "parallelism"])
+def test_bool_is_not_an_integer(name, call):
+    # one integer rule: operator.index takes True as 1, the rule refuses it
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
+        call()
 
 
 class TestUltimatumPayoffs:

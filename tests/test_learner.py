@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,8 +37,13 @@ def no_guard(monkeypatch):
 
 
 def ftrl_step(agent, cum_util, cfg):
-    """One update of the kernel: project reference + eta * cum_util."""
-    return learner._updater(cfg, agent)(np.asarray(cum_util, dtype=float))[1]
+    """One update of the kernel: project reference + eta * cum_util.
+
+    The float update takes a (cumulative utility, running offset) pair and
+    ignores the offset.
+    """
+    cum = (np.asarray(cum_util, dtype=float), 0.0)
+    return learner._FloatArithmetic(cfg).update(agent, cum, float(cfg.eta))[1]
 
 
 # Faulty projections ``fault(v, call)``, one per monitor.  ``call`` counts the
@@ -820,6 +826,25 @@ class TestMixedWidths:
         with pytest.raises(StructuralError):
             learner.run_lockstep(g1_config(), rows, rows[::-1])
 
+    @pytest.mark.parametrize("sizes", [(5, 5), (3, 5)], ids=["one_width", "mixed"])
+    def test_row_counts_must_agree(self, sizes):
+        rows = [uniform_strategy(ActionGrid(d)) for d in sizes]
+        with pytest.raises(ValueError, match="^a stack of 2 firm rows and 3 worker rows$"):
+            learner.run_lockstep(g1_config(), rows, rows + rows[:1])
+
+    @pytest.mark.parametrize("bad_f, bad_w, message", [
+        (7, 7, "initial row 3 has 7 firm and 7 worker entries; both must be one length in [3, 6]"),
+        (2, 2, "initial row 3 has 2 firm and 2 worker entries; both must be one length in [3, 6]"),
+        (6, 7, "initial row 3 has 6 firm and 7 worker entries; both must be one length in [3, 6]"),
+    ], ids=["too_wide", "too_short", "firm_worker_mismatch"])
+    def test_refused_row_is_named(self, bad_f, bad_w, message):
+        # five rows of mixed widths, row 3 the only bad one
+        sizes = [6, 4, 6, None, 5]
+        init_f = [np.full(n or bad_f, 1 / (n or bad_f)) for n in sizes]
+        init_w = [np.full(n or bad_w, 1 / (n or bad_w)) for n in sizes]
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            learner.run_lockstep(g1_config(), init_f, init_w)
+
 
 class TestExactMode:
     def test_agrees_with_float(self):
@@ -889,6 +914,44 @@ class TestExactMode:
         for x_f, x_w in traj.history:
             assert sum(x_f) == 1 and sum(x_w) == 1
             assert min(x_f) >= 0 and min(x_w) >= 0
+
+    @staticmethod
+    def feedback_sums(seen, row, grid):
+        """Per step of stack row ``row``: its (firm, worker) Fraction sums of every feedback
+        so far, from the strategies the observer saw, and its observed projection inputs."""
+        U = [[Fraction(0)] * grid.size for _ in (FIRM, WORKER)]
+        for _, (x_f, x_w, v_f, v_w, _, _) in observed_row(seen, row):
+            U = [[u + f for u, f in zip(U_a, oracles._feedback_exact_loop(agent, list(opp), grid))]
+                 for agent, U_a, opp in ((FIRM, U[0], x_w), (WORKER, U[1], x_f))]
+            yield U, [list(v_f), list(v_w)]
+
+    EXACT_STACK = (g1_config(d=4, eta=Fraction(3, 10), reference_w=0.5, arithmetic="exact"),
+                   [[Fraction(1, 5)] * 5, [Fraction(int(k == 1)) for k in range(5)]],
+                   [[Fraction(1, 5)] * 5, [Fraction(int(k == 3)) for k in range(5)]])
+
+    def test_projection_inputs_are_unshifted(self):
+        # an exact row holds its true cumulative utility, so the observer sees
+        # reference + eta * (the Fraction sum of every feedback so far)
+        cfg, init_f, init_w = self.EXACT_STACK
+        seen = []
+        learner.run_lockstep(cfg, init_f, init_w, recorder(seen))
+        refs = [[Fraction(int(k == cfg.reference_index(agent))) for k in range(5)]
+                for agent in (FIRM, WORKER)]
+        for row in range(2):
+            steps = list(self.feedback_sums(seen, row, cfg.grid))
+            assert len(steps) > 1
+            for U, v in steps:
+                assert v == [[r + cfg.eta * u for r, u in zip(ref, U_a)] for ref, U_a in zip(refs, U)]
+
+    def test_cumulative_utility_is_the_feedback_sum(self):
+        cfg, init_f, init_w = self.EXACT_STACK
+        seen = []
+        run = learner.run_lockstep(cfg, init_f, init_w, recorder(seen))
+        assert run.converged_at.all()
+        for row in range(2):
+            *_, (U, _) = self.feedback_sums(seen, row, cfg.grid)
+            assert [list(run.cum_util_f[row]), list(run.cum_util_w[row])] == U
+            assert all(type(u) is Fraction for u in run.cum_util_f[row])
 
 
 def assert_matches_exact_oracle(cfg, traj, ref):

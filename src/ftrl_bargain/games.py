@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 import operator
-from typing import Literal, Optional, Union
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -149,9 +149,6 @@ class TwoRoundGame:
             src.flags.writeable = coef.flags.writeable = False
             tables[agent] = src, coef
         return tables
-
-
-Game = Union[UltimatumGame, TwoRoundGame]
 
 
 def _check_agent(agent: str) -> None:

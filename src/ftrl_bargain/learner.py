@@ -26,14 +26,14 @@ strategies, projection inputs and new strategies: :func:`run_dynamics` keeps
 a history through one, and a :class:`MonitorSuite`, which checks the
 structural laws on blocks of ``BLOCK`` row-steps at once, is one.
 
-The float kernel holds its state entries-major: a stack of k runs over n
-entries is a C-ordered ``(n, k)`` array, one run per column, so each
-reduction, scan and broadcast over a vector's entries runs across all the
-runs at once rather than once per row.  The layers (feedback, normalization,
-projection) take row stacks and get the ``(k, n)`` ``.T`` views of the state.
-Row sums and dot products round by memory order, so the certificate guard,
-the monitors and the results get C-ordered row copies: every run gets the
-bits it would get on a row-major stack.
+The float kernel holds its state entries-major, also after rows retire: a
+stack of k runs over n entries is a C-ordered ``(n, k)`` array, one run per
+column, so each reduction, scan and broadcast over a vector's entries runs
+across all the runs at once; cumulative utilities carry their running-max
+offsets as one more, last row.  The layers (feedback, normalization,
+projection) and the certificate guard get the state's ``(k, n)`` ``.T`` views
+(``tests/test_layout.py::test_certificate`` pins the guard's bits on both
+layouts); the monitors and the results get C-ordered row copies.
 """
 
 from __future__ import annotations
@@ -223,8 +223,7 @@ def _certified_rows(cfg: LearnerConfig, x_f: np.ndarray, x_w: np.ndarray,
     ok = np.empty(len(widths), dtype=bool)
     for w in np.unique(widths).tolist():
         pick = widths == w
-        game = UltimatumGame(ActionGrid(w - 1))
-        gap_f, gap_w, _, _ = analysis._gap_rows(game, x_f[pick, :w], x_w[pick, :w])
+        gap_f, gap_w, _, _ = analysis._gap_rows(UltimatumGame(ActionGrid(w - 1)), x_f[pick, :w], x_w[pick, :w])
         ok[pick] = np.maximum(gap_f, gap_w) <= STOP_EPS
     return ok
 
@@ -354,9 +353,9 @@ class _FloatArithmetic:
     A stack of k runs over n entries is a C-ordered ``(n, k)`` array, one run
     per column, so every reduction, scan and broadcast along the entries runs
     across the rows at once; :meth:`values` gives its ``(k, n)`` rows as a
-    ``.T`` view.  Rates are a ``(k,)`` row.  Cumulative utilities are a pair
-    ``(U, off)``: ``U`` shifted by each run's running max and the ``(k,)``
-    offsets that restore it.
+    ``.T`` view.  Rates are a ``(k,)`` row.  Cumulative utilities are one
+    C-ordered ``(n + 1, k)`` stack: the first n rows shifted by each run's
+    running max, and the last row the offsets that restore them.
     """
 
     dtype = float
@@ -392,9 +391,9 @@ class _FloatArithmetic:
         return np.array(np.asarray(x, dtype=float).T, order="C")
 
     @staticmethod
-    def take(x, rows: np.ndarray):
-        """The runs a mask or an index array picks, of a stack or a cumulative pair."""
-        return (x[0][:, rows], x[1][rows]) if isinstance(x, tuple) else x[:, rows]
+    def take(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The runs a mask picks, as a C-ordered stack (``x[:, rows]`` would be F-ordered)."""
+        return x.compress(rows, axis=1)
 
     @staticmethod
     def rates(eta: list) -> np.ndarray:
@@ -402,32 +401,32 @@ class _FloatArithmetic:
         return np.array([float(e) for e in eta])
 
     @staticmethod
-    def zeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Zero cumulative utilities and zero running offsets (a row)."""
-        return np.zeros(x.shape), np.zeros(x.shape[1])
+    def zeros(x: np.ndarray) -> np.ndarray:
+        """Zero cumulative utilities over a zero offset row."""
+        return np.zeros((x.shape[0] + 1, x.shape[1]))
 
     @staticmethod
-    def accumulate(cum: tuple, fb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``U + fb`` shifted by each run's max, which moves into the offsets ``off``."""
-        U, off = cum
+    def accumulate(cum: np.ndarray, fb: np.ndarray) -> np.ndarray:
+        """``U + fb`` shifted by each run's max, which moves into the offset row."""
+        U = cum[:-1]
         U += fb
         shift = U.max(axis=0)
         U -= shift
-        off += shift
+        cum[-1] += shift
         return cum
 
-    def update(self, agent: str, cum: tuple, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def update(self, agent: str, cum: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project ``reference + eta * U`` (offsets aside): the projection input and strategy.
 
         ``eta`` is one rate or a ``(k,)`` row of per-run rates: the same IEEE products.
         """
         if isinstance(self.game, UltimatumGame):
-            v = eta * cum[0]
+            v = eta * cum[:-1]
             if self.refs[agent] is not None:
                 v[self.refs[agent]] += 1.0
             return v, _project_simplex(v.T).T
         projector = self.projectors[agent]
-        v = eta * projector.treeplex.normalize_backward(cum[0].T).T
+        v = eta * projector.treeplex.normalize_backward(cum[:-1].T).T
         return v, projector.project(v.T).T
 
     def still(self, x: tuple, new: tuple) -> np.ndarray:
@@ -441,8 +440,8 @@ class _FloatArithmetic:
         return x.T
 
     @staticmethod
-    def cumulative(cum: tuple) -> np.ndarray:
-        return (cum[0] + cum[1]).T
+    def cumulative(cum: np.ndarray) -> np.ndarray:
+        return (cum[:-1] + cum[-1]).T
 
 
 @dataclass(frozen=True)
@@ -453,12 +452,9 @@ class _Ratios:
     den: list[int]
 
     def __getitem__(self, rows: np.ndarray) -> "_Ratios":
-        """The rows a mask or an index array picks."""
-        picked = np.arange(len(self.den))[rows].tolist()
+        """The rows a mask picks."""
+        picked = np.flatnonzero(rows).tolist()
         return _Ratios([self.num[i] for i in picked], [self.den[i] for i in picked])
-
-    def __len__(self) -> int:
-        return len(self.den)
 
 
 class _ExactArithmetic:
@@ -484,10 +480,7 @@ class _ExactArithmetic:
         return _Ratios([[f.numerator * (d // f.denominator) for f in row]
                         for row, d in zip(rows, den)], den)
 
-    @staticmethod
-    def take(x: _Ratios, rows: np.ndarray) -> _Ratios:
-        """The rows a mask or an index array picks."""
-        return x[rows]
+    take = staticmethod(_Ratios.__getitem__)     # the rows a mask picks
 
     @staticmethod
     def rates(eta: list) -> np.ndarray:
@@ -503,7 +496,7 @@ class _ExactArithmetic:
     @staticmethod
     def zeros(x: _Ratios) -> _Ratios:
         """Zero cumulative utilities."""
-        return _Ratios([[0] * len(row) for row in x.num], [1] * len(x))
+        return _Ratios([[0] * len(row) for row in x.num], [1] * len(x.den))
 
     def check(self, agent: str, x: _Ratios) -> None:
         """Refuse the first initial row that is not an exact point of the grid's simplex."""
@@ -573,6 +566,18 @@ def _reduced(nums: list[list[int]], dens: list[int]) -> _Ratios:
         out.append([v // g for v in row] if g > 1 else row)
         scale.append(den // g)
     return _Ratios(out, scale)
+
+
+class _Pair:
+    """An observer's (firm, worker) pair of stacks, each made by ``value`` when first read."""
+
+    def __init__(self, value, *stacks):
+        self._value, self._stacks, self._read = value, stacks, {}
+
+    def __getitem__(self, agent: int) -> np.ndarray:
+        if agent not in self._read:
+            self._read[agent] = self._value(self._stacks[agent])
+        return self._read[agent]
 
 
 def _arithmetic(cfg: LearnerConfig) -> Union[_FloatArithmetic, _ExactArithmetic]:
@@ -670,23 +675,23 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> 
     A float one-shot stack may mix grid sizes: a row of d + 1 entries runs on
     ``ActionGrid(d)``, and ``cfg`` carries a grid at least as wide as every
     row.  Narrower rows are padded to that grid with inert entries: strategy
-    mass 0, action 1.0 (so both feedbacks are 0 there) and cumulative utility
-    ``PAD_UTILITY`` over the row's rate where that exceeds 1, which never
-    becomes a row max and projects to 0.  The projection only sorts,
-    cumsums, takes and clips, so a row's own entries get bit for bit its own
-    grid's arithmetic; the certificate guard checks
-    the rows of each width, trimmed, on their own game, and
+    mass 0, action 1.0 (so both feedbacks are 0 there) and shifted cumulative
+    utility ``PAD_UTILITY`` over the row's rate where that exceeds 1 (the
+    offset row is not padded), which never becomes a row max and projects to
+    0.  The projection only sorts, cumsums, takes and clips, so a row's own
+    entries get bit for bit its own grid's arithmetic; the certificate guard
+    checks the rows of each width, trimmed, on their own game, and
     :meth:`Lockstep.trajectory` trims each row back.  Mixed grid sizes raise
     ``ValueError`` on exact and two-round runs and with a reference; a stack
     whose rows all have one length runs unpadded.
     ``observe(t, rows, x, v, new)`` is called at each step ``t = 2, 3, ...``
     with the live rows' indices into the stack, in row order, and the
-    (firm, worker) pairs of ``(k, n)`` stacks of their previous strategies,
-    projection inputs and new strategies, padded as the kernel holds them.
-    Float projection inputs take cumulative utilities shifted by their running
-    max, exact ones the true sums.  Float stacks are views of the kernel's state
-    and exact ones ``Fraction`` arrays; an observer must not write to them, and
-    copies what it keeps.
+    (firm, worker) pairs (indexed 0 and 1) of ``(k, n)`` stacks of their
+    previous strategies, projection inputs and new strategies, padded as the
+    kernel holds them.  Float projection inputs take cumulative utilities
+    shifted by their running max, exact ones the true sums.  Float stacks are
+    views of the kernel's state and exact ones ``Fraction`` arrays, made when
+    first read; an observer must not write to them, and copies what it keeps.
     A :class:`MonitorSuite` is one observer; an empty stack calls none.
     """
     k = len(init_f)
@@ -712,17 +717,15 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> 
                    *(np.empty(np.shape(x), dtype=arith.dtype) for x in (init_f, init_w) * 2),
                    widths=widths)
     rows = np.arange(k)
-    shown = None    # the observer's previous strategies: its last call's new ones, converted once
+    shown = None    # the observer's previous strategies: its last call's new ones
     eta = arith.rates(eta)
     U_f, U_w = arith.zeros(x_f), arith.zeros(x_w)
-    if widths is not None:      # float: fill the pads of each (U, off) pair's U
-        for U, _ in (U_f, U_w):
-            np.copyto(U, PAD_UTILITY / np.maximum(eta, 1.0), where=pad.T)
+    if widths is not None:      # float: fill the pads above each stack's offset row
+        for U in (U_f, U_w):
+            np.copyto(U[:-1], PAD_UTILITY / np.maximum(eta, 1.0), where=pad.T)
 
     def retire(mask):
-        # C-ordered row copies: each output row holds its run's entries
-        if not mask.any():
-            return
+        # copied into the C-ordered outputs: each output row holds its run's entries
         out.final_f[rows[mask]] = value(take(x_f, mask))
         out.final_w[rows[mask]] = value(take(x_w, mask))
         out.cum_util_f[rows[mask]] = arith.cumulative(take(U_f, mask))
@@ -739,17 +742,15 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> 
         v_w, new_w = arith.update(WORKER, U_w, eta)
         still = arith.still((x_f, x_w), (new_f, new_w))
         if observe is not None:
-            prev, shown = shown or (value(x_f), value(x_w)), (value(new_f), value(new_w))
-            observe(t, rows, prev, (value(v_f), value(v_w)), shown)
+            prev, shown = shown or _Pair(value, x_f, x_w), _Pair(value, new_f, new_w)
+            observe(t, rows, prev, _Pair(value, v_f, v_w), shown)
         x_f, x_w = new_f, new_w
         if not still.any():
             continue
-        stopped = np.flatnonzero(still)
-        stopped = stopped[_certified_rows(cfg, value(take(x_f, stopped)), value(take(x_w, stopped)),
-                                          None if widths is None else widths[rows[stopped]])]
-        if stopped.size:
-            done = np.zeros(rows.size, dtype=bool)
-            done[stopped] = True
+        done = still.copy()
+        done[still] = _certified_rows(cfg, value(take(x_f, still)), value(take(x_w, still)),
+                                      None if widths is None else widths[rows[still]])
+        if done.any():
             out.converged_at[rows[done]] = t
             retire(done)
             live = ~done
@@ -758,5 +759,6 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> 
             shown = None
             if actions is not None:
                 actions = actions[live]
-    retire(np.ones(rows.size, dtype=bool))
+    if rows.size:
+        retire(np.ones(rows.size, dtype=bool))
     return out

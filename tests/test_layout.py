@@ -4,16 +4,17 @@ The kernel holds its stacks entries-major and hands each layer the ``(k, n)``
 ``.T`` view of one, an F-ordered stack; other callers pass C-ordered row
 stacks.  Each layer must return, for both, the bits of its row-major body
 (``oracles.*_rows``), including the pairwise-summed reductions that D >= 8
-reaches.
+reaches.  The kernel's own stacks stay C-ordered as rows retire.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ftrl_bargain import analysis, games, geometry
+from ftrl_bargain import analysis, games, geometry, learner, metagame
 from ftrl_bargain.games import (FIRM, WORKER, ActionGrid, TwoRoundGame, UltimatumGame,
                                 build_treeplex)
+from ftrl_bargain.learner import LearnerConfig
 
 import oracles
 
@@ -56,6 +57,22 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 def two_round(spec: dict) -> TwoRoundGame:
     return TwoRoundGame(ActionGrid(spec["d"]), 0.9)
+
+
+def certified(cfg: LearnerConfig, x_f, x_w, widths):
+    """``learner._certified_rows``' mask, and the gaps of each certificate it takes."""
+    gaps, gap_rows = [], analysis._gap_rows
+
+    def spy(*args):
+        out = gap_rows(*args)
+        gaps.append(out[:2])
+        return out
+
+    analysis._gap_rows = spy
+    try:
+        return learner._certified_rows(cfg, x_f, x_w, widths), gaps
+    finally:
+        analysis._gap_rows = gap_rows
 
 
 class TestLayoutIndependence:
@@ -136,6 +153,31 @@ class TestLayoutIndependence:
             for got, exp in zip(analysis._gap_rows(game, x_f, x_w), want):
                 assert_same_bits(got, exp)
 
+    @settings(max_examples=40)
+    @given(stacks)
+    def test_certificate_of_padded_rows(self, spec):
+        # the guard trims padded rows of each width by x[pick, :w] and
+        # certifies them on their own grid's game, from .T views too
+        cfg = LearnerConfig(game=UltimatumGame(ActionGrid(spec["d"])), eta=0.5)
+        n = cfg.grid.size
+        widths = np.random.default_rng(spec["seed"]).integers(3, n + 1, size=spec["rows"])
+        profile = []
+        for offset in (0, n):
+            x = np.zeros((spec["rows"], n))
+            drawn = draw_stack(spec, 2 * n)[:, offset:offset + n]
+            for w in np.unique(widths):
+                pick = widths == w
+                x[pick, :w] = geometry.project_simplex(np.ascontiguousarray(drawn[pick, :w]))
+            profile.append(x)
+        want_mask, want_gaps = certified(cfg, *profile, widths)
+        assert len(want_gaps) == len(np.unique(widths))
+        for x_f, x_w in zip(*map(layouts, profile)):
+            mask, gaps = certified(cfg, x_f, x_w, widths)
+            assert_same_bits(mask, want_mask)
+            for got, exp in zip(gaps, want_gaps):
+                for a, b in zip(got, exp):
+                    assert_same_bits(a, b)
+
     @pytest.mark.parametrize("d", GRID_SIZES)
     def test_one_vector_is_a_one_row_stack(self, d):
         # a 1-D input is the one-row case of the same body, in every layer
@@ -155,3 +197,43 @@ class TestLayoutIndependence:
                              games.two_round_feedback(agent, opp[None], game)[0])
             assert_same_bits(games.ultimatum_feedback(agent, v ** 2, game.grid),
                              games.ultimatum_feedback(agent, (v ** 2)[None], game.grid)[0])
+
+
+def pure_grid(game) -> tuple[list, list]:
+    """The initial rows of a pure x pure sweep of ``game``."""
+    axis = metagame._axis(game, "pure")
+    plans = [[metagame._initial(game, agent, e, False) for e in axis] for agent in (FIRM, WORKER)]
+    return [f for f in plans[0] for _ in plans[1]], [w for _ in plans[0] for w in plans[1]]
+
+
+class TestKernelLayout:
+    """The float kernel holds C-ordered entries-major stacks before and after rows retire."""
+
+    @pytest.mark.parametrize("case", ["one_shot", "mixed_widths", "two_round"])
+    def test_state_stays_c_ordered_through_retirement(self, case, monkeypatch):
+        if case == "two_round":
+            game = TwoRoundGame(ActionGrid(3), 0.9)
+            init_f, init_w = (rows[:16] for rows in pure_grid(game))
+        else:
+            game = UltimatumGame(ActionGrid(3 if case == "one_shot" else 5))
+            init_f, init_w = pure_grid(game)
+            if case == "mixed_widths":
+                narrow = pure_grid(UltimatumGame(ActionGrid(3)))
+                init_f, init_w = init_f[::3] + narrow[0][::2], init_w[::3] + narrow[1][::2]
+        accumulated, seen = [], []
+        accumulate = learner._FloatArithmetic.accumulate
+
+        def spy(cum, fb):
+            accumulated.append(cum.flags.c_contiguous)
+            return accumulate(cum, fb)
+
+        def observe(t, rows, x, v, new):
+            seen.append((len(rows), all(stack[i].T.flags.c_contiguous
+                                        for stack in (x, v, new) for i in (0, 1))))
+
+        monkeypatch.setattr(learner._FloatArithmetic, "accumulate", staticmethod(spy))
+        run = learner.run_lockstep(LearnerConfig(game=game, eta=0.5), init_f, init_w, observe)
+        # rows retire at several steps, and steps run after the first retirement
+        assert len(set(run.converged_at.tolist())) > 2 and seen[0][0] > seen[-1][0]
+        assert len(accumulated) == 2 * len(seen) and all(accumulated)
+        assert all(ok for _, ok in seen)

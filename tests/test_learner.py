@@ -39,10 +39,10 @@ def no_guard(monkeypatch):
 def ftrl_step(agent, cum_util, cfg):
     """One update of the kernel: project reference + eta * cum_util.
 
-    The float update takes a (cumulative utility, running offset) pair and
-    ignores the offset.
+    The float update takes a cumulative stack whose last row holds the running
+    offsets, and ignores that row.
     """
-    cum = (np.asarray(cum_util, dtype=float), 0.0)
+    cum = np.append(np.asarray(cum_util, dtype=float), 0.0)
     return learner._FloatArithmetic(cfg).update(agent, cum, float(cfg.eta))[1]
 
 
@@ -952,6 +952,30 @@ class TestExactMode:
             *_, (U, _) = self.feedback_sums(seen, row, cfg.grid)
             assert [list(run.cum_util_f[row]), list(run.cum_util_w[row])] == U
             assert all(type(u) is Fraction for u in run.cum_util_f[row])
+
+    @pytest.mark.parametrize("reads", [(), ("x",), ("v", "new")], ids=["nothing", "previous", "inputs_and_new"])
+    def test_observer_converts_only_what_it_reads(self, reads, monkeypatch):
+        # the kernel builds a Fraction array for its observer only when the
+        # observer reads it, and at most once: a history, which reads only the
+        # previous strategies, costs two conversions a step
+        cfg, init_f, init_w = self.EXACT_STACK
+        values = learner._ExactArithmetic.values
+        made = []
+        monkeypatch.setattr(learner._ExactArithmetic, "values",
+                            staticmethod(lambda x: made.append(1) or values(x)))
+        steps = []
+
+        def observe(t, rows, x, v, new):
+            steps.append(t)
+            for name in reads * 2:
+                pair = {"x": x, "v": v, "new": new}[name]
+                assert pair[0] is pair[0] and all(type(u) is Fraction for u in pair[1].ravel())
+
+        learner.run_lockstep(cfg, init_f, init_w, observe)
+        observed = len(made)
+        made.clear()
+        learner.run_lockstep(cfg, init_f, init_w)
+        assert len(steps) > 1 and observed - len(made) == 2 * len(reads) * len(steps)
 
 
 def assert_matches_exact_oracle(cfg, traj, ref):

@@ -30,7 +30,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .geometry import StructuralError, Treeplex
+from .geometry import StructuralError, Treeplex, _cumsum_down
 
 __all__ = [
     "FIRM",
@@ -193,9 +193,9 @@ def ultimatum_feedback(agent: Agent, opponent_strategy: np.ndarray, grid: Action
     acts = grid.actions if actions is None else np.asarray(actions, dtype=float)
     acts = acts.reshape(-1, grid.size).T
     if agent == WORKER:
-        out = (cols * acts)[::-1].cumsum(axis=0)[::-1]
+        out = _cumsum_down((cols * acts)[::-1])[::-1]
     else:
-        out = cols.cumsum(axis=0) * (1.0 - acts)
+        out = _cumsum_down(cols) * (1.0 - acts)
     return out.T.reshape(x.shape)
 
 

@@ -16,7 +16,11 @@ treeplex), so on the ``.T`` view of the kernel's entries-major state every
 sort, scan and reduction runs across the rows at once.  Sorts, maxes,
 argmaxes and cumulative sums round the same in either order; the one sum that
 may take numpy's pairwise path, over a firm offer's pairs, is taken along a
-contiguous axis as a row-major stack takes it.
+contiguous axis as a row-major stack takes it.  The simplex scans (this
+module's and :func:`games.ultimatum_feedback`'s) go through
+:func:`_cumsum_down`, which adds one row at a time on stacks at least
+``WIDE`` runs wide, on the bits and in the layout of ``np.cumsum``; the
+firm's treeplex projection keeps ``np.cumsum`` (row adds gained nothing there).
 """
 
 from __future__ import annotations
@@ -157,18 +161,50 @@ def check_simplex(x: np.ndarray) -> bool | np.ndarray:
     return ok if x.ndim == 2 else bool(ok)
 
 
+# Stacks with contiguous rows at least this many runs wide are scanned down
+# axis 0 as one vectorized add per row, where ``np.cumsum`` runs one scalar
+# loop per run.  The crossover lies between 192 and 256 (numpy 2.4.6, 2-core
+# Xeon, best of 5 on (31, k) stacks: numpy 30.5 against 22.6 us at k = 256,
+# 93.8 against 36.8 at 961, and 10.7 against 22.5 at 100).
+WIDE = 256
+
+
+def _cumsum_down(a: np.ndarray) -> np.ndarray:
+    """``a.cumsum(axis=0)`` of a 2-D stack: the same sums, in the same order and memory layout.
+
+    A stack whose rows are contiguous and at least ``WIDE`` runs wide is
+    scanned as ``len(a) - 1`` row adds into the output.
+    """
+    if a.shape[1] < WIDE or a.strides[1] != a.itemsize:
+        return a.cumsum(axis=0)
+    out = np.empty_like(a)
+    out[0] = a[0]
+    for i in range(1, len(a)):
+        np.add(out[i - 1], a[i], out=out[i])
+    return out
+
+
 def _threshold_rows(v: np.ndarray) -> np.ndarray:
     """Sort-and-threshold projection of each vector down axis 0.
 
     ``v`` is entries-major, ``(n, ...)``: every sort, scan and broadcast runs
-    across all the vectors at once.
+    across all the vectors at once.  A vector whose largest entry is at least
+    2**53 in magnitude raises ``ValueError``, naming its index along ``v``'s
+    last axis (the caller's row).
     """
     n = len(v)
     cols = v.reshape(n, -1)
-    u = -cols
-    u.sort(axis=0)
-    u *= -1.0
-    css = u.cumsum(axis=0)
+    ascending = np.sort(cols, axis=0)
+    # the rule keeps each vector's largest entry u0 because u0 > u0 - 1;
+    # from 2**53 up, u0 - 1 may round back to u0
+    top = np.abs(ascending[-1])
+    if top.max() >= 2.0**53:
+        j = int(top.argmax())
+        row = f" row {j % v.shape[-1]}" if v.ndim > 1 else ""
+        raise ValueError(f"projection input{row} has largest entry {float(ascending[-1, j])!r}, "
+                         "of magnitude >= 2**53, where the threshold rule cannot find its support")
+    u = ascending[::-1]
+    css = _cumsum_down(u)
     css -= 1.0
     cond = u * np.arange(1.0, n + 1.0)[:, None] > css
     rho = n - 1 - cond[::-1].argmax(axis=0)
@@ -185,7 +221,9 @@ def project_simplex(v) -> np.ndarray:
     indices, so ties cannot change the result: runs are bit-reproducible and
     a row of a stack projects exactly as it does on its own.  The rule runs
     down axis 0 of ``v.T``, so the ``(k, n)`` view of an entries-major stack
-    projects across its rows; the result has ``v``'s memory order.
+    projects across its rows; the result has ``v``'s memory order.  NaN,
+    +-inf and a row whose largest entry is at least 2**53 in magnitude raise
+    ``ValueError``.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] == 0:
@@ -196,7 +234,11 @@ def project_simplex(v) -> np.ndarray:
 
 
 def project_simplex_batch(v: np.ndarray) -> np.ndarray:
-    """:func:`project_simplex` of every vector along the last axis, without input checks."""
+    """:func:`project_simplex` of every vector along the last axis, without its shape and finiteness checks.
+
+    A vector whose largest entry is at least 2**53 in magnitude still raises
+    ``ValueError``: that check costs no pass of its own.
+    """
     return _threshold_rows(np.asarray(v, dtype=float).T).T
 
 

@@ -51,6 +51,24 @@ class TestSimplexProjection:
         with pytest.raises(ValueError):
             project_simplex(np.array([np.inf, 0.0]))
 
+    def test_top_entry_beyond_2_53_rejected(self):
+        # from 2**53 up, u0 - 1 may round back to u0 and the rule finds no
+        # support: [1e16, 0, 0] projected to [6.67e15, 0, 0]
+        for v in ([1e16, 0.0, 0.0], [-1e17, -1e17, -1e18], [-(2.0**53), -1e300]):
+            with pytest.raises(ValueError, match=r"^projection input has largest entry .* >= 2\*\*53"):
+                project_simplex(np.array(v))
+        stack = np.zeros((4, 3))
+        stack[2, 1] = 2.0**53
+        for project in (project_simplex, project_simplex_batch):
+            for view in (stack, np.array(stack.T, order="C").T):
+                with pytest.raises(ValueError, match=r"^projection input row 2 has largest entry"):
+                    project(view)
+        with pytest.raises(ValueError, match=r"^projection input row 3 has"):
+            TreeplexProjector(Treeplex.blocks(2, 3)).project(np.vstack([np.zeros((3, 7)), np.full(7, 1e16)]))
+        # a largest entry just below, or any entry far below the largest, passes
+        for v in ([2.0**53 - 1.0, 0.0, 0.0], [-(2.0**53) + 1.0, -1e300], [1.0, -1e300]):
+            assert geometry.check_simplex(project_simplex(np.array(v)))
+
     @pytest.mark.parametrize("n", [3, 9, 31])
     def test_check_simplex_stack_matches_rows(self, rng, n):
         # a point, then its sum moved and an entry made negative, just inside

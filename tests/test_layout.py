@@ -9,7 +9,7 @@ reaches.  The kernel's own stacks stay C-ordered as rows retire.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ftrl_bargain import analysis, games, geometry, learner, metagame
 from ftrl_bargain.games import (FIRM, WORKER, ActionGrid, TwoRoundGame, UltimatumGame,
@@ -28,6 +28,14 @@ stacks = st.fixed_dictionaries({
     "coarse": st.booleans(),
     "scale": st.sampled_from([1e-3, 1.0, 50.0]),
 })
+
+
+# stacks at least geometry.WIDE rows wide, whose scans take the row-add path
+# when the stack is entries-major; every test run reaches them
+WIDE_STACKS = [
+    {"d": 5, "rows": 300, "seed": 32, "coarse": False, "scale": 1.0},
+    {"d": 8, "rows": 400, "seed": 33, "coarse": True, "scale": 50.0},
+]
 
 
 def draw_stack(spec: dict, n: int) -> np.ndarray:
@@ -76,8 +84,25 @@ def certified(cfg: LearnerConfig, x_f, x_w, widths):
 
 
 class TestLayoutIndependence:
+    @pytest.mark.parametrize("width", [1, geometry.WIDE - 1, geometry.WIDE, 3 * geometry.WIDE])
+    @pytest.mark.parametrize("layout", ["c_order", "reversed_rows", "row_major", "column_slice"])
+    def test_cumsum_down_is_cumsum(self, width, layout):
+        # the same sums in the same layout as numpy's scan, on both sides of
+        # WIDE: the feedback's layout sets how later dot products round
+        rng = np.random.default_rng(width)
+        a = np.round(rng.normal(size=(31, 2 * width)) * 8.0) / 8.0 + 0.0
+        a[rng.random(a.shape) < 0.1] = 1e300
+        a = {"c_order": a[:, :width].copy(), "reversed_rows": a[:, :width].copy()[::-1],
+             "row_major": np.ascontiguousarray(a[:, :width].T).T,
+             "column_slice": a[:, ::2]}[layout]
+        got, want = geometry._cumsum_down(a), a.cumsum(axis=0)
+        assert got.strides == want.strides
+        assert_same_bits(got, want)
+
     @settings(max_examples=40)
     @given(stacks)
+    @example(WIDE_STACKS[0])
+    @example(WIDE_STACKS[1])
     def test_project_simplex(self, spec):
         x = draw_stack(spec, spec["d"] + 1)
         want = oracles.project_simplex_rows(x)
@@ -87,6 +112,8 @@ class TestLayoutIndependence:
 
     @settings(max_examples=40)
     @given(stacks, st.sampled_from([FIRM, WORKER]))
+    @example(WIDE_STACKS[0], WORKER)
+    @example(WIDE_STACKS[1], WORKER)
     def test_treeplex_project(self, spec, agent):
         tp = build_treeplex(two_round(spec), agent)
         x = draw_stack(spec, tp.n_sequences)
@@ -105,6 +132,10 @@ class TestLayoutIndependence:
 
     @settings(max_examples=40)
     @given(stacks, st.sampled_from([FIRM, WORKER]), st.booleans())
+    @example(WIDE_STACKS[0], WORKER, False)
+    @example(WIDE_STACKS[0], FIRM, False)
+    @example(WIDE_STACKS[1], WORKER, True)
+    @example(WIDE_STACKS[1], FIRM, True)
     def test_ultimatum_feedback(self, spec, agent, per_row):
         grid = ActionGrid(spec["d"])
         x = np.abs(draw_stack(spec, grid.size))

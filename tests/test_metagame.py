@@ -141,8 +141,11 @@ class TestSweep:
 
     def test_batched_matches_per_cell_runs(self):
         # every sweep cell, and every row of the lockstep kernel, is the run
-        # the cell would make alone; the two-round check uses every 5th cell
-        for game, stride in ((UltimatumGame(ActionGrid(4)), 1), (TwoRoundGame(ActionGrid(3), 0.9), 5)):
+        # the cell would make alone; the two-round check uses every 5th cell,
+        # and the D=30 grid (961 rows, wide enough for the row-add scans)
+        # every 40th
+        for game, stride in ((UltimatumGame(ActionGrid(4)), 1), (TwoRoundGame(ActionGrid(3), 0.9), 5),
+                             (UltimatumGame(ActionGrid(30)), 40)):
             cfg = LearnerConfig(game=game, eta=0.5)
             sweep = sweep_initials(cfg)
             cells = [(i, j) for i in range(sweep.shape[0]) for j in range(sweep.shape[1])]

@@ -132,15 +132,16 @@ def _gap_rows(game, x_f: np.ndarray, x_w: np.ndarray):
         acts, delta = game.grid.actions, game.delta
         fb_f = games.two_round_feedback(FIRM, x_w, game)
         fb_w = games.two_round_feedback(WORKER, x_f, game)
-        # Firm: pick the offer whose subtree value is largest; in the second
-        # round accepting pays delta*b*(counter mass), rejecting pays 0.
-        w_accept, w_counter = games.build_treeplex(game, WORKER).views(x_w)
-        offer_values = (1.0 - acts) * w_accept + delta * (w_counter * acts).sum(axis=-1)
+        tp_f, tp_w = games.build_treeplex(game, FIRM), games.build_treeplex(game, WORKER)
+        # Firm: the offer of largest subtree value, its first-round feedback plus
+        # delta * sum b*w over accepted counters.  That sum keeps delta outside,
+        # as tests/oracles.certify_gaps_loop rounds it: summing the feedback
+        # entries (delta*b)*w moves most interior profiles' values by <= 2.2e-16.
+        offer_values = tp_f.views(fb_f)[0] + delta * (tp_w.views(x_w)[1] * acts).sum(axis=-1)
         br_offer, best_f = _best_offer(acts, offer_values)
-        # Worker: per first offer choose accept or the best counter.
-        f_offer, f_pairs = games.build_treeplex(game, FIRM).views(x_f)
-        counter_values = delta * (1.0 - acts) * f_pairs[..., 0]
-        best_w = np.maximum(acts * f_offer, counter_values.max(axis=-1)).sum(axis=-1)
+        # Worker: per first offer the better of accepting and its best counter.
+        accept, counter = tp_w.views(fb_w)
+        best_w = np.maximum(accept, counter.max(axis=-1)).sum(axis=-1)
     u_w = np.vecdot(x_w, fb_w)
     return _clip_gap(best_f - np.vecdot(x_f, fb_f)), _clip_gap(best_w - u_w), br_offer, u_w
 
@@ -167,29 +168,23 @@ def certify_epsilon_ne(profile, game) -> EquilibriumCertificate:
 
 
 def continuous_br_gap(profile, grid: ActionGrid, refinement: int) -> float:
-    """Best-response gap over a ``refinement``-times finer offer grid.
+    """Best-response gap over a ``refinement``-times finer offer grid (an integer >= 1).
 
-    The one-shot game's best responses land on opponent atoms, so refining the
-    grid can never raise the gap above the coarse one.
+    The firm's refined offer values are its feedback on ``ActionGrid(refinement * D)``
+    against the worker's mass on every ``refinement``-th threshold; the worker's
+    refined best response still accepts every supported offer: its coarse gap.
     """
+    refinement = geometry._integer("refinement", refinement)
     if refinement < 1:
         raise ValueError("refinement must be a positive integer")
-    x_f, x_w = (np.asarray(v, dtype=float) for v in profile)
-    fine = np.arange(refinement * grid.D + 1) / (refinement * grid.D)
-    # Firm over the fine grid: acceptance mass is the worker cdf at each offer.
-    thresholds = grid.actions
-    cdf = np.cumsum(x_w)
-    idx = np.searchsorted(thresholds, fine + 1e-12) - 1
-    accept_mass = np.where(idx >= 0, cdf[np.maximum(idx, 0)], 0.0)
-    val_f_fine = float(np.max(accept_mass * (1.0 - fine)))
-    # Worker's refined best response still accepts every supported offer.
-    val_w_fine = float(x_f @ thresholds)
-
-    fb_f = games.ultimatum_feedback(FIRM, x_w, grid)
-    fb_w = games.ultimatum_feedback(WORKER, x_f, grid)
-    gap_f = _clip_gap(val_f_fine - float(x_f @ fb_f))
-    gap_w = _clip_gap(val_w_fine - float(x_w @ fb_w))
-    return float(np.maximum(gap_f, gap_w))
+    x_f, x_w = (np.asarray(v, dtype=float)[None] for v in profile)
+    _, gap_w, _, _ = _gap_rows(UltimatumGame(grid), x_f, x_w)
+    fine = ActionGrid(refinement * grid.D)
+    x_fine = np.zeros((1, fine.size))
+    x_fine[:, ::refinement] = x_w
+    best_f = games.ultimatum_feedback(FIRM, x_fine, fine).max(axis=-1)
+    gap_f = _clip_gap(best_f - np.vecdot(x_f, games.ultimatum_feedback(FIRM, x_w, grid)))
+    return np.maximum(gap_f, gap_w).item()
 
 
 # ---------------------------------------------------------------------------

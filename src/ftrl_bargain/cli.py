@@ -277,12 +277,11 @@ def _audit_draw(rng: np.random.Generator):
     return d, eta, weights_f, weights_w
 
 
-def _audit_inits(weights: np.ndarray, exact: bool) -> np.ndarray:
-    """A draw's integer weights as a mixture: floats, or ``Fraction``s in exact mode."""
+def _audit_inits(weights: np.ndarray) -> np.ndarray:
+    """A draw's integer weights as ``Fraction(w, total)`` entries, which the kernel's
+    arithmetic rounds (a float run to ``w / total``, correctly rounded)."""
     total = int(weights.sum())
-    if exact:
-        return np.array([Fraction(int(v), total) for v in weights], dtype=object)
-    return weights.astype(float) / total
+    return np.array([Fraction(int(v), total) for v in weights], dtype=object)
 
 
 def _audit_stacks(draws: list, runs: list[int], arithmetic: str) -> dict:
@@ -305,8 +304,7 @@ def _audit_stacks(draws: list, runs: list[int], arithmetic: str) -> dict:
     for idx in stacks.values():
         cfg = LearnerConfig(game=UltimatumGame(ActionGrid(max(draws[i][0] for i in idx))),
                             eta=draws[idx[0]][1], arithmetic=arithmetic)
-        inits = [(_audit_inits(draws[i][2], exact), _audit_inits(draws[i][3], exact))
-                 for i in idx]
+        inits = [(_audit_inits(draws[i][2]), _audit_inits(draws[i][3])) for i in idx]
         suite = None if exact else MonitorSuite(cfg)
         run = learner.run_lockstep(cfg, *([pair[a] for pair in inits] for a in (0, 1)),
                                    observe=suite, eta=[draws[i][1] for i in idx])
@@ -375,7 +373,7 @@ def _parse_initial(cfg: LearnerConfig, text: str, agent: str):
         if len(parts) != 2:
             raise ConfigError(f"{flag} must be 'first,second' in the two-round game, got {text!r}")
         entry = tuple(_number(flag, p) for p in parts)
-    return metagame._initial(cfg.game, agent, entry, cfg.arithmetic == "exact")
+    return metagame._initial(cfg.game, agent, entry)
 
 
 def cmd_run(args) -> int:

@@ -25,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-import operator
 from typing import Literal, Optional
 
 import numpy as np
 
-from .geometry import StructuralError, Treeplex, _cumsum_down
+from .geometry import StructuralError, Treeplex, _cumsum_down, _integer
 
 __all__ = [
     "FIRM",
@@ -52,15 +51,6 @@ __all__ = [
 FIRM = "firm"
 WORKER = "worker"
 Agent = Literal["firm", "worker"]
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int`` if it is no ``bool`` (``operator.index`` takes True as 1)
-    and ``operator.index`` accepts it; a ValueError naming ``name`` if not."""
-    try:
-        return int(operator.index(None if isinstance(value, bool) else value))
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+import operator
 from typing import ClassVar
 
 import numpy as np
@@ -49,6 +50,15 @@ UNREACHABLE_TOL = 1e-12     # parent mass below this marks an infoset unreachabl
 
 class StructuralError(ValueError):
     """Shape or indexing mismatch between a vector and its polytope/grid."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int`` if it is no ``bool`` (``operator.index`` takes True as 1)
+    and ``operator.index`` accepts it; a ValueError naming ``name`` if not."""
+    try:
+        return int(operator.index(None if isinstance(value, bool) else value))
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,13 @@ class Treeplex:
     root: ClassVar[int] = 0
 
     def __post_init__(self):
-        if not all(isinstance(k, int) and k >= 1 for k in (self.n, self.m)):
+        """``n`` and ``m`` are integers >= 1 by :func:`_integer`'s rule, stored as ``int``s."""
+        try:
+            for name in ("n", "m"):
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        except ValueError as exc:
+            raise StructuralError(exc) from None
+        if min(self.n, self.m) < 1:
             raise StructuralError(f"treeplex needs n, m >= 1, got n={self.n}, m={self.m}")
 
     @classmethod

@@ -124,13 +124,12 @@ def _axis(game, kind: str) -> tuple:
     return tuple((p, r) for p in acts for r in acts)
 
 
-def _initial(game, agent: str, entry, exact: bool) -> np.ndarray:
-    """Initial strategy of one axis entry; exact uniform entries are ``Fraction``s."""
+def _initial(game, agent: str, entry) -> np.ndarray:
+    """Initial strategy of one axis entry, as exact values that the kernel's arithmetic
+    rounds: a one-shot ``uniform`` entry is ``Fraction(1, n)`` entries (``1.0 / n`` in float)."""
     if isinstance(game, UltimatumGame):
         if entry == "uniform":
-            if exact:
-                return np.full(game.grid.size, Fraction(1, game.grid.size), dtype=object)
-            return games.uniform_strategy(game.grid)
+            return np.full(game.grid.size, Fraction(1, game.grid.size), dtype=object)
         return games.pure_strategy(game.grid, entry)
     if entry == "uniform":
         return games.build_treeplex(game, agent).uniform_plan()
@@ -141,15 +140,14 @@ def _initial(game, agent: str, entry, exact: bool) -> np.ndarray:
     return games.worker_vertex_plan(game, threshold=first, counter=second)
 
 
-def _distinct(plans: list, exact: bool) -> tuple[list, list[int]]:
+def _distinct(plans: list) -> tuple[list, list[int]]:
     """The distinct plans in first-seen order, and each plan's index among them.
 
-    Float plans compare by their bytes, exact plans (which may hold
-    ``Fraction`` objects) by their values.
+    Plans, ``Fraction`` entries included, compare by their values.
     """
     index, first, picks = {}, [], []
     for plan in plans:
-        key = tuple(plan.tolist()) if exact else plan.tobytes()
+        key = tuple(plan.tolist())
         if key not in index:
             index[key] = len(first)
             first.append(plan)
@@ -276,9 +274,8 @@ def sweep_initials(
     parallelism = _check_parallelism(parallelism)
     game = cfg.game
     firm_axis, worker_axis = _axis(game, axis_f), _axis(game, axis_w)
-    exact = cfg.arithmetic == "exact"
-    plans_f, pick_f = _distinct([_initial(game, FIRM, e, exact) for e in firm_axis], exact)
-    plans_w, pick_w = _distinct([_initial(game, WORKER, e, exact) for e in worker_axis], exact)
+    plans_f, pick_f = _distinct([_initial(game, FIRM, e) for e in firm_axis])
+    plans_w, pick_w = _distinct([_initial(game, WORKER, e) for e in worker_axis])
     init_f = np.repeat(plans_f, len(plans_w), axis=0)
     init_w = np.tile(plans_w, (len(plans_f), 1))
     chunks = min(parallelism, len(init_f))

@@ -409,6 +409,29 @@ def certify_gaps_loop(profile, game) -> tuple[float, float, float]:
     return gap_f, gap_w, float(acts[br])
 
 
+def continuous_br_gap_reference(profile, grid: ActionGrid, refinement: int) -> float:
+    """The refined-grid gap by its own formula, on 1-D vectors.
+
+    The firm's acceptance mass at each fine offer is the worker's cdf at the
+    last threshold at or below it, found by ``searchsorted``, times ``1 -
+    offer``; the worker's refined best response accepts every supported
+    offer.  ``analysis.continuous_br_gap`` must reproduce it bit for bit.
+    """
+    from ftrl_bargain import games
+
+    x_f, x_w = (np.asarray(v, dtype=float) for v in profile)
+    fine = np.arange(refinement * grid.D + 1) / (refinement * grid.D)
+    thresholds = grid.actions
+    cdf = np.cumsum(x_w)
+    idx = np.searchsorted(thresholds, fine + 1e-12) - 1
+    accept_mass = np.where(idx >= 0, cdf[np.maximum(idx, 0)], 0.0)
+    val_f_fine = float(np.max(accept_mass * (1.0 - fine)))
+    val_w_fine = float(x_f @ thresholds)
+    gap_f = max(0.0, val_f_fine - float(x_f @ games.ultimatum_feedback("firm", x_w, grid)))
+    gap_w = max(0.0, val_w_fine - float(x_w @ games.ultimatum_feedback("worker", x_f, grid)))
+    return max(gap_f, gap_w)
+
+
 def _feedback_exact_loop(agent: str, x: list, grid: ActionGrid) -> list:
     """One-shot feedback in ``Fraction``s by running sums over the grid."""
     acts = [Fraction(k, grid.D) for k in range(grid.size)]

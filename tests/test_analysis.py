@@ -263,6 +263,30 @@ class TestContinuousBridge:
         g = ActionGrid(5)
         with pytest.raises(ValueError):
             continuous_br_gap((pure_strategy(g, 0.0), pure_strategy(g, 0.0)), g, 0)
+        # a refinement that is no integer gives no grid
+        with pytest.raises(ValueError, match="^refinement must be an integer, got 2.5$"):
+            continuous_br_gap((pure_strategy(g, 0.0), pure_strategy(g, 0.0)), g, 2.5)
+
+    def test_matches_refined_grid_formula(self, rng):
+        # the firm's refined offer values are its feedback on the fine grid:
+        # bit for bit the refined-grid formula, also with -0.0 worker entries
+        # and pure firm rows
+        got, want = [], []
+        for D in (3, 5, 10, 30):
+            grid = ActionGrid(D)
+            for refinement in (1, 2, 3, 7):
+                for i in range(60):
+                    x_f, x_w = rng.exponential(size=(2, grid.size))
+                    x_f, x_w = x_f / x_f.sum(), x_w / x_w.sum()
+                    if i % 3 == 0:
+                        x_w[rng.integers(grid.size, size=2)] = -0.0
+                    if i % 4 == 0:
+                        x_f = pure_strategy(grid, rng.choice(grid.actions))
+                    if i % 5 == 0:
+                        x_w = np.where(pure_strategy(grid, rng.choice(grid.actions)) > 0, 1.0, -0.0)
+                    got.append(continuous_br_gap((x_f, x_w), grid, refinement))
+                    want.append(oracles.continuous_br_gap_reference((x_f, x_w), grid, refinement))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_support_helpers_deleted():

@@ -19,7 +19,7 @@ from ftrl_bargain.games import (
     utility_ultimatum,
     worker_vertex_plan,
 )
-from ftrl_bargain.geometry import StructuralError, TreeplexProjector, validate_plan
+from ftrl_bargain.geometry import StructuralError, Treeplex, TreeplexProjector, validate_plan
 from ftrl_bargain.learner import LearnerConfig
 
 import oracles
@@ -75,11 +75,25 @@ def _recurrence(**kw):
     ("n", lambda: analysis.iterate_recurrence(_recurrence(), True)),
     ("n", lambda: analysis.closed_form_mp(_recurrence(), True)),
     ("parallelism", lambda: metagame._check_parallelism(True)),
-], ids=["max_steps", "D", "k", "iterate_n", "closed_form_n", "parallelism"])
+    ("n", lambda: Treeplex(False, True, 2)),
+    ("m", lambda: Treeplex(True, 2, True)),
+    ("refinement", lambda: analysis.continuous_br_gap(
+        (pure_strategy(ActionGrid(3), 0.0), pure_strategy(ActionGrid(3), 0.0)), ActionGrid(3), True)),
+], ids=["max_steps", "D", "k", "iterate_n", "closed_form_n", "parallelism", "treeplex_n",
+        "treeplex_m", "refinement"])
 def test_bool_is_not_an_integer(name, call):
     # one integer rule: operator.index takes True as 1, the rule refuses it
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
         call()
+
+
+def test_treeplex_sizes_follow_the_integer_rule():
+    # numpy integers are counts, stored as int; a bool size is a StructuralError
+    tp = Treeplex(False, np.int64(3), np.int64(2))
+    assert (tp.n, tp.m) == (3, 2) and type(tp.n) is int and type(tp.m) is int
+    assert tp == Treeplex.blocks(3, 3)
+    with pytest.raises(StructuralError):
+        Treeplex(False, True, 2)
 
 
 class TestUltimatumPayoffs:

@@ -233,7 +233,7 @@ class TestLayoutIndependence:
 def pure_grid(game) -> tuple[list, list]:
     """The initial rows of a pure x pure sweep of ``game``."""
     axis = metagame._axis(game, "pure")
-    plans = [[metagame._initial(game, agent, e, False) for e in axis] for agent in (FIRM, WORKER)]
+    plans = [[metagame._initial(game, agent, e) for e in axis] for agent in (FIRM, WORKER)]
     return [f for f in plans[0] for _ in plans[1]], [w for _ in plans[0] for w in plans[1]]
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from ftrl_bargain import analysis, cli, games, geometry, learner
+from ftrl_bargain import analysis, cli, games, geometry, learner, metagame
 from ftrl_bargain.games import (
     FIRM,
     WORKER,
@@ -744,7 +744,7 @@ class TestMixedWidths:
         monkeypatch.setattr(analysis, "_gap_rows", spy)
         draws = self.draws()
         sizes = sorted({d for d, *_ in draws})
-        inits = [(cli._audit_inits(wf, False), cli._audit_inits(ww, False)) for _, _, wf, ww in draws]
+        inits = [(cli._audit_inits(wf), cli._audit_inits(ww)) for _, _, wf, ww in draws]
         etas = [eta for _, eta, _, _ in draws]
         cfg = g1_config(d=sizes[-1], max_steps=cap)
         suite = MonitorSuite(cfg)
@@ -844,6 +844,30 @@ class TestMixedWidths:
         init_w = [np.full(n or bad_w, 1 / (n or bad_w)) for n in sizes]
         with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
             learner.run_lockstep(g1_config(), init_f, init_w)
+
+
+def test_fraction_rows_run_as_their_float_casts():
+    # Sweeps and the audit hand the kernel exact initial values, which the
+    # float arithmetic rounds: float(Fraction) is correctly rounded, so the
+    # audit's mixtures (one mixed-width stack at per-row rates) and a one-shot
+    # uniform entry run bit for bit as the float rows weights / total and
+    # games.uniform_strategy
+    draws = TestMixedWidths.draws()
+    audit = (g1_config(d=max(d for d, *_ in draws)),
+             [[cli._audit_inits(draw[a]) for draw in draws] for a in (2, 3)],
+             [[draw[a].astype(float) / int(draw[a].sum()) for draw in draws] for a in (2, 3)],
+             [eta for _, eta, _, _ in draws])
+    grid = ActionGrid(10)
+    uniform, pure = metagame._initial(UltimatumGame(grid), FIRM, "uniform"), pure_strategy(grid, 0.5)
+    assert uniform.tolist() == [Fraction(1, 11)] * 11
+    one_shot = (g1_config(d=10), [[uniform, pure], [pure, uniform]],
+                [[uniform_strategy(grid), pure], [pure, uniform_strategy(grid)]], None)
+    for cfg, exact_rows, float_rows, eta in (audit, one_shot):
+        got = learner.run_lockstep(cfg, *exact_rows, eta=eta)
+        want = learner.run_lockstep(cfg, *float_rows, eta=eta)
+        assert want.converged_at.all() and np.array_equal(got.converged_at, want.converged_at)
+        for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestExactMode:

@@ -173,6 +173,10 @@ def continuous_br_gap(profile, grid: ActionGrid, refinement: int) -> float:
     The firm's refined offer values are its feedback on ``ActionGrid(refinement * D)``
     against the worker's mass on every ``refinement``-th threshold; the worker's
     refined best response still accepts every supported offer: its coarse gap.
+    A fine offer between two grid thresholds is accepted by the mass of the
+    threshold below it and only pays the firm less than that threshold, so on
+    a profile supported on the grid the result is the coarse certificate's
+    eps bit for bit (criterion 8's 0 holds by construction).
     """
     refinement = geometry._integer("refinement", refinement)
     if refinement < 1:

@@ -13,7 +13,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -23,6 +23,7 @@ import numpy as np
 
 from . import analysis, learner, metagame
 from .games import FIRM, WORKER, ActionGrid, TwoRoundGame, UltimatumGame
+from .geometry import _integer
 from .learner import MONITORS, LearnerConfig, MonitorSuite
 
 __all__ = ["ExperimentConfig", "load_config", "run_audit", "AuditReport", "main"]
@@ -284,75 +285,57 @@ def _audit_inits(weights: np.ndarray) -> np.ndarray:
     return np.array([Fraction(int(v), total) for v in weights], dtype=object)
 
 
-def _audit_stacks(draws: list, runs: list[int], arithmetic: str) -> dict:
-    """The draws ``runs`` as lockstep stacks, each row at its own eta.
-
-    Float draws of every grid size share one stack on the widest grid,
-    which ``run_lockstep`` pads row by row; exact draws run as one stack
-    per grid size, as the exact kernel does not pad and costs the same per
-    row however its rows are stacked.  :func:`_audit_inits` makes every
-    row a valid mixture.  Each float stack's observer is one
-    :class:`MonitorSuite`.  Returns, by run index, the run's
-    :class:`Trajectory` and its monitor violations as
-    ``(monitor, run, step, detail)`` (none when exact).
-    """
-    exact = arithmetic == "exact"
-    stacks: dict[int, list[int]] = {}
-    for i in runs:
-        stacks.setdefault(draws[i][0] if exact else 0, []).append(i)
-    out = {}
-    for idx in stacks.values():
-        cfg = LearnerConfig(game=UltimatumGame(ActionGrid(max(draws[i][0] for i in idx))),
-                            eta=draws[idx[0]][1], arithmetic=arithmetic)
-        inits = [(_audit_inits(draws[i][2]), _audit_inits(draws[i][3])) for i in idx]
-        suite = None if exact else MonitorSuite(cfg)
-        run = learner.run_lockstep(cfg, *([pair[a] for pair in inits] for a in (0, 1)),
-                                   observe=suite, eta=[draws[i][1] for i in idx])
-        found = {i: [] for i in idx}
-        for name, row, step, detail in [] if exact else suite.violations:
-            found[idx[row]].append((name, idx[row], step, detail))
-        out.update((i, (run.trajectory(row, cfg.steps_cap), found[i])) for row, i in enumerate(idx))
-    return out
-
-
 def run_audit(n_runs: int, seed: int, exact_compare: int = 20) -> AuditReport:
     """Randomized trajectories with every structural monitor armed.
 
     Draws D in [3, 30], a rational learning rate in (0, 1], and random initial
-    mixtures.  The first ``exact_compare`` draws with D <= 10 are re-run in
-    exact rational arithmetic and must match the float path to 1e-12.
-    All draws are drawn first; the float runs then go through one monitored
-    ``run_lockstep`` stack across all grid sizes, each row padded to the
-    widest grid and run at its own eta, watched by one :class:`MonitorSuite`,
-    and the exact reruns through one exact stack per grid size.  The report
-    lists each run's monitor violations, then its exact comparison, in run
-    order, as if the runs had gone one at a time.
-    Negative counts raise ``ValueError``; ``n_runs = 0`` is a vacuous pass.
+    mixtures (:func:`_audit_inits` makes every row a valid one).  The float
+    runs go through one monitored ``run_lockstep`` stack in run order, each
+    row padded to the widest grid and run at its own eta, so the suite's row
+    ids are run indices.  The first ``exact_compare`` draws with D <= 10 are
+    re-run in exact rational arithmetic, one stack per grid size (the exact
+    kernel does not pad), and must match their float rows to 1e-12 and in
+    ``converged_at``.  The report lists each run's monitor violations, then
+    its exact comparison, in run order, as if the runs had gone one at a time.
+    The counts are integers by :func:`_integer`'s rule; negative counts raise
+    ``ValueError``, and ``n_runs = 0`` is a vacuous pass.
     """
+    n_runs, exact_compare = _integer("n_runs", n_runs), _integer("exact_compare", exact_compare)
     if n_runs < 0 or exact_compare < 0:
         raise ValueError(f"audit counts must be non-negative, got {n_runs} runs "
                          f"and {exact_compare} exact comparisons")
+    if n_runs == 0:
+        return AuditReport(seed=seed, n_runs=0)
     rng = np.random.default_rng(seed)
     draws = [_audit_draw(rng) for _ in range(n_runs)]
-    floats = _audit_stacks(draws, list(range(n_runs)), "float")
+    inits = [(_audit_inits(wf), _audit_inits(ww)) for _, _, wf, ww in draws]
     rerun = [i for i, (d, *_) in enumerate(draws) if d <= 10][:exact_compare]
-    exacts = _audit_stacks(draws, rerun, "exact")
-    report = AuditReport(seed=seed, n_runs=n_runs, exact_compared=len(rerun))
-    for run_idx in range(n_runs):
-        traj, violations = floats[run_idx]
-        report.violations += violations
-        if run_idx not in exacts:
-            continue
-        exact, _ = exacts[run_idx]
-        err = max(
-            max(abs(float(a) - b) for a, b in zip(exact.final_f, traj.final_f)),
-            max(abs(float(a) - b) for a, b in zip(exact.final_w, traj.final_w)),
-        )
-        if err > 1e-12 or exact.converged_at != traj.converged_at:
-            report.violations.append(
-                ("exact_float_agreement", run_idx, traj.steps,
-                 f"max deviation {err:.3e}, converged {exact.converged_at} vs {traj.converged_at}")
+
+    def stack(cfg: LearnerConfig, runs, observe=None) -> learner.Lockstep:
+        return learner.run_lockstep(cfg, *([inits[i][a] for i in runs] for a in (0, 1)),
+                                    observe, eta=[draws[i][1] for i in runs])
+
+    # every row runs at its own eta, so the config's rate is never read
+    cfg = LearnerConfig(game=UltimatumGame(ActionGrid(max(d for d, *_ in draws))), eta=1)
+    suite = MonitorSuite(cfg)
+    floats = stack(cfg, range(n_runs), suite)
+    report = AuditReport(seed=seed, n_runs=n_runs, violations=list(suite.violations),
+                         exact_compared=len(rerun))
+    for d in sorted({draws[i][0] for i in rerun}):
+        runs = [i for i in rerun if draws[i][0] == d]
+        exacts = stack(replace(cfg, game=UltimatumGame(ActionGrid(d)), arithmetic="exact"), runs)
+        for row, i in enumerate(runs):
+            exact, traj = exacts.trajectory(row), floats.trajectory(i)
+            err = max(
+                max(abs(float(a) - b) for a, b in zip(exact.final_f, traj.final_f)),
+                max(abs(float(a) - b) for a, b in zip(exact.final_w, traj.final_w)),
             )
+            if err > 1e-12 or exact.converged_at != traj.converged_at:
+                report.violations.append(
+                    ("exact_float_agreement", i, traj.steps,
+                     f"max deviation {err:.3e}, converged {exact.converged_at} vs {traj.converged_at}")
+                )
+    report.violations.sort(key=lambda v: v[1])   # stable: a run's hits keep their order
     return report
 
 

@@ -185,8 +185,9 @@ class Trajectory:
 class Lockstep:
     """Endpoints of a stack of runs, one row each; ``converged_at`` 0 means the cap hit.
 
-    ``widths`` holds each row's grid size when the stack mixed grid sizes;
-    its rows are then padded to the widest grid (see :func:`run_lockstep`).
+    ``steps_cap`` is the step cap the stack ran with.  ``widths`` holds each
+    row's grid size when the stack mixed grid sizes; its rows are then padded
+    to the widest grid (see :func:`run_lockstep`).
     """
 
     converged_at: np.ndarray
@@ -194,16 +195,18 @@ class Lockstep:
     final_w: np.ndarray
     cum_util_f: np.ndarray
     cum_util_w: np.ndarray
+    steps_cap: int
     widths: Optional[np.ndarray] = None
 
-    def trajectory(self, row: int, steps_cap: int) -> Trajectory:
-        """Row ``row``'s run as a :class:`Trajectory` without history, capped at ``steps_cap``.
+    def trajectory(self, row: int) -> Trajectory:
+        """Row ``row``'s run as a :class:`Trajectory` without history.
 
-        A padded row is trimmed back to its own grid size.
+        A row that hit the cap reports ``steps_cap`` steps.  A padded row is
+        trimmed back to its own grid size.
         """
         converged_at = int(self.converged_at[row]) or None
         cut = slice(None) if self.widths is None else slice(int(self.widths[row]))
-        return Trajectory(converged_at=converged_at, steps=converged_at or steps_cap,
+        return Trajectory(converged_at=converged_at, steps=converged_at or self.steps_cap,
                           final_f=self.final_f[row, cut], final_w=self.final_w[row, cut],
                           cum_util_f=self.cum_util_f[row, cut], cum_util_w=self.cum_util_w[row, cut])
 
@@ -623,7 +626,7 @@ def run_dynamics(cfg: LearnerConfig, init_f, init_w, keep_history: bool = False)
         history.append((x[0][0].copy(), x[1][0].copy()))
 
     run = run_lockstep(cfg, [init_f], [init_w], observe if keep_history else None)
-    traj = run.trajectory(0, cfg.steps_cap)
+    traj = run.trajectory(0)
     return replace(traj, history=history + [(traj.final_f, traj.final_w)] if keep_history else None)
 
 
@@ -715,7 +718,7 @@ def run_lockstep(cfg: LearnerConfig, init_f, init_w, observe=None, eta=None) -> 
         arith.check(agent, x)
     out = Lockstep(np.zeros(k, dtype=np.int64),
                    *(np.empty(np.shape(x), dtype=arith.dtype) for x in (init_f, init_w) * 2),
-                   widths=widths)
+                   cfg.steps_cap, widths)
     rows = np.arange(k)
     shown = None    # the observer's previous strategies: its last call's new ones
     eta = arith.rates(eta)

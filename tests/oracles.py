@@ -602,7 +602,7 @@ def audit_loop(n_runs: int, seed: int, exact_compare: int = 20):
         cfg = LearnerConfig(game=UltimatumGame(ActionGrid(d)), eta=eta)
         monitors = MonitorSuite(cfg)
         traj = learner.run_lockstep(cfg, init_f[None], init_w[None],
-                                    observe=monitors).trajectory(0, cfg.steps_cap)
+                                    observe=monitors).trajectory(0)
         for monitor, _, step, detail in monitors.violations:
             report.violations.append((monitor, run_idx, step, detail))
 

@@ -259,6 +259,27 @@ class TestContinuousBridge:
             fine = continuous_br_gap((x_f, x_w), g, 10)
             assert fine <= coarse + 1e-12
 
+    def test_equals_coarse_certificate(self):
+        # a fine offer between two thresholds is accepted by the mass of the
+        # threshold below it and pays the firm less, and the worker's refined
+        # gap is its coarse gap: on grid-supported profiles the refined gap is
+        # the coarse eps bit for bit, so criterion 8 reads 0 by construction
+        rng = np.random.default_rng(8)
+        got, want = [], []
+        for D in (3, 5, 10, 30):
+            grid = ActionGrid(D)
+            for refinement in (2, 3, 10):
+                for _ in range(250):
+                    profile = []
+                    for _ in (0, 1):
+                        x = rng.exponential(size=grid.size) * (rng.random(grid.size) < 0.5)
+                        x[rng.integers(grid.size)] += rng.exponential()
+                        profile.append(x / x.sum())
+                    got.append(continuous_br_gap(profile, grid, refinement))
+                    want.append(certify_epsilon_ne(profile, UltimatumGame(grid)).eps)
+        assert len(got) == 3000 and max(want) > 0.1
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
     def test_rejects_bad_refinement(self):
         g = ActionGrid(5)
         with pytest.raises(ValueError):

@@ -529,6 +529,11 @@ class TestAuditCommand:
             cli.run_audit(-1, seed=0)
         with pytest.raises(ValueError):
             cli.run_audit(0, seed=0, exact_compare=-1)
+        # a count that is no integer is refused by the package's integer rule
+        with pytest.raises(ValueError, match="^n_runs must be an integer, got 2.5$"):
+            cli.run_audit(2.5, seed=0)
+        with pytest.raises(ValueError, match="^exact_compare must be an integer, got 2.5$"):
+            cli.run_audit(3, seed=0, exact_compare=2.5)
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         # the config that `run` rejects is rejected by `audit` too, before any run
@@ -556,12 +561,35 @@ class TestAuditCommand:
                     assert x.shape == (d + 1,) and (x > 0).all() and sum(x) == 1
                     assert geometry.check_simplex(x.astype(float))
 
-    @pytest.mark.parametrize("n_runs, seed, exact_compare", [
-        (100, 42, 20), (60, 1, 10), (60, 7, 10), (60, 2024, 10),
-    ])
-    def test_stacks_match_one_run_per_draw(self, n_runs, seed, exact_compare):
-        # one stack per grid size reports what one run per draw reports
+    @pytest.mark.parametrize("n_runs, seed, exact_compare, compared", [
+        (100, 42, 20, 20), (60, 1, 10, 10), (60, 7, 10, 10), (60, 2024, 10, 10),
+        (5, 3, 20, 2),      # only two draws have D <= 10
+        (1, 0, 20, 0),      # no draw has D <= 10
+        (3, 1, 0, 0),
+    ], ids=["100-42-20", "60-1-10", "60-7-10", "60-2024-10", "5-3-20", "1-0-20", "3-1-0"])
+    def test_stacks_match_one_run_per_draw(self, n_runs, seed, exact_compare, compared, monkeypatch):
+        # one float stack of every draw in run order, then one exact stack
+        # per grid size of the reruns, reports what one run per draw reports
+        calls, run_lockstep = [], learner.run_lockstep
+
+        def spy(cfg, init_f, init_w, observe=None, eta=None):
+            calls.append((cfg.arithmetic, cfg.grid.D, [(e, tuple(f), tuple(w))
+                                                       for e, f, w in zip(eta, init_f, init_w)]))
+            return run_lockstep(cfg, init_f, init_w, observe, eta)
+
+        monkeypatch.setattr(learner, "run_lockstep", spy)
         report = cli.run_audit(n_runs, seed, exact_compare)
+        monkeypatch.undo()
+        rng = np.random.default_rng(seed)
+        draws = [cli._audit_draw(rng) for _ in range(n_runs)]
+        rows = [(eta, tuple(cli._audit_inits(wf)), tuple(cli._audit_inits(ww)))
+                for _, eta, wf, ww in draws]
+        rerun = [i for i, (d, *_) in enumerate(draws) if d <= 10][:exact_compare]
+        assert calls[0] == ("float", max(d for d, *_ in draws), rows)
+        sizes = sorted({draws[i][0] for i in rerun})
+        assert calls[1:] == [("exact", d, [rows[i] for i in rerun if draws[i][0] == d])
+                             for d in sizes]
+        assert report.exact_compared == len(rerun) == compared
         expected = oracles.audit_loop(n_runs, seed, exact_compare)
         assert report == expected
         assert report.lines() == expected.lines()

@@ -3,7 +3,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from ftrl_bargain import analysis, metagame
+from ftrl_bargain import analysis, cli, metagame
 from ftrl_bargain.games import (
     FIRM,
     WORKER,
@@ -79,8 +79,10 @@ def _recurrence(**kw):
     ("m", lambda: Treeplex(True, 2, True)),
     ("refinement", lambda: analysis.continuous_br_gap(
         (pure_strategy(ActionGrid(3), 0.0), pure_strategy(ActionGrid(3), 0.0)), ActionGrid(3), True)),
+    ("n_runs", lambda: cli.run_audit(True, 42)),
+    ("exact_compare", lambda: cli.run_audit(3, 42, exact_compare=True)),
 ], ids=["max_steps", "D", "k", "iterate_n", "closed_form_n", "parallelism", "treeplex_n",
-        "treeplex_m", "refinement"])
+        "treeplex_m", "refinement", "n_runs", "exact_compare"])
 def test_bool_is_not_an_integer(name, call):
     # one integer rule: operator.index takes True as 1, the rule refuses it
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):

@@ -762,7 +762,7 @@ class TestMixedWidths:
                                        *(np.array([inits[i][a] for i in idx]) for a in (0, 1)),
                                        alone, eta=[etas[i] for i in idx])
             for row, i in enumerate(idx):
-                got, want = mixed.trajectory(i, cfg.steps_cap), run.trajectory(row, cfg.steps_cap)
+                got, want = mixed.trajectory(i), run.trajectory(row)
                 assert (got.converged_at, got.steps) == (want.converged_at, want.steps)
                 for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
                     assert getattr(got, name).shape == (d + 1,), name
@@ -782,7 +782,7 @@ class TestMixedWidths:
             run = learner.run_lockstep(g1_config(d=d), *(np.array([x[i] for i in idx]) for x in inits),
                                        eta=[etas[i] for i in idx])
             for row, i in enumerate(idx):
-                got, want = mixed.trajectory(i, 8000), run.trajectory(row, 8000)
+                got, want = mixed.trajectory(i), run.trajectory(row)
                 assert got.converged_at == want.converged_at is not None
                 for name in ("final_f", "final_w", "cum_util_f", "cum_util_w"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), name
